@@ -104,10 +104,12 @@ def cmd_psi_bound(cfg: RunConfig) -> int:
     zl = _get_zeros(cfg)
     T, sigma = cfg.t_max, cfg.sigma
     sieve_limit = cfg.extra.get("sieve_limit", sv.DESK_CEILING)
-    check_xs = [int(x) for x in cfg.x_grid
-                if x <= sieve_limit and not cfg.extra.get("no_sieve")]
-    cps = {c.x: c for c in sv.psi_checkpoints(check_xs, cfg.threads,
-                                              cfg.long_run)}
+    cps = {}
+    # the sieve measures the sum only for sigma = 0 (psi) and 1 (delta)
+    if sigma in (0.0, 1.0) and not cfg.extra.get("no_sieve"):
+        check_xs = [int(x) for x in cfg.x_grid if x <= sieve_limit]
+        cps = {c.x: c for c in sv.psi_checkpoints(check_xs, cfg.threads,
+                                                  cfg.long_run)}
     rows = []
     violation = False
     for x in cfg.x_grid:
@@ -119,16 +121,12 @@ def cmd_psi_bound(cfg: RunConfig) -> int:
         if c is not None:
             if sigma == 0.0:
                 measured = c.psi / x
-            elif sigma == 1.0:
-                measured = c.delta + math.log(x) - EULER_GAMMA
             else:
-                measured = None
-            if measured is not None:
-                row["sieve_value"] = format_float17(float(measured))
-                inside = bool(rep.total_lower <= measured
-                              <= rep.total_upper)
-                row["sieve_inside"] = inside
-                violation |= not inside
+                measured = c.delta + math.log(x) - EULER_GAMMA
+            row["sieve_value"] = format_float17(float(measured))
+            inside = bool(rep.total_lower <= measured <= rep.total_upper)
+            row["sieve_inside"] = inside
+            violation |= not inside
         rows.append(row)
     _emit(json.dumps(rows, indent=1, sort_keys=True) + "\n", cfg.out_path)
     return EXIT_VIOLATION if violation else EXIT_OK

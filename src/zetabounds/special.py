@@ -176,7 +176,11 @@ def zeta_batch_critical(ts: np.ndarray, chunk: int = 384) -> np.ndarray:
     """Vectorised zeta(1/2 + i t) for an ascending array of heights t.
 
     Shares the main-sum grid within each chunk; accuracy matches zeta_em
-    with the default depth (roughly 1e-8 absolute at t ~ 2.5e4).
+    with the default depth (roughly 1e-8 absolute at t ~ 2.5e4).  Its main
+    sum has about 2.2 t/2pi terms, so zeros.hardy_z_batch uses it only
+    below zeros.T_RS and switches to Riemann-Siegel above; at any height
+    it is the independent reference that the Riemann-Siegel path and the
+    zero finder are tested against.
     """
     ts = np.asarray(ts, dtype=np.float64)
     out = np.empty(ts.shape, dtype=np.complex128)

@@ -1,4 +1,3 @@
-import numpy as np
 import pytest
 
 from zetabounds import zeros as zr
@@ -6,7 +5,7 @@ from zetabounds import zeros as zr
 
 @pytest.fixture(scope="session")
 def zl_med():
-    """Zeros through t = 2000 (about 1270 of them); a few seconds."""
+    """Zeros through t = 2000 (1517 of them)."""
     return zr.find_zeros(2000.0, 1e-9)
 
 
@@ -20,19 +19,3 @@ def zl_small():
 def zl_deep():
     """Zeros through t = 3500, deep enough for the tail estimates."""
     return zr.find_zeros(3500.0, 1e-9)
-
-
-@pytest.fixture(scope="session")
-def zl_full():
-    """Zeros through t = 21900, enough for every acceptance criterion;
-    roughly four to five minutes of Hardy-function scanning."""
-    import time
-    t0 = time.time()
-    zl = zr.find_zeros(21900.0, 1e-9)
-    elapsed = time.time() - t0
-    print(f"\n[zeros to 21900: {len(zl)} found in {elapsed:.0f}s]")
-    zl_full_timing["seconds"] = elapsed
-    return zl
-
-
-zl_full_timing = {"seconds": None}

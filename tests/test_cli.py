@@ -91,6 +91,23 @@ def test_psi_bound_byte_identical(tmp_path, zl_med):
     assert o1.read_bytes() == o2.read_bytes()
 
 
+def test_psi_bound_no_sieve_off_sigma_0_and_1(tmp_path, zl_med,
+                                              monkeypatch):
+    zfile = tmp_path / "z.txt"
+    zr.save_zeros(zl_med, str(zfile))
+    argv = ["psi-bound", "--t-max", "1000", "--zero-file", str(zfile),
+            "--x", "1e5,1e6", "--sigma", "0.5"]
+    plain, sieved = tmp_path / "a.json", tmp_path / "b.json"
+    assert run(argv + ["--no-sieve", "--out", str(plain)]) == 0
+
+    def no_sieve(*args, **kwargs):
+        raise AssertionError("psi-bound sieved at sigma = 0.5")
+
+    monkeypatch.setattr(cli.sv, "psi_checkpoints", no_sieve)
+    assert run(argv + ["--out", str(sieved)]) == 0
+    assert sieved.read_bytes() == plain.read_bytes()
+
+
 def test_counterexample_table(tmp_path):
     out = tmp_path / "c.csv"
     rc = run(["counterexample", "--K", "60", "--T", "1", "--delta", "0.1",

@@ -1,8 +1,10 @@
 import math
 
+import mpmath as mp
 import numpy as np
 import pytest
 
+from zetabounds import verify as vf
 from zetabounds import zeros as zr
 from zetabounds.special import log_deriv_zeta, zeta_batch_critical
 from zetabounds.util import TWO_PI
@@ -53,6 +55,95 @@ def test_zerolist_invariants():
         ZeroList(np.array([14.134725, 14.134725]), 20.0)
     with pytest.raises(MissedZeroError):
         ZeroList(np.array([]), 100.0)   # cannot be complete to 100
+
+
+# ----------------------------------------------------------------------
+# Riemann-Siegel Z and the Illinois refiner, against independent references
+# ----------------------------------------------------------------------
+
+def rs_coefficient_table(degree, dps=30):
+    """Taylor coefficients in z = p - 1/2, through z^degree, of the
+    Riemann-Siegel corrections C_0 .. C_4 (as mpf), from mpmath.taylor of
+    Psi(p) = cos 2pi(p^2 - p - 1/16) / cos 2pi p at p = 1/2."""
+    with mp.workdps(dps):
+        pi = mp.pi
+
+        def psi(p):
+            return mp.cos(2 * pi * (p * p - p - mp.mpf(1) / 16)) \
+                / mp.cos(2 * pi * p)
+
+        taylor = mp.taylor(psi, mp.mpf(1) / 2, degree + 12)
+
+        def deriv(j):       # coefficients of Psi^(j)(1/2 + z)
+            return [taylor[m + j] * mp.factorial(m + j) / mp.factorial(m)
+                    for m in range(degree + 1)]
+
+        combos = (
+            ((0, 1),),
+            ((3, -1 / (96 * pi ** 2)),),
+            ((2, 1 / (64 * pi ** 2)), (6, 1 / (18432 * pi ** 4))),
+            ((1, -1 / (64 * pi ** 2)), (5, -1 / (3840 * pi ** 4)),
+             (9, -1 / (5308416 * pi ** 6))),
+            ((0, 1 / (128 * pi ** 2)), (4, 19 / (24576 * pi ** 4)),
+             (8, 11 / (5898240 * pi ** 6)),
+             (12, 1 / (2038431744 * pi ** 8))),
+        )
+        table = []
+        for combo in combos:
+            row = [mp.mpf(0)] * (degree + 1)
+            for j, w in combo:
+                row = [r + w * d for r, d in zip(row, deriv(j))]
+            table.append(row)
+        return table
+
+
+def test_rs_coefficients_regenerate():
+    rows = zr._RS_COEFFS
+    table = rs_coefficient_table(2 * len(rows[0]) + 1)
+    a_min = math.sqrt(zr.T_RS / TWO_PI)
+    for k, row in enumerate(rows):
+        par = k % 2
+        own, other = table[k][par::2], table[k][1 - par::2]
+        assert tuple(float(c) for c in own[:len(row)]) == row
+        # the other parity vanishes, and the first omitted term, at
+        # |z| = 1/2 and scaled by a^-k as in the remainder, is negligible
+        assert max(abs(c) for c in other) < 1e-20
+        first_omitted = abs(own[len(row)]) * 0.5 ** (2 * len(row) + par)
+        assert first_omitted * a_min ** -k < 2e-18
+
+
+def test_riemann_siegel_against_mpmath():
+    rng = np.random.default_rng(314)
+    ts = np.concatenate([[zr.T_RS, 2.5e4], np.exp(
+        rng.uniform(math.log(zr.T_RS), math.log(2.5e4), 24))])
+    got = zr.hardy_z_batch(ts)
+    with mp.workdps(25):
+        want = np.array([float(mp.siegelz(float(t))) for t in ts])
+    bound = 0.017 * ts ** -2.75 + 10 * 2.0 ** -52 * ts * np.log(ts)
+    assert np.all(np.abs(got - want) <= bound)
+
+
+def test_hardy_z_mixed_heights_match_each_path():
+    # heights on both sides of T_RS, unsorted, come back in input order
+    ts = np.array([2000.0, 150.0, zr.T_RS, 390.0, 20000.0])
+    mixed = zr.hardy_z_batch(ts)
+    alone = np.array([zr.hardy_z_batch(np.array([t]))[0] for t in ts])
+    assert np.allclose(mixed, alone, rtol=0.0, atol=1e-11)
+
+
+def test_ordinates_bracket_em_sign_changes():
+    """Every ordinate lies within tol of a sign change of the
+    Euler-Maclaurin Z, which shares no code with Riemann-Siegel."""
+    tol = 1e-9
+    zl = zr.find_zeros(2504.0, tol)
+    assert len(zl) == mp.nzeros(2504)
+    g = zl.ordinates
+
+    def oracle(t):
+        return (np.exp(1j * zr.hardy_theta(t)) * zeta_batch_critical(t)).real
+
+    lo, hi = oracle(g - 1.1 * tol), oracle(g + 1.1 * tol)
+    assert np.all(np.sign(lo) * np.sign(hi) < 0)
 
 
 # ----------------------------------------------------------------------
@@ -166,6 +257,13 @@ def test_box_count_bound(zl_small):
 def test_inverse_square_tail_height_guard(zl_med):
     with pytest.raises(ValueError):
         zr.inverse_square_tail(zl_med, 14.0)   # remainder above 1e-6
+
+
+def test_inverse_square_tail_at_appendix_b_height():
+    # the default appendix-b list must be tall enough for the tail check
+    zl = zr.find_zeros(vf.APPENDIX_B_T)
+    val, rhs = zr.inverse_square_tail(zl, 14.0)
+    assert val <= rhs
 
 
 def test_inverse_square_tail_values(zl_deep):
