@@ -1,9 +1,11 @@
 """Batch front end: zero acquisition, sieving, bound assembly and the
 verification suites, with JSON/CSV reports written atomically.
 
-Exit status is 0 iff every executed check passed; re-running a command with
-identical configuration and fixtures produces byte-identical output (no
-timestamps, fixed key order, 17-significant-digit decimal strings).
+Exit status is 0 iff every computed check passed; a verify check that its
+input cannot support is reported as skipped and does not fail the run.
+Re-running a command with identical configuration and fixtures produces
+byte-identical output (no timestamps, fixed key order, 17-significant-digit
+decimal strings).
 """
 
 from __future__ import annotations
@@ -18,6 +20,7 @@ import numpy as np
 
 from . import formula as fm
 from . import sieve as sv
+from . import verify as vf
 from . import zeros as zr
 from .util import TWO_PI, EULER_GAMMA, atomic_write_text, format_float17
 
@@ -168,32 +171,17 @@ def cmd_sieve(cfg: RunConfig) -> int:
     return EXIT_OK
 
 
-def _verify_suites(cfg: RunConfig):
-    """Yield (suite, name, passed) tuples for the requested suites."""
-    from . import verify as vf
-    which = cfg.extra.get("suite", "all")
-    zl = None
-    if cfg.zero_file:
-        zl = zr.load_zeros(cfg.zero_file)
-    for suite, name, passed in vf.run_suites(which, zl=zl,
-                                             threads=cfg.threads):
-        yield suite, name, passed
-
-
 def cmd_verify(cfg: RunConfig) -> int:
-    rows = []
-    ok = True
-    for suite, name, passed in _verify_suites(cfg):
-        rows.append({"suite": suite, "check": name, "pass": bool(passed)})
-        ok &= passed
-    text = json.dumps(rows, indent=1, sort_keys=True) + "\n"
-    _emit(text, cfg.out_path)
+    zl = zr.load_zeros(cfg.zero_file) if cfg.zero_file else None
+    rows = [{"suite": suite, "check": name, "pass": result}
+            for suite, name, result
+            in vf.run_suites(cfg.extra.get("suite", "all"), zl)]
+    _emit(json.dumps(rows, indent=1, sort_keys=True) + "\n", cfg.out_path)
     if cfg.out_path:
         for r in rows:
-            sys.stdout.write(
-                f"{'PASS' if r['pass'] else 'FAIL'} "
-                f"[{r['suite']}] {r['check']}\n")
-    return EXIT_OK if ok else EXIT_ERROR
+            word = {True: "PASS", False: "FAIL", None: "SKIP"}[r["pass"]]
+            sys.stdout.write(f"{word} [{r['suite']}] {r['check']}\n")
+    return EXIT_ERROR if any(r["pass"] is False for r in rows) else EXIT_OK
 
 
 # ----------------------------------------------------------------------
@@ -291,10 +279,9 @@ def build_parser() -> argparse.ArgumentParser:
 
     v = sub.add_parser("verify", help="run invariant suites")
     v.add_argument("--suite", default="all",
-                   choices=["appendix-a", "appendix-b", "appendix-c",
-                            "extremal", "weights", "perron", "all"])
+                   choices=[*dict.fromkeys(s for s, _, _ in vf.REGISTRY),
+                            "all"])
     v.add_argument("--zero-file")
-    v.add_argument("--threads", type=int, default=1)
     v.add_argument("--out")
     return ap
 
@@ -336,14 +323,13 @@ def main(argv=None) -> int:
             return cmd_sieve(cfg)
         if ns.command == "verify":
             cfg = RunConfig("verify", zero_file=ns.zero_file,
-                            out_path=ns.out, threads=ns.threads,
-                            extra={"suite": ns.suite})
+                            out_path=ns.out, extra={"suite": ns.suite})
             return cmd_verify(cfg)
         ap.print_help()
         return EXIT_USAGE
     except (ValueError, zr.ZeroFileError, zr.MissedZeroError, OSError) as e:
         sys.stdout.write(_error_json(e))
-        return EXIT_VIOLATION if "sandwich" in str(e) else EXIT_ERROR
+        return EXIT_ERROR
 
 
 if __name__ == "__main__":

@@ -140,15 +140,10 @@ def lambda_segment(lo: int, hi: int):
         raise ValueError("hi above supported ceiling")
     if hi - lo > 100_000_000:
         raise ValueError("segment too long; split the request")
-    root = int(math.isqrt(hi)) + 1
-    base = _base_primes(root)
-    pr = _segment_primes(lo, hi, base)
-    pp_n, pp_l = _prime_powers(hi, base)
-    keep = pp_n >= lo
-    pos = np.concatenate([pr, pp_n[keep]])
-    lam = np.concatenate([np.log(pr.astype(np.float64)), pp_l[keep]])
-    order = np.argsort(pos, kind="stable")
-    return pos[order], lam[order]
+    stream = _SieveStream(hi)
+    parts = [stream._one(a) for a in range(lo, hi + 1, SEGMENT)]
+    return (np.concatenate([pos for _, _, pos, _ in parts]),
+            np.concatenate([lam for _, _, _, lam in parts]))
 
 
 def _harmonic_correction(m: int) -> float:

@@ -365,11 +365,25 @@ def _laurent_eval(w: complex, alternating: bool) -> complex:
     return val
 
 
+# pi = _PI_A + _PI_B + _PI_C, the first two short enough that k * _PI_A and
+# k * _PI_B are exact: the reduced argument v - k pi then keeps its relative
+# accuracy next to a pole, where cot and coth are about 1/(v - k pi).
+_PI_A = 3.141592651605606
+_PI_B = 1.984187036896401e-09
+_PI_C = 1.2246467991473532e-16
+
+
+def _minus_k_pi(v: float, k: int) -> float:
+    """v - k pi, exact but for the rounding of the result when |v - k pi|
+    is small."""
+    return ((v - k * _PI_A) - k * _PI_B) - k * _PI_C
+
+
 def cot_stable(z: complex) -> complex:
     """cot z; Laurent form within 0.1 of a pole, overflow-safe ratio else."""
     z = complex(z)
     k = round(z.real / math.pi)
-    w = z - k * math.pi
+    w = complex(_minus_k_pi(z.real, k), z.imag)
     if abs(w) < _NEAR_POLE:
         return _laurent_eval(w, alternating=True)
     if abs(z.imag) > 20.0:
@@ -385,7 +399,7 @@ def coth_stable(z: complex) -> complex:
     """coth z; Laurent form within 0.1 of a pole (poles at i pi Z)."""
     z = complex(z)
     k = round(z.imag / math.pi)
-    w = z - 1j * (k * math.pi)
+    w = complex(z.real, _minus_k_pi(z.imag, k))
     if abs(w) < _NEAR_POLE:
         return _laurent_eval(w, alternating=False)
     if abs(z.real) > 20.0:

@@ -20,9 +20,9 @@ from .util import TWO_PI, PoleError, adaptive_simpson
 
 __all__ = [
     "WeightContext", "theta", "theta_T1", "omega_plus", "omega_plus_batch",
-    "omega_plus_from_contour", "F_and_A", "F_real_batch",
-    "weight_split_error", "weighted_log_integral", "weighted_inv_integral",
-    "constants_C", "tremic_check", "adar_error_terms", "salmon_bound_parts",
+    "omega_plus_from_contour", "F_and_A", "weight_split_error",
+    "weighted_log_integral", "weighted_inv_integral", "constants_C",
+    "tremic_check", "adar_error_terms", "salmon_bound_parts",
 ]
 
 # precomputed zeta(2n) for the F/A power series and the C_k series
@@ -177,31 +177,6 @@ def F_and_A(z: complex) -> tuple[complex, complex]:
     return (A + 1.0 / (math.pi * z), A)
 
 
-def F_real_batch(u: np.ndarray) -> np.ndarray:
-    """F(u) on real points of (0, 1]; F(1) = 0 filled."""
-    u = np.asarray(u, dtype=np.float64)
-    out = np.empty_like(u)
-    hi = u > 0.7
-    if hi.any():
-        uh = u[hi]
-        one = np.abs(uh - 1.0) < 1e-12
-        v = np.where(one, 1.0, uh)
-        out[hi] = np.where(
-            one, 0.0,
-            1.0 / math.pi + (1.0 - v) / np.tan(math.pi * v))
-    lo = ~hi
-    if lo.any():
-        ul = u[lo]
-        ze = _zeta_even(48)
-        acc = np.zeros_like(ul)
-        z2 = ul * ul
-        for n in range(len(ze), 0, -1):
-            acc = (acc + ze[n - 1]) * z2 if n > 1 else acc + ze[0]
-        f = (2.0 / math.pi) * ul * acc
-        out[lo] = 1.0 / (math.pi * ul) - (1.0 - ul) * f
-    return out
-
-
 # ----------------------------------------------------------------------
 # Split-error approximation of the weight on the critical line
 # ----------------------------------------------------------------------
@@ -243,9 +218,11 @@ def weight_split_error(ctx: WeightContext, t: float, xi: float,
 # Weighted integrals over [t0, T]
 # ----------------------------------------------------------------------
 
-def _weight_norm(t: np.ndarray, T: float) -> np.ndarray:
+def _weight_norm(t: float, T: float) -> float:
+    """|F(u) + (1 - u) i| at u = t/T, the weight's profile on the critical
+    line."""
     u = t / T
-    return np.sqrt(F_real_batch(u) ** 2 + (1.0 - u) ** 2)
+    return math.hypot(F_and_A(u)[0].real, 1.0 - u)
 
 
 def weighted_log_integral(T: float, t0: float):
@@ -258,7 +235,7 @@ def weighted_log_integral(T: float, t0: float):
         raise ValueError("need T >= t0 >= 2 pi")
 
     def f(t):
-        return float(_weight_norm(np.array([t]), T)[0]) * math.log(t / TWO_PI)
+        return _weight_norm(t, T) * math.log(t / TWO_PI)
 
     # mild endpoint behaviour at t = T handled by an explicit split
     split = T * (1.0 - 1e-6)
@@ -281,7 +258,7 @@ def weighted_inv_integral(T: float, t0: float):
         raise ValueError("need T >= t0 >= 2 pi")
 
     def f(t):
-        return float(_weight_norm(np.array([t]), T)[0]) / t
+        return _weight_norm(t, T) / t
 
     quad = adaptive_simpson(f, t0, T, 1e-9) * TWO_PI / T
     return quad, 2.0 / t0 - 2.0 / T

@@ -1,5 +1,6 @@
 import pytest
 
+from zetabounds import verify as vf
 from zetabounds import zeros as zr
 
 
@@ -17,5 +18,6 @@ def zl_small():
 
 @pytest.fixture(scope="session")
 def zl_deep():
-    """Zeros through t = 3500, deep enough for the tail estimates."""
-    return zr.find_zeros(3500.0, 1e-9)
+    """Zeros through the height of the default appendix-b list, deep
+    enough for the tail estimates."""
+    return zr.find_zeros(vf.APPENDIX_B_T, 1e-9)

@@ -1,5 +1,6 @@
 import json
 import math
+import os
 
 import numpy as np
 import pytest
@@ -81,6 +82,16 @@ def test_psi_bound_usage_error(tmp_path, zl_med, capsys):
     assert "must exceed" in json.loads(capsys.readouterr().out)["message"]
 
 
+def test_psi_bound_missing_zero_file_is_an_error(tmp_path, capsys):
+    # exit 3 means a sieve value outside the sandwich; a missing zero file
+    # is an ordinary error, whatever its name
+    missing = tmp_path / "no-sandwich.txt"
+    rc = run(["psi-bound", "--t-max", "100", "--x", "1e5",
+              "--zero-file", str(missing)])
+    assert rc == cli.EXIT_ERROR
+    assert "no-sandwich" in json.loads(capsys.readouterr().out)["message"]
+
+
 def test_psi_bound_byte_identical(tmp_path, zl_med):
     zfile = tmp_path / "z.txt"
     zr.save_zeros(zl_med, str(zfile))
@@ -146,3 +157,23 @@ def test_verify_deterministic(tmp_path):
         assert run(["verify", "--suite", "appendix-c", "--out",
                     str(o)]) == 0
     assert o1.read_bytes() == o2.read_bytes()
+
+
+def test_verify_skips_what_a_short_list_cannot_support(tmp_path, capsys):
+    # the bundled list reaches t = 236.5: too short for the inverse-square
+    # tail and the local expansion at t = 1500, enough for the rest
+    out = tmp_path / "v.json"
+    zfile = os.path.join(os.path.dirname(zr.__file__), "data",
+                         "zeros100.txt")
+    rc = run(["verify", "--suite", "appendix-b", "--zero-file", zfile,
+              "--out", str(out)])
+    assert rc == 0
+    got = {r["check"]: r["pass"] for r in json.loads(out.read_text())}
+    skipped = {"inverse-square tail below bound",
+               "local log-derivative expansion"}
+    assert len(got) == 5
+    assert all(got[c] is None for c in skipped)
+    assert all(got[c] is True for c in got.keys() - skipped)
+    lines = capsys.readouterr().out.splitlines()
+    assert sorted(l for l in lines if l.startswith("SKIP")) == sorted(
+        f"SKIP [appendix-b] {c}" for c in skipped)

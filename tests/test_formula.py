@@ -191,23 +191,6 @@ def test_monotone_width_in_T(zl_med):
     assert all(a >= b for a, b in zip(widths, widths[1:]))
 
 
-def test_sigma_limit_residue_bookkeeping():
-    # contribution(rho=sigma) + contribution(rho=1) -> log x - gamma
-    from zetabounds.special import log_deriv_zeta
-    x, T = 1e5, 4000.0
-    target = math.log(x) - EULER_GAMMA
-    vals = []
-    for eps in (1e-3, 1e-4, 1e-5):
-        sigma = 1.0 - eps
-        y = math.pi * (1.0 - sigma) / T
-        main = math.pi / T / math.tanh(y)
-        pole = -log_deriv_zeta(complex(sigma)).value.real \
-            * x ** (sigma - 1.0)
-        vals.append(main + pole - target)
-    assert abs(vals[-1]) < 1e-4 * math.log(x)
-    assert abs(vals[-1]) < abs(vals[0])
-
-
 def test_psi_concrete_bound_values():
     env, refined = fm.psi_concrete_bound(1e6)
     assert abs(env - (math.pi / 3e12 * 1e6 + 113.67 * 1e3)) < 1e-9
@@ -301,18 +284,3 @@ def test_perron_triangle_pair():
     d = fm.perron_identity_check([0.3, 1.1, 0.0, 2.2], tri, tri_hat,
                                  25.0, 0.8, 11.3)
     assert d < 1e-6
-
-
-def test_perron_randomised_suite():
-    rng = np.random.default_rng(25)
-    for i in range(20):
-        length = int(rng.integers(1, 101))
-        coeffs = rng.uniform(0.0, 2.0, length)
-        lam = float(rng.choice([0.3, 0.8, -0.6, 1.5]))
-        side = ex.MAJORANT if i % 2 == 0 else ex.MINORANT
-        phi, phi_hat = _pair(lam, side)
-        T = float(rng.uniform(8.0, 40.0))
-        sigma = float(rng.uniform(0.5, 2.0))
-        x = float(rng.uniform(2.0, 50.0))
-        assert fm.perron_identity_check(coeffs, phi, phi_hat, T, sigma,
-                                        x) < 1e-6
