@@ -9,6 +9,7 @@ deterministic for fixed inputs."""
 
 from __future__ import annotations
 
+import functools
 import math
 
 import numpy as np
@@ -235,13 +236,19 @@ def check_domination():
     return True
 
 
+@functools.cache
+def gap_identity_holds(lam: float, side: str) -> bool:
+    """The L1 gap by quadrature is within 1e-5 of its closed form.  Cached,
+    since one quadrature takes about a second: the tests of single
+    (lam, side) pairs and check_gap_identity share the values."""
+    p = ex.ApproximantParams.make(lam, side)
+    return abs(ex.l1_gap_quadrature(p) - ex.l1_gap(p)) <= 1e-5
+
+
 def check_gap_identity():
-    for lam in (0.25, 1.0, 4.0, -0.5):
-        for side in (ex.MAJORANT, ex.MINORANT):
-            p = ex.ApproximantParams.make(lam, side)
-            if abs(ex.l1_gap_quadrature(p) - ex.l1_gap(p)) > 1e-5:
-                return False
-    return True
+    return all(gap_identity_holds(lam, side)
+               for lam in (0.25, 1.0, 4.0, -0.5)
+               for side in (ex.MAJORANT, ex.MINORANT))
 
 
 def check_fourier_pair():
@@ -353,14 +360,18 @@ def check_tritura_random():
     return True
 
 
-def check_sibelius_grids():
-    u = np.linspace(1e-3, 1.0, 400)
+def F_profile_holds(u) -> bool:
+    """On the increasing grid u in (0, 1]: F decreases, is positive before
+    u = 1 and stays below 1/(pi u)."""
     F = np.array([wt.F_and_A(v)[0].real for v in u])
-    if not (np.all(np.diff(F) < 1e-12) and np.all(F[:-1] > 0.0)
-            and np.all(F < 1.0 / (math.pi * u) + 1e-15)):
-        return False
-    rng = np.random.default_rng(23)
-    for _ in range(200):
+    return bool(np.all(np.diff(F) < 1e-12) and np.all(F[:-1] > 0.0)
+                and np.all(F < 1.0 / (math.pi * u) + 1e-15))
+
+
+def A_strip_holds(rng, n: int = 200) -> bool:
+    """At n random points x + iy of (0, 1/2] x [-1/2, 1/2]:
+    |A(x)| <= pi x / 3 and |A(x + iy) - A(x)| <= 1.78 |y|."""
+    for _ in range(n):
         x = rng.uniform(1e-3, 0.5)
         y = rng.uniform(-0.5, 0.5)
         _, Ax = wt.F_and_A(complex(x))
@@ -370,6 +381,11 @@ def check_sibelius_grids():
         if abs(Axy - Ax) > 1.78 * abs(y) + 1e-12:
             return False
     return True
+
+
+def check_sibelius_grids():
+    return (F_profile_holds(np.linspace(1e-3, 1.0, 400))
+            and A_strip_holds(np.random.default_rng(23)))
 
 
 def check_split_radii():

@@ -6,6 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from zetabounds import extremal as ex
+from zetabounds import verify as vf
 from zetabounds.extremal import (MAJORANT, MINORANT, ApproximantParams,
                                  TruncatedExponential)
 from zetabounds.util import PoleError
@@ -111,6 +112,12 @@ def test_gap_closed_forms():
     pL = ApproximantParams.make(1.0, MINORANT)
     assert abs(ex.l1_gap(pM) - (1.0 / (1.0 - math.exp(-1.0)) - 1.0)) < 1e-15
     assert abs(ex.l1_gap(pL) - (1.0 - 1.0 / (math.e - 1.0))) < 1e-15
+
+
+@pytest.mark.parametrize("lam", [0.25, 1.0, 4.0])
+@pytest.mark.parametrize("side", [MAJORANT, MINORANT])
+def test_gap_quadrature_matches(lam, side):
+    assert vf.gap_identity_holds(lam, side)
 
 
 # ----------------------------------------------------------------------

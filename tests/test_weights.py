@@ -4,6 +4,7 @@ import mpmath as mp
 import numpy as np
 import pytest
 
+from zetabounds import verify as vf
 from zetabounds import weights as wt
 from zetabounds.util import TWO_PI, PoleError
 from zetabounds.weights import WeightContext
@@ -102,6 +103,14 @@ def test_A_slope_at_half():
     h = 1e-6
     d = (wt.F_and_A(0.5 + h)[1] - wt.F_and_A(0.5 - h)[1]).real / (2.0 * h)
     assert abs(d - (8.0 - math.pi ** 2) / (2.0 * math.pi)) < 1e-8
+
+
+def test_F_profile_inequalities():
+    assert vf.F_profile_holds(np.linspace(1e-3, 1.0, 500))
+
+
+def test_A_strip_bounds():
+    assert vf.A_strip_holds(np.random.default_rng(9))
 
 
 def test_F_pole_errors():
