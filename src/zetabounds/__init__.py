@@ -2,14 +2,13 @@
 brute-force sieve verification of every claim that can be checked at desk
 scale."""
 
-from .extremal import (ApproximantParams, TruncatedExponential,
-                       beurling_majorant, glued_contour_weight, l1_gap,
-                       phi_hat, phi_hat_lerch, phi_weight, truncated_exp)
+from .extremal import (ApproximantParams, beurling_majorant,
+                       glued_contour_weight, l1_gap, phi_hat, phi_hat_lerch,
+                       phi_weight, truncated_exp)
 from .formula import (BoundReport, CounterexampleSpec, counterexample_mean,
-                      explicit_formula_bound, i_plus_c_bound,
-                      nontrivial_zero_sum, perron_identity_check,
-                      psi_concrete_bound, trivial_zero_terms,
-                      zero_sum_bound)
+                      explicit_formula_bound, nontrivial_zero_sum,
+                      perron_identity_check, psi_concrete_bound,
+                      trivial_zero_terms, zero_sum_bound)
 from .sieve import (ExtremaRecord, SieveCheckpoint, extrema_scan,
                     lambda_segment, psi_checkpoints)
 from .special import (EvalWithError, LaurentCoeffs, badabook_f, cot_stable,

@@ -14,7 +14,6 @@ import argparse
 import json
 import math
 import sys
-from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -30,28 +29,6 @@ EXIT_USAGE = 2
 EXIT_VIOLATION = 3     # a sandwich violation: must never happen
 
 
-@dataclass
-class RunConfig:
-    command: str
-    t_max: float = 0.0
-    x_grid: tuple = ()
-    sigma: float = 0.0
-    zero_file: str | None = None
-    out_path: str | None = None
-    threads: int = 1
-    long_run: bool = False
-    extra: dict = field(default_factory=dict)
-
-    def __post_init__(self):
-        if any(b <= a for a, b in zip(self.x_grid, self.x_grid[1:])):
-            raise ValueError("x grid must be ascending")
-        if (self.command in ("zeros", "psi-bound")
-                and self.t_max > zr.T_MAX_CEILING
-                and self.zero_file is None):
-            raise ValueError("t_max above the computable ceiling needs a "
-                             "zero file")
-
-
 def _emit(text: str, out_path: str | None) -> None:
     if out_path:
         atomic_write_text(out_path, text)
@@ -64,23 +41,26 @@ def _error_json(exc: BaseException) -> str:
                       sort_keys=True) + "\n"
 
 
-def _get_zeros(cfg: RunConfig) -> zr.ZeroList:
-    if cfg.zero_file:
-        zl = zr.load_zeros(cfg.zero_file)
-        if zl.t_max < cfg.t_max:
+def _get_zeros(ns: argparse.Namespace, tol: float = 1e-9) -> zr.ZeroList:
+    if ns.zero_file:
+        zl = zr.load_zeros(ns.zero_file)
+        if zl.t_max < ns.t_max:
             raise ValueError("zero file does not reach t_max")
         return zl
-    return zr.find_zeros(cfg.t_max, cfg.extra.get("tol", 1e-9))
+    if ns.t_max > zr.T_MAX_CEILING:
+        raise ValueError("t_max above the computable ceiling needs a "
+                         "zero file")
+    return zr.find_zeros(ns.t_max, tol)
 
 
 # ----------------------------------------------------------------------
 # Subcommands
 # ----------------------------------------------------------------------
 
-def cmd_zeros(cfg: RunConfig) -> int:
-    zl = _get_zeros(cfg)
-    if cfg.out_path:
-        zr.save_zeros(zl, cfg.out_path)
+def cmd_zeros(ns: argparse.Namespace) -> int:
+    zl = _get_zeros(ns, ns.tol)
+    if ns.out:
+        zr.save_zeros(zl, ns.out)
     samples = []
     for t in np.linspace(max(1.0, zl.t_max / 20.0), zl.t_max, 20):
         if t > zl.t_max or t < 1.0:
@@ -94,28 +74,30 @@ def cmd_zeros(cfg: RunConfig) -> int:
         "first": format_float17(float(zl.ordinates[0])) if len(zl) else None,
         "Q_samples": samples,
     }
-    out = cfg.extra.get("stats_out")
     text = json.dumps(stats, indent=1, sort_keys=True) + "\n"
-    if out:
-        atomic_write_text(out, text)
-    elif not cfg.out_path:
+    if ns.stats_out:
+        atomic_write_text(ns.stats_out, text)
+    elif not ns.out:
         sys.stdout.write(text)
     return EXIT_OK
 
 
-def cmd_psi_bound(cfg: RunConfig) -> int:
-    zl = _get_zeros(cfg)
-    T, sigma = cfg.t_max, cfg.sigma
-    sieve_limit = cfg.extra.get("sieve_limit", sv.DESK_CEILING)
+def cmd_psi_bound(ns: argparse.Namespace) -> int:
+    if any(b <= a for a, b in zip(ns.x, ns.x[1:])):
+        raise ValueError("x grid must be ascending")
+    zl = _get_zeros(ns)
+    T, sigma = ns.t_max, ns.sigma
     cps = {}
     # the sieve measures the sum only for sigma = 0 (psi) and 1 (delta)
-    if sigma in (0.0, 1.0) and not cfg.extra.get("no_sieve"):
-        check_xs = [int(x) for x in cfg.x_grid if x <= sieve_limit]
-        cps = {c.x: c for c in sv.psi_checkpoints(check_xs, cfg.threads,
-                                                  cfg.long_run)}
+    if sigma in (0.0, 1.0):
+        # x is ascending, so x with one floor are adjacent: sieve it once
+        check_xs = list(dict.fromkeys(int(x) for x in ns.x
+                                      if x <= ns.sieve_limit))
+        cps = {c.x: c for c in sv.psi_checkpoints(check_xs, ns.threads,
+                                                  ns.long_run)}
     rows = []
     violation = False
-    for x in cfg.x_grid:
+    for x in ns.x:
         if not x > T:
             raise ValueError(f"x = {x:g} must exceed T = {T:g}")
         rep = fm.explicit_formula_bound(zl, T, sigma, float(x))
@@ -124,64 +106,63 @@ def cmd_psi_bound(cfg: RunConfig) -> int:
         if c is not None:
             if sigma == 0.0:
                 measured = c.psi / x
-            else:
-                measured = c.delta + math.log(x) - EULER_GAMMA
+            else:   # delta is taken at the integer c.x = floor(x)
+                measured = c.delta + math.log(c.x) - EULER_GAMMA
             row["sieve_value"] = format_float17(float(measured))
             inside = bool(rep.total_lower <= measured <= rep.total_upper)
             row["sieve_inside"] = inside
             violation |= not inside
         rows.append(row)
-    _emit(json.dumps(rows, indent=1, sort_keys=True) + "\n", cfg.out_path)
+    _emit(json.dumps(rows, indent=1, sort_keys=True) + "\n", ns.out)
     return EXIT_VIOLATION if violation else EXIT_OK
 
 
-def cmd_counterexample(cfg: RunConfig) -> int:
-    spec = fm.CounterexampleSpec(K=cfg.extra["K"], T=cfg.t_max,
-                                 delta=cfg.extra["delta"])
-    sign = cfg.extra.get("sign", "+")
+def cmd_counterexample(ns: argparse.Namespace) -> int:
+    spec = fm.CounterexampleSpec(K=ns.K, T=ns.T, delta=ns.delta)
     lines = ["N,x,empirical_mean,predicted,allowance\n"]
-    for N in cfg.extra["N_list"]:
-        mean, pred = fm.counterexample_mean(spec, N, sign)
-        s = 1.0 if sign == "+" else -1.0
+    for N in ns.N:
+        mean, pred = fm.counterexample_mean(spec, N, ns.sign)
+        s = 1.0 if ns.sign == "+" else -1.0
         x = math.exp((TWO_PI * N + s * spec.delta) / spec.T)
         allow = fm.fandango_allowance(spec, x)
         lines.append(f"{N},{format_float17(x)},{format_float17(mean)},"
                      f"{format_float17(pred)},{format_float17(allow)}\n")
-    _emit("".join(lines), cfg.out_path)
+    _emit("".join(lines), ns.out)
     return EXIT_OK
 
 
-def cmd_sieve(cfg: RunConfig) -> int:
-    stat = cfg.extra.get("statistic", sv.STAT_PSI)
-    x_max = int(cfg.t_max) if not cfg.x_grid else int(cfg.x_grid[-1])
-    if cfg.extra.get("checkpoints"):
-        cps = sv.psi_checkpoints(cfg.extra["checkpoints"], cfg.threads,
-                                 cfg.long_run)
-        _emit(sv.checkpoints_to_csv(cps), cfg.out_path)
+def cmd_sieve(ns: argparse.Namespace) -> int:
+    if ns.checkpoints:
+        cps = sv.psi_checkpoints(ns.checkpoints, ns.threads, ns.long_run)
+        _emit(sv.checkpoints_to_csv(cps), ns.out)
         return EXIT_OK
-    x_mins = cfg.extra.get("x_mins", (1,))
-    res = sv.extrema_scan(x_max, stat, x_mins, cfg.threads, cfg.long_run)
+    res = sv.extrema_scan(int(ns.x_max), ns.statistic, ns.x_min, ns.threads,
+                          ns.long_run)
     lines = ["x_min,kind,x_at,left_limit,value\n"]
     for v in sorted(res):
         for rec in res[v]:
             lines.append(f"{v},{rec.kind},{rec.x_at},"
                          f"{int(rec.left_limit)},"
                          f"{format_float17(rec.value)}\n")
-    _emit("".join(lines), cfg.out_path)
+    _emit("".join(lines), ns.out)
     return EXIT_OK
 
 
-def cmd_verify(cfg: RunConfig) -> int:
-    zl = zr.load_zeros(cfg.zero_file) if cfg.zero_file else None
+def cmd_verify(ns: argparse.Namespace) -> int:
+    zl = zr.load_zeros(ns.zero_file) if ns.zero_file else None
     rows = [{"suite": suite, "check": name, "pass": result}
-            for suite, name, result
-            in vf.run_suites(cfg.extra.get("suite", "all"), zl)]
-    _emit(json.dumps(rows, indent=1, sort_keys=True) + "\n", cfg.out_path)
-    if cfg.out_path:
+            for suite, name, result in vf.run_suites(ns.suite, zl)]
+    _emit(json.dumps(rows, indent=1, sort_keys=True) + "\n", ns.out)
+    if ns.out:
         for r in rows:
             word = {True: "PASS", False: "FAIL", None: "SKIP"}[r["pass"]]
             sys.stdout.write(f"{word} [{r['suite']}] {r['check']}\n")
     return EXIT_ERROR if any(r["pass"] is False for r in rows) else EXIT_OK
+
+
+COMMANDS = {"zeros": cmd_zeros, "psi-bound": cmd_psi_bound,
+            "counterexample": cmd_counterexample, "sieve": cmd_sieve,
+            "verify": cmd_verify}
 
 
 # ----------------------------------------------------------------------
@@ -255,7 +236,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--out")
     p.add_argument("--threads", type=int, default=1)
     p.add_argument("--long-run", action="store_true")
-    p.add_argument("--no-sieve", action="store_true")
     p.add_argument("--sieve-limit", type=float, default=sv.DESK_CEILING)
 
     c = sub.add_parser("counterexample", help="Fejer-kernel mean table")
@@ -296,37 +276,7 @@ def main(argv=None) -> int:
         ap.print_help()
         return EXIT_USAGE
     try:
-        if ns.command == "zeros":
-            cfg = RunConfig("zeros", t_max=ns.t_max, zero_file=ns.zero_file,
-                            out_path=ns.out,
-                            extra={"tol": ns.tol, "stats_out": ns.stats_out})
-            return cmd_zeros(cfg)
-        if ns.command == "psi-bound":
-            cfg = RunConfig("psi-bound", t_max=ns.t_max, x_grid=ns.x,
-                            sigma=ns.sigma, zero_file=ns.zero_file,
-                            out_path=ns.out, threads=ns.threads,
-                            long_run=ns.long_run,
-                            extra={"no_sieve": ns.no_sieve,
-                                   "sieve_limit": ns.sieve_limit})
-            return cmd_psi_bound(cfg)
-        if ns.command == "counterexample":
-            cfg = RunConfig("counterexample", t_max=ns.T, out_path=ns.out,
-                            extra={"K": ns.K, "delta": ns.delta,
-                                   "N_list": ns.N, "sign": ns.sign})
-            return cmd_counterexample(cfg)
-        if ns.command == "sieve":
-            cfg = RunConfig("sieve", t_max=ns.x_max, out_path=ns.out,
-                            threads=ns.threads, long_run=ns.long_run,
-                            extra={"statistic": ns.statistic,
-                                   "x_mins": ns.x_min,
-                                   "checkpoints": ns.checkpoints})
-            return cmd_sieve(cfg)
-        if ns.command == "verify":
-            cfg = RunConfig("verify", zero_file=ns.zero_file,
-                            out_path=ns.out, extra={"suite": ns.suite})
-            return cmd_verify(cfg)
-        ap.print_help()
-        return EXIT_USAGE
+        return COMMANDS[ns.command](ns)
     except (ValueError, zr.ZeroFileError, zr.MissedZeroError, OSError) as e:
         sys.stdout.write(_error_json(e))
         return EXIT_ERROR

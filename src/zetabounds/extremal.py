@@ -21,7 +21,7 @@ from .special import coth_stable, lerch, trigamma, x_coth_x
 from .util import TWO_PI, PoleError, adaptive_simpson
 
 __all__ = [
-    "TruncatedExponential", "ApproximantParams", "truncated_exp",
+    "ApproximantParams", "truncated_exp",
     "phi_weight", "phi_hat", "phi_hat_lerch", "l1_gap",
     "glued_contour_weight", "beurling_majorant", "phi_combo_xi",
     "l1_gap_quadrature",
@@ -30,17 +30,6 @@ __all__ = [
 _NODE_EPS = 1e-6          # within this of an integer, use the node limit
 MAJORANT = "majorant"
 MINORANT = "minorant"
-
-
-@dataclass(frozen=True)
-class TruncatedExponential:
-    """e^(-lambda u) restricted to the half-line sgn(lambda) u >= 0."""
-
-    lam: float
-
-    def __post_init__(self):
-        if self.lam == 0:
-            raise ValueError("lambda must be non-zero")
 
 
 @dataclass(frozen=True)
@@ -70,19 +59,15 @@ class ApproximantParams:
         return 1.0 if self.side == MAJORANT else -1.0
 
 
-def truncated_exp(I: TruncatedExponential, u: float) -> float:
-    """I_lambda(u); equals 1 at u = 0 for either sign of lambda."""
-    s = 1.0 if I.lam > 0 else -1.0
+def truncated_exp(lam: float, u: float) -> float:
+    """I_lambda(u) = e^(-lambda u) on the half-line sgn(lambda) u >= 0 and
+    0 elsewhere; equals 1 at u = 0 for either sign of lambda."""
+    if lam == 0:
+        raise ValueError("lambda must be non-zero")
+    s = 1.0 if lam > 0 else -1.0
     if s * u < 0:
         return 0.0
-    return math.exp(-I.lam * u)
-
-
-def _truncated_exp_batch(lam: float, u: np.ndarray) -> np.ndarray:
-    s = 1.0 if lam > 0 else -1.0
-    out = np.exp(-lam * u)
-    out[s * u < 0] = 0.0
-    return out
+    return math.exp(-lam * u)
 
 
 # ----------------------------------------------------------------------
@@ -241,25 +226,24 @@ def l1_gap(p: ApproximantParams) -> float:
     return 1.0 / nu - 1.0 / math.expm1(nu)
 
 
-def l1_gap_quadrature(p: ApproximantParams, Y: float = 200.0,
-                      tol: float = 1e-8) -> float:
-    """||phi_hat - I_lambda||_1 by quadrature on [-Y, Y] plus analytic
-    tails (the integrand decays only like 1/y^2, so the tails matter).
+def l1_gap_quadrature(p: ApproximantParams) -> float:
+    """||phi_hat - I_lambda||_1 by quadrature on [-Y, Y] to tolerance 1e-8
+    plus analytic tails (the integrand decays only like 1/y^2, so the tails
+    matter).
 
-    Y is raised automatically until every non-negligible interpolation node
-    lies inside the window, which the tail formula requires.
+    Y = 200 is raised until every non-negligible interpolation node lies
+    inside the window, which the tail formula requires.
     """
-    lam = p.lam
-    Yeff = max(Y, (48.0 + 2.0 * math.log(Y + 2.0)) / p.nu + 20.0)
+    Yeff = max(200.0, (48.0 + 2.0 * math.log(202.0)) / p.nu + 20.0)
 
     def integrand(y):
-        v = phi_hat(p, y) - truncated_exp(TruncatedExponential(lam), y)
+        v = phi_hat(p, y) - truncated_exp(p.lam, y)
         return v if p.side == MAJORANT else -v
 
     # integrate per unit panel: the integrand vanishes near every integer,
     # which makes a single global adaptive pass alias badly
     edges = np.arange(-math.ceil(Yeff), math.ceil(Yeff) + 1, dtype=float)
-    panel_tol = tol / max(len(edges) - 1, 1)
+    panel_tol = 1e-8 / max(len(edges) - 1, 1)
     pieces = 0.0
     for a, b in zip(edges[:-1], edges[1:]):
         pieces += adaptive_simpson(integrand, a, b, panel_tol, max_depth=24)
@@ -302,12 +286,12 @@ def beurling_majorant(x: float) -> float:
     return s2 * (t1 - t2 + 2.0 / x + 1.0 / x ** 2)
 
 
-def phi_weight_quad_transform(p: ApproximantParams, y: float,
-                              tol: float = 1e-9) -> complex:
-    """Fourier transform of phi_weight at y by quadrature over [-1, 1];
-    an independent consistency oracle for phi_hat."""
+def phi_weight_quad_transform(p: ApproximantParams, y: float) -> complex:
+    """Fourier transform of phi_weight at y by quadrature over [-1, 1] to
+    tolerance 1e-9 per half; an independent consistency oracle for
+    phi_hat."""
     def f(t):
         return phi_weight(p, t) * cmath.exp(-TWO_PI * 1j * y * t)
 
-    return (adaptive_simpson(f, -1.0, 0.0, tol)
-            + adaptive_simpson(f, 0.0, 1.0, tol))
+    return (adaptive_simpson(f, -1.0, 0.0, 1e-9)
+            + adaptive_simpson(f, 0.0, 1.0, 1e-9))

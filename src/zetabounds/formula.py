@@ -21,13 +21,13 @@ import numpy as np
 from .special import fejer_batch, log_deriv_zeta
 from .util import (EULER_GAMMA, TWO_PI, KahanSum, adaptive_simpson,
                    format_float17)
-from .weights import WeightContext, omega_plus_batch, theta_T1
+from .weights import WeightContext, omega_plus_batch
 from .zeros import ZeroList
 
 __all__ = [
     "BoundReport", "CounterexampleSpec", "trivial_zero_terms",
     "nontrivial_zero_sum", "classical_inv_gamma_sum", "zero_sum_bound",
-    "vihuela_rhs", "i_plus_c_bound", "hardin_rhs", "adiaro_rhs",
+    "vihuela_rhs", "hardin_rhs", "adiaro_rhs",
     "adioso_rhs", "coronidis_rhs", "ranadi_rhs", "moruno_rhs", "arles_rhs",
     "arles_constant", "explicit_formula_bound", "psi_concrete_bound",
     "counterexample_mean", "fandango_allowance", "perron_identity_check",
@@ -115,12 +115,10 @@ def classical_inv_gamma_sum(zl: ZeroList, T: float) -> float:
     return 2.0 * float(np.sum(1.0 / g))
 
 
-def vihuela_rhs(T: float, literal: bool = True) -> float:
-    """(1/2pi) log^2(T/2pi) - (c/6pi) log(T/2pi) with c = 1.01 for the
-    literal large-T bound, c = 1.0 for the relaxed comparison shape."""
+def vihuela_rhs(T: float) -> float:
+    """The large-T bound (1/2pi) log^2(T/2pi) - (1.01/6pi) log(T/2pi)."""
     L = math.log(T / TWO_PI)
-    c = 1.01 if literal else 1.0
-    return L * L / TWO_PI - c / (6.0 * math.pi) * L
+    return L * L / TWO_PI - 1.01 / (6.0 * math.pi) * L
 
 
 def zero_sum_bound(zl: ZeroList | None, T: float, sigma: float):
@@ -228,19 +226,14 @@ def adiaro_rhs(T: float, x: float) -> float:
 
 def hardin_rhs(T: float, x: float) -> float:
     """The aggregate archimedean bound (13 + 60/L) log T / L^2
-    + 5 log T / sqrt(x)."""
+    + 5 log T / sqrt(x), used for the I_+ contour term of the report.  It is
+    stated for T >= 1e6 and x >= max(T, 1e6), and evaluated as-is at desk
+    scale, with the report's error_path recording which path covered it."""
     if not (T >= 2.0 and x >= 2.0):
         raise ValueError("need T >= 2 and x >= 2")
     L = math.log(x)
     return (13.0 + 60.0 / L) * math.log(T) / L ** 2 \
         + 5.0 * math.log(T) / math.sqrt(x)
-
-
-def i_plus_c_bound(T: float, x: float) -> float:
-    """The closed-form bound used for the I_+ contour term; stated for
-    T >= 1e6 and x >= max(T, 1e6), evaluated as-is at desk scale with the
-    assembly recording which error path covered it."""
-    return hardin_rhs(T, x)
 
 
 # ----------------------------------------------------------------------
@@ -314,7 +307,7 @@ def explicit_formula_bound(zl: ZeroList | None, T: float, sigma: float,
                                  "exact-signed")
         zs_exact = math.sqrt(x) * ex.real
     coth_triv, plain_triv, triv_rhs = trivial_zero_terms(T, sigma, x)
-    ipc = i_plus_c_bound(T, x)
+    ipc = hardin_rhs(T, x)
     explicit = (math.pi / T * (1.0 + plain_triv + coth_triv)
                 + 2.0 * ipc / T ** 2)
     folded = math.pi / (T - 1.0)
@@ -421,7 +414,7 @@ def fandango_allowance(spec: CounterexampleSpec, x: float) -> float:
 # ----------------------------------------------------------------------
 
 def perron_identity_check(coeffs, phi, phi_hat, T: float, sigma: float,
-                          x: float, tol: float = 1e-9) -> float:
+                          x: float) -> float:
     """|LHS - RHS| of the smoothed Perron identity for a finite Dirichlet
     polynomial sum a_n n^-s:
 
@@ -429,7 +422,8 @@ def perron_identity_check(coeffs, phi, phi_hat, T: float, sigma: float,
         = (1/2pi) sum_n a_n (x/n)^sigma phi_hat((T/2pi) log(n/x)),
 
     the line integral running over Re s = sigma and evaluated by adaptive
-    quadrature (phi is supported on [-1, 1], so over |Im s| <= T).
+    quadrature to tolerance 1e-9 per half (phi is supported on [-1, 1], so
+    over |Im s| <= T).
     """
     coeffs = np.asarray(coeffs, dtype=np.float64)
     if coeffs.size == 0 or coeffs.size > 2000:
@@ -445,8 +439,8 @@ def perron_identity_check(coeffs, phi, phi_hat, T: float, sigma: float,
                                            math.sin(t * math.log(x)))
 
     lhs = x ** sigma / (TWO_PI * T) * (
-        adaptive_simpson(integrand, -T, 0.0, tol)
-        + adaptive_simpson(integrand, 0.0, T, tol))
+        adaptive_simpson(integrand, -T, 0.0, 1e-9)
+        + adaptive_simpson(integrand, 0.0, T, 1e-9))
     rhs = sum(coeffs[j] * (x / n[j]) ** sigma
               * phi_hat(T / TWO_PI * math.log(n[j] / x))
               for j in range(coeffs.size)) / TWO_PI

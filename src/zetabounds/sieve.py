@@ -195,6 +195,14 @@ def psi_checkpoints(xs, threads: int = 1, long_run: bool = False):
     return out
 
 
+def _statistic_at(statistic: str, total: float, x) -> float:
+    """The statistic at x from its running total: psi(x) for STAT_PSI, the
+    sum of Lambda(n)/n over n <= x for STAT_LAMBDA_OVER_N."""
+    if statistic == STAT_PSI:
+        return (total - x) / math.sqrt(x)
+    return (total - (math.log(x) - EULER_GAMMA)) * math.sqrt(x)
+
+
 def extrema_scan(x_max: int, statistic: str, x_mins=(1,), threads: int = 1,
                  long_run: bool = False):
     """Running extrema of the chosen statistic over [x_min, x_max] for each
@@ -220,30 +228,20 @@ def extrema_scan(x_max: int, statistic: str, x_mins=(1,), threads: int = 1,
     run = KahanSum()   # psi or sum Lambda/n, depending on the statistic
     for v in x_mins:
         if v < 2:      # segments start at 2; cover the x = 1 start point
-            if statistic == STAT_PSI:
-                consider(v, v, False, (0.0 - v) / math.sqrt(v))
-            else:
-                consider(v, v, False,
-                         -(math.log(v) - EULER_GAMMA) * math.sqrt(v))
+            consider(v, v, False, _statistic_at(statistic, 0.0, v))
     for lo, hi, pos, lam in _SieveStream(x_max, threads):
         posf = pos.astype(np.float64)
+        contrib = (lam if statistic == STAT_PSI else lam / posf
+                   ).astype(np.longdouble)
+        cum = np.cumsum(contrib)
+        right = np.asarray(run.value() + cum, dtype=np.float64)
+        left = np.asarray(run.value() + (cum - contrib), dtype=np.float64)
+        sq = np.sqrt(posf)
         if statistic == STAT_PSI:
-            cum = np.cumsum(lam.astype(np.longdouble))
-            right = np.asarray(run.value() + cum, dtype=np.float64)
-            left = np.asarray(run.value() + (cum - lam), dtype=np.float64)
-            sq = np.sqrt(posf)
-            val_r = (right - posf) / sq
-            val_l = (left - posf) / sq
-            seg_total = float(cum[-1]) if lam.size else 0.0
+            val_r, val_l = (right - posf) / sq, (left - posf) / sq
         else:
-            contrib = (lam / posf).astype(np.longdouble)
-            cum = np.cumsum(contrib)
             shift = np.log(posf) - EULER_GAMMA
-            sq = np.sqrt(posf)
-            val_r = (np.asarray(run.value() + cum, np.float64) - shift) * sq
-            val_l = (np.asarray(run.value() + (cum - contrib),
-                                np.float64) - shift) * sq
-            seg_total = float(cum[-1]) if lam.size else 0.0
+            val_r, val_l = (right - shift) * sq, (left - shift) * sq
         for v in x_mins:
             if v > hi:
                 continue
@@ -264,23 +262,12 @@ def extrema_scan(x_max: int, statistic: str, x_mins=(1,), threads: int = 1,
             if lo <= v <= hi:
                 # statistic value at the range start x = v itself
                 k = int(np.searchsorted(pos, v, side="right"))
-                if statistic == STAT_PSI:
-                    psi_v = run.value() + (float(cum[k - 1]) if k else 0.0)
-                    consider(v, v, False, (psi_v - v) / math.sqrt(v))
-                else:
-                    s_v = run.value() + (float(cum[k - 1]) if k else 0.0)
-                    consider(v, v, False,
-                             (s_v - (math.log(v) - EULER_GAMMA))
-                             * math.sqrt(v))
-        run.add(seg_total)
+                total = run.value() + (float(cum[k - 1]) if k else 0.0)
+                consider(v, v, False, _statistic_at(statistic, total, v))
+        run.add(float(cum[-1]) if lam.size else 0.0)
     # endpoint candidate at x_max (statistic value just after the last jump)
     for v in x_mins:
-        if statistic == STAT_PSI:
-            val_end = (run.value() - x_max) / math.sqrt(x_max)
-        else:
-            val_end = ((run.value() - (math.log(x_max) - EULER_GAMMA))
-                       * math.sqrt(x_max))
-        consider(v, x_max, False, val_end)
+        consider(v, x_max, False, _statistic_at(statistic, run.value(), x_max))
     return {v: tuple(best[v]) for v in x_mins}
 
 

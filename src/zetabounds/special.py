@@ -30,6 +30,7 @@ _EM_K = 12                # Bernoulli correction terms
 _EM_BETA = 2.2            # main-sum length multiplier vs |Im s|/2pi
 _NEAR_POLE = 0.1          # cot/coth switch-over distance
 _LAURENT_TERMS = 12
+_ZETA_CHUNK = 384         # heights per zeta_batch_critical main-sum block
 
 # Stieltjes constants gamma_0..gamma_13 (standard published values).
 _STIELTJES = [
@@ -172,10 +173,11 @@ def zeta_em_deriv(s: complex, order: int,
         f"{errs[order]:g})")
 
 
-def zeta_batch_critical(ts: np.ndarray, chunk: int = 384) -> np.ndarray:
+def zeta_batch_critical(ts: np.ndarray) -> np.ndarray:
     """Vectorised zeta(1/2 + i t) for an ascending array of heights t.
 
-    Shares the main-sum grid within each chunk; accuracy matches zeta_em
+    Shares the main-sum grid within each block of _ZETA_CHUNK heights, with
+    the length _em_length of the block's top height; accuracy matches zeta_em
     with the default depth (roughly 1e-8 absolute at t ~ 2.5e4).  Its main
     sum has about 2.2 t/2pi terms, so zeros.hardy_z_batch uses it only
     below zeros.T_RS and switches to Riemann-Siegel above; at any height
@@ -186,12 +188,12 @@ def zeta_batch_critical(ts: np.ndarray, chunk: int = 384) -> np.ndarray:
     out = np.empty(ts.shape, dtype=np.complex128)
     order = np.argsort(ts, kind="stable")
     sorted_ts = ts[order]
-    for lo in range(0, len(sorted_ts), chunk):
-        tt = sorted_ts[lo:lo + chunk]
+    for lo in range(0, len(sorted_ts), _ZETA_CHUNK):
+        tt = sorted_ts[lo:lo + _ZETA_CHUNK]
         tmax = float(tt[-1])
         if tmax > IM_CEILING:
             raise ValueError("height above validity ceiling")
-        N = max(int(math.ceil(_EM_BETA * tmax / TWO_PI)) + 20, 30)
+        N = _em_length(complex(0.5, tmax))
         n = np.arange(1, N + 1, dtype=np.float64)
         logn = np.log(n)
         amp = n ** -0.5
@@ -210,7 +212,7 @@ def zeta_batch_critical(ts: np.ndarray, chunk: int = 384) -> np.ndarray:
             for j in range(2 * k - 1):
                 p = p * (s + j)
             core += bk * NmS * N ** (1 - 2 * k) * p
-        out[order[lo:lo + chunk]] = core
+        out[order[lo:lo + _ZETA_CHUNK]] = core
     return out
 
 
@@ -410,10 +412,9 @@ def coth_stable(z: complex) -> complex:
 
 
 def x_coth_x(x: complex) -> complex:
-    """x*coth(x), stable near x = 0 (value 1)."""
+    """x*coth(x), stable near x = 0 through the Laurent form of coth_stable;
+    x = 0 itself raises PoleError."""
     x = complex(x)
-    if abs(x) < _NEAR_POLE:
-        return x * _laurent_eval(x, alternating=False)
     return x * coth_stable(x)
 
 

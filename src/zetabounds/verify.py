@@ -4,12 +4,11 @@ the test suite.
 
 Every check returns True (the invariant holds), False (it fails) or None
 (skipped: the input cannot support it, such as a zero list too short for
-a tail estimate).  The results are deterministic for fixed inputs;
-gap_identity_holds caches its values, the only state kept here."""
+a tail estimate).  The results are deterministic for fixed inputs, and
+nothing here keeps state between calls."""
 
 from __future__ import annotations
 
-import functools
 import math
 
 import numpy as np
@@ -122,15 +121,13 @@ def check_ei_bound():
 # ----------------------------------------------------------------------
 
 def check_q_bounds(zl):
-    g = zl.ordinates
+    """|Q(t)| < 1 on [15, 280]; the bound 0.2 log t + 2 at every ordinate
+    is an invariant of ZeroList itself."""
     hi = min(zl.t_max, 280.0)
     for t in np.union1d(np.linspace(15.0, hi, 40), np.linspace(15.0, hi, 60)):
         if abs(zr.count_and_Q(zl, float(t)).Q) >= 1.0:
             return False
-    k = np.arange(1, g.size + 1, dtype=np.float64)
-    smooth = g / TWO_PI * np.log(g / (TWO_PI * math.e)) + 7.0 / 8.0
-    q = np.maximum(np.abs(k - smooth), np.abs(k - 1 - smooth))
-    return bool(np.all(q <= 0.2 * np.log(g) + 2.0))
+    return True
 
 
 def check_lehman_randomised(zl):
@@ -230,26 +227,20 @@ def check_domination():
         pL = ex.ApproximantParams.make(lam, ex.MINORANT)
         M = ex.phi_hat_batch(pM, xs)
         L = ex.phi_hat_batch(pL, xs)
-        E = np.array([ex.truncated_exp(ex.TruncatedExponential(lam),
-                                       float(x)) for x in xs])
+        E = np.array([ex.truncated_exp(lam, float(x)) for x in xs])
         if (E - M).max() > 1e-12 or (L - E).max() > 1e-12:
             return False
     return True
 
 
-@functools.cache
-def gap_identity_holds(lam: float, side: str) -> bool:
-    """The L1 gap by quadrature is within 1e-5 of its closed form.  Cached,
-    since one quadrature takes about a second: the tests of single
-    (lam, side) pairs and check_gap_identity share the values."""
-    p = ex.ApproximantParams.make(lam, side)
-    return abs(ex.l1_gap_quadrature(p) - ex.l1_gap(p)) <= 1e-5
-
-
 def check_gap_identity():
-    return all(gap_identity_holds(lam, side)
-               for lam in (0.25, 1.0, 4.0, -0.5)
-               for side in (ex.MAJORANT, ex.MINORANT))
+    """The L1 gap by quadrature is within 1e-5 of its closed form."""
+    for lam in (0.25, 1.0, 4.0, -0.5):
+        for side in (ex.MAJORANT, ex.MINORANT):
+            p = ex.ApproximantParams.make(lam, side)
+            if abs(ex.l1_gap_quadrature(p) - ex.l1_gap(p)) > 1e-5:
+                return False
+    return True
 
 
 def check_fourier_pair():
@@ -330,17 +321,10 @@ def check_sigma_one_limit():
     """The contributions of rho = sigma and rho = 1 tend to log x - gamma
     as sigma -> 1, within 2e3 (1 - sigma) and converging."""
     x = 1e5
-    T = 4000.0
     target = math.log(x) - EULER_GAMMA
     epss = (1e-3, 1e-4, 1e-5)
-    errs = []
-    for eps in epss:
-        sigma = 1.0 - eps
-        y = math.pi * (1.0 - sigma) / T
-        main = math.pi / T / math.tanh(y)
-        pole = -sp.log_deriv_zeta(complex(sigma)).value.real \
-            * x ** (sigma - 1.0)
-        errs.append(abs((main + pole) - target))
+    errs = [abs(sum(fm._main_terms(4000.0, 1.0 - eps, x)) - target)
+            for eps in epss]
     return bool(all(err <= 2e3 * eps for err, eps in zip(errs, epss))
                 and errs[-1] < 1e-4 * math.log(x) and errs[-1] < errs[0])
 

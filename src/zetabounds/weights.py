@@ -85,18 +85,23 @@ def theta_T1(T: float, s: complex) -> complex:
     return 1.0 - (complex(s) - 1.0) / (1j * T)
 
 
+def _neg_theta_cot_near0(u):
+    """-theta cot(pi theta) = -(u cot u)/pi at u = pi theta near 0, by its
+    Taylor series through u^6 (a scalar or an array)."""
+    return -(1.0 - u ** 2 / 3.0 - u ** 4 / 45.0 - 2.0 * u ** 6 / 945.0
+             ) / math.pi
+
+
 def _neg_theta_cot(th: complex) -> complex:
     """-theta cot(pi theta) with the removable value -1/pi at theta = 0."""
     n = round(th.real)
     if abs(th - n) < 0.1:
         if n == 0:
-            # -theta cot(pi theta) = -(1/pi) (pi theta) cot(pi theta)
             u = math.pi * th
             if abs(u) < 1e-150:
                 return -1.0 / math.pi
             return -(u / cmath.tan(u)) / math.pi if abs(u) > 0.09 else \
-                -(1.0 - u * u / 3.0 - u ** 4 / 45.0 - 2.0 * u ** 6 / 945.0
-                  ) / math.pi
+                _neg_theta_cot_near0(u)
         if abs(th - n) < 1e-12:
             raise PoleError("cot pole: theta is a non-zero integer")
     return -th * cot_stable(math.pi * th)
@@ -117,9 +122,7 @@ def omega_plus_batch(ctx: WeightContext, ss: np.ndarray) -> np.ndarray:
     out = np.empty_like(th)
     near0 = np.abs(th) < 0.03
     if near0.any():
-        un = u[near0]
-        out[near0] = -(1.0 - un ** 2 / 3.0 - un ** 4 / 45.0
-                       - 2.0 * un ** 6 / 945.0) / math.pi
+        out[near0] = _neg_theta_cot_near0(u[near0])
     rest = ~near0
     if rest.any():
         ur = u[rest]
@@ -282,8 +285,9 @@ def constants_C(k: int) -> float:
     return float(((ze - 1.0) * w).sum()) + closed
 
 
-def tremic_check(n_max: int, samples: int = 1000) -> bool:
-    """Sample a_n on [0, 1/2] and b_n on [0, 1/3]; all must be >= -1e-15.
+def tremic_check(n_max: int) -> bool:
+    """Sample a_n on [0, 1/2] and b_n on [0, 1/3] at 1000 points each; all
+    must be >= -1e-15.
 
     a_n(t) = (1-t)^2 - (1/(2n) - 2t/(2n+1) + t^2/(2n+2));
     b_n(t) subtracts twice that bracket and adds its squared-denominator
@@ -294,8 +298,8 @@ def tremic_check(n_max: int, samples: int = 1000) -> bool:
     ns = np.unique(np.concatenate([
         np.arange(1, min(n_max, 64) + 1),
         np.geomspace(1, n_max, 40).astype(np.int64)]))
-    ta = np.linspace(0.0, 0.5, samples)
-    tb = np.linspace(0.0, 1.0 / 3.0, samples)
+    ta = np.linspace(0.0, 0.5, 1000)
+    tb = np.linspace(0.0, 1.0 / 3.0, 1000)
     for n in ns:
         bra_a = 1.0 / (2 * n) - 2.0 * ta / (2 * n + 1) + ta ** 2 / (2 * n + 2)
         a = (1.0 - ta) ** 2 - bra_a

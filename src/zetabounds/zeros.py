@@ -13,7 +13,7 @@ from __future__ import annotations
 
 import math
 import os
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -68,6 +68,8 @@ class ZeroList:
     def __post_init__(self):
         g = np.asarray(self.ordinates, dtype=np.float64)
         object.__setattr__(self, "ordinates", g)
+        if not (np.all(np.isfinite(g)) and math.isfinite(self.t_max)):
+            raise ZeroFileError("ordinates and t_max must be finite")
         if g.size and not np.all(np.diff(g) > 0):
             raise ValueError("ordinates must be strictly ascending")
         if g.size and abs(g[0] - FIRST_ZERO) > 1e-4:
@@ -80,6 +82,12 @@ class ZeroList:
             if g[-1] > self.t_max:
                 raise ValueError("ordinate above t_max")
             self._check_prefix_counts()
+        # the zeros listed are all zeros through t_max, so N(t_max) = size
+        if self.t_max >= 1.0 and (abs(g.size - _smooth_count(self.t_max))
+                                  > _q_bound(self.t_max)):
+            raise MissedZeroError(
+                f"{g.size} ordinates cannot be all zeros through t_max = "
+                f"{self.t_max:g}")
 
     def _check_prefix_counts(self) -> None:
         g = self.ordinates

@@ -2,10 +2,10 @@ import json
 import math
 import os
 
-import numpy as np
 import pytest
 
 from zetabounds import cli
+from zetabounds import sieve as sv
 from zetabounds import zeros as zr
 
 
@@ -66,11 +66,15 @@ def test_psi_bound_sigma_one_branch(tmp_path, zl_med):
     zr.save_zeros(zl_med, str(zfile))
     out = tmp_path / "rep.json"
     rc = run(["psi-bound", "--t-max", "1000", "--zero-file", str(zfile),
-              "--x", "1e5", "--sigma", "1", "--out", str(out)])
+              "--x", "1e5,100000.9", "--sigma", "1", "--out", str(out)])
     assert rc == 0
     rows = json.loads(out.read_text())
     want = math.log(1e5) - 0.5772156649015328606
     assert abs(float(rows[0]["main_term"]) - want) < 1e-12
+    # at both x the sieve value is sum_{n <= x} Lambda(n)/n
+    ns, ls = sv.lambda_segment(2, 100_000)
+    for r in rows:
+        assert abs(float(r["sieve_value"]) - math.fsum(ls / ns)) < 1e-12
 
 
 def test_psi_bound_usage_error(tmp_path, zl_med, capsys):
@@ -109,7 +113,7 @@ def test_psi_bound_no_sieve_off_sigma_0_and_1(tmp_path, zl_med,
     argv = ["psi-bound", "--t-max", "1000", "--zero-file", str(zfile),
             "--x", "1e5,1e6", "--sigma", "0.5"]
     plain, sieved = tmp_path / "a.json", tmp_path / "b.json"
-    assert run(argv + ["--no-sieve", "--out", str(plain)]) == 0
+    assert run(argv + ["--sieve-limit", "0", "--out", str(plain)]) == 0
 
     def no_sieve(*args, **kwargs):
         raise AssertionError("psi-bound sieved at sigma = 0.5")
@@ -117,6 +121,26 @@ def test_psi_bound_no_sieve_off_sigma_0_and_1(tmp_path, zl_med,
     monkeypatch.setattr(cli.sv, "psi_checkpoints", no_sieve)
     assert run(argv + ["--out", str(sieved)]) == 0
     assert sieved.read_bytes() == plain.read_bytes()
+
+
+@pytest.mark.parametrize("head, tail, error", [
+    # the 100 bundled zeros reach t = 236.5; 4520 zeros lie below 5000
+    ("# t_max=5000 rh=1\n", "", "MissedZeroError"),
+    ("", "inf\n", "ZeroFileError"),
+    ("# t_max=nan rh=1\n", "", "ZeroFileError"),
+], ids=["stops-below-t_max", "inf-ordinate", "nan-t_max"])
+def test_psi_bound_rejects_an_unsound_zero_file(tmp_path, capsys, head, tail,
+                                                error):
+    bundled = os.path.join(os.path.dirname(zr.__file__), "data",
+                           "zeros100.txt")
+    with open(bundled, encoding="ascii") as fh:
+        body = "".join(l for l in fh if not l.startswith("#"))
+    zfile = tmp_path / "z.txt"
+    zfile.write_text(head + body + tail)
+    rc = run(["psi-bound", "--t-max", "5000", "--zero-file", str(zfile),
+              "--x", "1e6", "--sigma", "0.5"])
+    assert rc == cli.EXIT_ERROR
+    assert json.loads(capsys.readouterr().out)["error"] == error
 
 
 def test_counterexample_table(tmp_path):

@@ -56,6 +56,13 @@ def test_zerolist_invariants():
         ZeroList(np.array([]), 100.0)   # cannot be complete to 100
 
 
+@pytest.mark.parametrize("i", [300, 1000, 1400])
+def test_zerolist_rejects_three_missing_zeros(zl_med, i):
+    g = np.delete(zl_med.ordinates, [i, i + 1, i + 2])
+    with pytest.raises(MissedZeroError, match="near t"):
+        ZeroList(g, zl_med.t_max)
+
+
 # ----------------------------------------------------------------------
 # Riemann-Siegel Z and the Illinois refiner, against independent references
 # ----------------------------------------------------------------------
