@@ -5,10 +5,10 @@ scale."""
 from .extremal import (ApproximantParams, beurling_majorant,
                        glued_contour_weight, l1_gap, phi_hat, phi_hat_lerch,
                        phi_weight, truncated_exp)
-from .formula import (BoundReport, CounterexampleSpec, counterexample_mean,
-                      explicit_formula_bound, nontrivial_zero_sum,
-                      perron_identity_check, psi_concrete_bound,
-                      trivial_zero_terms, zero_sum_bound)
+from .formula import (BoundContext, BoundReport, CounterexampleSpec,
+                      counterexample_mean, explicit_formula_bound,
+                      nontrivial_zero_sum, perron_identity_check,
+                      psi_concrete_bound, trivial_zero_terms, zero_sum_bound)
 from .sieve import (ExtremaRecord, SieveCheckpoint, extrema_scan,
                     lambda_segment, psi_checkpoints)
 from .special import (EvalWithError, LaurentCoeffs, badabook_f, cot_stable,

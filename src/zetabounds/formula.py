@@ -8,13 +8,19 @@ weighted sum over nontrivial zeros divided by sqrt(x).  This module builds
 those bound reports, evaluates each error component, generates the
 sharpness counterexample driven by the Fejer kernel, and checks the smoothed
 Perron identity numerically.
+
+Most of a report does not depend on x.  A BoundContext holds that part for
+one (zero list, T, sigma): the main term, -zeta'/zeta(sigma), the zero-sum
+bound and omega^+ at each zero through T.  explicit_formula_bound keeps the
+last context in a one-slot memo, keyed on the zero list's identity and on
+T and sigma by value, so a grid of x at one (T, sigma) builds it once.
 """
 
 from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -25,13 +31,12 @@ from .weights import WeightContext, omega_plus_batch
 from .zeros import ZeroList
 
 __all__ = [
-    "BoundReport", "CounterexampleSpec", "trivial_zero_terms",
+    "BoundContext", "BoundReport", "CounterexampleSpec", "trivial_zero_terms",
     "nontrivial_zero_sum", "classical_inv_gamma_sum", "zero_sum_bound",
-    "vihuela_rhs", "hardin_rhs", "adiaro_rhs",
-    "adioso_rhs", "coronidis_rhs", "ranadi_rhs", "moruno_rhs", "arles_rhs",
-    "arles_constant", "explicit_formula_bound", "psi_concrete_bound",
-    "counterexample_mean", "fandango_allowance", "perron_identity_check",
-    "XI_GRID",
+    "vihuela_rhs", "hardin_rhs", "adioso_rhs", "coronidis_rhs", "ranadi_rhs",
+    "moruno_rhs", "arles_rhs", "arles_constant", "explicit_formula_bound",
+    "psi_concrete_bound", "counterexample_mean", "fandango_allowance",
+    "perron_identity_check", "XI_GRID",
 ]
 
 XI_GRID = (-1.0, -0.5, 0.0, 0.5, 1.0)
@@ -78,6 +83,12 @@ def _zeros_through(zl: ZeroList, T: float) -> np.ndarray:
     return zl.ordinates[zl.ordinates <= T]
 
 
+def _signed_sum(w: np.ndarray, rho_m1: np.ndarray, T: float, x: float):
+    """(-(2pi/T) Im sum w x^(rho-1), the factors x^(rho-1))."""
+    xf = np.exp(rho_m1 * math.log(x))
+    return -TWO_PI / T * float(np.sum((w * xf).imag)), xf
+
+
 def nontrivial_zero_sum(zl: ZeroList, ctx: WeightContext, x: float,
                         mode: str = "exact-signed"):
     """Contribution of the zeros rho = 1/2 + i gamma, gamma <= T.
@@ -94,8 +105,7 @@ def nontrivial_zero_sum(zl: ZeroList, ctx: WeightContext, x: float,
     w = omega_plus_batch(ctx, rho)
     th = 1.0 - (rho - 1.0) / (1j * ctx.T)
     if mode == "exact-signed":
-        xf = np.exp((rho - 1.0) * math.log(x))
-        second = -TWO_PI / ctx.T * float(np.sum((w * xf).imag))
+        second, xf = _signed_sum(w, rho - 1.0, ctx.T, x)
         fourth = -TWO_PI / ctx.T * float(np.sum((th * xf).real))
         return complex(second, fourth)
     if mode == "abs-bound":
@@ -211,19 +221,6 @@ def adioso_rhs(sigma0: float, T: float, x: float) -> float:
     return 4.0 / 3.0 * (math.log(T) + c + 1.5 / T ** 2) / (x * math.log(x))
 
 
-def adiaro_rhs(T: float, x: float) -> float:
-    """Bound for the central vertical integral at the pigeonholed height:
-    (39/5 log T + 68)/L^2 + (37 log T + 311)/L^3 + kappa/sqrt(x) with
-    kappa = (log T + 7.3)(5 log log T / L + 2)."""
-    if not (T >= 2.0 and x >= 2.0):
-        raise ValueError("need T >= 2 and x >= 2")
-    L = math.log(x)
-    R = math.log(T)
-    kappa = (R + 7.3) * (5.0 * math.log(R) / L + 2.0)
-    return ((39.0 / 5.0 * R + 68.0) / L ** 2 + (37.0 * R + 311.0) / L ** 3
-            + kappa / math.sqrt(x))
-
-
 def hardin_rhs(T: float, x: float) -> float:
     """The aggregate archimedean bound (13 + 60/L) log T / L^2
     + 5 log T / sqrt(x), used for the I_+ contour term of the report.  It is
@@ -275,15 +272,90 @@ class BoundReport:
         return json.dumps(d, indent=1, sort_keys=True)
 
 
-def _main_terms(T: float, sigma: float, x: float):
-    """(main term, real-pole term) of the first residue sum."""
+def _main_coeffs(T: float, sigma: float):
+    """The x-free part of the first residue sum: (main term, -zeta'/zeta
+    at sigma).  At sigma = 1 the main term log x - gamma depends on x, so
+    it is None there, and the real-pole factor is 0."""
     if sigma == 1.0:
-        return math.log(x) - EULER_GAMMA, 0.0
+        return None, 0.0
     y = math.pi * (1.0 - sigma) / T
     main = math.pi / T * (1.0 / math.tanh(y)) if abs(y) > 1e-8 \
         else 1.0 / (1.0 - sigma)
-    pole = -log_deriv_zeta(complex(sigma)).value.real * x ** (sigma - 1.0)
-    return main, pole
+    return main, -log_deriv_zeta(complex(sigma)).value.real
+
+
+def _main_at(coeffs, sigma: float, x: float):
+    """(main term, real-pole term) at x from the parts of _main_coeffs."""
+    main, neg_log_deriv = coeffs
+    if main is None:
+        return math.log(x) - EULER_GAMMA, 0.0
+    return main, neg_log_deriv * x ** (sigma - 1.0)
+
+
+@dataclass(frozen=True, eq=False)
+class BoundContext:
+    """The x-independent part of explicit_formula_bound at one (zero list,
+    T, sigma), computed once: the _main_coeffs pair (main term for
+    sigma != 1, -zeta'/zeta(sigma)), the zero-sum bound and its path, and
+    rho - 1 and omega^+(rho) over the zeros gamma <= T (None when zl is
+    None or stops below T).  report(T, sigma, x) does the per-x rest:
+    x^(rho-1), the signed zero sum, the trivial-zero and contour terms and
+    the radius."""
+
+    zl: ZeroList | None
+    T: float
+    sigma: float
+    main_coeffs: tuple = field(init=False)
+    zero_sum: float = field(init=False)
+    zero_sum_path: str = field(init=False)
+    rho_m1: np.ndarray | None = field(init=False)
+    omega: np.ndarray | None = field(init=False)
+
+    def __post_init__(self):
+        zl, T, sigma = self.zl, self.T, self.sigma
+        if not (-1.999 <= sigma <= 100.0):
+            raise ValueError("sigma out of the supported range")
+        coeffs = _main_coeffs(T, sigma)
+        zs, zs_path = zero_sum_bound(zl, T, sigma)
+        rho_m1 = w = None
+        if zl is not None and T <= zl.t_max:
+            rho = 0.5 + 1j * _zeros_through(zl, T)
+            rho_m1 = rho - 1.0
+            w = omega_plus_batch(WeightContext(T, sigma), rho)
+        for k, v in (("main_coeffs", coeffs), ("zero_sum", zs),
+                     ("zero_sum_path", zs_path), ("rho_m1", rho_m1),
+                     ("omega", w)):
+            object.__setattr__(self, k, v)
+
+    def report(self, T: float, sigma: float, x: float) -> BoundReport:
+        """The BoundReport at x.  T and sigma must equal the context's;
+        the report echoes them as the caller spelt them, so sigma = -0.0
+        prints as -0.0 from a context built at 0.0."""
+        if not (T == self.T and sigma == self.sigma):
+            raise ValueError("the context was built for another (T, sigma)")
+        if not x > T:
+            raise ValueError("the formula needs x > T")
+        main, pole = _main_at(self.main_coeffs, sigma, x)
+        zs_exact = (None if self.omega is None else math.sqrt(x)
+                    * _signed_sum(self.omega, self.rho_m1, T, x)[0])
+        coth_triv, plain_triv, triv_rhs = trivial_zero_terms(T, sigma, x)
+        ipc = hardin_rhs(T, x)
+        explicit = (math.pi / T * (1.0 + plain_triv + coth_triv)
+                    + 2.0 * ipc / T ** 2)
+        folded = math.pi / (T - 1.0)
+        path = "folded" if folded >= explicit else "explicit"
+        radius = ((folded if path == "folded" else explicit)
+                  + self.zero_sum / math.sqrt(x))
+        center = main + pole
+        return BoundReport(
+            T=T, sigma=sigma, x=x, main_term=main, real_pole_term=pole,
+            zero_sum_exact=zs_exact, zero_sum_bound=self.zero_sum,
+            zero_sum_path=self.zero_sum_path, trivial_zero_bound=triv_rhs,
+            i_plus_c_bound=ipc, radius=radius, error_path=path,
+            total_upper=center + radius, total_lower=center - radius)
+
+
+_last_context = None    # the one-slot memo of explicit_formula_bound
 
 
 def explicit_formula_bound(zl: ZeroList | None, T: float, sigma: float,
@@ -294,36 +366,21 @@ def explicit_formula_bound(zl: ZeroList | None, T: float, sigma: float,
     explicitly evaluated pi/T + trivial-zero + contour terms (recorded as
     error_path="folded"); otherwise those terms are added outright
     (error_path="explicit").
+
+    The x-independent work lives in a BoundContext.  A one-slot memo keeps
+    the last context built and reuses it when zl is the same object (`is`)
+    and T and sigma compare equal, as along a psi-bound grid of x or an
+    epsilon_at scan; any other call replaces it.  ZeroList ordinates are
+    read-only, so a reused context cannot go stale.
     """
+    global _last_context
     if not x > T:
         raise ValueError("the formula needs x > T")
-    if not (-1.999 <= sigma <= 100.0):
-        raise ValueError("sigma out of the supported range")
-    main, pole = _main_terms(T, sigma, x)
-    zs, zs_path = zero_sum_bound(zl, T, sigma)
-    zs_exact = None
-    if zl is not None and T <= zl.t_max:
-        ex = nontrivial_zero_sum(zl, WeightContext(T, sigma), x,
-                                 "exact-signed")
-        zs_exact = math.sqrt(x) * ex.real
-    coth_triv, plain_triv, triv_rhs = trivial_zero_terms(T, sigma, x)
-    ipc = hardin_rhs(T, x)
-    explicit = (math.pi / T * (1.0 + plain_triv + coth_triv)
-                + 2.0 * ipc / T ** 2)
-    folded = math.pi / (T - 1.0)
-    if folded >= explicit:
-        radius = folded + zs / math.sqrt(x)
-        path = "folded"
-    else:
-        radius = explicit + zs / math.sqrt(x)
-        path = "explicit"
-    center = main + pole
-    return BoundReport(
-        T=T, sigma=sigma, x=x, main_term=main, real_pole_term=pole,
-        zero_sum_exact=zs_exact, zero_sum_bound=zs, zero_sum_path=zs_path,
-        trivial_zero_bound=triv_rhs, i_plus_c_bound=ipc, radius=radius,
-        error_path=path, total_upper=center + radius,
-        total_lower=center - radius)
+    ctx = _last_context     # read once: a concurrent caller cannot swap it
+    if ctx is None or not (ctx.zl is zl and ctx.T == T
+                           and ctx.sigma == sigma):
+        ctx = _last_context = BoundContext(zl, T, sigma)
+    return ctx.report(T, sigma, x)
 
 
 def epsilon_at(zl: ZeroList | None, T: float, x: float) -> float:

@@ -216,6 +216,8 @@ def extrema_scan(x_max: int, statistic: str, x_mins=(1,), threads: int = 1,
     if x_max > (HARD_CEILING if long_run else DESK_CEILING):
         raise ValueError("x_max beyond ceiling (pass long_run=True)")
     x_mins = sorted(int(v) for v in x_mins)
+    if x_mins and x_mins[0] < 1:
+        raise ValueError("x_min must be >= 1")
     best = {v: [None, None] for v in x_mins}   # (max, min)
 
     def consider(v, x_at, left, val):

@@ -323,7 +323,8 @@ def check_sigma_one_limit():
     x = 1e5
     target = math.log(x) - EULER_GAMMA
     epss = (1e-3, 1e-4, 1e-5)
-    errs = [abs(sum(fm._main_terms(4000.0, 1.0 - eps, x)) - target)
+    errs = [abs(sum(fm._main_at(fm._main_coeffs(4000.0, 1.0 - eps),
+                                1.0 - eps, x)) - target)
             for eps in epss]
     return bool(all(err <= 2e3 * eps for err, eps in zip(errs, epss))
                 and errs[-1] < 1e-4 * math.log(x) and errs[-1] < errs[0])

@@ -66,7 +66,10 @@ class ZeroList:
     rh_assumed: bool = True
 
     def __post_init__(self):
-        g = np.asarray(self.ordinates, dtype=np.float64)
+        # a read-only copy: the caller's array stays writable, and no
+        # in-place write can change a list that a BoundContext was built on
+        g = np.array(self.ordinates, dtype=np.float64)
+        g.flags.writeable = False
         object.__setattr__(self, "ordinates", g)
         if not (np.all(np.isfinite(g)) and math.isfinite(self.t_max)):
             raise ZeroFileError("ordinates and t_max must be finite")

@@ -160,6 +160,14 @@ def test_sieve_extrema_csv(capsys):
     assert "1,min,1423,1," in out
 
 
+@pytest.mark.parametrize("x_min", ["0", "-5"])
+def test_sieve_rejects_x_min_below_one(capsys, x_min):
+    rc = run(["sieve", "--x-max", "100", f"--x-min={x_min}"])
+    assert rc == cli.EXIT_ERROR
+    err = json.loads(capsys.readouterr().out)
+    assert err["message"] == "x_min must be >= 1"
+
+
 def test_sieve_checkpoint_csv(capsys):
     rc = run(["sieve", "--x-max", "1000", "--checkpoints", "10,100"])
     assert rc == 0

@@ -6,6 +6,7 @@ import pytest
 from zetabounds import extremal as ex
 from zetabounds import formula as fm
 from zetabounds import sieve as sv
+from zetabounds import zeros as zr
 from zetabounds.util import EULER_GAMMA, TWO_PI
 from zetabounds.weights import WeightContext
 
@@ -188,6 +189,44 @@ def test_monotone_width_in_T(zl_med):
         r = fm.explicit_formula_bound(zl_med, T, 0.0, 1e7)
         widths.append(r.total_upper - r.total_lower)
     assert all(a >= b for a, b in zip(widths, widths[1:]))
+
+
+def test_memo_rows_match_fresh_contexts(zl_med):
+    # a second list with the same T and sigma: zl_med shifted by 1e-9
+    zl_b = zr.ZeroList(zl_med.ordinates * (1.0 + 1e-9), zl_med.t_max)
+    A, B = (zl_med, 1000.0, 0.5), (zl_b, 1000.0, 0.5)
+    C, D = (zl_med, 1000.0, 0.0), (zl_med, 1000.0, -0.0)
+    E, F = (zl_med, 1000.0, 1.0), (None, 2e7, 0.0)
+    calls = [A + (1e4,), A + (1e6,), B + (1e4,), A + (3.5e7,), C + (1e4,),
+             D + (1e6,), C + (1e12,), E + (1e5,), A + (1e30,), F + (3e7,),
+             F + (1e9,), B + (1e6,), D + (2e3,)]
+    memo = [fm.explicit_formula_bound(*c).to_json() for c in calls]
+    fresh = []
+    for c in calls:
+        fm._last_context = None
+        fresh.append(fm.explicit_formula_bound(*c).to_json())
+    assert memo == fresh
+    assert memo[0] != memo[2]       # the two lists do give other rows
+    assert '"sigma": "-0.0' in memo[5]
+
+
+def test_memo_builds_one_context_per_grid(zl_med, monkeypatch):
+    counts = {"log_deriv": 0, "omega": 0}
+
+    def counted(name, f):
+        def wrapper(*args):
+            counts[name] += 1
+            return f(*args)
+        return wrapper
+
+    monkeypatch.setattr(fm, "log_deriv_zeta",
+                        counted("log_deriv", fm.log_deriv_zeta))
+    monkeypatch.setattr(fm, "omega_plus_batch",
+                        counted("omega", fm.omega_plus_batch))
+    fm._last_context = None
+    for x in np.geomspace(2e3, 1e30, 50):
+        fm.explicit_formula_bound(zl_med, 1500.0, 0.5, float(x))
+    assert counts["log_deriv"] == 1 and counts["omega"] <= 2
 
 
 def test_psi_concrete_bound_values():

@@ -56,6 +56,15 @@ def test_zerolist_invariants():
         ZeroList(np.array([]), 100.0)   # cannot be complete to 100
 
 
+def test_zerolist_holds_a_read_only_copy():
+    g = np.array(zr.bundled_zeros().ordinates)
+    zl = ZeroList(g, zr.bundled_zeros().t_max)
+    with pytest.raises(ValueError):
+        zl.ordinates[5] = 0.0
+    g[5] = 0.0          # the caller's own array stays writable
+    assert zl.ordinates[5] != 0.0
+
+
 @pytest.mark.parametrize("i", [300, 1000, 1400])
 def test_zerolist_rejects_three_missing_zeros(zl_med, i):
     g = np.delete(zl_med.ordinates, [i, i + 1, i + 2])
