@@ -1,5 +1,5 @@
-"""Segmented von Mangoldt sieve: psi(x), the cancellation-safe
-sum of (Lambda(n) - 1)/n, and extrema scans of the normalised error terms.
+"""Segmented von Mangoldt sieve: psi(x), the sum of Lambda(n)/n, and
+extrema scans of the normalised error terms.
 
 Segments are independent 2^22-entry work units; per-segment partial sums
 use extended precision, and cross-segment accumulation is compensated and
@@ -8,6 +8,7 @@ happens in segment order, so results are identical for any worker count.
 
 from __future__ import annotations
 
+import bisect
 import math
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
@@ -32,9 +33,11 @@ STAT_LAMBDA_OVER_N = "lambda-over-n"  # sqrt(x) (sum Lambda/n - log x + gamma)
 class SieveCheckpoint:
     """psi and the shifted log-weighted sum at an integer checkpoint.
 
-    delta approximates sum Lambda(n)/n - log x + gamma through the
-    cancellation-safe accumulator 2 gamma + sum (Lambda(n)-1)/n plus the
-    harmonic-number correction, so |delta - (sum - log x + gamma)| <= 1/x.
+    delta = S(x) - (log x - gamma), where S(x) is the running sum of
+    Lambda(n)/n over n <= x (long double within a segment, compensated
+    across segments). Its error is that of rounding S(x) ~ log x and log x
+    to double, a few units in the last place of log x (about 3e-15 at
+    x = 2e7, against an fsum reference); delta(1) = gamma exactly.
     """
 
     x: int
@@ -146,14 +149,27 @@ def lambda_segment(lo: int, hi: int):
             np.concatenate([lam for _, _, _, lam in parts]))
 
 
-def _harmonic_correction(m: int) -> float:
-    """H_m - log m - gamma = 1/(2m) - 1/(12 m^2) + 1/(120 m^4) - ..."""
-    return 1.0 / (2.0 * m) - 1.0 / (12.0 * m * m) + 1.0 / (120.0 * m ** 4)
+class _SegmentSum(KahanSum):
+    """A running sum over the ascending sieve segments: extended precision
+    inside each segment, compensated across segments in segment order, so
+    every total is the same for any worker count and any set of queries."""
+
+    __slots__ = ()
+
+    def segment(self, terms):
+        """(total of the earlier segments, long-double cumsum of terms),
+        then add this segment's total to the running sum."""
+        cum = np.cumsum(terms, dtype=np.longdouble)
+        before = self.value()
+        self.add(float(cum[-1]) if cum.size else 0.0)
+        return before, cum
 
 
 def psi_checkpoints(xs, threads: int = 1, long_run: bool = False):
     """SieveCheckpoints at the ascending integer checkpoints xs, computed
-    in one streaming pass with compensated accumulation."""
+    in one streaming pass that sums each segment once: a checkpoint reads
+    the prefix sums of its segment, so its (psi, delta) does not depend on
+    which other checkpoints are asked for."""
     xs = [int(x) for x in xs]
     if any(b <= a for a, b in zip(xs, xs[1:])):
         raise ValueError("checkpoints must be strictly ascending")
@@ -163,35 +179,19 @@ def psi_checkpoints(xs, threads: int = 1, long_run: bool = False):
     if xs and xs[0] < 1:
         raise ValueError("checkpoints must be >= 1")
     out = []
-    pending = list(xs)
-    if pending and pending[0] == 1:
-        pending.pop(0)
-        # psi(1) = 0; sum over n <= 1 of (Lambda-1)/n is -1
-        out.append(SieveCheckpoint(
-            x=1, psi=0.0,
-            delta=2.0 * EULER_GAMMA - 1.0 + _harmonic_correction(1)))
-    if not pending:
+    if not xs:
         return out
-    psi_acc = KahanSum()
-    dl_acc = KahanSum()        # sum of (Lambda(n) - 1)/n over n >= 2
-    for lo, hi, pos, lam in _SieveStream(pending[-1], threads):
-        ns = np.arange(lo, hi + 1, dtype=np.float64)
-        while pending and pending[0] <= hi:
-            x = pending.pop(0)
-            k = int(np.searchsorted(pos, x, side="right"))
-            psi_x = psi_acc.value() + float(
-                np.sum(lam[:k], dtype=np.longdouble))
-            part = (float(np.sum((lam[:k] / pos[:k]), dtype=np.longdouble))
-                    - float(np.sum(1.0 / ns[:x - lo + 1],
-                                   dtype=np.longdouble)))
-            delta = (2.0 * EULER_GAMMA - 1.0  # the n = 1 term of -1/n
-                     + dl_acc.value() + part + _harmonic_correction(x))
-            out.append(SieveCheckpoint(x=x, psi=psi_x, delta=delta))
-        psi_acc.add(float(np.sum(lam, dtype=np.longdouble)))
-        dl_acc.add(float(np.sum(lam / pos, dtype=np.longdouble))
-                   - float(np.sum(1.0 / ns, dtype=np.longdouble)))
-        if not pending:
-            break
+    psi_run, s_run = _SegmentSum(), _SegmentSum()
+    # x = 1 lies before the first segment [2, ...] and reads its empty prefix
+    for lo, hi, pos, lam in _SieveStream(max(xs[-1], 2), threads):
+        psi0, psi_cum = psi_run.segment(lam)
+        s0, s_cum = s_run.segment(lam / pos)
+        here = xs[len(out):bisect.bisect_right(xs, hi)]
+        for x, k in zip(here, np.searchsorted(pos, here, side="right")):
+            psi = psi0 + (float(psi_cum[k - 1]) if k else 0.0)
+            s = s0 + (float(s_cum[k - 1]) if k else 0.0)
+            out.append(SieveCheckpoint(x, psi,
+                                       s - (math.log(x) - EULER_GAMMA)))
     return out
 
 
@@ -215,9 +215,13 @@ def extrema_scan(x_max: int, statistic: str, x_mins=(1,), threads: int = 1,
         raise ValueError("unknown statistic")
     if x_max > (HARD_CEILING if long_run else DESK_CEILING):
         raise ValueError("x_max beyond ceiling (pass long_run=True)")
+    if x_max < 1:
+        raise ValueError("x_max must be >= 1")
     x_mins = sorted(int(v) for v in x_mins)
     if x_mins and x_mins[0] < 1:
         raise ValueError("x_min must be >= 1")
+    if x_mins and x_mins[-1] > x_max:
+        raise ValueError("x_min must be <= x_max")
     best = {v: [None, None] for v in x_mins}   # (max, min)
 
     def consider(v, x_at, left, val):
@@ -227,17 +231,16 @@ def extrema_scan(x_max: int, statistic: str, x_mins=(1,), threads: int = 1,
         if mn is None or val < best[v][1].value:
             best[v][1] = ExtremaRecord(x_at, left, val, "min", statistic)
 
-    run = KahanSum()   # psi or sum Lambda/n, depending on the statistic
+    run = _SegmentSum()   # psi or sum Lambda/n, depending on the statistic
     for v in x_mins:
         if v < 2:      # segments start at 2; cover the x = 1 start point
             consider(v, v, False, _statistic_at(statistic, 0.0, v))
     for lo, hi, pos, lam in _SieveStream(x_max, threads):
         posf = pos.astype(np.float64)
-        contrib = (lam if statistic == STAT_PSI else lam / posf
-                   ).astype(np.longdouble)
-        cum = np.cumsum(contrib)
-        right = np.asarray(run.value() + cum, dtype=np.float64)
-        left = np.asarray(run.value() + (cum - contrib), dtype=np.float64)
+        terms = lam if statistic == STAT_PSI else lam / posf
+        carry, cum = run.segment(terms)
+        right = np.asarray(carry + cum, dtype=np.float64)
+        left = np.asarray(carry + (cum - terms), dtype=np.float64)
         sq = np.sqrt(posf)
         if statistic == STAT_PSI:
             val_r, val_l = (right - posf) / sq, (left - posf) / sq
@@ -246,27 +249,20 @@ def extrema_scan(x_max: int, statistic: str, x_mins=(1,), threads: int = 1,
             val_r, val_l = (right - shift) * sq, (left - shift) * sq
         for v in x_mins:
             if v > hi:
-                continue
+                break
             # jump values count for x >= v; a left limit at x = n^-
             # belongs to [v, x_max] only for n > v
-            sel_r = pos >= v
-            sel_l = pos > v
-            if sel_r.any():
-                i = int(np.argmax(np.where(sel_r, val_r, -np.inf)))
-                consider(v, int(pos[i]), False, float(val_r[i]))
-                i = int(np.argmin(np.where(sel_r, val_r, np.inf)))
-                consider(v, int(pos[i]), False, float(val_r[i]))
-            if sel_l.any():
-                i = int(np.argmax(np.where(sel_l, val_l, -np.inf)))
-                consider(v, int(pos[i]), True, float(val_l[i]))
-                i = int(np.argmin(np.where(sel_l, val_l, np.inf)))
-                consider(v, int(pos[i]), True, float(val_l[i]))
-            if lo <= v <= hi:
+            i_r = int(np.searchsorted(pos, v))
+            i_l = int(np.searchsorted(pos, v, side="right"))
+            for vals, i, is_left in ((val_r, i_r, False), (val_l, i_l, True)):
+                if i < vals.size:
+                    for j in (np.argmax(vals[i:]), np.argmin(vals[i:])):
+                        consider(v, int(pos[i + j]), is_left,
+                                 float(vals[i + j]))
+            if lo <= v:
                 # statistic value at the range start x = v itself
-                k = int(np.searchsorted(pos, v, side="right"))
-                total = run.value() + (float(cum[k - 1]) if k else 0.0)
+                total = carry + (float(cum[i_l - 1]) if i_l else 0.0)
                 consider(v, v, False, _statistic_at(statistic, total, v))
-        run.add(float(cum[-1]) if lam.size else 0.0)
     # endpoint candidate at x_max (statistic value just after the last jump)
     for v in x_mins:
         consider(v, x_max, False, _statistic_at(statistic, run.value(), x_max))

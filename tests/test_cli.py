@@ -168,6 +168,16 @@ def test_sieve_rejects_x_min_below_one(capsys, x_min):
     assert err["message"] == "x_min must be >= 1"
 
 
+@pytest.mark.parametrize("argv, message", [
+    (["--x-max", "0"], "x_max must be >= 1"),
+    (["--x-max", "100", "--x-min", "1000"], "x_min must be <= x_max"),
+], ids=["x-max-0", "x-min-above-x-max"])
+def test_sieve_rejects_an_empty_range(capsys, argv, message):
+    rc = run(["sieve"] + argv)
+    assert rc == cli.EXIT_ERROR
+    assert json.loads(capsys.readouterr().out)["message"] == message
+
+
 def test_sieve_checkpoint_csv(capsys):
     rc = run(["sieve", "--x-max", "1000", "--checkpoints", "10,100"])
     assert rc == 0

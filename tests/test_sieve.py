@@ -47,22 +47,32 @@ def test_psi_small_values():
 
 def test_delta_at_one():
     c = sv.psi_checkpoints([1])[0]
-    # sum Lambda/n - log 1 + gamma = gamma; |delta - gamma| <= 1
-    assert abs(c.delta - EULER_GAMMA) <= 1.0 / 1
+    # the empty sum: delta = 0 - log 1 + gamma
+    assert c.delta == EULER_GAMMA
+
+
+def _delta_by_fsum(x):
+    ns, ls = sv.lambda_segment(2, x)
+    return math.fsum((ls / ns).tolist()) - math.log(x) + EULER_GAMMA
 
 
 def test_delta_matches_direct_at_1e6():
     c = sv.psi_checkpoints([10 ** 6])[0]
-    ns, ls = sv.lambda_segment(2, 10 ** 6)
-    direct = math.fsum((ls / ns).tolist()) - math.log(10 ** 6) + EULER_GAMMA
-    assert abs(c.delta - direct) < 1e-9
+    assert abs(c.delta - _delta_by_fsum(10 ** 6)) <= 1e-13
 
 
 def test_delta_invariant_bound():
-    for c in sv.psi_checkpoints([100, 10 ** 4]):
-        ns, ls = sv.lambda_segment(2, c.x)
-        exact = math.fsum((ls / ns).tolist()) - math.log(c.x) + EULER_GAMMA
-        assert abs(c.delta - exact) <= 1.0 / c.x
+    for c in sv.psi_checkpoints([2, 10, 10 ** 4, sv.SEGMENT + 1]):
+        assert abs(c.delta - _delta_by_fsum(c.x)) <= 1e-13
+
+
+def test_checkpoint_independent_of_the_others():
+    rng = np.random.default_rng(8)
+    inner = sorted((rng.choice(200_000, 200, replace=False) + 1).tolist())
+    xs = inner + [sv.SEGMENT + 1, sv.SEGMENT + 2]   # across a boundary
+    together = sv.psi_checkpoints(xs)
+    alone = [sv.psi_checkpoints([x])[0] for x in xs]
+    assert together == alone
 
 
 def test_psi_monotone_and_chebyshev():
