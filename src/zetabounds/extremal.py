@@ -11,14 +11,15 @@ majorant) is exposed separately as `beurling_majorant`.
 
 from __future__ import annotations
 
-import cmath
 import math
 from dataclasses import dataclass
 
 import numpy as np
 
 from .special import coth_stable, lerch, trigamma, x_coth_x
-from .util import TWO_PI, PoleError, adaptive_simpson
+# adaptive_simpson stays bound: perfbench/workloads.instrument wraps it here
+from .util import (TWO_PI, PoleError, adaptive_simpson,  # noqa: F401
+                   gauss_legendre)
 
 __all__ = [
     "ApproximantParams", "truncated_exp",
@@ -59,15 +60,18 @@ class ApproximantParams:
         return 1.0 if self.side == MAJORANT else -1.0
 
 
-def truncated_exp(lam: float, u: float) -> float:
+def truncated_exp(lam: float, u):
     """I_lambda(u) = e^(-lambda u) on the half-line sgn(lambda) u >= 0 and
-    0 elsewhere; equals 1 at u = 0 for either sign of lambda."""
+    0 elsewhere; equals 1 at u = 0 for either sign of lambda.  u may be an
+    array (an array comes back) or a number (a float comes back); the
+    exponential is never taken off the half-line, so it cannot overflow
+    there."""
     if lam == 0:
         raise ValueError("lambda must be non-zero")
-    s = 1.0 if lam > 0 else -1.0
-    if s * u < 0:
-        return 0.0
-    return math.exp(-lam * u)
+    u = np.asarray(u, dtype=np.float64)
+    off = (u < 0) if lam > 0 else (u > 0)
+    out = np.where(off, 0.0, np.exp(-lam * np.where(off, 0.0, u)))
+    return out if out.ndim else float(out)
 
 
 # ----------------------------------------------------------------------
@@ -227,27 +231,24 @@ def l1_gap(p: ApproximantParams) -> float:
 
 
 def l1_gap_quadrature(p: ApproximantParams) -> float:
-    """||phi_hat - I_lambda||_1 by quadrature on [-Y, Y] to tolerance 1e-8
-    plus analytic tails (the integrand decays only like 1/y^2, so the tails
-    matter).
+    """||phi_hat - I_lambda||_1 by Gauss-Legendre panels on [-Y, Y] to a
+    total tolerance of 1e-8, plus analytic tails (the integrand decays only
+    like 1/y^2, so the tails matter).
 
-    Y = 200 is raised until every non-negligible interpolation node lies
-    inside the window, which the tail formula requires.
+    The panels are the unit intervals: the integrand vanishes at every
+    integer and I_lambda jumps at 0, so each panel is smooth.  Y = 200 is
+    raised until every non-negligible interpolation node lies inside the
+    window, which the tail formula requires.
     """
-    Yeff = max(200.0, (48.0 + 2.0 * math.log(202.0)) / p.nu + 20.0)
+    Y = math.ceil(max(200.0, (48.0 + 2.0 * math.log(202.0)) / p.nu + 20.0))
+    sign = 1.0 if p.side == MAJORANT else -1.0
 
     def integrand(y):
-        v = phi_hat(p, y) - truncated_exp(p.lam, y)
-        return v if p.side == MAJORANT else -v
+        return sign * (phi_hat_batch(p, y) - truncated_exp(p.lam, y))
 
-    # integrate per unit panel: the integrand vanishes near every integer,
-    # which makes a single global adaptive pass alias badly
-    edges = np.arange(-math.ceil(Yeff), math.ceil(Yeff) + 1, dtype=float)
-    panel_tol = 1e-8 / max(len(edges) - 1, 1)
-    pieces = 0.0
-    for a, b in zip(edges[:-1], edges[1:]):
-        pieces += adaptive_simpson(integrand, a, b, panel_tol, max_depth=24)
-    return pieces + _l1_tail(p, float(math.ceil(Yeff)))
+    edges = np.arange(-Y, Y + 1, dtype=np.float64)
+    inner, _ = gauss_legendre(integrand, edges, 1e-8)
+    return inner + _l1_tail(p, float(Y))
 
 
 def _l1_tail(p: ApproximantParams, Y: float) -> float:
@@ -287,11 +288,12 @@ def beurling_majorant(x: float) -> float:
 
 
 def phi_weight_quad_transform(p: ApproximantParams, y: float) -> complex:
-    """Fourier transform of phi_weight at y by quadrature over [-1, 1] to
-    tolerance 1e-9 per half; an independent consistency oracle for
-    phi_hat."""
+    """Fourier transform of phi_weight at y by Gauss-Legendre panels over
+    [-1, 1], split at 0 where the star part jumps, to a total tolerance of
+    2e-9; an independent consistency oracle for phi_hat.  phi_weight is
+    scalar, so it is called once per node."""
     def f(t):
-        return phi_weight(p, t) * cmath.exp(-TWO_PI * 1j * y * t)
+        w = np.array([phi_weight(p, v) for v in t.tolist()])
+        return w * np.exp(-TWO_PI * 1j * y * t)
 
-    return (adaptive_simpson(f, -1.0, 0.0, 1e-9)
-            + adaptive_simpson(f, 0.0, 1.0, 1e-9))
+    return gauss_legendre(f, (-1.0, 0.0, 1.0), 2e-9)[0]

@@ -25,8 +25,9 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .special import fejer_batch, log_deriv_zeta
-from .util import (EULER_GAMMA, TWO_PI, KahanSum, adaptive_simpson,
-                   format_float17)
+# adaptive_simpson stays bound: perfbench/workloads.instrument wraps it here
+from .util import (EULER_GAMMA, TWO_PI, KahanSum,  # noqa: F401
+                   adaptive_simpson, format_float17, gauss_legendre)
 from .weights import WeightContext, omega_plus_batch
 from .zeros import ZeroList
 
@@ -90,7 +91,7 @@ def _signed_sum(w: np.ndarray, rho_m1: np.ndarray, T: float, x: float):
 
 
 def nontrivial_zero_sum(zl: ZeroList, ctx: WeightContext, x: float,
-                        mode: str = "exact-signed"):
+                        mode: str = "exact-signed", omega=None):
     """Contribution of the zeros rho = 1/2 + i gamma, gamma <= T.
 
     mode="exact-signed": returns complex(second, fourth) where
@@ -99,10 +100,11 @@ def nontrivial_zero_sum(zl: ZeroList, ctx: WeightContext, x: float,
     mode="abs-bound": returns (2pi/T) max over the xi grid of
       sum |omega^+(rho) + xi theta_{T,1}(rho) i|, with no x factor
       (callers divide by sqrt(x)); also returns the attaining xi.
+    omega, when given, is omega^+(rho) at these zeros, already computed.
     """
     g = _zeros_through(zl, ctx.T)
     rho = 0.5 + 1j * g
-    w = omega_plus_batch(ctx, rho)
+    w = omega_plus_batch(ctx, rho) if omega is None else omega
     th = 1.0 - (rho - 1.0) / (1j * ctx.T)
     if mode == "exact-signed":
         second, xf = _signed_sum(w, rho - 1.0, ctx.T, x)
@@ -131,11 +133,13 @@ def vihuela_rhs(T: float) -> float:
     return L * L / TWO_PI - 1.01 / (6.0 * math.pi) * L
 
 
-def zero_sum_bound(zl: ZeroList | None, T: float, sigma: float):
+def zero_sum_bound(zl: ZeroList | None, T: float, sigma: float,
+                   omega=None):
     """The aggregate weighted-zero-sum bound (per 1/sqrt(x)).
 
     For T >= 1e7 the closed form applies; below that the sum is computed
-    directly from the supplied zeros ("just literally compute the sum").
+    directly from the supplied zeros ("just literally compute the sum"),
+    from omega^+ at the zeros through T if the caller passes it.
     Returns (value, path) with path in {"closed-form", "direct"}.
     """
     if T >= VIHUELA_T_FLOOR:
@@ -145,7 +149,7 @@ def zero_sum_bound(zl: ZeroList | None, T: float, sigma: float):
     if zl is None:
         raise ValueError("desk-scale T needs an explicit zero list")
     ctx = WeightContext(T, sigma)
-    val, _ = nontrivial_zero_sum(zl, ctx, 2.0, mode="abs-bound")
+    val, _ = nontrivial_zero_sum(zl, ctx, 2.0, mode="abs-bound", omega=omega)
     return val, "direct"
 
 
@@ -316,12 +320,12 @@ class BoundContext:
         if not (-1.999 <= sigma <= 100.0):
             raise ValueError("sigma out of the supported range")
         coeffs = _main_coeffs(T, sigma)
-        zs, zs_path = zero_sum_bound(zl, T, sigma)
         rho_m1 = w = None
         if zl is not None and T <= zl.t_max:
             rho = 0.5 + 1j * _zeros_through(zl, T)
             rho_m1 = rho - 1.0
             w = omega_plus_batch(WeightContext(T, sigma), rho)
+        zs, zs_path = zero_sum_bound(zl, T, sigma, omega=w)
         for k, v in (("main_coeffs", coeffs), ("zero_sum", zs),
                      ("zero_sum_path", zs_path), ("rho_m1", rho_m1),
                      ("omega", w)):
@@ -478,9 +482,12 @@ def perron_identity_check(coeffs, phi, phi_hat, T: float, sigma: float,
       (1/(2 pi i T)) int phi(Im s / T) A(s) x^s ds
         = (1/2pi) sum_n a_n (x/n)^sigma phi_hat((T/2pi) log(n/x)),
 
-    the line integral running over Re s = sigma and evaluated by adaptive
-    quadrature to tolerance 1e-9 per half (phi is supported on [-1, 1], so
-    over |Im s| <= T).
+    the line integral running over Re s = sigma (phi is supported on
+    [-1, 1], so over |Im s| <= T).  It is evaluated by Gauss-Legendre
+    panels split at Im s = 0, where phi may jump or have a kink, to a total
+    tolerance of 2e-9.  A(s) at the nodes is one product of the matrix
+    n^-s by the coefficients; phi and phi_hat are scalar callables, called
+    once per node and per n.
     """
     coeffs = np.asarray(coeffs, dtype=np.float64)
     if coeffs.size == 0 or coeffs.size > 2000:
@@ -488,16 +495,13 @@ def perron_identity_check(coeffs, phi, phi_hat, T: float, sigma: float,
     n = np.arange(1, coeffs.size + 1, dtype=np.float64)
     logn = np.log(n)
 
-    def A(t):
-        return complex(np.sum(coeffs * np.exp(-(sigma + 1j * t) * logn)))
-
     def integrand(t):
-        return phi(t / T) * A(t) * complex(math.cos(t * math.log(x)),
-                                           math.sin(t * math.log(x)))
+        A = (np.exp(-np.outer(sigma + 1j * t, logn)) * coeffs).sum(axis=1)
+        weight = np.array([phi(v) for v in (t / T).tolist()], dtype=complex)
+        return weight * A * np.exp(1j * math.log(x) * t)
 
-    lhs = x ** sigma / (TWO_PI * T) * (
-        adaptive_simpson(integrand, -T, 0.0, 1e-9)
-        + adaptive_simpson(integrand, 0.0, T, 1e-9))
+    lhs = (x ** sigma / (TWO_PI * T)
+           * gauss_legendre(integrand, (-T, 0.0, T), 2e-9)[0])
     rhs = sum(coeffs[j] * (x / n[j]) ** sigma
               * phi_hat(T / TWO_PI * math.log(n[j] / x))
               for j in range(coeffs.size)) / TWO_PI

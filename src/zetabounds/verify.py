@@ -18,7 +18,7 @@ from . import formula as fm
 from . import special as sp
 from . import weights as wt
 from . import zeros as zr
-from .util import TWO_PI, EULER_GAMMA, adaptive_simpson
+from .util import TWO_PI, EULER_GAMMA, gauss_legendre
 
 
 def _grid_complex(rng, n, re_lo, re_hi, im_lo, im_hi):
@@ -210,7 +210,8 @@ def check_lerch_vs_series():
 
 def check_fejer_mean():
     for K in (1, 5, 7, 33, 40):
-        q = adaptive_simpson(lambda t: sp.fejer(K, t), 0.0, TWO_PI, 1e-10)
+        q, _ = gauss_legendre(lambda t: sp.fejer_batch(K, t),
+                              (0.0, TWO_PI), 1e-10)
         if abs(q / TWO_PI - 1.0) > 1e-8:
             return False
     return True
@@ -227,18 +228,19 @@ def check_domination():
         pL = ex.ApproximantParams.make(lam, ex.MINORANT)
         M = ex.phi_hat_batch(pM, xs)
         L = ex.phi_hat_batch(pL, xs)
-        E = np.array([ex.truncated_exp(lam, float(x)) for x in xs])
+        E = ex.truncated_exp(lam, xs)
         if (E - M).max() > 1e-12 or (L - E).max() > 1e-12:
             return False
     return True
 
 
 def check_gap_identity():
-    """The L1 gap by quadrature is within 1e-5 of its closed form."""
+    """The L1 gap by quadrature is within 1e-8 of its closed form (the
+    quadrature's own tolerance; the largest difference here is 6e-10)."""
     for lam in (0.25, 1.0, 4.0, -0.5):
         for side in (ex.MAJORANT, ex.MINORANT):
             p = ex.ApproximantParams.make(lam, side)
-            if abs(ex.l1_gap_quadrature(p) - ex.l1_gap(p)) > 1e-5:
+            if abs(ex.l1_gap_quadrature(p) - ex.l1_gap(p)) > 1e-8:
                 return False
     return True
 

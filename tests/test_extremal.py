@@ -24,6 +24,17 @@ def test_truncated_exp_basics():
         ex.truncated_exp(0.0, 1.0)
 
 
+def test_truncated_exp_on_arrays():
+    # e^(-lambda u) overflows at u = -1e3 for lambda = 4 and at u = 1e3 for
+    # lambda = -4, both off the half-line: no warning may come from them
+    u = np.array([-1e3, -2.5, -0.0, 0.0, 1.5, 1e3])
+    for lam in LAMBDAS:
+        got = ex.truncated_exp(lam, u)
+        want = [math.exp(-lam * v) if lam * v >= 0 else 0.0 for v in u]
+        assert got.shape == u.shape
+        assert np.allclose(got, want, rtol=1e-15, atol=0.0)
+
+
 @settings(max_examples=80, deadline=None)
 @given(st.sampled_from(LAMBDAS), st.floats(-30.0, 30.0))
 def test_truncated_exp_support_and_value(lam, u):
