@@ -21,7 +21,7 @@ from . import formula as fm
 from . import sieve as sv
 from . import verify as vf
 from . import zeros as zr
-from .util import TWO_PI, EULER_GAMMA, atomic_write_text, format_float17
+from .util import TWO_PI, atomic_write_text, format_float17
 
 EXIT_OK = 0
 EXIT_ERROR = 1
@@ -104,10 +104,8 @@ def cmd_psi_bound(ns: argparse.Namespace) -> int:
         row = json.loads(rep.to_json())
         c = cps.get(int(x))
         if c is not None:
-            if sigma == 0.0:
-                measured = c.psi / x
-            else:   # delta is taken at the integer c.x = floor(x)
-                measured = c.delta + math.log(c.x) - EULER_GAMMA
+            # sigma = 1 measures the sum over n <= c.x = floor(x)
+            measured = c.psi / x if sigma == 0.0 else c.sum_lambda_over_n
             row["sieve_value"] = format_float17(float(measured))
             inside = bool(rep.total_lower <= measured <= rep.total_upper)
             row["sieve_inside"] = inside

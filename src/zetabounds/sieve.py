@@ -1,9 +1,14 @@
 """Segmented von Mangoldt sieve: psi(x), the sum of Lambda(n)/n, and
 extrema scans of the normalised error terms.
 
-Segments are independent 2^22-entry work units; per-segment partial sums
-use extended precision, and cross-segment accumulation is compensated and
-happens in segment order, so results are identical for any worker count.
+Segments are independent work units of 2^22 consecutive integers; per-
+segment partial sums use extended precision, and cross-segment
+accumulation is compensated and happens in segment order, so results are
+identical for any worker count.  A segment's mask holds its odd numbers
+only (2^21 entries) and starts as a slice of a periodic wheel that has the
+multiples of 3, 5, 7, 11 and 13 struck already (Bays-Hudson segments with
+a Pritchard-style wheel); only the base primes from 17 up are struck per
+segment.
 """
 
 from __future__ import annotations
@@ -23,6 +28,8 @@ __all__ = [
 ]
 
 SEGMENT = 1 << 22
+_WHEEL = (3, 5, 7, 11, 13)    # presieved into every segment's mask
+_WHEEL_PERIOD = 15015         # 3*5*7*11*13: the wheel's period in odd numbers
 HARD_CEILING = 10_000_000_000
 DESK_CEILING = 1_000_000_000
 STAT_PSI = "psi"                      # (psi(x) - x)/sqrt(x)
@@ -31,18 +38,20 @@ STAT_LAMBDA_OVER_N = "lambda-over-n"  # sqrt(x) (sum Lambda/n - log x + gamma)
 
 @dataclass(frozen=True)
 class SieveCheckpoint:
-    """psi and the shifted log-weighted sum at an integer checkpoint.
+    """psi, the log-weighted sum and its shift at an integer checkpoint.
 
-    delta = S(x) - (log x - gamma), where S(x) is the running sum of
-    Lambda(n)/n over n <= x (long double within a segment, compensated
-    across segments). Its error is that of rounding S(x) ~ log x and log x
-    to double, a few units in the last place of log x (about 3e-15 at
-    x = 2e7, against an fsum reference); delta(1) = gamma exactly.
+    sum_lambda_over_n = S(x), the running sum of Lambda(n)/n over n <= x
+    (long double within a segment, compensated across segments), and
+    delta = S(x) - (log x - gamma). The error of delta is that of rounding
+    S(x) ~ log x and log x to double, a few units in the last place of
+    log x (about 3e-15 at x = 2e7, against an fsum reference);
+    delta(1) = gamma exactly.
     """
 
     x: int
     psi: float
     delta: float
+    sum_lambda_over_n: float
 
 
 @dataclass(frozen=True)
@@ -79,43 +88,91 @@ def _prime_powers(limit: int, base: np.ndarray):
             np.array(ls, dtype=np.float64)[order])
 
 
-def _segment_primes(lo: int, hi: int, base: np.ndarray) -> np.ndarray:
-    """Primes in [lo, hi] via the precomputed base primes (hi <= max^2)."""
-    size = hi - lo + 1
-    mask = np.ones(size, dtype=bool)
-    if lo <= 1:
-        mask[:max(0, 2 - lo)] = False
-    for p in base:
-        p = int(p)
-        if p * p > hi:
-            break
-        start = max(p * p, ((lo + p - 1) // p) * p)
-        mask[start - lo::p] = False
-    return np.flatnonzero(mask) + lo
+def _wheel_pattern() -> np.ndarray:
+    """Two wheel periods of the odd numbers 1, 3, 5, ...: entry i is False
+    iff 2i + 1 is a multiple of a wheel prime.  Any phase of the period is
+    one contiguous slice of it."""
+    keep = np.ones(2 * _WHEEL_PERIOD, dtype=bool)
+    for q in _WHEEL:
+        keep[q // 2::q] = False        # 2i + 1 = q, 3q, 5q, ...
+    keep.flags.writeable = False
+    return keep
+
+
+def _segment_primes(lo: int, hi: int, base: np.ndarray,
+                    wheel: np.ndarray) -> np.ndarray:
+    """Primes in [lo, hi] for 2 <= lo <= hi, via the ascending base primes,
+    which must hold every prime up to sqrt(hi), and the _wheel_pattern().
+
+    The mask holds the odd numbers of [lo, hi] only: entry i is odd + 2i.
+    It starts as the wheel pattern at the segment's phase, tiled by
+    doubling copies, so the multiples of 3 ... 13 cost no strided writes;
+    each base prime p >= 17 then strikes its odd multiples from the first
+    one >= max(p^2, lo), a stride of p entries.  2 and the wheel primes
+    themselves are put back when they lie in [lo, hi].
+    """
+    odd = lo | 1
+    size = (hi - odd) // 2 + 1
+    mask = np.empty(size, dtype=bool)
+    done = min(_WHEEL_PERIOD, size)
+    phase = (odd >> 1) % _WHEEL_PERIOD
+    mask[:done] = wheel[phase:phase + done]
+    while done < size:
+        n = min(done, size - done)
+        mask[done:done + n] = mask[:n]
+        done += n
+    ps = base[np.searchsorted(base, 17):
+              np.searchsorted(base, math.isqrt(hi), side="right")]
+    first = np.maximum(ps * ps, -(-lo // ps) * ps)
+    first += ps * (1 - first % 2)            # the first odd multiple
+    for i, p in zip(((first - odd) >> 1).tolist(), ps.tolist()):
+        mask[i::p] = False
+    for q in _WHEEL:
+        if lo <= q <= hi:
+            mask[(q - odd) >> 1] = True
+    primes = np.flatnonzero(mask)
+    primes <<= 1
+    primes += odd
+    if lo == 2:
+        primes = np.concatenate(([2], primes))
+    return primes
+
+
+def _check_threads(threads) -> int:
+    """The worker count of a sieve pass, which must be at least 1."""
+    threads = int(threads)
+    if threads < 1:
+        raise ValueError("threads must be >= 1")
+    return threads
 
 
 class _SieveStream:
-    """Iterate (lo, hi, positions, mangoldt) over ascending segments."""
+    """Iterate (lo, hi, positions, mangoldt) over ascending segments.
+
+    A segment spans SEGMENT consecutive integers [lo, hi] (the last one
+    ends at x_max), even and odd, while its sieve mask holds only the odd
+    ones; positions are all the prime powers in [lo, hi], 2 and its powers
+    included, in ascending order, and mangoldt their Lambda = log p."""
 
     def __init__(self, x_max: int, threads: int = 1):
         self.x_max = int(x_max)
         root = int(math.isqrt(self.x_max)) + 1
         self.base = _base_primes(root)
         self.pp_n, self.pp_l = _prime_powers(self.x_max, self.base)
-        self.threads = max(1, int(threads))
+        self.wheel = _wheel_pattern()
+        self.threads = threads
 
     def _one(self, lo: int):
         hi = min(lo + SEGMENT - 1, self.x_max)
-        pr = _segment_primes(lo, hi, self.base)
-        lp = np.log(pr.astype(np.float64))
+        pos = _segment_primes(lo, hi, self.base, self.wheel)
+        lam = np.log(pos.astype(np.float64))
         i0, i1 = np.searchsorted(self.pp_n, [lo, hi + 1])
         if i1 > i0:
-            pos = np.concatenate([pr, self.pp_n[i0:i1]])
-            lam = np.concatenate([lp, self.pp_l[i0:i1]])
-            order = np.argsort(pos, kind="stable")
-            pos, lam = pos[order], lam[order]
-        else:
-            pos, lam = pr, lp
+            # a proper prime power is never prime: insert each one before
+            # the first larger prime
+            at = np.searchsorted(pos, self.pp_n[i0:i1])
+            pos = np.insert(pos, at, self.pp_n[i0:i1])
+            lam = np.insert(lam, at, self.pp_l[i0:i1])
         return lo, hi, pos, lam
 
     def __iter__(self):
@@ -178,6 +235,7 @@ def psi_checkpoints(xs, threads: int = 1, long_run: bool = False):
                          "for up to 1e10)")
     if xs and xs[0] < 1:
         raise ValueError("checkpoints must be >= 1")
+    threads = _check_threads(threads)
     out = []
     if not xs:
         return out
@@ -190,8 +248,8 @@ def psi_checkpoints(xs, threads: int = 1, long_run: bool = False):
         for x, k in zip(here, np.searchsorted(pos, here, side="right")):
             psi = psi0 + (float(psi_cum[k - 1]) if k else 0.0)
             s = s0 + (float(s_cum[k - 1]) if k else 0.0)
-            out.append(SieveCheckpoint(x, psi,
-                                       s - (math.log(x) - EULER_GAMMA)))
+            out.append(SieveCheckpoint(
+                x, psi, s - (math.log(x) - EULER_GAMMA), s))
     return out
 
 
@@ -222,6 +280,7 @@ def extrema_scan(x_max: int, statistic: str, x_mins=(1,), threads: int = 1,
         raise ValueError("x_min must be >= 1")
     if x_mins and x_mins[-1] > x_max:
         raise ValueError("x_min must be <= x_max")
+    threads = _check_threads(threads)
     best = {v: [None, None] for v in x_mins}   # (max, min)
 
     def consider(v, x_at, left, val):

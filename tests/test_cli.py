@@ -71,10 +71,12 @@ def test_psi_bound_sigma_one_branch(tmp_path, zl_med):
     rows = json.loads(out.read_text())
     want = math.log(1e5) - 0.5772156649015328606
     assert abs(float(rows[0]["main_term"]) - want) < 1e-12
-    # at both x the sieve value is sum_{n <= x} Lambda(n)/n
+    # at both x the sieve value is sum_{n <= x} Lambda(n)/n, as sieved
     ns, ls = sv.lambda_segment(2, 100_000)
+    c = sv.psi_checkpoints([100_000])[0]
     for r in rows:
         assert abs(float(r["sieve_value"]) - math.fsum(ls / ns)) < 1e-12
+        assert float(r["sieve_value"]) == c.sum_lambda_over_n
 
 
 def test_psi_bound_usage_error(tmp_path, zl_med, capsys):
@@ -176,6 +178,21 @@ def test_sieve_rejects_an_empty_range(capsys, argv, message):
     rc = run(["sieve"] + argv)
     assert rc == cli.EXIT_ERROR
     assert json.loads(capsys.readouterr().out)["message"] == message
+
+
+@pytest.mark.parametrize("threads", ["0", "-3"], ids=["0", "-3"])
+def test_threads_below_one_are_an_error(tmp_path, zl_med, capsys, threads):
+    zfile = tmp_path / "z.txt"
+    zr.save_zeros(zl_med, str(zfile))
+    for argv in (["sieve", "--x-max", "100"],
+                 ["sieve", "--checkpoints", "10,50", "--x-max", "100"],
+                 ["psi-bound", "--t-max", "1000", "--zero-file", str(zfile),
+                  "--x", "1e5"]):
+        rc = run(argv + [f"--threads={threads}"])
+        assert rc == cli.EXIT_ERROR
+        err = json.loads(capsys.readouterr().out)
+        assert err == {"error": "ValueError",
+                       "message": "threads must be >= 1"}
 
 
 def test_sieve_checkpoint_csv(capsys):

@@ -170,7 +170,7 @@ def test_sandwich_against_sieve_small(zl_med):
             measured0 = cps[x].psi / x
             assert rep0.total_lower <= measured0 <= rep0.total_upper
             rep1 = fm.explicit_formula_bound(zl_med, T, 1.0, float(x))
-            measured1 = cps[x].delta + math.log(x) - EULER_GAMMA
+            measured1 = cps[x].sum_lambda_over_n
             assert rep1.total_lower <= measured1 <= rep1.total_upper
 
 

@@ -31,6 +31,58 @@ def test_segment_concatenation_consistency():
     assert np.array_equal(full_l, cat_l)
 
 
+class _Reference:
+    """(n, Lambda(n)) on a window from a plain sieve of [0, limit] and the
+    powers of its primes up to sqrt(limit), with Lambda from math.log."""
+
+    def __init__(self, limit):
+        self.limit = limit
+        self.is_p = np.ones(limit + 1, dtype=bool)
+        self.is_p[:2] = False
+        for p in range(2, math.isqrt(limit) + 1):
+            if self.is_p[p]:
+                self.is_p[p * p::p] = False
+
+    def window(self, lo, hi):
+        assert hi <= self.limit
+        primes = np.flatnonzero(self.is_p[lo:hi + 1]) + lo
+        lam = {n: math.log(n) for n in primes.tolist()}
+        for p in np.flatnonzero(self.is_p[:math.isqrt(hi) + 1]).tolist():
+            pk = p * p
+            while pk <= hi:
+                if pk >= lo:
+                    lam[pk] = math.log(p)
+                pk *= p
+        ns = sorted(lam)
+        return ns, [lam[n] for n in ns]
+
+
+def _edge_windows():
+    wins = [(lo, hi) for lo in range(2, 41) for hi in (lo, lo + 1, 60)
+            if hi >= lo]
+    wins += [(1000, 2000), (1001, 2001), (1000, 2001), (1001, 2000)]
+    # the wheel's phase restarts at n = 30030 k + 1
+    wins += [(30030 * k + a, 30030 * k + b) for k in (1, 2, 3)
+             for a, b in ((-1, 1), (-15, 15), (1, 2), (-1000, 1000))]
+    # a window starting at p^2, for wheel and for struck base primes
+    wins += [(p * p, p * p + d) for p in (3, 5, 7, 11, 13, 17, 19, 23, 97,
+                                          1009, 2003) for d in (0, 2000)]
+    # across SEGMENT, and longer than one segment (split at 3 + SEGMENT)
+    wins += [(sv.SEGMENT - 3000, sv.SEGMENT + 3000), (3, sv.SEGMENT + 5000)]
+    return wins
+
+
+def test_lambda_segment_edge_windows():
+    wins = _edge_windows()
+    ref = _Reference(max(hi for _, hi in wins))
+    for lo, hi in wins:
+        ns, ls = sv.lambda_segment(lo, hi)
+        want_n, want_l = ref.window(lo, hi)
+        assert ns.dtype == np.int64 and ls.dtype == np.float64
+        assert ns.tolist() == want_n, (lo, hi)
+        np.testing.assert_allclose(ls, want_l, rtol=1e-15, atol=0)
+
+
 def test_lambda_segment_guards():
     with pytest.raises(ValueError):
         sv.lambda_segment(10, 5)
@@ -64,6 +116,9 @@ def test_delta_matches_direct_at_1e6():
 def test_delta_invariant_bound():
     for c in sv.psi_checkpoints([2, 10, 10 ** 4, sv.SEGMENT + 1]):
         assert abs(c.delta - _delta_by_fsum(c.x)) <= 1e-13
+        # delta is formed from the sum the checkpoint carries
+        assert c.delta == c.sum_lambda_over_n - (math.log(c.x)
+                                                 - EULER_GAMMA)
 
 
 def test_checkpoint_independent_of_the_others():
@@ -85,13 +140,24 @@ def test_psi_monotone_and_chebyshev():
 
 
 def test_thread_count_determinism():
-    a = sv.psi_checkpoints([10 ** 5, 10 ** 6], threads=1)
-    b = sv.psi_checkpoints([10 ** 5, 10 ** 6], threads=3)
-    assert [(c.x, c.psi, c.delta) for c in a] \
-        == [(c.x, c.psi, c.delta) for c in b]
-    ra = sv.extrema_scan(10 ** 6, sv.STAT_PSI, threads=1)
-    rb = sv.extrema_scan(10 ** 6, sv.STAT_PSI, threads=3)
+    # four segments, so the threads reorder their work
+    x_max = 3 * sv.SEGMENT + 5
+    xs = [10 ** 5, sv.SEGMENT + 1, 2 * sv.SEGMENT + 7, x_max]
+    assert sv.psi_checkpoints(xs, threads=1) \
+        == sv.psi_checkpoints(xs, threads=3)
+    ra = sv.extrema_scan(x_max, sv.STAT_PSI, (1, sv.SEGMENT), threads=1)
+    rb = sv.extrema_scan(x_max, sv.STAT_PSI, (1, sv.SEGMENT), threads=3)
     assert ra == rb
+
+
+@pytest.mark.parametrize("threads", [0, -3])
+def test_threads_below_one_are_an_error(threads):
+    with pytest.raises(ValueError, match="threads must be >= 1"):
+        sv.psi_checkpoints([10, 50], threads=threads)
+    with pytest.raises(ValueError, match="threads must be >= 1"):
+        sv.psi_checkpoints([], threads=threads)
+    with pytest.raises(ValueError, match="threads must be >= 1"):
+        sv.extrema_scan(100, sv.STAT_PSI, threads=threads)
 
 
 def test_extrema_left_limit_at_two():
