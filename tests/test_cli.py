@@ -195,6 +195,17 @@ def test_threads_below_one_are_an_error(tmp_path, zl_med, capsys, threads):
                        "message": "threads must be >= 1"}
 
 
+def test_psi_bound_checks_threads_at_every_sigma(capsys):
+    # sigma = 0.5 runs no sieve, and a bad --threads is still an error
+    zfile = os.path.join(os.path.dirname(zr.__file__), "data",
+                         "zeros100.txt")
+    rc = run(["psi-bound", "--t-max", "200", "--zero-file", zfile,
+              "--sigma", "0.5", "--x", "1e5", "--threads=0"])
+    assert rc == cli.EXIT_ERROR
+    assert json.loads(capsys.readouterr().out) == {
+        "error": "ValueError", "message": "threads must be >= 1"}
+
+
 def test_sieve_checkpoint_csv(capsys):
     rc = run(["sieve", "--x-max", "1000", "--checkpoints", "10,100"])
     assert rc == 0

@@ -1,7 +1,11 @@
+import itertools
 import math
 
 import numpy as np
 import pytest
+from hypothesis import example, given
+from hypothesis import strategies as st
+from hypothesis.extra import numpy as hnp
 
 from zetabounds import sieve as sv
 from zetabounds.util import EULER_GAMMA
@@ -145,9 +149,90 @@ def test_thread_count_determinism():
     xs = [10 ** 5, sv.SEGMENT + 1, 2 * sv.SEGMENT + 7, x_max]
     assert sv.psi_checkpoints(xs, threads=1) \
         == sv.psi_checkpoints(xs, threads=3)
-    ra = sv.extrema_scan(x_max, sv.STAT_PSI, (1, sv.SEGMENT), threads=1)
-    rb = sv.extrema_scan(x_max, sv.STAT_PSI, (1, sv.SEGMENT), threads=3)
-    assert ra == rb
+    # x_min = 1 and 2 share the slice start of the jump values, 10^5 and
+    # 10^5 + 1 (neither a prime power) both slice starts; past its own
+    # segment every x_min starts its slices at 0
+    x_mins = (1, 2, 10 ** 5, 10 ** 5 + 1, sv.SEGMENT)
+    for stat in (sv.STAT_PSI, sv.STAT_LAMBDA_OVER_N):
+        ra = sv.extrema_scan(x_max, stat, x_mins, threads=1)
+        assert ra == sv.extrema_scan(x_max, stat, x_mins, threads=3)
+    # a shared argmax/argmin serves each x_min as a scan of its own would
+    for v in (2, 10 ** 5 + 1):
+        assert sv.extrema_scan(x_max, sv.STAT_LAMBDA_OVER_N, (v,))[v] == ra[v]
+
+
+_SPLIT_TERMS = hnp.arrays(
+    np.float64, st.integers(0, 64),
+    elements=st.floats(0.0, 1e300, allow_nan=False, allow_infinity=False))
+
+
+@given(_SPLIT_TERMS)
+@example(np.zeros(0))
+@example(np.zeros(7))
+@example(np.array([1e300]))
+@example(np.array([1e300, 1.0, 5e-324, 0.0]))
+def test_split_is_exact(terms):
+    hi, lo = sv._split(terms)
+    assert np.array_equal(hi + lo, terms)
+    # hi lies on the grid 2^(e - 52), max(terms) len(terms) < 2^e, and lo
+    # within half a step of 0; so any partial sum of hi is exact
+    e = math.frexp(float(terms.max(initial=0.0)) * terms.size)[1]
+    step = math.ldexp(1.0, max(e - 52, -1074))
+    assert np.all(np.fmod(hi, step) == 0)
+    assert np.all(np.abs(lo) <= step / 2)
+    exact = math.fsum(hi.tolist())
+    assert hi.sum() == exact and hi[::-1].sum() == exact
+    # and so is the running sum, one term at a time, either way round
+    for order in (hi, hi[::-1]):
+        assert np.cumsum(np.append(0.0, order))[-1] == exact
+
+
+def _rounded_prefix_sums(terms, scale):
+    """The correctly rounded sums of terms[:k], k = 0 ... len(terms), of
+    terms that are integer multiples of 1/scale, summed in Python ints."""
+    scaled = terms * float(scale)
+    assert np.array_equal(scaled, np.floor(scaled))
+    sums = itertools.accumulate((int(v) for v in scaled.tolist()), initial=0)
+    return [s / scale for s in sums]
+
+
+def test_checkpoint_prefix_sums_within_one_ulp():
+    # four segments; each Lambda(n) >= log 2 is a multiple of 2^-53 and
+    # each Lambda(n)/n >= 2^-25 one of 2^-77
+    x_max = 3 * sv.SEGMENT + 1000
+    ns, ls = sv.lambda_segment(2, x_max)
+    psi_ref = _rounded_prefix_sums(ls, 2 ** 53)
+    s_ref = _rounded_prefix_sums(ls / ns, 2 ** 77)
+    rng = np.random.default_rng(11)
+    xs = sorted(set(rng.integers(1, x_max + 1, 2500).tolist())
+                | {1, 2, sv.SEGMENT + 1, sv.SEGMENT + 2, x_max})
+    assert len(xs) >= 2000
+    cps = sv.psi_checkpoints(xs)
+    for c, k in zip(cps, np.searchsorted(ns, xs, side="right").tolist()):
+        assert abs(c.psi - psi_ref[k]) <= math.ulp(psi_ref[k]), c.x
+        assert abs(c.sum_lambda_over_n - s_ref[k]) <= math.ulp(s_ref[k]), c.x
+
+
+def test_paper_psi_minimum_bit_for_bit():
+    # the paper's min of (psi(x) - x)/sqrt(x) on [1e4, ...], the left
+    # limit at x = 36 917 099, from the correctly rounded psi(x - 1)
+    x = 36_917_099
+    mn = sv.extrema_scan(x + 1, sv.STAT_PSI, (10_000,))[10_000][1]
+    assert (mn.x_at, mn.left_limit) == (x, True)
+    psi = math.fsum(sv.lambda_segment(2, x - 1)[1].tolist())
+    assert mn.value == (psi - x) / math.sqrt(x) == -0.7509024438274304
+
+
+@pytest.mark.parametrize("stat", [sv.STAT_PSI, sv.STAT_LAMBDA_OVER_N])
+def test_one_point_range_reads_the_checkpoint(stat):
+    # the start value at x_min, the jump at x and the end value at x_max
+    # all read the running sum psi_checkpoints gives at x
+    x = 9_000_007
+    c = sv.psi_checkpoints([x])[0]
+    want = (c.psi - x) / math.sqrt(x) if stat == sv.STAT_PSI \
+        else c.delta * math.sqrt(x)
+    mx, mn = sv.extrema_scan(x, stat, (x,))[x]
+    assert mx.value == mn.value == want
 
 
 @pytest.mark.parametrize("threads", [0, -3])
