@@ -102,7 +102,7 @@ def cmd_psi_bound(ns: argparse.Namespace) -> int:
         if not x > T:
             raise ValueError(f"x = {x:g} must exceed T = {T:g}")
         rep = fm.explicit_formula_bound(zl, T, sigma, float(x))
-        row = json.loads(rep.to_json())
+        row = rep.to_dict()
         c = cps.get(int(x))
         if c is not None:
             # sigma = 1 measures the sum over n <= c.x = floor(x)

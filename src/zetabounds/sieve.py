@@ -217,14 +217,16 @@ def lambda_segment(lo: int, hi: int):
 def _split(terms: np.ndarray):
     """(hi, lo) with hi + lo == terms exactly, for non-negative terms.
 
-    hi = (t + c) - c with c = 1.5 * 2^e, where max(terms) * len(terms)
-    < 2^e, rounds each term to the grid 2^(e - 52); any partial sum of hi,
+    hi = (t + c) - c with c = 2^e, where max(terms) * len(terms) < 2^e,
+    rounds each term to the grid 2^(e - 52), the ulp of t + c in
+    [2^e, 2^(e + 1)] (c = 1.5 * 2^e, as for signed terms, would put the
+    terms from 2^(e - 1) up on the grid 2^(e - 51)); any partial sum of hi,
     in any order, is a multiple of that grid below 2^(e + 1) and so exact
     in double.  lo = t - hi is exact too and at most half a grid step
     (Rump, Ogita and Oishi, "Accurate floating-point summation I", 2008).
     """
     top = float(terms.max(initial=0.0)) * terms.size
-    c = math.ldexp(1.5, math.frexp(top)[1])
+    c = math.ldexp(1.0, math.frexp(top)[1])
     hi = terms + c
     hi -= c
     return hi, terms - hi

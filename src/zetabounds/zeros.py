@@ -2,9 +2,13 @@
 weighted sums.
 
 Zeros are located as sign changes of the real-valued rotation
-Z(t) = e^(i theta(t)) zeta(1/2 + it) on a grid finer than the local mean
-gap, refined by the Illinois variant of regula falsi, and the resulting
-list is vetted against the zero-counting remainder
+Z(t) = e^(i theta(t)) zeta(1/2 + it) on the Gram points, where Gram's law
+predicts them.  Rosser blocks (runs of Gram intervals between good Gram
+points) are subdivided until each shows as many sign changes as it has
+intervals, and Turing's method, applied to a few blocks above t_max,
+proves that no zero was missed; the sign changes are then refined by the
+Illinois variant of regula falsi.  Every ZeroList, computed or read,
+is also vetted against the zero-counting remainder
 Q(t) = N(t) - (t/2pi) log(t/(2pi e)) - 7/8.  Z(t) is evaluated by the
 Riemann-Siegel formula from T_RS up and by Euler-Maclaurin below it.
 """
@@ -22,8 +26,8 @@ from .util import TWO_PI, adaptive_simpson
 
 __all__ = [
     "ZeroList", "ZeroCountStats", "MissedZeroError", "ZeroFileError",
-    "hardy_theta", "hardy_z_batch", "find_zeros", "load_zeros", "save_zeros",
-    "bundled_zeros", "count_and_Q", "lehman_sum", "box_count_bound",
+    "hardy_theta", "hardy_z_batch", "gram_points", "find_zeros",
+    "load_zeros", "save_zeros", "bundled_zeros", "count_and_Q", "lehman_sum", "box_count_bound",
     "inverse_square_tail", "local_log_deriv",
 ]
 
@@ -222,12 +226,12 @@ def hardy_z_batch(ts: np.ndarray) -> np.ndarray:
         0.017 t^(-11/4) + 10 * 2^-52 * t log t,
     the bound this function is tested to (1.2e-9 at 400, 5.6e-10 at 2.5e4).
     Below T_RS, Z is e^(i theta) zeta_batch_critical(t), the Euler-Maclaurin
-    sum of about 2.2 t/2pi terms.
+    sum of about 2.2 t/2pi terms, within _EM_Z_ERROR = 1e-10.
 
     T_RS is set by measurement against that Euler-Maclaurin oracle.  With
-    T_RS = 200, where Gabcke's bound is 8e-9, 31 ordinates of
-    find_zeros(2504) between t = 201 and 322 lay more than the finder's
-    tol = 1e-9 from every sign change of the oracle, and up to 3.4e-9 from
+    T_RS = 200, where Gabcke's bound is 8e-9, 33 ordinates of
+    find_zeros(2504) between t = 202 and 329 lay more than the finder's
+    tol = 1e-9 from every sign change of the oracle, and up to 2.6e-9 from
     mpmath.zetazero.  With T_RS = 400 every ordinate to 2504 lies within
     tol of one.
     """
@@ -247,17 +251,55 @@ def hardy_z_batch(ts: np.ndarray) -> np.ndarray:
 # Zero finding
 # ----------------------------------------------------------------------
 
-def _scan_grid(lo: float, hi: float, shrink: float = 1.0) -> np.ndarray:
-    """Grid over [lo, hi] with local step 0.2 * shrink * mean gap."""
-    pts = [lo]
-    t = lo
-    while t < hi:
-        step = 0.2 * shrink * TWO_PI / max(math.log(max(t, 12.0) / TWO_PI),
-                                           0.5)
-        step = min(step, 1.0)
-        t += step
-        pts.append(min(t, hi))
-    return np.array(pts)
+# Bound on |computed Z - Z| below T_RS, where hardy_z_batch rotates
+# zeta_batch_critical: the Euler-Maclaurin remainder plus the rounding
+# floor that special._zeta_em_all bounds for s = 1/2 + it is at most
+# 3.8e-11 for t < 400 (N = 160 main terms at t = 399), and at 150 seeded
+# heights in [10, 400) the error against mpmath.siegelz was below 2.4e-12.
+_EM_Z_ERROR = 1e-10
+TURING_T_MIN = 168.0 * math.pi  # Turing's integral bound holds above it
+_TURING_MARGIN = 32     # Gram intervals scanned above the one past t_top
+_ROSSER_ROUNDS = 10     # bisection rounds before a short block is missed
+
+
+def _z_error_bound(t: np.ndarray) -> np.ndarray:
+    """Bound on |hardy_z_batch(t) - Z(t)|: Gabcke's truncation bound plus
+    the phase rounding from T_RS up (see hardy_z_batch), _EM_Z_ERROR
+    below."""
+    return np.where(t >= T_RS,
+                    0.017 * t ** -2.75 + 10 * 2.0 ** -52 * t * np.log(t),
+                    _EM_Z_ERROR)
+
+
+def gram_points(n) -> np.ndarray:
+    """Gram points g_n, the solutions of hardy_theta(g_n) = n pi, for
+    integers n >= 0 (g_0 = 17.8455...).
+
+    Dropping the 1/t terms of theta gives (t/2) log(t/(2 pi e)) =
+    (n + 1/8) pi, solved by t = 2 pi (n + 1/8) / W((n + 1/8)/e) with the
+    Lambert W from four Newton steps; three Newton steps on hardy_theta
+    then remove the rest.  g_n is good when (-1)^n Z(g_n) exceeds the
+    error bound of the computed Z (_z_error_bound), so that Z certainly
+    has the sign Gram's law predicts.
+    """
+    n = np.asarray(n, dtype=np.float64)
+    x = (n + 0.125) / math.e
+    w = np.log1p(x)
+    for _ in range(4):
+        ew = np.exp(w)
+        w -= (w * ew - x) / (ew * (w + 1.0))
+    t = TWO_PI * (n + 0.125) / w
+    for _ in range(3):
+        dtheta = (0.5 * np.log(t / TWO_PI) - 1.0 / (48.0 * t * t)
+                  - 7.0 / (1920.0 * t ** 4))
+        t -= (hardy_theta(t) - n * math.pi) / dtheta
+    return t
+
+
+def _turing_block_count(g_p: float) -> int:
+    """K of Brent's Theorem 3.2 for blocks ending at or below g_p."""
+    lg = math.log(g_p)
+    return max(1, math.ceil(0.0061 * lg * lg + 0.08 * lg))
 
 
 def _refine_brackets(a: np.ndarray, b: np.ndarray, za: np.ndarray,
@@ -292,15 +334,34 @@ def _refine_brackets(a: np.ndarray, b: np.ndarray, za: np.ndarray,
 
 
 def find_zeros(t_max: float, tol: float = 1e-9) -> ZeroList:
-    """All ordinates <= t_max located to +-tol.
+    """All ordinates <= t_max located to +-tol, certified complete.
 
-    Sign changes of hardy_z_batch on a grid of 0.2 local mean gaps are
-    refined by the Illinois method until each bracket is at most 2 tol
-    wide; each ordinate is its bracket's midpoint, within tol of a sign
-    change of the computed Z (about 17 Z points per zero in all).
-    Completeness is cross-checked against the Q(t) bound; suspiciously wide
-    gaps get a finer local rescan (close pairs), and a global doubled
-    resolution rescan is triggered if the check still fails.
+    The scan runs on Gram points (see gram_points), with t = 10 in front
+    of g_0 as a pseudo Gram point of index -1: Z(10) < 0, and [10, g_0]
+    holds the first zero.  One hardy_z_batch call evaluates Z at them all.
+    Good points (gram_points) cut the scan into Rosser blocks; a block of
+    k Gram intervals must show k sign changes of Z.  Each round bisects
+    every gap of every block still short of that, with one hardy_z_batch
+    call for all of them; a block still short after _ROSSER_ROUNDS rounds
+    raises MissedZeroError.
+
+    Turing's method bounds the count from above.  By Brent (1979),
+    Theorem 3.2, if K consecutive Rosser blocks with union [g_N, g_p)
+    satisfy Rosser's rule and K >= 0.0061 log^2(g_p) + 0.08 log(g_p), then
+    N(g_N) <= N + 1.  Its proof bounds the integral of S(t) by Turing's
+    estimate in Lehman's form, stated for heights above 168 pi; so g_N
+    is the first good Gram point at or above max(t_max, 168 pi),
+    and the scan runs on through K blocks past it.  The Rosser blocks
+    below g_N show at least N + 1 sign changes, so N(g_N) = N + 1 and
+    every zero through g_N is one of them.  More sign changes than that,
+    or a Turing block that breaks Rosser's rule, raise MissedZeroError.
+
+    The sign changes at or below t_max are refined by the Illinois method
+    (_refine_brackets) to brackets at most 2 tol wide; each ordinate is
+    its bracket's midpoint, within tol of a sign change of the computed Z.
+    A value of Z counts as a sign only where it exceeds _z_error_bound.
+    ZeroList's |Q(t)| check stays as a backstop.  From T = 2500 to 21900
+    the scan costs about 1.3 Z points per zero and the refinement 7.2.
     """
     if not 0 < t_max <= T_MAX_CEILING:
         raise ValueError(f"t_max must lie in (0, {T_MAX_CEILING:g}]")
@@ -309,55 +370,59 @@ def find_zeros(t_max: float, tol: float = 1e-9) -> ZeroList:
     if t_max < FIRST_ZERO - 0.5:
         return ZeroList(np.array([]), t_max, source="computed")
 
-    lo = 10.0
-    hi = t_max + 1.5
-    shrink = 1.0
-    for attempt in range(4):
-        grid = _scan_grid(lo, hi, shrink)
-        zv = hardy_z_batch(grid)
-        flips = np.flatnonzero(np.sign(zv[:-1]) * np.sign(zv[1:]) < 0)
-        roots = np.sort(_refine_brackets(grid[flips], grid[flips + 1],
-                                         zv[flips], zv[flips + 1], tol))
-        # local rescan of gaps wide enough to hide a close pair
-        extra = _rescan_wide_gaps(roots, lo, hi, shrink, tol)
-        if extra.size:
-            roots = np.sort(np.concatenate([roots, extra]))
-        roots = roots[(roots >= lo) & (roots <= t_max)]
-        try:
-            return ZeroList(roots, t_max, source="computed")
-        except MissedZeroError:
-            if attempt == 3:
-                raise
-            shrink *= 0.5
-    raise MissedZeroError("unreachable")
+    # Gram indices -1 (t = 10) .. n_top, well past the first Gram point
+    # above t_top, so that K Rosser blocks start above t_top
+    t_top = max(t_max, TURING_T_MIN)
+    n_top = int(hardy_theta(t_top) / math.pi) + 1 + _TURING_MARGIN
+    n = np.arange(-1, n_top + 1)
+    t = np.concatenate([[10.0], gram_points(n[1:])])
+    z = hardy_z_batch(t)
+    err = _z_error_bound(t)
+    good = np.flatnonzero(np.where(n % 2, -z, z) > err)
+    if good.size == 0 or good[0] != 0:
+        raise MissedZeroError("Z(10) is not certainly negative")
+    n_turing = int(np.searchsorted(t[good], t_top))     # the block at g_N
+    k_blocks = _turing_block_count(t[-1])
+    if n_turing + k_blocks >= good.size:
+        raise MissedZeroError(
+            f"fewer than {k_blocks} Rosser blocks in {_TURING_MARGIN} Gram "
+            f"intervals above t = {t_top:g}")
+    edges = good[:n_turing + k_blocks + 1]
+    need = np.diff(edges)               # Gram intervals per block
+    edge_t = t[edges]
+    t, z = t[:edges[-1] + 1], z[:edges[-1] + 1]
+    sure = np.abs(z) > err[:edges[-1] + 1]
 
+    for rounds in range(_ROSSER_ROUNDS + 1):
+        ts, zs = t[sure], z[sure]
+        flips = np.flatnonzero(np.signbit(zs[:-1]) != np.signbit(zs[1:]))
+        found = np.bincount(np.searchsorted(edge_t, ts[flips], "right") - 1,
+                            minlength=need.size)
+        short = found < need
+        if not short.any():
+            break
+        if rounds == _ROSSER_ROUNDS:
+            i = int(np.argmax(short))
+            raise MissedZeroError(
+                f"Rosser block [{edge_t[i]:.6f}, {edge_t[i + 1]:.6f}] shows "
+                f"{found[i]} of {need[i]} sign changes")
+        gaps = np.flatnonzero(
+            short[np.searchsorted(edge_t, t[:-1], "right") - 1])
+        mid = 0.5 * (t[gaps] + t[gaps + 1])
+        zm = hardy_z_batch(mid)
+        t = np.insert(t, gaps + 1, mid)
+        z = np.insert(z, gaps + 1, zm)
+        sure = np.insert(sure, gaps + 1, np.abs(zm) > _z_error_bound(mid))
 
-def _rescan_wide_gaps(roots: np.ndarray, lo: float, hi: float,
-                      shrink: float, tol: float) -> np.ndarray:
-    """Rescan intervals whose gap exceeds 1.6x the local mean gap with an
-    8x finer grid; returns any additional roots found.  All wide gaps
-    share one Z evaluation and one refinement."""
-    if roots.size < 2:
-        return np.array([])
-    edges = np.concatenate([[lo], roots, [hi]])
-    mid = 0.5 * (edges[:-1] + edges[1:])
-    mean_gap = TWO_PI / np.maximum(np.log(np.maximum(mid, 12.0) / TWO_PI),
-                                   0.5)
-    wide = np.flatnonzero(np.diff(edges) > 1.6 * mean_gap)
-    if not wide.size:
-        return np.array([])
-    grids = [_scan_grid(edges[i] + 0.25 * tol, edges[i + 1] - 0.25 * tol,
-                        shrink * 0.125) for i in wide]
-    grid = np.concatenate(grids)
-    zv = hardy_z_batch(grid)
-    flip = np.sign(zv[:-1]) * np.sign(zv[1:]) < 0
-    flip[np.cumsum([g.size for g in grids])[:-1] - 1] = False  # across gaps
-    flips = np.flatnonzero(flip)
-    cand = _refine_brackets(grid[flips], grid[flips + 1], zv[flips],
-                            zv[flips + 1], tol)
-    j = np.clip(np.searchsorted(roots, cand), 1, roots.size - 1)
-    nearest = np.minimum(np.abs(roots[j - 1] - cand), np.abs(roots[j] - cand))
-    return cand[nearest > 4 * tol]
+    if found[:n_turing].sum() > need[:n_turing].sum():
+        raise MissedZeroError(
+            f"{found[:n_turing].sum()} sign changes through "
+            f"t = {edge_t[n_turing]:.6f}, where Turing's method allows "
+            f"{need[:n_turing].sum()}")
+    flips = flips[ts[flips] <= t_max]
+    roots = _refine_brackets(ts[flips], ts[flips + 1], zs[flips],
+                             zs[flips + 1], tol)
+    return ZeroList(roots[roots <= t_max], t_max, source="computed")
 
 
 # ----------------------------------------------------------------------

@@ -158,6 +158,29 @@ def test_report_json_round_trip(zl_med):
     assert d["zero_sum_path"] == "direct"
 
 
+def test_report_json_template_matches_json_dumps():
+    """to_json fills a template; it must write json.dumps' bytes."""
+    import json
+    rng = np.random.default_rng(12)
+    zl = zr.bundled_zeros()
+    reps = [fm.explicit_formula_bound(zl, 50.0, 0.0, 50.5),
+            fm.explicit_formula_bound(zl, 200, 1.0, 1e5)]
+    for _ in range(40):
+        sigma = float(rng.choice([-1.5, -0.0, 0.0, 0.5, 1.0, 2.0]))
+        # no zero list above the closed-form floor: zero_sum_exact is None
+        zl_T = ((None, float(rng.uniform(2e7, 1e9))) if rng.random() < 0.25
+                else (zl, float(rng.uniform(20.0, zl.t_max))))
+        x = zl_T[1] * float(np.exp(rng.uniform(0.005, 40.0)))
+        reps.append(fm.explicit_formula_bound(*zl_T, sigma, x))
+    assert {r.error_path for r in reps} == {"folded", "explicit"}
+    assert any(r.zero_sum_exact is None for r in reps)
+    assert any(math.copysign(1.0, r.sigma) < 0 for r in reps)
+    for r in reps:
+        assert r.to_json() == json.dumps(r.to_dict(), indent=1,
+                                         sort_keys=True)
+        assert json.loads(r.to_json()) == r.to_dict()
+
+
 def test_sandwich_against_sieve_small(zl_med):
     # end-to-end at desk scale: measured partial sums stay inside
     xs = [3000, 10 ** 4, 10 ** 5, 10 ** 6]

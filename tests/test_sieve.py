@@ -171,6 +171,7 @@ _SPLIT_TERMS = hnp.arrays(
 @example(np.zeros(7))
 @example(np.array([1e300]))
 @example(np.array([1e300, 1.0, 5e-324, 0.0]))
+@example(np.array([2.0 ** 51 - 0.5]))     # a term above max * len / 2
 def test_split_is_exact(terms):
     hi, lo = sv._split(terms)
     assert np.array_equal(hi + lo, terms)

@@ -161,6 +161,96 @@ def test_ordinates_bracket_em_sign_changes():
     assert np.all(np.sign(lo) * np.sign(hi) < 0)
 
 
+def test_hardy_z_below_t_rs_within_its_bound():
+    """The Euler-Maclaurin path stays inside _EM_Z_ERROR, the bound that
+    decides which Z values below T_RS count as a sign."""
+    ts = np.sort(np.random.default_rng(27).uniform(10.0, zr.T_RS, 40))
+    got = zr.hardy_z_batch(ts)
+    with mp.workdps(25):
+        want = np.array([float(mp.siegelz(float(t))) for t in ts])
+    assert np.all(np.abs(got - want) <= zr._z_error_bound(ts))
+
+
+# ----------------------------------------------------------------------
+# the Gram-point scan: Rosser blocks and Turing's method
+# ----------------------------------------------------------------------
+
+def test_gram_points_solve_theta():
+    top = int(zr.hardy_theta(zr.T_MAX_CEILING) / math.pi) + 1
+    n = np.arange(top + zr._TURING_MARGIN + 1)
+    g = zr.gram_points(n)
+    assert abs(g[0] - 17.8455995404) < 1e-9
+    assert np.all(np.diff(g) > 0) and g[top] >= zr.T_MAX_CEILING
+    npi = n * math.pi
+    assert np.all(np.abs(zr.hardy_theta(g) - npi)
+                  <= 8 * np.spacing(np.maximum(npi, math.pi)))
+
+
+def test_counts_match_mpmath(zl_small, zl_med):
+    assert len(zl_small) == mp.nzeros(300)
+    assert len(zl_med) == mp.nzeros(2000)
+    assert len(zr.find_zeros(1468.0)) == mp.nzeros(1468)
+
+
+def test_lehmer_pair_at_21900():
+    g = zr.find_zeros(21900.0).ordinates
+    assert g.size == 24944
+    pair = g[(g > 7005.0) & (g < 7005.2)]
+    assert np.allclose(pair, [7005.0629, 7005.1006], rtol=0.0, atol=1e-4)
+
+
+def test_z_points_per_zero(monkeypatch):
+    points = []
+    real = zr.hardy_z_batch
+
+    def counting(ts):
+        points.append(len(ts))
+        return real(ts)
+
+    monkeypatch.setattr(zr, "hardy_z_batch", counting)
+    zl = zr.find_zeros(2504.0)
+    assert sum(points) <= 10 * len(zl)
+
+
+def _hide_pair(monkeypatch, lo, hi):
+    """Make hardy_z_batch return -Z on (lo, hi), so that the two zeros at
+    its ends are no longer sign changes."""
+    real = zr.hardy_z_batch
+
+    def stub(ts):
+        ts = np.asarray(ts, dtype=np.float64)
+        z = real(ts)
+        return np.where((ts > lo) & (ts < hi), -z, z)
+
+    monkeypatch.setattr(zr, "hardy_z_batch", stub)
+
+
+@pytest.mark.parametrize("j", [40, 700])
+def test_short_rosser_block_raises(zl_med, monkeypatch, j):
+    g = zl_med.ordinates
+    _hide_pair(monkeypatch, g[j], g[j + 1])
+    with pytest.raises(MissedZeroError, match="Rosser block"):
+        zr.find_zeros(2000.0)
+
+
+@pytest.mark.parametrize("t_max", [300.0, 1000.0])
+def test_pair_hidden_in_turing_blocks_raises(zl_med, monkeypatch, t_max):
+    # g_N: the first good Gram point at or above max(t_max, 168 pi)
+    t_top = max(t_max, zr.TURING_T_MIN)
+    n0 = int(zr.hardy_theta(t_top) / math.pi)
+    n = np.arange(n0, n0 + 20)
+    g = zr.gram_points(n)
+    z = zr.hardy_z_batch(g)
+    good = (np.where(n % 2, -z, z) > zr._z_error_bound(g)) & (g >= t_top)
+    g_n = g[np.argmax(good)]
+    zeros = zl_med.ordinates
+    j = int(np.searchsorted(zeros, g_n))
+    assert zeros[j] > g_n > t_max
+    _hide_pair(monkeypatch, zeros[j], zeros[j + 1])
+    with pytest.raises(MissedZeroError, match="Rosser block"):
+        zr.find_zeros(t_max)
+
+
 # ----------------------------------------------------------------------
 # persistence
 # ----------------------------------------------------------------------
