@@ -299,7 +299,7 @@ def gram_points(n) -> np.ndarray:
 def _turing_block_count(g_p: float) -> int:
     """K of Brent's Theorem 3.2 for blocks ending at or below g_p."""
     lg = math.log(g_p)
-    return max(1, math.ceil(0.0061 * lg * lg + 0.08 * lg))
+    return math.ceil(0.0061 * lg * lg + 0.08 * lg)
 
 
 def _refine_brackets(a: np.ndarray, b: np.ndarray, za: np.ndarray,
