@@ -11,6 +11,7 @@ majorant) is exposed separately as `beurling_majorant`.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 
@@ -83,9 +84,16 @@ def _phi_circ(nu: float, pm: float, z: complex) -> complex:
     return 0.5 * (coth_stable(0.5 * w) + pm)
 
 
+@functools.lru_cache(maxsize=16)
+def _x_coth_half(nu: float) -> complex:
+    """(nu/2) coth(nu/2), the z-independent term of the star part: one
+    value per approximant, kept instead of recomputed at every node."""
+    return x_coth_x(0.5 * nu)
+
+
 def _phi_star(nu: float, pm: float, z: complex) -> complex:
     w = nu - TWO_PI * 1j * z
-    return (1j / TWO_PI) * (x_coth_x(0.5 * nu) - x_coth_x(0.5 * w)
+    return (1j / TWO_PI) * (_x_coth_half(nu) - x_coth_x(0.5 * w)
                             + pm * math.pi * 1j * z)
 
 
@@ -107,7 +115,7 @@ def phi_combo_xi(nu: float, pm: float, xi: float, z: complex) -> complex:
         raise ValueError("xi must be +-1")
     zs = z - xi
     w = nu - TWO_PI * 1j * zs
-    return (1j * xi / TWO_PI) * (x_coth_x(0.5 * nu) - x_coth_x(0.5 * w)
+    return (1j * xi / TWO_PI) * (_x_coth_half(nu) - x_coth_x(0.5 * w)
                                  + pm * math.pi * 1j * zs)
 
 

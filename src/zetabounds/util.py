@@ -5,8 +5,12 @@ Two quadratures live here.  `gauss_legendre` integrates a vectorised
 integrand over given panels with 16-point Gauss-Legendre, halving the
 panels whose error estimate is above their share of the tolerance, and
 returns the value with its error estimate.  `adaptive_simpson` calls a
-scalar integrand node by node; the weighted log/inv integrals and
-`lehman_sum` still use it."""
+scalar integrand node by node.  It stays for two reasons: the weighted
+log/inv integrals and `lehman_sum` call it, and perfbench's tracer counts
+quadrature calls and integrand calls by wrapping it by name in `weights`,
+`formula` and `extremal`.  Moving those integrals onto panels waits for
+an in-program counter that the tracer can read instead (ROADMAP items 3
+and 6)."""
 
 from __future__ import annotations
 

@@ -351,7 +351,7 @@ def check_tritura_random():
 def F_profile_holds(u) -> bool:
     """On the increasing grid u in (0, 1]: F decreases, is positive before
     u = 1 and stays below 1/(pi u)."""
-    F = np.array([wt.F_and_A(v)[0].real for v in u])
+    F = np.array([wt.F_profile(float(v)) for v in u])
     return bool(np.all(np.diff(F) < 1e-12) and np.all(F[:-1] > 0.0)
                 and np.all(F < 1.0 / (math.pi * u) + 1e-15))
 

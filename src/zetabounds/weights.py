@@ -2,9 +2,10 @@
 machinery that bounds their aggregate size over zeros.
 
 The central objects: theta_{T,sigma}(s) = 1 - (s - sigma)/(iT), the weight
-omega^+ = -theta cot(pi theta) + c, its real-axis profile
-F(z) = 1/pi - (1-z) cot(pi(1-z)), A(z) = F(z) - 1/(pi z), and the constants
-C1, C2 entering the sharpened log-integral bound.
+omega^+ = -theta cot(pi theta) + c, its profile
+F(z) = 1/pi - (1-z) cot(pi(1-z)) (on the real axis `F_profile`),
+A(z) = F(z) - 1/(pi z), and the constants C1, C2 entering the sharpened
+log-integral bound.
 """
 
 from __future__ import annotations
@@ -20,7 +21,7 @@ from .util import TWO_PI, PoleError, adaptive_simpson
 
 __all__ = [
     "WeightContext", "theta", "theta_T1", "omega_plus", "omega_plus_batch",
-    "omega_plus_from_contour", "F_and_A", "weight_split_error",
+    "omega_plus_from_contour", "F_profile", "F_and_A", "weight_split_error",
     "weighted_log_integral", "weighted_inv_integral", "constants_C",
     "tremic_check", "adar_error_terms", "salmon_bound_parts",
 ]
@@ -158,26 +159,53 @@ def _f_small(z: complex) -> complex:
     return (2.0 / math.pi) * z * acc
 
 
+def F_profile(u: float) -> float:
+    """F(u) = 1/pi + (1 - u) cot(pi u) at a real u, in closed form.
+
+    For u > 1/2 it is (1 - x cot x)/pi with x = pi (1 - u): 1 - u is exact
+    up to u = 2 (Sterbenz), so near the removable point F(1) = 0 the
+    argument of cot carries no reduction error.  On (0, 1) the absolute
+    error is a few units of 2^-53 times max(1, F); near u = 1, where
+    F ~ pi (1 - u)^2 / 3, that is an absolute, not a relative, bound.
+    Integer u other than 1 are poles and raise PoleError.
+    """
+    if u == round(u):
+        if u == 1.0:
+            return 0.0
+        raise PoleError("F has a pole at every integer u but 1")
+    if u > 0.5:
+        x = math.pi * (1.0 - u)
+        return (1.0 - x / math.tan(x)) / math.pi
+    return 1.0 / math.pi + (1.0 - u) / math.tan(math.pi * u)
+
+
 def F_and_A(z: complex) -> tuple[complex, complex]:
     """F(z) = 1/pi - (1-z) cot(pi(1-z)) and A(z) = F(z) - 1/(pi z).
 
-    The removable point F(1) = 0 is filled; z = 0 (simple pole of F) and
-    integer cot poles raise PoleError.  A = -(1-z) (1/(pi z) - cot(pi z))
-    is evaluated through a power series for |z| <= 0.7, which keeps the
-    A(0) -> 0 limit clean.
+    On the real axis F is `F_profile`, bit for bit.  The removable point
+    F(1) = 0 is filled; z = 0 (simple pole of F) and integer cot poles
+    raise PoleError.  For |z| <= 0.7, A = -(1-z) (1/(pi z) - cot(pi z)) is
+    evaluated through a power series, which keeps the A(0) -> 0 limit
+    clean.  Elsewhere F = 1/pi - w cot(pi w) with w = 1 - z, which is
+    exact for 1/2 <= Re z <= 2: near z = 1 the cot argument is then not
+    rounded before its pole is taken out, and F and A keep an absolute
+    error of a few units of 2^-53.  (Reducing a rounded pi z instead costs
+    about ulp(pi) |cot'|: 2e-10 at 1 - z = 1e-7, 9e-6 at 1e-12.)
     """
     z = complex(z)
     if z == 0:
         raise PoleError("F has a simple pole at z = 0 (A(0) = 0)")
-    if z.imag == 0 and z.real == round(z.real):
-        n = int(round(z.real))
-        if n == 1:
-            return (0.0 + 0.0j, complex(-1.0 / math.pi))
-        raise PoleError("cot pole at integer z")
-    f = _f_small(z) if abs(z) <= 0.7 \
-        else 1.0 / (math.pi * z) - cot_stable(math.pi * z)
-    A = -(1.0 - z) * f
-    return (A + 1.0 / (math.pi * z), A)
+    small = abs(z) <= 0.7
+    if z.imag == 0:
+        F = complex(F_profile(z.real))
+        A = -(1.0 - z) * _f_small(z) if small else F - 1.0 / (math.pi * z)
+        return F, A
+    if small:
+        A = -(1.0 - z) * _f_small(z)
+        return A + 1.0 / (math.pi * z), A
+    w = 1.0 - z
+    F = 1.0 / math.pi - w * cot_stable(math.pi * w)
+    return F, F - 1.0 / (math.pi * z)
 
 
 # ----------------------------------------------------------------------
@@ -205,7 +233,7 @@ def weight_split_error(ctx: WeightContext, t: float, xi: float,
     if branch == "profile":
         if not 0 < t <= T:
             raise ValueError("need 0 < t <= T")
-        approx = F_and_A(t / T)[0] + xi * (1.0 - t / T) * 1j
+        approx = F_profile(t / T) + xi * (1.0 - t / T) * 1j
         radius = abs(sigma - 0.5) * T / (math.pi * t * t) + ds / T
     elif branch == "classic":
         if not 0 < t <= T / 2.0:
@@ -223,16 +251,31 @@ def weight_split_error(ctx: WeightContext, t: float, xi: float,
 
 def _weight_norm(t: float, T: float) -> float:
     """|F(u) + (1 - u) i| at u = t/T, the weight's profile on the critical
-    line."""
+    line, with F from its closed form `F_profile`."""
     u = t / T
-    return math.hypot(F_and_A(u)[0].real, 1.0 - u)
+    return math.hypot(F_profile(u), 1.0 - u)
+
+
+def _simpson_tol(T: float, t0: float, f_max: float) -> float:
+    """Absolute tolerance for adaptive Simpson over [t0, T] of an integrand
+    bounded by f_max: 1e-9, or 2^-52 (T - t0) f_max where that is larger.
+
+    Each piece gets a share of the tolerance in proportion to its length,
+    and its error estimate is a difference of Simpson sums whose rounding
+    is about 2^-52 times its length times the integrand.  Below the
+    second term, which grows like T^2 at fixed t0, the estimate is
+    rounding noise and the recursion runs to its depth limit.  Up to
+    T = 3700 the tolerance is 1e-9 for every t0 >= 2 pi."""
+    return max(1e-9, 2.0 ** -52 * (T - t0) * f_max)
 
 
 def weighted_log_integral(T: float, t0: float):
     """(quadrature of (2pi/T) int sqrt(F^2 + (1-t/T)^2) log(t/2pi) dt,
     the log^2 difference bound, and the sharpened bound when applicable).
 
-    The quadrature must not exceed either returned bound.
+    The quadrature must not exceed either returned bound.  The weight
+    decreases in t, so the integrand stays below its value at t0 times
+    log(T/2pi), which sets the tolerance (`_simpson_tol`).
     """
     if not (T >= t0 >= TWO_PI):
         raise ValueError("need T >= t0 >= 2 pi")
@@ -240,9 +283,10 @@ def weighted_log_integral(T: float, t0: float):
     def f(t):
         return _weight_norm(t, T) * math.log(t / TWO_PI)
 
+    tol = _simpson_tol(T, t0, _weight_norm(t0, T) * math.log(T / TWO_PI))
     # mild endpoint behaviour at t = T handled by an explicit split
     split = T * (1.0 - 1e-6)
-    quad = adaptive_simpson(f, t0, min(split, T), 1e-9)
+    quad = adaptive_simpson(f, t0, min(split, T), tol)
     if split < T:
         quad += adaptive_simpson(f, split, T, 1e-12)
     quad *= TWO_PI / T
@@ -256,14 +300,18 @@ def weighted_log_integral(T: float, t0: float):
 
 
 def weighted_inv_integral(T: float, t0: float):
-    """(quadrature of (2pi/T) int sqrt(F^2 + (1-t/T)^2) dt/t, 2/t0 - 2/T)."""
+    """(quadrature of (2pi/T) int sqrt(F^2 + (1-t/T)^2) dt/t, 2/t0 - 2/T).
+
+    The integrand decreases in t; its value at t0 sets the tolerance
+    (`_simpson_tol`)."""
     if not (T >= t0 >= TWO_PI):
         raise ValueError("need T >= t0 >= 2 pi")
 
     def f(t):
         return _weight_norm(t, T) / t
 
-    quad = adaptive_simpson(f, t0, T, 1e-9) * TWO_PI / T
+    tol = _simpson_tol(T, t0, f(t0))
+    quad = adaptive_simpson(f, t0, T, tol) * TWO_PI / T
     return quad, 2.0 / t0 - 2.0 / T
 
 

@@ -118,6 +118,45 @@ def test_F_pole_errors():
         wt.F_and_A(0.0)
     with pytest.raises(PoleError):
         wt.F_and_A(2.0)
+    for u in (0.0, 2.0, -1.0):
+        with pytest.raises(PoleError):
+            wt.F_profile(u)
+
+
+def _F_ref(z):
+    z = mp.mpmathify(z)
+    return 1 / mp.pi - (1 - z) * mp.cot(mp.pi * (1 - z))
+
+
+def test_F_profile_against_mpmath():
+    us = np.concatenate([np.geomspace(1e-3, 0.5, 150),
+                         1.0 - np.geomspace(1e-12, 0.5, 150)])
+    for u in us.tolist():
+        want = _F_ref(u)
+        got = wt.F_profile(u)
+        assert abs(got - want) <= 1e-15 * max(1.0, abs(got)), u
+    assert wt.F_profile(1.0) == 0.0
+
+
+def test_F_and_A_real_axis_is_the_profile():
+    us = np.concatenate([np.linspace(-2.5, 3.5, 121) + 1e-3,
+                         1.0 - np.geomspace(1e-12, 0.5, 40)])
+    for u in us.tolist():
+        F, A = wt.F_and_A(u)
+        assert F.real == wt.F_profile(u) and F.imag == 0.0, u
+        if 0.0 < u < 1.0:
+            assert abs(A - (_F_ref(u) - 1 / (mp.pi * u))) \
+                < 1e-14 * max(1.0, abs(A)), u
+
+
+def test_F_and_A_near_one_against_mpmath():
+    # cot(pi z) is taken as -cot(pi (1 - z)): no rounding of pi z
+    zs = [1.0 - 10.0 ** -k for k in range(2, 13)] + [complex(1 - 1e-9, 1e-9)]
+    for z in zs:
+        F, A = wt.F_and_A(z)
+        want = _F_ref(z)
+        assert abs(F - complex(want)) < 1e-15, z
+        assert abs(A - complex(want - 1 / (mp.pi * z))) < 1e-15, z
 
 
 # ----------------------------------------------------------------------
@@ -180,6 +219,46 @@ def test_classical_weight_integral_identity():
                          1e-11)
     want = math.log(T / TWO_PI) ** 2 - math.log(t0 / TWO_PI) ** 2
     assert abs(q - want) < 1e-9
+
+
+def _weighted_ref(T, t0, kind):
+    """(2 pi/T) int_{t0}^{T} |F(t/T) + (1 - t/T) i| w(t) dt by mpmath at
+    20 digits, with w(t) = log(t/2pi) or 1/t, on 8 geometric pieces."""
+    with mp.workdps(20):
+        T, t0 = mp.mpf(T), mp.mpf(t0)
+
+        def g(t):
+            u = t / T
+            F = 1 / mp.pi + (1 - u) * mp.cot(mp.pi * u)
+            norm = mp.sqrt(F * F + (1 - u) ** 2)
+            return norm * mp.log(t / (2 * mp.pi)) if kind == "log" \
+                else norm / t
+
+        pts = [t0 * (T / t0) ** (mp.mpf(k) / 8) for k in range(9)]
+        return float(2 * mp.pi / T * mp.quad(g, pts))
+
+
+@pytest.mark.parametrize("T,t0", [(2500.0, 55.0), (400.0, 6.8)])
+def test_weighted_integrals_against_mpmath(T, t0):
+    assert abs(wt.weighted_log_integral(T, t0)[0]
+               - _weighted_ref(T, t0, "log")) < 1e-12
+    assert abs(wt.weighted_inv_integral(T, t0)[0]
+               - _weighted_ref(T, t0, "inv")) < 1e-12
+
+
+def test_weighted_integrals_finish_at_large_T():
+    # an absolute 1e-9 on a raw integral near 2e7 is below the rounding
+    # noise of adaptive Simpson's error estimate; the tolerance follows it
+    T, t0 = 1e6, 30.0
+    quad, simplon, adago = wt.weighted_log_integral(T, t0)
+    assert abs(quad - _weighted_ref(T, t0, "log")) < 1e-12 * quad
+    assert quad <= adago <= simplon
+    qi, rhs = wt.weighted_inv_integral(T, t0)
+    assert abs(qi - _weighted_ref(T, t0, "inv")) < 1e-12 * qi
+    assert qi <= rhs
+    # up to T = 3700 the log integral's tolerance is still 1e-9 at t0 = 2 pi
+    f_max = wt._weight_norm(TWO_PI, 3700.0) * math.log(3700.0 / TWO_PI)
+    assert wt._simpson_tol(3700.0, TWO_PI, f_max) == 1e-9
 
 
 def test_inv_integral():
