@@ -5,6 +5,11 @@ carried in EvalWithError.  The zeta machinery is Euler-Maclaurin based and
 is valid for |Im s| <= 1e5; the rest (digamma, trigamma, log-gamma, cot,
 coth, Fejer kernel, Lerch transcendent, exponential integral) follows the
 usual asymptotic-plus-recurrence or series playbook.
+
+The series 1 - w cot w = 2 sum zeta(2n) (w/pi)^(2n) and its zeta(2n)
+table live here once, in one_minus_x_cot_x: cot and coth take their
+poles out through it, and so do the weight omega^+ near theta = 0, A near
+z = 0 and the constants C1, C2 in `weights`.
 """
 
 from __future__ import annotations
@@ -22,14 +27,13 @@ __all__ = [
     "digamma", "trigamma", "log_gamma", "gamma_abs", "cot_stable",
     "coth_stable", "fejer", "fejer_batch", "lerch", "ei_and_bound",
     "ei_upper_bound", "laurent_coeffs_A", "LaurentCoeffs", "badabook_f",
-    "badabook_f_prime", "zeta_reflection_rhs",
+    "badabook_f_prime", "zeta_reflection_rhs", "one_minus_x_cot_x",
 ]
 
 IM_CEILING = 1e5          # documented validity ceiling for zeta_em
 _EM_K = 12                # Bernoulli correction terms
 _EM_BETA = 2.2            # main-sum length multiplier vs |Im s|/2pi
 _NEAR_POLE = 0.1          # cot/coth switch-over distance
-_LAURENT_TERMS = 12
 _ZETA_CHUNK = 384         # heights per zeta_batch_critical main-sum block
 
 # Stieltjes constants gamma_0..gamma_13 (standard published values).
@@ -73,50 +77,56 @@ def _em_length(s: complex) -> int:
     return max(int(math.ceil(_EM_BETA * abs(s.imag) / TWO_PI)) + 20, 30)
 
 
-def _pochhammer_d2(s: complex, m: int):
-    """(p, p', p'') for p(s) = s (s+1) ... (s+m-1), by the product rule."""
-    p, p1, p2 = 1.0 + 0.0j, 0.0j, 0.0j
-    for j in range(m):
-        f = s + j
-        p, p1, p2 = p * f, p1 * f + p, p2 * f + 2.0 * p1
-    return p, p1, p2
+def _em_tail(s, N: int, f0, f1, f2):
+    """Add the Euler-Maclaurin tail beyond n = N, with _EM_K Bernoulli
+    corrections, to the main sums f0, f1, f2 of n^-s, -log n n^-s and
+    log^2 n n^-s over n <= N; s and the sums are scalars or arrays alike.
 
-
-def _zeta_em_all(s: complex, N: int, K: int):
-    """zeta, zeta', zeta'' at s by Euler-Maclaurin with N main terms and K
-    Bernoulli corrections; returns values plus remainder bounds."""
-    n = np.arange(1, N + 1, dtype=np.float64)
-    logn = np.log(n)
-    pw = np.exp(-s * logn)
-    f0 = pw.sum()
-    f1 = -(pw * logn).sum()
-    f2 = (pw * logn * logn).sum()
-
+    The Pochhammer product s (s+1) ... (s+2k-2) and its first two
+    derivatives are carried from k to k + 1.  Returns the three sums,
+    N^-s, that product through s + 2 _EM_K with its derivatives, and
+    (2 _EM_K + 2)!, which set the remainder.
+    """
     lN = math.log(N)
-    NmS = cmath.exp(-s * lN)          # N^-s
+    NmS = (np.exp if isinstance(s, np.ndarray) else cmath.exp)(-s * lN)
     sm1 = s - 1.0
-    if abs(sm1) < 1e-300:
-        raise PoleError("zeta has a pole at s = 1")
     t1 = N * NmS / sm1                # N^(1-s)/(s-1)
     f0 += t1 - 0.5 * NmS              # main sum runs through n = N inclusive
     f1 += t1 * (-lN - 1.0 / sm1) + 0.5 * lN * NmS
     f2 += t1 * (lN * lN + 2.0 * lN / sm1 + 2.0 / sm1 ** 2) \
         - 0.5 * lN * lN * NmS
 
+    p, p1, p2 = 1.0 + 0.0j, 0.0j, 0.0j
     fact = 1.0
-    for k in range(1, K + 1):
+    for k in range(1, _EM_K + 2):
+        for j in range(max(2 * k - 3, 0), 2 * k - 1):
+            f = s + j
+            p, p1, p2 = p * f, p1 * f + p, p2 * f + 2.0 * p1
         fact *= (2 * k - 1) * (2 * k)
-        bk = BERNOULLI_2K[k - 1] / fact
-        p, p1, p2 = _pochhammer_d2(s, 2 * k - 1)
-        scale = bk * NmS * N ** (1 - 2 * k)
+        if k > _EM_K:
+            break
+        scale = BERNOULLI_2K[k - 1] / fact * NmS * N ** (1 - 2 * k)
         f0 += scale * p
         f1 += scale * (p1 - lN * p)
         f2 += scale * (p2 - 2.0 * lN * p1 + lN * lN * p)
+    return (f0, f1, f2), NmS, (p, p1, p2), fact
+
+
+def _zeta_em_all(s: complex, N: int):
+    """zeta, zeta', zeta'' at s by Euler-Maclaurin with N main terms and
+    _EM_K Bernoulli corrections; returns values plus remainder bounds."""
+    if abs(s - 1.0) < 1e-300:
+        raise PoleError("zeta has a pole at s = 1")
+    n = np.arange(1, N + 1, dtype=np.float64)
+    logn = np.log(n)
+    pw = np.exp(-s * logn)
+    (f0, f1, f2), NmS, (pn, pn1, pn2), fact = _em_tail(
+        s, N, pw.sum(), -(pw * logn).sum(), (pw * logn * logn).sum())
 
     # Remainder: |R| <= |s+2K+1|/(sigma+2K+1) * |first omitted term|.
-    fact *= (2 * K + 1) * (2 * K + 2)
+    K = _EM_K
+    lN = math.log(N)
     bnext = abs(BERNOULLI_2K[K]) / fact
-    pn, pn1, pn2 = _pochhammer_d2(s, 2 * K + 1)
     sigma = s.real
     if sigma + 2 * K + 1 <= 0:
         raise PrecisionError("Re s too far left for the chosen depth")
@@ -159,7 +169,7 @@ def zeta_em_deriv(s: complex, order: int,
     N = _em_length(s)
     best = None
     for _ in range(24):
-        vals, errs = _zeta_em_all(s, N, _EM_K)
+        vals, errs = _zeta_em_all(s, N)
         if errs[order] <= target_abs_error:
             return EvalWithError(vals[order], errs[order])
         if best is not None and errs[order] >= best:
@@ -199,19 +209,7 @@ def zeta_batch_critical(ts: np.ndarray) -> np.ndarray:
         amp = n ** -0.5
         phase = tt[:, None] * logn[None, :]
         core = ((np.cos(phase) - 1j * np.sin(phase)) * amp).sum(axis=1)
-
-        s = 0.5 + 1j * tt
-        lN = math.log(N)
-        NmS = np.exp(-s * lN)
-        core += N * NmS / (s - 1.0) - 0.5 * NmS
-        fact = 1.0
-        for k in range(1, _EM_K + 1):
-            fact *= (2 * k - 1) * (2 * k)
-            bk = BERNOULLI_2K[k - 1] / fact
-            p = np.ones_like(s)
-            for j in range(2 * k - 1):
-                p = p * (s + j)
-            core += bk * NmS * N ** (1 - 2 * k) * p
+        (core, _, _), _, _, _ = _em_tail(0.5 + 1j * tt, N, core, 0.0, 0.0)
         out[order[lo:lo + _ZETA_CHUNK]] = core
     return out
 
@@ -343,28 +341,54 @@ def zeta_reflection_rhs(s: complex) -> float:
 
 
 # ----------------------------------------------------------------------
-# cot / coth with near-pole Laurent switch
+# The zeta(2n) series of w cot w; cot / coth with a near-pole switch
 # ----------------------------------------------------------------------
 
-def _laurent_eval(w: complex, alternating: bool) -> complex:
-    # coth w = 1/w + sum_k c_k w^(2k-1),  c_k = 2^(2k) B_2k / (2k)!;
-    # cot  w = 1/w + sum_k (-1)^k c_k w^(2k-1).
-    if w == 0:
-        raise PoleError("evaluation at a pole")
-    val = 1.0 / w
-    w2 = w * w
-    term = w
+def _even_zeta_table(count: int) -> tuple:
+    """zeta(2n), n = 1 .. count: (-1)^(n+1) B_2n (2 pi)^(2n) / (2 (2n)!)
+    while B_2n is tabulated (2n <= 40), beyond that the first four terms
+    of the Dirichlet series, which leave out less than 2^-97."""
+    vals = []
     fact = 1.0
-    four = 4.0
-    for k in range(1, _LAURENT_TERMS + 1):
-        fact *= (2 * k - 1) * (2 * k)
-        c = four * BERNOULLI_2K[k - 1] / fact
-        if alternating and k % 2 == 1:
-            c = -c
-        val += c * term
-        term *= w2
-        four *= 4.0
-    return val
+    for n in range(1, count + 1):
+        if n <= len(BERNOULLI_2K):
+            fact *= (2 * n - 1) * (2 * n)
+            vals.append((-1.0) ** (n + 1) * BERNOULLI_2K[n - 1]
+                        * TWO_PI ** (2 * n) / (2.0 * fact))
+        else:
+            vals.append(1.0 + 2.0 ** -(2 * n) + 3.0 ** -(2 * n)
+                        + 4.0 ** -(2 * n))
+    return tuple(vals)
+
+
+# the 66 terms that one_minus_x_cot_x needs for |w| up to 3 pi / 4
+ZETA_EVEN = _even_zeta_table(66)
+
+
+def one_minus_x_cot_x(w):
+    """g(w) = 1 - w cot w = 2 sum_{n>=1} zeta(2n) (w/pi)^(2n), for a scalar
+    or an array w with |w| < 3 pi / 4.
+
+    The one home of this series: cot w = (1 - g(w))/w and
+    coth w = (1 - g(iw))/w near their poles, and in `weights`
+    -theta cot(pi theta) = (g(pi theta) - 1)/pi near theta = 0 and
+    f(z) = 1/(pi z) - cot(pi z) = g(pi z)/(pi z) near z = 0.  It sums, in
+    Horner form, the first n terms, with n the least for which
+    (|w|/pi)^(2n) <= 2^-54 at the largest |w|: the tail then stays below
+    2^-53 of the leading term, and the relative error is a few units of
+    2^-53.
+    """
+    r = (float(np.abs(w).max(initial=0.0)) if isinstance(w, np.ndarray)
+         else abs(w)) / math.pi
+    if not r < 0.75:
+        raise ValueError("the zeta(2n) series needs |w| < 3 pi / 4")
+    n = math.ceil(-27.0 / math.log2(r)) if r > 0.0 else 1
+    x = w / math.pi
+    x2 = x * x
+    acc = 0.0
+    for zeta_2n in ZETA_EVEN[n - 1::-1]:
+        acc = acc * x2 + zeta_2n
+    return 2.0 * x2 * acc
 
 
 # pi = _PI_A + _PI_B + _PI_C, the first two short enough that k * _PI_A and
@@ -382,12 +406,15 @@ def _minus_k_pi(v: float, k: int) -> float:
 
 
 def cot_stable(z: complex) -> complex:
-    """cot z; Laurent form within 0.1 of a pole, overflow-safe ratio else."""
+    """cot z; (1 - one_minus_x_cot_x(w))/w where z = k pi + w with
+    |w| < 0.1, an overflow-safe ratio elsewhere."""
     z = complex(z)
     k = round(z.real / math.pi)
     w = complex(_minus_k_pi(z.real, k), z.imag)
     if abs(w) < _NEAR_POLE:
-        return _laurent_eval(w, alternating=True)
+        if w == 0:
+            raise PoleError("evaluation at a pole")
+        return (1.0 - one_minus_x_cot_x(w)) / w
     if abs(z.imag) > 20.0:
         # keep the tiny exponential in the numerator: no overflow, and
         # the limit values -i (upper half) / +i (lower half) come out exact
@@ -398,12 +425,15 @@ def cot_stable(z: complex) -> complex:
 
 
 def coth_stable(z: complex) -> complex:
-    """coth z; Laurent form within 0.1 of a pole (poles at i pi Z)."""
+    """coth z; (1 - one_minus_x_cot_x(iw))/w where z = i k pi + w with
+    |w| < 0.1, an overflow-safe ratio elsewhere."""
     z = complex(z)
     k = round(z.imag / math.pi)
     w = complex(z.real, _minus_k_pi(z.imag, k))
     if abs(w) < _NEAR_POLE:
-        return _laurent_eval(w, alternating=False)
+        if w == 0:
+            raise PoleError("evaluation at a pole")
+        return (1.0 - one_minus_x_cot_x(1j * w)) / w
     if abs(z.real) > 20.0:
         sgn = 1.0 if z.real > 0 else -1.0
         w = cmath.exp(-2.0 * sgn * z)
@@ -412,8 +442,8 @@ def coth_stable(z: complex) -> complex:
 
 
 def x_coth_x(x: complex) -> complex:
-    """x*coth(x), stable near x = 0 through the Laurent form of coth_stable;
-    x = 0 itself raises PoleError."""
+    """x*coth(x), stable near x = 0, where coth_stable takes its pole out
+    through the series one_minus_x_cot_x; x = 0 itself raises PoleError."""
     x = complex(x)
     return x * coth_stable(x)
 

@@ -6,17 +6,21 @@ omega^+ = -theta cot(pi theta) + c, its profile
 F(z) = 1/pi - (1-z) cot(pi(1-z)) (on the real axis `F_profile`),
 A(z) = F(z) - 1/(pi z), and the constants C1, C2 entering the sharpened
 log-integral bound.
+
+All of them rest on w cot w, whose series
+1 - w cot w = 2 sum zeta(2n) (w/pi)^(2n) lives once, with its zeta(2n)
+table, in `special.one_minus_x_cot_x`: omega^+ near theta = 0, A near
+z = 0 and C1, C2 read it here.
 """
 
 from __future__ import annotations
 
-import cmath
 import math
 from dataclasses import dataclass, field
 
 import numpy as np
 
-from .special import cot_stable, x_coth_x
+from .special import ZETA_EVEN, cot_stable, one_minus_x_cot_x, x_coth_x
 from .util import TWO_PI, PoleError, adaptive_simpson
 
 __all__ = [
@@ -25,31 +29,6 @@ __all__ = [
     "weighted_log_integral", "weighted_inv_integral", "constants_C",
     "tremic_check", "adar_error_terms", "salmon_bound_parts",
 ]
-
-# precomputed zeta(2n) for the F/A power series and the C_k series
-_ZETA_EVEN = None
-
-
-def _zeta_even(count: int) -> np.ndarray:
-    global _ZETA_EVEN
-    if _ZETA_EVEN is None or len(_ZETA_EVEN) < count:
-        from .util import BERNOULLI_2K
-        vals = []
-        fact = 1.0
-        pw = 1.0
-        for n in range(1, max(count, 64) + 1):
-            if 2 * n <= 40:
-                # zeta(2n) = (-1)^(n+1) B_2n (2 pi)^(2n) / (2 (2n)!)
-                fact *= (2 * n - 1) * (2 * n)
-                pw = TWO_PI ** (2 * n)
-                vals.append((-1.0) ** (n + 1) * BERNOULLI_2K[n - 1] * pw
-                            / (2.0 * fact))
-            else:
-                s = 2 * n
-                vals.append(1.0 + 2.0 ** -s + 3.0 ** -s + 4.0 ** -s)
-        _ZETA_EVEN = np.array(vals)
-    return _ZETA_EVEN[:count]
-
 
 @dataclass(frozen=True)
 class WeightContext:
@@ -86,25 +65,14 @@ def theta_T1(T: float, s: complex) -> complex:
     return 1.0 - (complex(s) - 1.0) / (1j * T)
 
 
-def _neg_theta_cot_near0(u):
-    """-theta cot(pi theta) = -(u cot u)/pi at u = pi theta near 0, by its
-    Taylor series through u^6 (a scalar or an array)."""
-    return -(1.0 - u ** 2 / 3.0 - u ** 4 / 45.0 - 2.0 * u ** 6 / 945.0
-             ) / math.pi
-
-
 def _neg_theta_cot(th: complex) -> complex:
-    """-theta cot(pi theta) with the removable value -1/pi at theta = 0."""
+    """-theta cot(pi theta) with the removable value -1/pi at theta = 0,
+    from the series for |theta| < 0.03 as in omega_plus_batch."""
+    if abs(th) < 0.03:
+        return (one_minus_x_cot_x(math.pi * th) - 1.0) / math.pi
     n = round(th.real)
-    if abs(th - n) < 0.1:
-        if n == 0:
-            u = math.pi * th
-            if abs(u) < 1e-150:
-                return -1.0 / math.pi
-            return -(u / cmath.tan(u)) / math.pi if abs(u) > 0.09 else \
-                _neg_theta_cot_near0(u)
-        if abs(th - n) < 1e-12:
-            raise PoleError("cot pole: theta is a non-zero integer")
+    if n != 0 and abs(th - n) < 1e-12:
+        raise PoleError("cot pole: theta is a non-zero integer")
     return -th * cot_stable(math.pi * th)
 
 
@@ -123,7 +91,7 @@ def omega_plus_batch(ctx: WeightContext, ss: np.ndarray) -> np.ndarray:
     out = np.empty_like(th)
     near0 = np.abs(th) < 0.03
     if near0.any():
-        out[near0] = _neg_theta_cot_near0(u[near0])
+        out[near0] = (one_minus_x_cot_x(u[near0]) - 1.0) / math.pi
     rest = ~near0
     if rest.any():
         ur = u[rest]
@@ -148,16 +116,6 @@ def omega_plus_from_contour(ctx: WeightContext, s: complex) -> complex:
 # ----------------------------------------------------------------------
 # F and A on and near the real axis
 # ----------------------------------------------------------------------
-
-def _f_small(z: complex) -> complex:
-    """f(z) = 1/(pi z) - cot(pi z) as a power series, |z| <= 0.7."""
-    ze = _zeta_even(48)
-    acc = 0.0 + 0.0j
-    z2 = z * z
-    for n in range(len(ze), 0, -1):
-        acc = (acc + ze[n - 1]) * z2 if n > 1 else acc + ze[0]
-    return (2.0 / math.pi) * z * acc
-
 
 def F_profile(u: float) -> float:
     """F(u) = 1/pi + (1 - u) cot(pi u) at a real u, in closed form.
@@ -184,27 +142,28 @@ def F_and_A(z: complex) -> tuple[complex, complex]:
 
     On the real axis F is `F_profile`, bit for bit.  The removable point
     F(1) = 0 is filled; z = 0 (simple pole of F) and integer cot poles
-    raise PoleError.  For |z| <= 0.7, A = -(1-z) (1/(pi z) - cot(pi z)) is
-    evaluated through a power series, which keeps the A(0) -> 0 limit
-    clean.  Elsewhere F = 1/pi - w cot(pi w) with w = 1 - z, which is
-    exact for 1/2 <= Re z <= 2: near z = 1 the cot argument is then not
-    rounded before its pole is taken out, and F and A keep an absolute
-    error of a few units of 2^-53.  (Reducing a rounded pi z instead costs
+    raise PoleError.  For |z| <= 0.7, A = -(1-z) f(z) with
+    f(z) = 1/(pi z) - cot(pi z) = g(pi z)/(pi z), g the zeta(2n) series
+    `special.one_minus_x_cot_x`, which keeps the A(0) -> 0 limit clean.
+    Elsewhere F = 1/pi - w cot(pi w) with w = 1 - z, which is exact for
+    1/2 <= Re z <= 2: near z = 1 the cot argument is then not rounded
+    before its pole is taken out, and F and A keep an absolute error of a
+    few units of 2^-53.  (Reducing a rounded pi z instead costs
     about ulp(pi) |cot'|: 2e-10 at 1 - z = 1e-7, 9e-6 at 1e-12.)
     """
     z = complex(z)
     if z == 0:
         raise PoleError("F has a simple pole at z = 0 (A(0) = 0)")
-    small = abs(z) <= 0.7
+    if abs(z) <= 0.7:
+        pz = math.pi * z
+        A = -(1.0 - z) * (one_minus_x_cot_x(pz) / pz)
+        F = complex(F_profile(z.real)) if z.imag == 0 else A + 1.0 / pz
+        return F, A
     if z.imag == 0:
         F = complex(F_profile(z.real))
-        A = -(1.0 - z) * _f_small(z) if small else F - 1.0 / (math.pi * z)
-        return F, A
-    if small:
-        A = -(1.0 - z) * _f_small(z)
-        return A + 1.0 / (math.pi * z), A
-    w = 1.0 - z
-    F = 1.0 / math.pi - w * cot_stable(math.pi * w)
+    else:
+        w = 1.0 - z
+        F = 1.0 / math.pi - w * cot_stable(math.pi * w)
     return F, F - 1.0 / (math.pi * z)
 
 
@@ -327,7 +286,7 @@ def constants_C(k: int) -> float:
         closed = 1.75 - math.pi ** 2 / 6.0
     else:
         raise ValueError("k must be 1 or 2")
-    ze = _zeta_even(50)
+    ze = np.array(ZETA_EVEN[:50])
     n = np.arange(1.0, 51.0)
     w = 1.0 / (2 * n) ** k - 2.0 / (2 * n + 1) ** k + 1.0 / (2 * n + 2) ** k
     return float(((ze - 1.0) * w).sum()) + closed

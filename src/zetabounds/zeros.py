@@ -44,6 +44,8 @@ class ZeroFileError(ValueError):
 
 
 def _q_bound(t):
+    """(1/5) log t + 2, the bound on the remainder |Q(t)| of N(t) (a scalar
+    or an array)."""
     return 0.2 * np.log(t) + 2.0
 
 
@@ -490,7 +492,7 @@ def count_and_Q(zl: ZeroList, t: float) -> ZeroCountStats:
         raise ValueError("height exceeds the list's completeness range")
     n = zl.count_below(t)
     q = n - float(_smooth_count(t))
-    if t >= 1.0 and abs(q) > 0.2 * math.log(t) + 2.0:
+    if t >= 1.0 and abs(q) > _q_bound(t):
         raise MissedZeroError(f"|Q({t:g})| violates its bound")
     if t >= TWO_PI and n > t / TWO_PI * math.log(t / TWO_PI):
         raise MissedZeroError(f"N({t:g}) violates the crude upper bound")
@@ -527,9 +529,9 @@ def lehman_sum(zl: ZeroList, phi, t0: float, t1: float, direction: str):
     invt = adaptive_simpson(lambda t: phi(t) / t, t0, t1, 1e-10)
     q0 = count_and_Q(zl, t0).Q
     q1 = count_and_Q(zl, t1).Q
-    rhs_dec = main + phi(t0) * (0.2 * math.log(t0) + 2.0 - q0) + invt / 5.0
-    rhs_inc = (main + phi(t1) * (0.2 * math.log(t1) + 2.0 + q1)
-               - invt / 5.0 - phi(t0) * (0.2 * math.log(t0) + 2.0 + q0))
+    rhs_dec = main + phi(t0) * (_q_bound(t0) - q0) + invt / 5.0
+    rhs_inc = (main + phi(t1) * (_q_bound(t1) + q1)
+               - invt / 5.0 - phi(t0) * (_q_bound(t0) + q0))
     return exact, rhs_dec, rhs_inc
 
 
@@ -538,7 +540,7 @@ def box_count_bound(T: float, a: float) -> float:
     smooth-density window (a/pi) log(T/2pi)."""
     if not (T >= 1.0 and 0 < a < T):
         raise ValueError("need T >= 1 and 0 < a < T")
-    return 0.4 * math.log(T) + 4.0 + a / math.pi * math.log(T / TWO_PI)
+    return 2.0 * _q_bound(T) + a / math.pi * math.log(T / TWO_PI)
 
 
 def inverse_square_tail(zl: ZeroList, t0: float):
@@ -594,6 +596,6 @@ def local_log_deriv(zl: ZeroList, s: complex, a: float, sigma_plus: float):
               + 1.5 * (sigma_plus - sigma) + 1.0 / (3.0 * math.sqrt(2.0)))
            / t ** 2)
     ld_plus = abs(log_deriv_zeta(complex(sigma_plus)).value.real)
-    radius = (k1 * math.log(t / TWO_PI) + k2 * (0.4 * math.log(t) + 4.0)
+    radius = (k1 * math.log(t / TWO_PI) + 2.0 * k2 * _q_bound(t)
               + eps + ld_plus)
     return total, radius

@@ -3,6 +3,7 @@ import math
 import numpy as np
 import pytest
 
+from zetabounds import cli
 from zetabounds import extremal as ex
 from zetabounds import formula as fm
 from zetabounds import sieve as sv
@@ -79,6 +80,16 @@ def test_zero_sum_bound_paths(zl_med):
     assert abs(v2 - fm.vihuela_rhs(2e7)) == 0.0
     with pytest.raises(ValueError):
         fm.zero_sum_bound(None, 1500.0, 0.0)
+
+
+@pytest.mark.parametrize("name, compute", [
+    ("epsilon_1468", lambda zl: fm.epsilon_at(zl, 1468.0, math.exp(60.0))),
+    ("direct_sum_1468", lambda zl: fm.zero_sum_bound(zl, 1468.0, 0.0)[0]),
+], ids=["epsilon_1468", "direct_sum_1468"])
+def test_pinned_constant_at_1468(zl_med, name, compute):
+    value, tol = next((v, t) for n, _, v, t in cli.PINNED_CONSTANTS
+                      if n == name)
+    assert abs(compute(zl_med) - value) <= tol
 
 
 # ----------------------------------------------------------------------

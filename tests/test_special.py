@@ -137,6 +137,44 @@ def test_near_pole_laurent_accuracy():
         sp.coth_stable(0.0)
 
 
+# |w| where a caller of one_minus_x_cot_x switches to or from it: cot and
+# coth near a pole, omega^+ near theta = 0, F_and_A near z = 0
+SERIES_SWITCHES = (0.1, 0.03 * math.pi, 0.7 * math.pi)
+DIRECTIONS = (1.0, 1j, -1.0, cmath.exp(0.25j * math.pi), cmath.exp(2.0j))
+
+
+@pytest.mark.parametrize("radius", SERIES_SWITCHES)
+def test_one_minus_x_cot_x_against_mpmath(radius):
+    ws = [radius * f * d for f in (0.999, 1.001) for d in DIRECTIONS]
+    batch = sp.one_minus_x_cot_x(np.array(ws))
+    with mp.workdps(40):
+        for w, got_batch in zip(ws, batch):
+            ref = complex(1 - mp.mpc(w) * mp.cot(mp.mpc(w)))
+            assert abs(sp.one_minus_x_cot_x(w) - ref) <= 1e-15 * abs(ref)
+            assert abs(got_batch - ref) <= 1e-15 * abs(ref)
+
+
+def test_one_minus_x_cot_x_small_and_out_of_range():
+    assert sp.one_minus_x_cot_x(0.0) == 0.0
+    # 1 - w cot w = w^2/3 + w^4/45 + ...
+    assert abs(sp.one_minus_x_cot_x(1e-9) - 1e-18 / 3.0) <= 1e-15 * 1e-18
+    with pytest.raises(ValueError):
+        sp.one_minus_x_cot_x(0.76 * math.pi)
+    with pytest.raises(ValueError):
+        sp.one_minus_x_cot_x(np.array([0.1, 2.4j]))
+
+
+@pytest.mark.parametrize("k", [0, 3])
+def test_cot_coth_on_both_sides_of_the_pole_switch(k):
+    for w in (0.1 * f * d for f in (0.999, 1.001) for d in DIRECTIONS):
+        z = k * math.pi + w
+        ref = complex(mp.cot(mp.mpc(z)))
+        assert abs(sp.cot_stable(z) - ref) <= 1e-15 * abs(ref)
+        z = w + 1j * k * math.pi
+        ref = complex(mp.coth(mp.mpc(z)))
+        assert abs(sp.coth_stable(z) - ref) <= 1e-15 * abs(ref)
+
+
 # ----------------------------------------------------------------------
 # Fejer kernel
 # ----------------------------------------------------------------------

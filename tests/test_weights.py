@@ -84,7 +84,27 @@ def test_omega_batch_matches_scalar(zl_small):
     ss = 0.5 + 1j * zl_small.ordinates
     vb = wt.omega_plus_batch(ctx, ss)
     vs = np.array([wt.omega_plus(ctx, complex(s)) for s in ss])
-    assert np.max(np.abs(vb - vs)) < 1e-10
+    assert np.max(np.abs(vb - vs)) < 1e-14
+
+
+def test_omega_near_theta_zero_against_mpmath():
+    # 30 points with |theta| in [0.005, 0.03], real, imaginary and
+    # diagonal, up to the series switch at |theta| = 0.03
+    T, sigma = 1468.0, 0.0
+    ctx = WeightContext(T, sigma)
+    thetas = [(-1) ** k * m * d
+              for k, m in enumerate(np.linspace(0.005, 0.03, 10))
+              for d in (1.0, 1j, complex(math.sqrt(0.5), math.sqrt(0.5)))]
+    ss = np.array([sigma + 1j * T * (1.0 - th) for th in thetas])
+    thT = 1 - (mp.mpc(1, T) - sigma) / (1j * mp.mpf(T))
+    c = thT * mp.cot(mp.pi * thT)
+    batch = wt.omega_plus_batch(ctx, ss)
+    with mp.workdps(40):
+        for s, got_batch in zip(ss, batch):
+            th = 1 - (mp.mpc(s) - sigma) / (1j * mp.mpf(T))
+            ref = complex(-th * mp.cot(mp.pi * th) + c)
+            assert abs(wt.omega_plus(ctx, complex(s)) - ref) <= 1e-15
+            assert abs(got_batch - ref) <= 1e-15
 
 
 # ----------------------------------------------------------------------
@@ -157,6 +177,19 @@ def test_F_and_A_near_one_against_mpmath():
         want = _F_ref(z)
         assert abs(F - complex(want)) < 1e-15, z
         assert abs(A - complex(want - 1 / (mp.pi * z))) < 1e-15, z
+
+
+def test_F_and_A_on_both_sides_of_the_series_switch():
+    # |z| = 0.7 is where A leaves the zeta(2n) series
+    for f in (0.999, 1.001):
+        for d in (1.0, 1j, -1.0, complex(math.sqrt(0.5), math.sqrt(0.5)),
+                  complex(math.cos(2.0), math.sin(2.0))):
+            z = 0.7 * f * d
+            F, A = wt.F_and_A(z)
+            want = _F_ref(z)
+            assert abs(F - complex(want)) <= 1e-15 * max(1.0, abs(F)), z
+            want_A = complex(want - 1 / (mp.pi * z))
+            assert abs(A - want_A) <= 1e-15 * max(1.0, abs(A)), z
 
 
 # ----------------------------------------------------------------------
