@@ -20,7 +20,7 @@ import numpy as np
 from .special import coth_stable, lerch, trigamma, x_coth_x
 # adaptive_simpson stays bound: perfbench/workloads.instrument wraps it here
 from .util import (TWO_PI, PoleError, adaptive_simpson,  # noqa: F401
-                   gauss_legendre)
+                   gauss_kronrod)
 
 __all__ = [
     "ApproximantParams", "truncated_exp",
@@ -79,7 +79,7 @@ def truncated_exp(lam: float, u):
 # Fourier-side weight on [-1, 1]
 # ----------------------------------------------------------------------
 
-def _phi_circ(nu: float, pm: float, z: complex) -> complex:
+def _phi_circ(nu: float, pm: float, z):
     w = nu - TWO_PI * 1j * z
     return 0.5 * (coth_stable(0.5 * w) + pm)
 
@@ -91,21 +91,23 @@ def _x_coth_half(nu: float) -> complex:
     return x_coth_x(0.5 * nu)
 
 
-def _phi_star(nu: float, pm: float, z: complex) -> complex:
+def _phi_star(nu: float, pm: float, z):
     w = nu - TWO_PI * 1j * z
     return (1j / TWO_PI) * (_x_coth_half(nu) - x_coth_x(0.5 * w)
                             + pm * math.pi * 1j * z)
 
 
-def phi_weight(p: ApproximantParams, t: float) -> complex:
+def phi_weight(p: ApproximantParams, t):
     """The weight phi on [-1, 1] whose Fourier transform is the approximant;
-    identically zero outside [-1, 1]."""
-    if abs(t) > 1.0:
-        return 0.0 + 0.0j
-    sl = 1.0 if p.lam > 0 else -1.0
-    tt = sl * t
-    st = 0.0 if tt == 0 else math.copysign(1.0, tt)
-    return _phi_circ(p.nu, p.sign, tt) + st * _phi_star(p.nu, p.sign, tt)
+    identically zero outside [-1, 1].  t may be an array (an array comes
+    back) or a number (a complex comes back)."""
+    t = np.asarray(t, dtype=np.float64)
+    out = np.zeros(t.shape, dtype=np.complex128)
+    inside = np.abs(t) <= 1.0
+    z = (1.0 if p.lam > 0 else -1.0) * t[inside]
+    out[inside] = (_phi_circ(p.nu, p.sign, z)
+                   + np.sign(z) * _phi_star(p.nu, p.sign, z))
+    return out if out.ndim else complex(out)
 
 
 def phi_combo_xi(nu: float, pm: float, xi: float, z: complex) -> complex:
@@ -196,19 +198,16 @@ def _sinc_sq(x: np.ndarray) -> np.ndarray:
     return out
 
 
-def phi_hat_batch(p: ApproximantParams, x: np.ndarray) -> np.ndarray:
-    """Vectorised majorant/minorant of I_lambda at real points x."""
-    sl = 1.0 if p.lam > 0 else -1.0
-    y = sl * np.asarray(x, dtype=np.float64)
+def phi_hat(p: ApproximantParams, x):
+    """Majorant or minorant of I_lambda at real points x: an array in gives
+    an array out, a number in gives a float out."""
+    x = np.asarray(x, dtype=np.float64)
+    y = (1.0 if p.lam > 0 else -1.0) * x.ravel()
     out = _gv_major_batch(p.nu, y)
     if p.side == MINORANT:
         out = out - _sinc_sq(y)
-    return out
-
-
-def phi_hat(p: ApproximantParams, x: float) -> float:
-    """Majorant or minorant of I_lambda at a real point."""
-    return float(phi_hat_batch(p, np.array([x]))[0])
+    out = out.reshape(x.shape)
+    return out if out.ndim else float(out)
 
 
 def phi_hat_lerch(p: ApproximantParams, x: float) -> float:
@@ -239,23 +238,24 @@ def l1_gap(p: ApproximantParams) -> float:
 
 
 def l1_gap_quadrature(p: ApproximantParams) -> float:
-    """||phi_hat - I_lambda||_1 by Gauss-Legendre panels on [-Y, Y] to a
+    """||phi_hat - I_lambda||_1 by Gauss-Kronrod panels on [-Y, Y] to a
     total tolerance of 1e-8, plus analytic tails (the integrand decays only
     like 1/y^2, so the tails matter).
 
-    The panels are the unit intervals: the integrand vanishes at every
-    integer and I_lambda jumps at 0, so each panel is smooth.  Y = 200 is
-    raised until every non-negligible interpolation node lies inside the
-    window, which the tail formula requires.
+    The panels start as the unit intervals: the integrand vanishes at every
+    integer and I_lambda jumps at 0, so each panel is smooth.  phi_hat
+    takes each block of nodes in one call.  Y = 200 is raised until every
+    non-negligible interpolation node lies inside the window, which the
+    tail formula requires.
     """
     Y = math.ceil(max(200.0, (48.0 + 2.0 * math.log(202.0)) / p.nu + 20.0))
     sign = 1.0 if p.side == MAJORANT else -1.0
 
     def integrand(y):
-        return sign * (phi_hat_batch(p, y) - truncated_exp(p.lam, y))
+        return sign * (phi_hat(p, y) - truncated_exp(p.lam, y))
 
     edges = np.arange(-Y, Y + 1, dtype=np.float64)
-    inner, _ = gauss_legendre(integrand, edges, 1e-8)
+    inner, _ = gauss_kronrod(integrand, edges, 1e-8)
     return inner + _l1_tail(p, float(Y))
 
 
@@ -296,12 +296,11 @@ def beurling_majorant(x: float) -> float:
 
 
 def phi_weight_quad_transform(p: ApproximantParams, y: float) -> complex:
-    """Fourier transform of phi_weight at y by Gauss-Legendre panels over
+    """Fourier transform of phi_weight at y by Gauss-Kronrod panels over
     [-1, 1], split at 0 where the star part jumps, to a total tolerance of
-    2e-9; an independent consistency oracle for phi_hat.  phi_weight is
-    scalar, so it is called once per node."""
+    2e-9; an independent consistency oracle for phi_hat.  phi_weight takes
+    each block of nodes in one call."""
     def f(t):
-        w = np.array([phi_weight(p, v) for v in t.tolist()])
-        return w * np.exp(-TWO_PI * 1j * y * t)
+        return phi_weight(p, t) * np.exp(-TWO_PI * 1j * y * t)
 
-    return gauss_legendre(f, (-1.0, 0.0, 1.0), 2e-9)[0]
+    return gauss_kronrod(f, (-1.0, 0.0, 1.0), 2e-9)[0]

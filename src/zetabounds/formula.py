@@ -27,7 +27,7 @@ import numpy as np
 from .special import fejer_batch, log_deriv_zeta
 # adaptive_simpson stays bound: perfbench/workloads.instrument wraps it here
 from .util import (EULER_GAMMA, TWO_PI, KahanSum,  # noqa: F401
-                   adaptive_simpson, format_float17, gauss_legendre)
+                   adaptive_simpson, format_float17, gauss_kronrod)
 from .weights import WeightContext, omega_plus_batch
 from .zeros import ZeroList
 
@@ -497,11 +497,11 @@ def perron_identity_check(coeffs, phi, phi_hat, T: float, sigma: float,
         = (1/2pi) sum_n a_n (x/n)^sigma phi_hat((T/2pi) log(n/x)),
 
     the line integral running over Re s = sigma (phi is supported on
-    [-1, 1], so over |Im s| <= T).  It is evaluated by Gauss-Legendre
+    [-1, 1], so over |Im s| <= T).  It is evaluated by Gauss-Kronrod
     panels split at Im s = 0, where phi may jump or have a kink, to a total
-    tolerance of 2e-9.  A(s) at the nodes is one product of the matrix
-    n^-s by the coefficients; phi and phi_hat are scalar callables, called
-    once per node and per n.
+    tolerance of 2e-9.  phi and phi_hat map an array to an array: phi is
+    called once per block of nodes, where A(s) is one product of the
+    matrix n^-s by the coefficients, and phi_hat once for all n.
     """
     coeffs = np.asarray(coeffs, dtype=np.float64)
     if coeffs.size == 0 or coeffs.size > 2000:
@@ -511,12 +511,10 @@ def perron_identity_check(coeffs, phi, phi_hat, T: float, sigma: float,
 
     def integrand(t):
         A = (np.exp(-np.outer(sigma + 1j * t, logn)) * coeffs).sum(axis=1)
-        weight = np.array([phi(v) for v in (t / T).tolist()], dtype=complex)
-        return weight * A * np.exp(1j * math.log(x) * t)
+        return phi(t / T) * A * np.exp(1j * math.log(x) * t)
 
     lhs = (x ** sigma / (TWO_PI * T)
-           * gauss_legendre(integrand, (-T, 0.0, T), 2e-9)[0])
-    rhs = sum(coeffs[j] * (x / n[j]) ** sigma
-              * phi_hat(T / TWO_PI * math.log(n[j] / x))
-              for j in range(coeffs.size)) / TWO_PI
+           * gauss_kronrod(integrand, (-T, 0.0, T), 2e-9)[0])
+    rhs = float((coeffs * (x / n) ** sigma
+                 * phi_hat(T / TWO_PI * np.log(n / x))).sum()) / TWO_PI
     return abs(lhs - rhs)

@@ -8,8 +8,8 @@ usual asymptotic-plus-recurrence or series playbook.
 
 The series 1 - w cot w = 2 sum zeta(2n) (w/pi)^(2n) and its zeta(2n)
 table live here once, in one_minus_x_cot_x: cot and coth take their
-poles out through it, and so do the weight omega^+ near theta = 0, A near
-z = 0 and the constants C1, C2 in `weights`.
+poles out through it, and so do the weight omega^+ near theta = 0 and
+theta = 1, A near z = 0 and the constants C1, C2 in `weights`.
 """
 
 from __future__ import annotations
@@ -371,8 +371,9 @@ def one_minus_x_cot_x(w):
 
     The one home of this series: cot w = (1 - g(w))/w and
     coth w = (1 - g(iw))/w near their poles, and in `weights`
-    -theta cot(pi theta) = (g(pi theta) - 1)/pi near theta = 0 and
-    f(z) = 1/(pi z) - cot(pi z) = g(pi z)/(pi z) near z = 0.  It sums, in
+    -theta cot(pi theta) = (g(pi theta) - 1)/pi near theta = 0,
+    (1 - w) cot(pi w) = (1 - w)(1 - g(pi w))/(pi w) near theta = 1 - w = 1
+    and f(z) = 1/(pi z) - cot(pi z) = g(pi z)/(pi z) near z = 0.  It sums, in
     Horner form, the first n terms, with n the least for which
     (|w|/pi)^(2n) <= 2^-54 at the largest |w|: the tail then stays below
     2^-53 of the leading term, and the relative error is a few units of
@@ -399,9 +400,9 @@ _PI_B = 1.984187036896401e-09
 _PI_C = 1.2246467991473532e-16
 
 
-def _minus_k_pi(v: float, k: int) -> float:
+def _minus_k_pi(v, k):
     """v - k pi, exact but for the rounding of the result when |v - k pi|
-    is small."""
+    is small; v and k (integer-valued) may be numbers or arrays."""
     return ((v - k * _PI_A) - k * _PI_B) - k * _PI_C
 
 
@@ -424,9 +425,18 @@ def cot_stable(z: complex) -> complex:
     return cmath.cos(z) / cmath.sin(z)
 
 
-def coth_stable(z: complex) -> complex:
+def coth_stable(z):
     """coth z; (1 - one_minus_x_cot_x(iw))/w where z = i k pi + w with
-    |w| < 0.1, an overflow-safe ratio elsewhere."""
+    |w| < 0.1, an overflow-safe ratio where |Re z| > 20, cosh/sinh
+    elsewhere.  z may be a number (a complex comes back) or an array (an
+    array comes back); an exact pole raises PoleError either way.
+
+    A number goes through cmath: numpy's complex cosh/sinh and division
+    differ from cmath's in the last bit, and the constant c of
+    `weights.WeightContext`, which enters every psi-bound row, is taken
+    here."""
+    if isinstance(z, np.ndarray):
+        return _coth_array(z)
     z = complex(z)
     k = round(z.imag / math.pi)
     w = complex(z.real, _minus_k_pi(z.imag, k))
@@ -441,10 +451,34 @@ def coth_stable(z: complex) -> complex:
     return cmath.cosh(z) / cmath.sinh(z)
 
 
-def x_coth_x(x: complex) -> complex:
+def _coth_array(z: np.ndarray) -> np.ndarray:
+    """coth_stable on an array, branch by branch."""
+    z = np.asarray(z, dtype=np.complex128)
+    w = z.real + 1j * _minus_k_pi(z.imag, np.round(z.imag / math.pi))
+    near = np.abs(w) < _NEAR_POLE
+    far = ~near & (np.abs(z.real) > 20.0)
+    rest = ~(near | far)
+    out = np.empty_like(z)
+    if near.any():
+        wn = w[near]
+        if not wn.all():
+            raise PoleError("evaluation at a pole")
+        out[near] = (1.0 - one_minus_x_cot_x(1j * wn)) / wn
+    if far.any():
+        sgn = np.sign(z.real[far])
+        e = np.exp(-2.0 * sgn * z[far])
+        out[far] = sgn * (1.0 + 2.0 * e / (1.0 - e))
+    if rest.any():
+        out[rest] = np.cosh(z[rest]) / np.sinh(z[rest])
+    return out
+
+
+def x_coth_x(x):
     """x*coth(x), stable near x = 0, where coth_stable takes its pole out
-    through the series one_minus_x_cot_x; x = 0 itself raises PoleError."""
-    x = complex(x)
+    through the series one_minus_x_cot_x; x = 0 itself raises PoleError.
+    A number or an array, as for coth_stable."""
+    if not isinstance(x, np.ndarray):
+        x = complex(x)
     return x * coth_stable(x)
 
 

@@ -9,8 +9,8 @@ log-integral bound.
 
 All of them rest on w cot w, whose series
 1 - w cot w = 2 sum zeta(2n) (w/pi)^(2n) lives once, with its zeta(2n)
-table, in `special.one_minus_x_cot_x`: omega^+ near theta = 0, A near
-z = 0 and C1, C2 read it here.
+table, in `special.one_minus_x_cot_x`: omega^+ near theta = 0 and
+theta = 1, A near z = 0 and C1, C2 read it here.
 """
 
 from __future__ import annotations
@@ -65,38 +65,55 @@ def theta_T1(T: float, s: complex) -> complex:
     return 1.0 - (complex(s) - 1.0) / (1j * T)
 
 
-def _neg_theta_cot(th: complex) -> complex:
-    """-theta cot(pi theta) with the removable value -1/pi at theta = 0,
-    from the series for |theta| < 0.03 as in omega_plus_batch."""
-    if abs(th) < 0.03:
-        return (one_minus_x_cot_x(math.pi * th) - 1.0) / math.pi
-    n = round(th.real)
-    if n != 0 and abs(th - n) < 1e-12:
-        raise PoleError("cot pole: theta is a non-zero integer")
-    return -th * cot_stable(math.pi * th)
+def _neg_theta_cot(w: np.ndarray) -> np.ndarray:
+    """-theta cot(pi theta) at theta = 1 - w, for an array
+    w = (s - sigma)/(iT) taken as given, not from a rounded theta; theta
+    must stay off the non-zero integers (true for zeros with
+    0 < Im s <= T).
+
+    Each half works from the argument that is exact next to its pole.
+    Where Re theta < 1/2 it is -theta cot(pi theta), with the removable
+    value -1/pi at theta = 0: for |theta| < 0.03 it is
+    (one_minus_x_cot_x(pi theta) - 1)/pi.  Where Re theta >= 1/2 it is
+    (1 - w) cot(pi w), so that near the pole theta = 1 (the lowest zeros)
+    pi theta is not rounded before the pole is taken out, as in F_and_A:
+    for |w| < 0.03, cot(pi w) = (1 - one_minus_x_cot_x(pi w))/(pi w).
+    """
+    th = 1.0 - w
+    side_w = th.real >= 0.5
+    x = np.where(side_w, w, th)      # cot(pi theta) = -cot(pi w)
+    u = math.pi * x
+    out = np.empty_like(th)
+    near = np.abs(x) < 0.03
+    at0 = near & ~side_w
+    if at0.any():
+        out[at0] = (one_minus_x_cot_x(u[at0]) - 1.0) / math.pi
+    at1 = near & side_w
+    if at1.any():
+        out[at1] = th[at1] * (1.0 - one_minus_x_cot_x(u[at1])) / u[at1]
+    rest = ~near
+    if rest.any():
+        ur, tr = u[rest], th[rest]
+        out[rest] = (np.where(side_w[rest], tr, -tr)
+                     * (np.cos(ur) / np.sin(ur)))
+    return out
 
 
 def omega_plus(ctx: WeightContext, s: complex) -> complex:
-    """The main weight omega^+_{T,sigma}(s) = -theta cot(pi theta) + c."""
-    return _neg_theta_cot(theta(ctx, s)) + ctx.c
+    """The main weight omega^+_{T,sigma}(s) = -theta cot(pi theta) + c;
+    theta a non-zero integer raises PoleError."""
+    w = (complex(s) - ctx.sigma) / (1j * ctx.T)
+    n = round(1.0 - w.real)
+    if n != 0 and abs(1.0 - w - n) < 1e-12:
+        raise PoleError("cot pole: theta is a non-zero integer")
+    return complex(_neg_theta_cot(np.array([w]))[0]) + ctx.c
 
 
 def omega_plus_batch(ctx: WeightContext, ss: np.ndarray) -> np.ndarray:
-    """Vectorised omega^+ for points whose theta stays off the non-zero
-    integers (true for zeros with 14 <= Im s <= T); theta near 0 goes
-    through the series branch."""
+    """omega^+ at an array of points whose theta stays off the non-zero
+    integers, as omega_plus."""
     ss = np.asarray(ss, dtype=np.complex128)
-    th = 1.0 - (ss - ctx.sigma) / (1j * ctx.T)
-    u = math.pi * th
-    out = np.empty_like(th)
-    near0 = np.abs(th) < 0.03
-    if near0.any():
-        out[near0] = (one_minus_x_cot_x(u[near0]) - 1.0) / math.pi
-    rest = ~near0
-    if rest.any():
-        ur = u[rest]
-        out[rest] = -th[rest] * (np.cos(ur) / np.sin(ur))
-    return out + ctx.c
+    return _neg_theta_cot((ss - ctx.sigma) / (1j * ctx.T)) + ctx.c
 
 
 def omega_plus_from_contour(ctx: WeightContext, s: complex) -> complex:

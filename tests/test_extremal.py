@@ -71,7 +71,44 @@ def test_phi_weight_inverts_phi_hat():
     # quadrature Fourier transform of the weight reproduces the majorant
     for y in (0.0, 0.3, -1.2, 2.6, 4.9):
         ft = ex.phi_weight_quad_transform(p, y)
-        assert abs(ft - ex.phi_hat(p, y)) < 1e-6
+        assert abs(ft - ex.phi_hat(p, y)) < 2e-15
+
+
+# lambda = +-0.1 puts coth near its poles at t = 0 and t = +-1, and
+# lambda = +-50 past |Re z| = 20; both sides and both signs of lambda
+PARITY_PARAMS = [ApproximantParams.make(lam, side)
+                 for lam in (0.1, -0.1, 0.8, -0.8, 50.0, -50.0)
+                 for side in (MAJORANT, MINORANT)]
+
+
+def _param_id(p):
+    return f"{p.lam:g}-{p.side}"
+
+
+@pytest.mark.parametrize("p", PARITY_PARAMS, ids=_param_id)
+def test_phi_weight_array_matches_scalar(p):
+    t = np.concatenate([np.linspace(-1.5, 1.5, 61),
+                        [0.0, -0.0, 1.0, -1.0, 1e-12, -1e-12]])
+    got = ex.phi_weight(p, t)
+    assert got.dtype == np.complex128 and got.shape == t.shape
+    assert np.all(got[np.abs(t) > 1.0] == 0.0)
+    for v, g in zip(t.tolist(), got):
+        want = ex.phi_weight(p, v)
+        assert type(want) is complex
+        assert abs(g - want) <= 1e-15 * abs(want)
+
+
+@pytest.mark.parametrize("p", PARITY_PARAMS, ids=_param_id)
+def test_phi_hat_array_matches_scalar(p):
+    """Relative to the largest value: the series length follows the
+    largest |x| of a call, so near a zero of phi_hat the two may differ
+    by an ulp of the function's scale."""
+    x = np.concatenate([np.linspace(-12.0, 12.0, 97), [0.0, 1.0, -3.0]])
+    got = ex.phi_hat(p, x)
+    assert got.dtype == np.float64 and got.shape == x.shape
+    want = np.array([ex.phi_hat(p, v) for v in x.tolist()])
+    assert all(type(ex.phi_hat(p, v)) is float for v in (0.0, 2.5))
+    assert np.max(np.abs(got - want)) <= 1e-15 * np.max(np.abs(want))
 
 
 # ----------------------------------------------------------------------
@@ -103,7 +140,7 @@ def test_difference_is_squared_sinc():
     for lam in (0.25, -1.0):
         pM = ApproximantParams.make(lam, MAJORANT)
         pL = ApproximantParams.make(lam, MINORANT)
-        d = ex.phi_hat_batch(pM, xs) - ex.phi_hat_batch(pL, xs)
+        d = ex.phi_hat(pM, xs) - ex.phi_hat(pL, xs)
         ref = np.array([1.0 if abs(x) < 1e-9 else
                         (math.sin(math.pi * x) / (math.pi * x)) ** 2
                         for x in xs])

@@ -350,9 +350,8 @@ def test_perron_mangoldt_polynomial():
 
 
 def test_perron_triangle_pair():
-    tri = lambda t: max(0.0, 1.0 - abs(t))
-    tri_hat = lambda y: 1.0 if abs(y) < 1e-12 else \
-        (math.sin(math.pi * y) / (math.pi * y)) ** 2
+    tri = lambda t: np.maximum(0.0, 1.0 - np.abs(t))
+    tri_hat = lambda y: np.sinc(y) ** 2
     d = fm.perron_identity_check([0.3, 1.1, 0.0, 2.2], tri, tri_hat,
                                  25.0, 0.8, 11.3)
     assert d < 1e-6

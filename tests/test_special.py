@@ -175,6 +175,35 @@ def test_cot_coth_on_both_sides_of_the_pole_switch(k):
         assert abs(sp.coth_stable(z) - ref) <= 1e-15 * abs(ref)
 
 
+# points on every branch of coth_stable: within 0.1 of a pole i k pi,
+# |Re z| > 20 (both signs), and cosh/sinh elsewhere
+COTH_POINTS = np.array(
+    [d + 1j * k * math.pi for k in (0, 1, 3, -2)
+     for d in (0.05, 0.099, 0.0999j, -0.03 + 0.02j, 1e-9)]
+    + [complex(re, im) for re in (-40.0, -20.5, 20.5, 40.0)
+       for im in (0.0, 1.0, -3.0, 7.7)]
+    + list(np.random.default_rng(0).uniform(-19.0, 19.0, 30)
+           + 1j * np.random.default_rng(1).uniform(-30.0, 30.0, 30)))
+
+
+@pytest.mark.parametrize("fn", [sp.coth_stable, sp.x_coth_x],
+                         ids=["coth_stable", "x_coth_x"])
+def test_coth_array_matches_scalar(fn):
+    got = fn(COTH_POINTS)
+    assert isinstance(got, np.ndarray) and got.shape == COTH_POINTS.shape
+    for z, g in zip(COTH_POINTS.tolist(), got):
+        want = fn(z)
+        assert type(want) is complex
+        assert abs(g - want) <= 1e-15 * abs(want)
+
+
+def test_coth_array_with_an_exact_pole_raises():
+    with pytest.raises(PoleError):
+        sp.coth_stable(np.array([0.5, 0.0, 3.0 + 1j]))
+    with pytest.raises(PoleError):
+        sp.x_coth_x(np.array([0.2, 0.0]))
+
+
 # ----------------------------------------------------------------------
 # Fejer kernel
 # ----------------------------------------------------------------------
