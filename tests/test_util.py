@@ -15,14 +15,32 @@ from zetabounds.util import PrecisionError, gauss_kronrod, kronrod_rule
 # Gauss-Kronrod panels
 # ----------------------------------------------------------------------
 
-@pytest.mark.parametrize("n", [7])
-def test_rule_matches_numpy_leggauss(n):
+def test_kronrod_gauss_part_matches_numpy_leggauss():
     """The Gauss nodes inside K15 are numpy's 7-point Gauss-Legendre."""
     from numpy.polynomial.legendre import leggauss
     x, _, w = kronrod_rule()
-    xr, wr = leggauss(n)
+    xr, wr = leggauss(7)
     assert np.max(np.abs(x[1::2] - xr)) <= 1e-15
     assert np.max(np.abs(w - wr)) <= 2e-15
+
+
+@pytest.mark.parametrize("n", [8, 16])
+def test_rule_matches_numpy_leggauss(n):
+    """On a polynomial of degree 2n - 1, where numpy's n-point
+    Gauss-Legendre rule is exact, gauss_kronrod agrees with it to tol.
+    For n = 16 the degree (31) is beyond K15, so the panels must halve."""
+    from numpy.polynomial.legendre import leggauss
+    c = np.random.default_rng(n).uniform(-1.0, 1.0, 2 * n)
+    k = np.arange(c.size)
+    exact = float(np.sum(c * (1.0 - (-1.0) ** (k + 1)) / (k + 1)))
+    xr, wr = leggauss(n)
+    want = float(np.sum(wr * np.polyval(c[::-1], xr)))   # over [-1, 1]
+    assert abs(want - exact) <= 1e-14
+    tol = 1e-12
+    value, est = gauss_kronrod(lambda t: np.polyval(c[::-1], t),
+                               (-1.0, 0.0, 1.0), tol)
+    assert abs(value - want) <= tol
+    assert est <= tol
 
 
 def test_rules_integrate_monomials_exactly():
