@@ -33,11 +33,11 @@ from .zeros import ZeroList
 
 __all__ = [
     "BoundContext", "BoundReport", "CounterexampleSpec", "trivial_zero_terms",
-    "nontrivial_zero_sum", "classical_inv_gamma_sum", "zero_sum_bound",
-    "vihuela_rhs", "hardin_rhs", "adioso_rhs", "coronidis_rhs", "ranadi_rhs",
-    "moruno_rhs", "arles_rhs", "arles_constant", "explicit_formula_bound",
-    "psi_concrete_bound", "counterexample_mean", "fandango_allowance",
-    "perron_identity_check", "XI_GRID",
+    "nontrivial_zero_sum", "zero_sum_bound", "vihuela_rhs", "hardin_rhs",
+    "adioso_rhs", "coronidis_rhs", "ranadi_rhs", "moruno_rhs", "arles_rhs",
+    "arles_constant", "explicit_formula_bound", "psi_concrete_bound",
+    "counterexample_mean", "fandango_allowance", "perron_identity_check",
+    "XI_GRID",
 ]
 
 XI_GRID = (-1.0, -0.5, 0.0, 0.5, 1.0)
@@ -119,12 +119,6 @@ def nontrivial_zero_sum(zl: ZeroList, ctx: WeightContext, x: float,
                 best, best_xi = val, xi
         return best, best_xi
     raise ValueError("unknown mode")
-
-
-def classical_inv_gamma_sum(zl: ZeroList, T: float) -> float:
-    """2 sum_{0 < gamma <= T} 1/gamma, the classical-weight comparison."""
-    g = _zeros_through(zl, T)
-    return 2.0 * float(np.sum(1.0 / g))
 
 
 def vihuela_rhs(T: float) -> float:

@@ -7,7 +7,7 @@ predicts them.  Rosser blocks (runs of Gram intervals between good Gram
 points) are subdivided until each shows as many sign changes as it has
 intervals, and Turing's method, applied to a few blocks above t_max,
 proves that no zero was missed; the sign changes are then refined by the
-Illinois variant of regula falsi.  Every ZeroList, computed or read,
+Anderson-Bjorck variant of regula falsi.  Every ZeroList, computed or read,
 is also vetted against the zero-counting remainder
 Q(t) = N(t) - (t/2pi) log(t/(2pi e)) - 7/8.  Z(t) is evaluated by the
 Riemann-Siegel formula from T_RS up and by Euler-Maclaurin below it.
@@ -184,23 +184,37 @@ _RS_COEFFS = (
 
 # Lowest height evaluated by Riemann-Siegel; see hardy_z_batch.
 T_RS = 400.0
-_RS_CHUNK = 2048          # heights per main-sum block
+_RS_BLOCK = 1 << 16       # entries of one main-sum phase block, rows x N
 
 
 def _riemann_siegel_z(ts: np.ndarray) -> np.ndarray:
     """Z(t) = 2 sum_{n <= N} n^(-1/2) cos(theta(t) - t log n)
     + (-1)^(N-1) a^(-1/2) sum_{k=0}^{4} C_k(p) a^(-k),
-    with a = sqrt(t/2pi), N = floor(a), p = a - N."""
+    with a = sqrt(t/2pi), N = floor(a), p = a - N.
+
+    The heights are grouped by N (a stable sort, which leaves ascending
+    input in place), and each group's main sum is one real matrix-vector
+    product of the cosines with the amplitudes n^(-1/2), n <= N, in
+    blocks of at most _RS_BLOCK phases.
+    """
     a = np.sqrt(ts / TWO_PI)
     n_terms = np.floor(a)
     th = hardy_theta(ts)
     out = np.empty_like(ts)
-    for lo in range(0, ts.size, _RS_CHUNK):
-        blk = slice(lo, lo + _RS_CHUNK)
-        n = np.arange(1.0, n_terms[blk].max() + 1.0)
-        amp = np.where(n <= n_terms[blk, None], n ** -0.5, 0.0)
-        phase = th[blk, None] - ts[blk, None] * np.log(n)
-        out[blk] = 2.0 * (amp * np.cos(phase)).sum(axis=1)
+    order = np.argsort(n_terms, kind="stable")
+    n_sorted = n_terms[order]
+    starts = np.flatnonzero(np.diff(n_sorted, prepend=-1.0))
+    stops = np.append(starts[1:], ts.size)
+    n = np.arange(1.0, n_sorted[-1] + 1.0)
+    logn, amp = np.log(n), n ** -0.5
+    for start, stop in zip(starts, stops):
+        k = int(n_sorted[start])
+        rows = max(_RS_BLOCK // k, 1)
+        for lo in range(start, stop, rows):
+            idx = order[lo:min(lo + rows, stop)]
+            phase = np.multiply.outer(ts[idx], -logn[:k])
+            phase += th[idx, None]
+            out[idx] = 2.0 * (np.cos(phase, out=phase) @ amp[:k])
     z = a - n_terms - 0.5
     z2 = z * z
     corr = np.zeros_like(ts)
@@ -220,15 +234,18 @@ def hardy_z_batch(ts: np.ndarray) -> np.ndarray:
     ascending order.
 
     From T_RS = 400 up, Z is the Riemann-Siegel main sum of
-    floor(sqrt(t/2pi)) terms plus the corrections C_0 .. C_4.  Gabcke (1979)
-    bounds the truncation error by 0.017 t^(-11/4) for t >= 200: 1.2e-9 at
-    t = 400, and below the rounding of the phases theta - t log n from
-    t ~ 1000 on.  Against mpmath.siegelz at 1200 seeded heights in
-    [400, 2.5e4] the error was at most 8.1e-10, and it stayed below
+    N = floor(sqrt(t/2pi)) terms, one real matrix-vector product per run
+    of heights with the same N, plus the corrections C_0 .. C_4.  Gabcke
+    (1979) bounds the truncation error by 0.017 t^(-11/4) for t >= 200:
+    1.2e-9 at t = 400, and below the rounding of the phases
+    theta - t log n from t ~ 1000 on.  Against mpmath.siegelz at 1200
+    seeded heights in [400, 2.5e4] the error was at most 8.1e-10, and it
+    stayed below
         0.017 t^(-11/4) + 10 * 2^-52 * t log t,
     the bound this function is tested to (1.2e-9 at 400, 5.6e-10 at 2.5e4).
     Below T_RS, Z is e^(i theta) zeta_batch_critical(t), the Euler-Maclaurin
-    sum of about 2.2 t/2pi terms, within _EM_Z_ERROR = 1e-10.
+    sum of about 2.2 t/2pi terms (two real matrix-vector products), within
+    _EM_Z_ERROR = 1e-10.
 
     T_RS is set by measurement against that Euler-Maclaurin oracle.  With
     T_RS = 200, where Gabcke's bound is 8e-9, 33 ordinates of
@@ -273,6 +290,13 @@ def _z_error_bound(t: np.ndarray) -> np.ndarray:
                     _EM_Z_ERROR)
 
 
+def _theta_prime(t):
+    """theta'(t) = (1/2) log(t/2pi) - 1/(48 t^2) - 7/(1920 t^4), the
+    derivative of hardy_theta."""
+    return (0.5 * np.log(t / TWO_PI) - 1.0 / (48.0 * t * t)
+            - 7.0 / (1920.0 * t ** 4))
+
+
 def gram_points(n) -> np.ndarray:
     """Gram points g_n, the solutions of hardy_theta(g_n) = n pi, for
     integers n >= 0 (g_0 = 17.8455...).
@@ -281,8 +305,9 @@ def gram_points(n) -> np.ndarray:
     (n + 1/8) pi, solved by t = 2 pi (n + 1/8) / W((n + 1/8)/e) with the
     Lambert W from four Newton steps; three Newton steps on hardy_theta
     then remove the rest.  g_n is good when (-1)^n Z(g_n) exceeds the
-    error bound of the computed Z (_z_error_bound), so that Z certainly
-    has the sign Gram's law predicts.
+    error bound of the computed Z (_z_error_bound) plus the most Z can
+    move between the computed and the exact g_n (_gram_offset,
+    _z_prime_bound), so that Z certainly has the sign Gram's law predicts.
     """
     n = np.asarray(n, dtype=np.float64)
     x = (n + 0.125) / math.e
@@ -292,10 +317,51 @@ def gram_points(n) -> np.ndarray:
         w -= (w * ew - x) / (ew * (w + 1.0))
     t = TWO_PI * (n + 0.125) / w
     for _ in range(3):
-        dtheta = (0.5 * np.log(t / TWO_PI) - 1.0 / (48.0 * t * t)
-                  - 7.0 / (1920.0 * t ** 4))
-        t -= (hardy_theta(t) - n * math.pi) / dtheta
+        t -= (hardy_theta(t) - n * math.pi) / _theta_prime(t)
     return t
+
+
+def _gram_offset(t: np.ndarray, n: np.ndarray) -> np.ndarray:
+    """Bound on |t - g_n| for computed Gram points t = gram_points(n).
+
+    It is the residual hardy_theta(t) - n pi left by the last Newton
+    step, plus 4 * 2^-52 (n pi + t/2) for the rounding of that residual
+    (the largest term of hardy_theta is (t/2) log(t/2pi), about
+    theta + t/2; at 3000 seeded n up to the ceiling its rounding was at
+    most 2.3 ulp of n pi + t/2), divided by theta'(t).  It is 2.2e-12 to
+    2.5e-12 near t = 2500 and 1.9e-11 to 2.3e-11 near 21900.
+    """
+    npi = n * math.pi
+    res = np.abs(hardy_theta(t) - npi) + 4.0 * 2.0 ** -52 * (npi + 0.5 * t)
+    return res / _theta_prime(t)
+
+
+def _z_prime_bound(t: np.ndarray) -> np.ndarray:
+    """Bound on |Z'(t)| from the Riemann-Siegel formula (see
+    hardy_z_batch): 2 sum_{n <= N} n^(-1/2) |theta'(t) - log n| for the
+    main sum, plus a^(-3/2) / 2 for the corrections, with a = sqrt(t/2pi)
+    and N = floor(a) >= 1.
+
+    The corrections' bound follows from their power series: with
+    |C_k|, |C_k'| <= sum |c_kj| (1/2)^j and da/dt = 1/(4 pi a), the t
+    derivative of a^(-1/2) sum C_k(p) a^(-k) is at most 0.41 a^(-3/2) for
+    a >= 1.  theta' - log n >= 0 for every n < N (theta' >= log N -
+    3e-4 for t >= 10), so only the n = N term can take an absolute value.
+    The derivative of the Riemann-Siegel remainder is not bounded here:
+    against mpmath.siegelz at 120 seeded heights in [10, 2.5e4] this
+    bound was at least 1.09 |Z'|.  It is 19.1 near t = 2500 and 41.7 near
+    21900, where |Z'| times _gram_offset is 4.8e-11 and 9.6e-10.
+    """
+    a = np.sqrt(t / TWO_PI)
+    big_n = np.maximum(np.floor(a), 1.0).astype(np.int64)
+    n = np.arange(1.0, big_n.max() + 1.0)
+    amp = n ** -0.5
+    s0, s1 = np.cumsum(amp), np.cumsum(amp * np.log(n))
+    dth = _theta_prime(t)
+    last = dth - np.log(big_n)
+    main = (dth * s0[big_n - 1] - s1[big_n - 1]
+            + amp[big_n - 1] * (np.abs(last) - last))
+    return 2.0 * main + 0.5 * a ** -1.5
 
 
 def _turing_block_count(g_p: float) -> int:
@@ -309,13 +375,19 @@ def _refine_brackets(a: np.ndarray, b: np.ndarray, za: np.ndarray,
     """Midpoints of the sign-change brackets [a, b] of Z, each narrowed to
     width <= 2 tol, so that every midpoint is within tol of a root.
 
-    Vectorised Illinois (modified regula falsi): each step evaluates Z at
-    the secant point of the bracket and keeps the part that still changes
-    sign; an endpoint kept twice in a row has its Z value halved, which
-    pulls the next secant point toward it, past the root.  The point is
-    held at least tol inside the bracket, so once the secant estimate is
-    within tol of the root the next one or two steps close the bracket to
-    width <= tol.
+    Vectorised Anderson-Bjorck method (N. Anderson and A. Bjorck, "A new
+    high order method of regula falsi type for computing a root of an
+    equation", BIT 13 (1973) 253-264), a modified regula falsi: each step
+    evaluates Z at the secant point c of the bracket and keeps the part
+    that still changes sign.  An endpoint kept twice in a row has its Z
+    value scaled by m = 1 - Z(c)/z, with z the value of the endpoint that
+    c replaced (both have one sign, so m < 1), or by 1/2 where m <= 0 as
+    in the Illinois method; this pulls the next secant point toward it,
+    past the root.  The point is held at least tol inside the bracket, so
+    once the secant estimate is within tol of the root the next one or
+    two steps close the bracket to width <= tol.  On the brackets of
+    find_zeros(2504) it spends 6.28 Z points per bracket in 13
+    hardy_z_batch calls, where the Illinois halving spent 7.21 in 15.
     """
     a, b, za, zb = a.copy(), b.copy(), za.copy(), zb.copy()
     kept = np.zeros(a.size, dtype=np.int8)     # -1: a kept, +1: b kept
@@ -325,11 +397,17 @@ def _refine_brackets(a: np.ndarray, b: np.ndarray, za: np.ndarray,
         c = np.clip(bl - fb * (bl - al) / (fb - fa), al + tol, bl - tol)
         zc = hardy_z_batch(c)
         right = np.sign(zc) == np.sign(fa)     # root lies in [c, b]
+        # m lies in (0, 1] unless Z(c) >= the replaced value, or that value
+        # was an exact zero of the computed Z
+        with np.errstate(divide="ignore", invalid="ignore"):
+            m = 1.0 - zc / np.where(right, fa, fb)
+        m[~((m > 0.0) & (m <= 1.0))] = 0.5
+        scale = np.where(kept[live] == np.where(right, 1, -1), m, 1.0)
         keep_b, keep_a = live[right], live[~right]
         a[keep_b], za[keep_b] = c[right], zc[right]
         b[keep_a], zb[keep_a] = c[~right], zc[~right]
-        zb[keep_b[kept[keep_b] == 1]] *= 0.5
-        za[keep_a[kept[keep_a] == -1]] *= 0.5
+        zb[keep_b] *= scale[right]
+        za[keep_a] *= scale[~right]
         kept[keep_b], kept[keep_a] = 1, -1
         live = live[b[live] - a[live] > 2.0 * tol]
     return 0.5 * (a + b)
@@ -358,12 +436,15 @@ def find_zeros(t_max: float, tol: float = 1e-9) -> ZeroList:
     every zero through g_N is one of them.  More sign changes than that,
     or a Turing block that breaks Rosser's rule, raise MissedZeroError.
 
-    The sign changes at or below t_max are refined by the Illinois method
-    (_refine_brackets) to brackets at most 2 tol wide; each ordinate is
-    its bracket's midpoint, within tol of a sign change of the computed Z.
-    A value of Z counts as a sign only where it exceeds _z_error_bound.
-    ZeroList's |Q(t)| check stays as a backstop.  From T = 2500 to 21900
-    the scan costs about 1.3 Z points per zero and the refinement 7.2.
+    The sign changes at or below t_max are refined by the Anderson-Bjorck
+    method (_refine_brackets) to brackets at most 2 tol wide; each
+    ordinate is its bracket's midpoint, within tol of a sign change of the
+    computed Z.  A value of Z counts as a sign only where it exceeds
+    _z_error_bound; a Gram point is good only where (-1)^n Z exceeds that
+    bound plus _z_prime_bound times _gram_offset, the most Z can change
+    between the computed and the exact Gram point.  ZeroList's |Q(t)|
+    check stays as a backstop.  The scan costs 1.24 Z points per zero at
+    T = 2504 and 1.32 at 21900, the refinement 6.28 and 6.32.
     """
     if not 0 < t_max <= T_MAX_CEILING:
         raise ValueError(f"t_max must lie in (0, {T_MAX_CEILING:g}]")
@@ -380,7 +461,10 @@ def find_zeros(t_max: float, tol: float = 1e-9) -> ZeroList:
     t = np.concatenate([[10.0], gram_points(n[1:])])
     z = hardy_z_batch(t)
     err = _z_error_bound(t)
-    good = np.flatnonzero(np.where(n % 2, -z, z) > err)
+    # t = 10 is exact; a Gram point is only as good as where it lies
+    moved = np.concatenate(
+        [[0.0], _z_prime_bound(t[1:]) * _gram_offset(t[1:], n[1:])])
+    good = np.flatnonzero(np.where(n % 2, -z, z) > err + moved)
     if good.size == 0 or good[0] != 0:
         raise MissedZeroError("Z(10) is not certainly negative")
     n_turing = int(np.searchsorted(t[good], t_top))     # the block at g_N

@@ -4,6 +4,7 @@ import mpmath as mp
 import numpy as np
 import pytest
 
+from zetabounds import special as sp
 from zetabounds import zeros as zr
 from zetabounds.special import log_deriv_zeta, zeta_batch_critical
 from zetabounds.util import TWO_PI
@@ -73,7 +74,8 @@ def test_zerolist_rejects_three_missing_zeros(zl_med, i):
 
 
 # ----------------------------------------------------------------------
-# Riemann-Siegel Z and the Illinois refiner, against independent references
+# Riemann-Siegel Z and the Anderson-Bjorck refiner, against independent
+# references
 # ----------------------------------------------------------------------
 
 def rs_coefficient_table(degree, dps=30):
@@ -138,6 +140,59 @@ def test_riemann_siegel_against_mpmath():
     assert np.all(np.abs(got - want) <= bound)
 
 
+def rs_reference(t):
+    """Riemann-Siegel Z at one height, row by row: the main sum
+    2 sum_{n <= N} n^(-1/2) cos(theta - t log n) summed exactly by fsum,
+    plus the corrections C_0 .. C_4 from _RS_COEFFS in Horner form."""
+    a = math.sqrt(t / TWO_PI)
+    big_n = math.floor(a)
+    n = np.arange(1.0, big_n + 1.0)
+    th = float(zr.hardy_theta(t))
+    main = 2.0 * math.fsum(n ** -0.5 * np.cos(th - t * np.log(n)))
+    z = a - big_n - 0.5
+    corr = 0.0
+    for k in reversed(range(len(zr._RS_COEFFS))):
+        ck = 0.0
+        for c in reversed(zr._RS_COEFFS[k]):
+            ck = ck * z * z + c
+        corr = corr / a + (ck * z if k % 2 else ck)
+    sign = 1.0 if big_n % 2 else -1.0
+    return main + sign * corr / math.sqrt(a)
+
+
+def test_riemann_siegel_groups_match_row_reference():
+    # t = 2 pi k^2 +- 1e-9 straddles every change of N from 8 to 59
+    k = np.arange(8, 60, dtype=np.float64)
+    ts = np.sort(np.concatenate([TWO_PI * k * k - 1e-9,
+                                 TWO_PI * k * k + 1e-9]))
+    want = np.array([rs_reference(t) for t in ts])
+    assert np.all(np.abs(zr._riemann_siegel_z(ts) - want) <= 1e-14)
+    perm = np.random.default_rng(16).permutation(ts.size)
+    assert np.all(np.abs(zr._riemann_siegel_z(ts[perm]) - want[perm])
+                  <= 1e-14)
+    one = np.array([ts[37]])
+    assert abs(zr._riemann_siegel_z(one)[0] - want[37]) <= 1e-14
+
+
+def test_zeta_batch_critical_matches_scalar_zeta_em():
+    # more heights than one block, shuffled, so that block edges and the
+    # cuts at half a block's top height fall between them
+    ts = np.random.default_rng(61).uniform(10.0, zr.T_RS,
+                                           sp._ZETA_CHUNK + 40)
+    got = zeta_batch_critical(ts)
+    for t, z in zip(ts, got):
+        s = complex(0.5, t)
+        # each height gets at least the terms of its own length
+        own_rem = sp._zeta_em_all(s, sp._em_length(s))[1][0]
+        assert abs(z - sp.zeta_em(s).value) <= 1e-12 + own_rem
+    # a single height is one block of its own length
+    for t in ts[:20]:
+        s = complex(0.5, t)
+        alone = zeta_batch_critical(np.array([t]))[0]
+        assert abs(alone - sp._zeta_em_all(s, sp._em_length(s))[0][0]) \
+            <= 1e-12
+
+
 def test_hardy_z_mixed_heights_match_each_path():
     # heights on both sides of T_RS, unsorted, come back in input order
     ts = np.array([2000.0, 150.0, zr.T_RS, 390.0, 20000.0])
@@ -186,6 +241,40 @@ def test_gram_points_solve_theta():
                   <= 8 * np.spacing(np.maximum(npi, math.pi)))
 
 
+def test_gram_offset_bounds_the_placement_error():
+    n = np.array([0, 1, 7, 300, 2000, 24000, 24944, 29000], dtype=float)
+    g = zr.gram_points(n)
+    delta = zr._gram_offset(g, n)
+
+    def theta(t):       # hardy_theta in 40 digits
+        return (t / 2 * mp.log(t / (2 * mp.pi)) - t / 2 - mp.pi / 8
+                + 1 / (48 * t) + 7 / (5760 * t ** 3))
+
+    with mp.workdps(40):
+        for gi, ni, di in zip(g, n, delta):
+            exact = mp.findroot(lambda t: theta(t) - ni * mp.pi, gi)
+            assert abs(gi - exact) <= di
+
+
+def test_z_prime_bound_against_mpmath():
+    ts = np.concatenate([[10.0, 17.8, zr.T_RS], np.exp(np.random.default_rng(
+        12).uniform(math.log(10.0), math.log(2.5e4), 8))])
+    with mp.workdps(15):
+        want = np.array([abs(float(mp.siegelz(t, derivative=1)))
+                         for t in ts])
+    assert np.all(zr._z_prime_bound(ts) >= want)
+    # the corrections' share, a^(-3/2) / 2: the t derivative of
+    # a^(-1/2) sum_k C_k(p) a^(-k) with |C_k|, |C_k'| bounded termwise
+    # on |p - 1/2| <= 1/2 and a >= 1
+    c, dc = [], []
+    for k, row in enumerate(zr._RS_COEFFS):
+        powers = np.arange(len(row)) * 2 + k % 2
+        c.append(np.sum(np.abs(row) * 0.5 ** powers))
+        dc.append(np.sum(np.abs(row) * powers * 0.5 ** (powers - 1.0)))
+    k = np.arange(len(c))
+    assert (0.5 * sum(c) + sum(dc) + np.dot(k, c)) / (4 * math.pi) <= 0.5
+
+
 def test_counts_match_mpmath(zl_small, zl_med):
     assert len(zl_small) == mp.nzeros(300)
     assert len(zl_med) == mp.nzeros(2000)
@@ -209,7 +298,45 @@ def test_z_points_per_zero(monkeypatch):
 
     monkeypatch.setattr(zr, "hardy_z_batch", counting)
     zl = zr.find_zeros(2504.0)
-    assert sum(points) <= 10 * len(zl)
+    assert sum(points) <= 7.8 * len(zl)
+
+
+def test_refiner_on_the_finders_brackets(monkeypatch):
+    seen = []
+    real_refine = zr._refine_brackets
+
+    def capture(*args):
+        seen.append(args)
+        return real_refine(*args)
+
+    monkeypatch.setattr(zr, "_refine_brackets", capture)
+    zr.find_zeros(2504.0)
+    monkeypatch.undo()
+    (a, b, za, zb, tol), = seen
+
+    real_z = zr.hardy_z_batch
+    points = []
+
+    def counting(ts):
+        points.append(len(ts))
+        return real_z(ts)
+
+    monkeypatch.setattr(zr, "hardy_z_batch", counting)
+    r = zr._refine_brackets(a, b, za, zb, tol)
+    assert sum(points) <= 6.5 * a.size
+    assert np.all(np.signbit(real_z(r - tol)) != np.signbit(real_z(r + tol)))
+
+    # brackets already at most 2 tol wide come back as their midpoints,
+    # alone without a Z evaluation, and among the wide ones unchanged
+    points.clear()
+    lo, hi = r[::100] - 0.9 * tol, r[::100] + 0.9 * tol
+    zlo, zhi = real_z(lo), real_z(hi)
+    assert np.array_equal(zr._refine_brackets(lo, hi, zlo, zhi, tol),
+                          0.5 * (lo + hi))
+    assert points == []
+    mixed = zr._refine_brackets(np.append(a, lo), np.append(b, hi),
+                                np.append(za, zlo), np.append(zb, zhi), tol)
+    assert np.array_equal(mixed[a.size:], 0.5 * (lo + hi))
 
 
 def _hide_pair(monkeypatch, lo, hi):
