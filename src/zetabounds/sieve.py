@@ -1,18 +1,21 @@
 """Segmented von Mangoldt sieve: psi(x), the sum of Lambda(n)/n, and
 extrema scans of the normalised error terms.
 
-Segments are independent work units of 2^22 consecutive integers.  Each
-segment's terms are split exactly into hi + lo, hi on a power-of-two grid
-coarse enough that every partial sum of hi is exact in double, so only the
-sums of the half-step lo round; cross-segment accumulation is compensated
-and happens in segment order, so results are identical for any worker
-count.  Each running sum is within 1 ulp of the correctly rounded one: of
-psi at the 3 002 195 prime powers up to 5e7, as extrema_scan reads it,
-216 475 values are 1 ulp off it and the rest equal it (a long-double
-cumsum per segment had 952 042 off, and numpy's long double is only a
-double on some platforms).
+Segments are independent work units of 2^21 consecutive integers: a
+segment's mask (1 MB) and each of its arrays of about 110 000 terms fit
+in a core's 2 MB L2 cache (2^20 was faster still on one thread, but
+slower than 2^22 with two at 1e9).  A running sum is carried across
+segments as an exact part on a power-of-two grid plus the sum of the
+parts below that grid: each segment splits the carried exact part and
+its own terms on one grid set by the running total, so every partial sum
+of the grid parts is exact in double and only the sums of the half-step
+remainders round.  Segments are summed in order, so results are
+identical for any worker count, and every prefix is the correctly
+rounded sum: of psi and of the sum of Lambda(n)/n at each of the
+3 002 195 prime powers up to 5e7, as extrema_scan reads them, all equal
+it.
 
-A segment's mask holds its odd numbers only (2^21 entries) and starts as a
+A segment's mask holds its odd numbers only (2^20 entries) and starts as a
 slice of a periodic wheel that has the multiples of 3, 5, 7, 11 and 13
 struck already (Bays-Hudson segments with a Pritchard-style wheel); only
 the base primes from 17 up are struck per segment.
@@ -27,14 +30,14 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .util import EULER_GAMMA, KahanSum
+from .util import EULER_GAMMA
 
 __all__ = [
     "SieveCheckpoint", "ExtremaRecord", "lambda_segment", "psi_checkpoints",
     "extrema_scan", "checkpoints_to_csv", "STAT_PSI", "STAT_LAMBDA_OVER_N",
 ]
 
-SEGMENT = 1 << 22
+SEGMENT = 1 << 21
 _WHEEL = (3, 5, 7, 11, 13)    # presieved into every segment's mask
 _WHEEL_PERIOD = 15015         # 3*5*7*11*13: the wheel's period in odd numbers
 _BLOCK = 1 << 10              # terms per block of a segment's prefix sums
@@ -49,7 +52,7 @@ class SieveCheckpoint:
     """psi, the log-weighted sum and its shift at an integer checkpoint.
 
     sum_lambda_over_n = S(x), the running sum of Lambda(n)/n over n <= x
-    (within 1 ulp of the correctly rounded sum, as psi is), and
+    (the correctly rounded sum, as psi is: see _SegmentSum), and
     delta = S(x) - (log x - gamma). The error of delta is that of rounding
     S(x) ~ log x and log x to double, a few units in the last place of
     log x (about 3e-15 at x = 2e7, against an fsum reference);
@@ -190,7 +193,9 @@ class _SieveStream:
                 yield self._one(lo)
             return
         with ThreadPoolExecutor(max_workers=self.threads) as exe:
-            window = 2 * self.threads
+            # 8 segments (2^24 integers) in flight per worker: with 2, two
+            # threads at 1e9 waited on the slowest segment more often
+            window = 8 * self.threads
             futs = []
             idx = 0
             while idx < len(starts) or futs:
@@ -214,22 +219,28 @@ def lambda_segment(lo: int, hi: int):
             np.concatenate([lam for _, _, _, lam in parts]))
 
 
-def _split(terms: np.ndarray):
-    """(hi, lo) with hi + lo == terms exactly, for non-negative terms.
+def _split(terms: np.ndarray, total: float):
+    """(hi, lo) with hi + lo == [total, *terms] exactly, for a non-negative
+    total and terms.
 
-    hi = (t + c) - c with c = 2^e, where max(terms) * len(terms) < 2^e,
-    rounds each term to the grid 2^(e - 52), the ulp of t + c in
+    hi = (t + c) - c with c = 2^e, where total + max(terms) * len(terms)
+    < 2^e, rounds each entry to the grid 2^(e - 52), the ulp of t + c in
     [2^e, 2^(e + 1)] (c = 1.5 * 2^e, as for signed terms, would put the
-    terms from 2^(e - 1) up on the grid 2^(e - 51)); any partial sum of hi,
-    in any order, is a multiple of that grid below 2^(e + 1) and so exact
-    in double.  lo = t - hi is exact too and at most half a grid step
-    (Rump, Ogita and Oishi, "Accurate floating-point summation I", 2008).
+    entries from 2^(e - 1) up on the grid 2^(e - 51)); any partial sum of
+    hi, in any order, is a multiple of that grid below 2^(e + 1) and so
+    exact in double.  lo = t - hi is exact too and at most half a grid
+    step (Rump, Ogita and Oishi, "Accurate floating-point summation I",
+    2008).
     """
-    top = float(terms.max(initial=0.0)) * terms.size
+    top = total + float(terms.max(initial=0.0)) * terms.size
     c = math.ldexp(1.0, math.frexp(top)[1])
-    hi = terms + c
+    lo = np.empty(terms.size + 1)
+    lo[0] = total
+    lo[1:] = terms
+    hi = lo + c
     hi -= c
-    return hi, terms - hi
+    lo -= hi
+    return hi, lo
 
 
 def _block_prefix(terms: np.ndarray) -> np.ndarray:
@@ -241,24 +252,34 @@ def _block_prefix(terms: np.ndarray) -> np.ndarray:
     return out
 
 
-class _SegmentSum(KahanSum):
+class _SegmentSum:
     """A running sum over the ascending sieve segments.
 
-    Each segment's terms are split into hi + lo (_split): the sums of hi
-    are exact, so only the sums of the half-grid-step lo round.  The
-    segment totals are compensated across segments in segment order, so
-    every prefix is the same for any worker count and any set of queries,
-    and within 1 ulp of the correctly rounded sum."""
+    The sum so far is carried as high + low: high on the grid of the last
+    segment's _split, so exact, and low the sum of the split's low parts.
+    Each segment splits [high, *terms] on the grid of the running total
+    (_split), so high plus any partial sum of the segment's hi parts is
+    exact, and adds the carried low to the first low part.  A prefix is
+    the exact hi sum plus the low sum, which rounds once.  The low sum's
+    own rounding errors are a tiny fraction of a grid step, so a prefix
+    misses the correctly rounded sum only when the exact sum lies that
+    close to a rounding boundary; the checkpoint and scan tests
+    *_prefix_sums_correctly_rounded find it equal at every prime power of
+    four segments.  Segments are summed in order, so every prefix is the
+    same for any worker count and any set of queries."""
 
-    __slots__ = ("_before", "_comp", "_hi", "_lo", "_blocks")
+    __slots__ = ("_high", "_low", "_hi", "_lo", "_blocks")
+
+    def __init__(self):
+        self._high, self._low = 0.0, 0.0
 
     def segment(self, terms) -> None:
-        """Start the next segment, then add its total to the running sum."""
-        self._before, self._comp = self.total, self.carry
-        self._hi, self._lo = _split(terms)
+        """Start the next segment, then add its terms to the running sum."""
+        self._hi, self._lo = _split(terms, self._high)
+        self._lo[0] += self._low
         self._blocks = None
-        self.add(float(self._hi.sum()))
-        self.add(float(self._lo.sum()))
+        self._high = float(self._hi.sum())
+        self._low = float(self._lo.sum())
 
     def prefix(self, k: int) -> float:
         """The running sum through the first k terms of the segment, from
@@ -266,20 +287,17 @@ class _SegmentSum(KahanSum):
         call, and a function of k alone."""
         if self._blocks is None:
             self._blocks = _block_prefix(self._hi), _block_prefix(self._lo)
+        k += 1                   # entry 0 is the sum before the segment
         q = k // _BLOCK
         hi = self._blocks[0][q] + self._hi[q * _BLOCK:k].sum()
         lo = self._blocks[1][q] + self._lo[q * _BLOCK:k].sum()
-        return float(self._before + ((lo - self._comp) + hi))
+        return float(hi + lo)
 
     def prefixes(self) -> np.ndarray:
         """The running sums through the first k terms of the segment, k = 0
         ... len(terms), by cumsum."""
-        run, hi = np.zeros((2, self._hi.size + 1))
-        np.cumsum(self._lo, out=run[1:])
-        np.cumsum(self._hi, out=hi[1:])
-        run -= self._comp
-        run += hi
-        run += self._before
+        run = np.cumsum(self._lo)
+        run += np.cumsum(self._hi)
         return run
 
 

@@ -215,23 +215,35 @@ def _riemann_siegel_z(ts: np.ndarray) -> np.ndarray:
             phase = np.multiply.outer(ts[idx], -logn[:k])
             phase += th[idx, None]
             out[idx] = 2.0 * (np.cos(phase, out=phase) @ amp[:k])
-    z = a - n_terms - 0.5
-    z2 = z * z
-    corr = np.zeros_like(ts)
-    for k in reversed(range(len(_RS_COEFFS))):
-        ck = np.zeros_like(ts)
-        for c in reversed(_RS_COEFFS[k]):
-            ck = ck * z2 + c
-        if k % 2:
-            ck *= z
-        corr = corr / a + ck
+    corr = _rs_correction(a, a - n_terms - 0.5)
     sign = np.where(n_terms % 2 == 1.0, 1.0, -1.0)     # (-1)^(N-1)
     return out + sign * corr / np.sqrt(a)
 
 
+# _RS_COEFFS by column, highest power of z^2 first: one Horner step each
+_RS_COLUMNS = np.array(_RS_COEFFS).T[::-1, :, None]
+
+
+def _rs_correction(a: np.ndarray, z: np.ndarray) -> np.ndarray:
+    """sum_{k=0}^{4} C_k(z) a^(-k), by Horner in 1/a, with C_k from
+    _RS_COEFFS at z = p - 1/2.  The five C_k are one Horner in z^2 over a
+    (5, n) array: about 55 numpy operations whatever n, where a Horner per
+    row took 110, with the same arithmetic per entry."""
+    z2 = z * z
+    ck = np.zeros((len(_RS_COEFFS), z.size))
+    for col in _RS_COLUMNS:
+        ck *= z2
+        ck += col
+    ck[1::2] *= z
+    corr = np.zeros_like(z)
+    for row in ck[::-1]:
+        corr = corr / a + row
+    return corr
+
+
 def hardy_z_batch(ts: np.ndarray) -> np.ndarray:
-    """Z(t) = Re(e^(i theta) zeta(1/2+it)) for heights t >= 10, best in
-    ascending order.
+    """Z(t) = Re(e^(i theta) zeta(1/2+it)) for finite heights t >= 10,
+    best in ascending order; any other height is a ValueError.
 
     From T_RS = 400 up, Z is the Riemann-Siegel main sum of
     N = floor(sqrt(t/2pi)) terms, one real matrix-vector product per run
@@ -242,7 +254,9 @@ def hardy_z_batch(ts: np.ndarray) -> np.ndarray:
     seeded heights in [400, 2.5e4] the error was at most 8.1e-10, and it
     stayed below
         0.017 t^(-11/4) + 10 * 2^-52 * t log t,
-    the bound this function is tested to (1.2e-9 at 400, 5.6e-10 at 2.5e4).
+    the bound this function is tested to (1.2e-9 at 400, 5.6e-10 at 2.5e4),
+    also above the finder's ceiling: at 8 seeded heights in [2.5e4, 1e5]
+    the error was at most 5.4e-10, 4.2 times below it.
     Below T_RS, Z is e^(i theta) zeta_batch_critical(t), the Euler-Maclaurin
     sum of about 2.2 t/2pi terms (two real matrix-vector products), within
     _EM_Z_ERROR = 1e-10.
@@ -255,6 +269,8 @@ def hardy_z_batch(ts: np.ndarray) -> np.ndarray:
     tol of one.
     """
     ts = np.asarray(ts, dtype=np.float64)
+    if not (np.all(ts >= 10.0) and np.all(ts < math.inf)):
+        raise ValueError("hardy_z_batch needs finite heights t >= 10")
     out = np.empty(ts.shape)
     high = ts >= T_RS
     if high.any():

@@ -87,6 +87,20 @@ def test_lambda_segment_edge_windows():
         np.testing.assert_allclose(ls, want_l, rtol=1e-15, atol=0)
 
 
+def test_segment_primes_near_1e9_against_a_plain_sieve():
+    # whole segments at the desk ceiling, struck by every base prime up to
+    # sqrt(1e9)
+    base = sv._base_primes(math.isqrt(10 ** 9) + 1)
+    wheel = sv._wheel_pattern()
+    for lo in (10 ** 9 - sv.SEGMENT + 1, 10 ** 9 - 3 * sv.SEGMENT // 2):
+        hi = lo + sv.SEGMENT - 1
+        is_p = np.ones(hi - lo + 1, dtype=bool)
+        for p in base.tolist():
+            is_p[max(p * p, -(-lo // p) * p) - lo::p] = False
+        assert np.array_equal(sv._segment_primes(lo, hi, base, wheel),
+                              np.flatnonzero(is_p) + lo), lo
+
+
 def test_lambda_segment_guards():
     with pytest.raises(ValueError):
         sv.lambda_segment(10, 5)
@@ -166,18 +180,21 @@ _SPLIT_TERMS = hnp.arrays(
     elements=st.floats(0.0, 1e300, allow_nan=False, allow_infinity=False))
 
 
-@given(_SPLIT_TERMS)
-@example(np.zeros(0))
-@example(np.zeros(7))
-@example(np.array([1e300]))
-@example(np.array([1e300, 1.0, 5e-324, 0.0]))
-@example(np.array([2.0 ** 51 - 0.5]))     # a term above max * len / 2
-def test_split_is_exact(terms):
-    hi, lo = sv._split(terms)
-    assert np.array_equal(hi + lo, terms)
-    # hi lies on the grid 2^(e - 52), max(terms) len(terms) < 2^e, and lo
-    # within half a step of 0; so any partial sum of hi is exact
-    e = math.frexp(float(terms.max(initial=0.0)) * terms.size)[1]
+@given(_SPLIT_TERMS, st.floats(0.0, 1e300))
+@example(np.zeros(0), 0.0)
+@example(np.zeros(7), 0.0)
+@example(np.zeros(3), 1e-300)
+@example(np.array([1e300]), 0.0)
+@example(np.array([1e300, 1.0, 5e-324, 0.0]), 0.0)
+@example(np.array([2.0 ** 51 - 0.5]), 0.0)     # a term above max * len / 2
+@example(np.array([1.0, 0.25]), 2.0 ** 52 - 1)  # total just below 2^e
+@example(np.array([1.0, 3.0]), 0.1)             # total off the terms' grid
+def test_split_is_exact(terms, total):
+    hi, lo = sv._split(terms, total)
+    assert np.array_equal(hi + lo, np.append(total, terms))
+    # hi lies on the grid 2^(e - 52), total + max(terms) len(terms) < 2^e,
+    # and lo within half a step of 0; so any partial sum of hi is exact
+    e = math.frexp(total + float(terms.max(initial=0.0)) * terms.size)[1]
     step = math.ldexp(1.0, max(e - 52, -1074))
     assert np.all(np.fmod(hi, step) == 0)
     assert np.all(np.abs(lo) <= step / 2)
@@ -185,7 +202,7 @@ def test_split_is_exact(terms):
     assert hi.sum() == exact and hi[::-1].sum() == exact
     # and so is the running sum, one term at a time, either way round
     for order in (hi, hi[::-1]):
-        assert np.cumsum(np.append(0.0, order))[-1] == exact
+        assert np.cumsum(order)[-1] == exact
 
 
 def _rounded_prefix_sums(terms, scale):
@@ -197,7 +214,7 @@ def _rounded_prefix_sums(terms, scale):
     return [s / scale for s in sums]
 
 
-def test_checkpoint_prefix_sums_within_one_ulp():
+def test_checkpoint_prefix_sums_correctly_rounded():
     # four segments; each Lambda(n) >= log 2 is a multiple of 2^-53 and
     # each Lambda(n)/n >= 2^-25 one of 2^-77
     x_max = 3 * sv.SEGMENT + 1000
@@ -206,12 +223,30 @@ def test_checkpoint_prefix_sums_within_one_ulp():
     s_ref = _rounded_prefix_sums(ls / ns, 2 ** 77)
     rng = np.random.default_rng(11)
     xs = sorted(set(rng.integers(1, x_max + 1, 2500).tolist())
-                | {1, 2, sv.SEGMENT + 1, sv.SEGMENT + 2, x_max})
+                | {1, 2, sv.SEGMENT + 1, sv.SEGMENT + 2, x_max}
+                | {b + d for b in range(sv.SEGMENT + 1, x_max, sv.SEGMENT)
+                   for d in (-1, 0, 1)})
     assert len(xs) >= 2000
     cps = sv.psi_checkpoints(xs)
     for c, k in zip(cps, np.searchsorted(ns, xs, side="right").tolist()):
-        assert abs(c.psi - psi_ref[k]) <= math.ulp(psi_ref[k]), c.x
-        assert abs(c.sum_lambda_over_n - s_ref[k]) <= math.ulp(s_ref[k]), c.x
+        assert c.psi == psi_ref[k], c.x
+        assert c.sum_lambda_over_n == s_ref[k], c.x
+
+
+def test_scan_prefix_sums_correctly_rounded():
+    # the running sums extrema_scan reads, at every jump and every left
+    # limit of four segments
+    x_max = 4 * sv.SEGMENT + 1
+    ns, ls = sv.lambda_segment(2, x_max)
+    refs = {sv.STAT_PSI: _rounded_prefix_sums(ls, 2 ** 53),
+            sv.STAT_LAMBDA_OVER_N: _rounded_prefix_sums(ls / ns, 2 ** 77)}
+    for stat, ref in refs.items():
+        run, k = sv._SegmentSum(), 0
+        for lo, hi, pos, lam in sv._SieveStream(x_max):
+            run.segment(lam if stat == sv.STAT_PSI else lam / pos)
+            assert run.prefixes().tolist() == ref[k:k + pos.size + 1], lo
+            k += pos.size
+        assert k == ns.size
 
 
 def test_paper_psi_minimum_bit_for_bit():

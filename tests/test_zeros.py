@@ -140,6 +140,40 @@ def test_riemann_siegel_against_mpmath():
     assert np.all(np.abs(got - want) <= bound)
 
 
+def test_riemann_siegel_against_mpmath_above_the_ceiling():
+    # the docstring's bound also holds over [2.5e4, 1e5]
+    ts = np.sort(np.random.default_rng(2718).uniform(2.5e4, 1e5, 8))
+    got = zr.hardy_z_batch(ts)
+    with mp.workdps(25):
+        want = np.array([float(mp.siegelz(float(t))) for t in ts])
+    bound = 0.017 * ts ** -2.75 + 10 * 2.0 ** -52 * ts * np.log(ts)
+    assert np.all(np.abs(got - want) <= bound)
+
+
+@pytest.mark.parametrize("t", [9.999, 1.0, 0.5, 0.0, -3.0, math.nan,
+                               math.inf, -math.inf])
+def test_hardy_z_rejects_heights_outside_its_range(t):
+    with pytest.raises(ValueError, match="finite heights t >= 10"):
+        zr.hardy_z_batch(np.array([500.0, t]))
+    assert zr.hardy_z_batch(np.array([])).size == 0
+
+
+def test_rs_correction_matches_a_horner_per_row():
+    ts = np.random.default_rng(5000).uniform(zr.T_RS, 2.5e4, 5000)
+    a = np.sqrt(ts / TWO_PI)
+    z = a - np.floor(a) - 0.5
+    z2 = z * z
+    want = np.zeros_like(ts)
+    for k in reversed(range(len(zr._RS_COEFFS))):
+        ck = np.zeros_like(ts)
+        for c in reversed(zr._RS_COEFFS[k]):
+            ck = ck * z2 + c
+        if k % 2:
+            ck *= z
+        want = want / a + ck
+    assert np.array_equal(zr._rs_correction(a, z), want)
+
+
 def rs_reference(t):
     """Riemann-Siegel Z at one height, row by row: the main sum
     2 sum_{n <= N} n^(-1/2) cos(theta - t log n) summed exactly by fsum,
