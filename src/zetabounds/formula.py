@@ -11,16 +11,20 @@ Perron identity numerically.
 
 Most of a report does not depend on x.  A BoundContext holds that part for
 one (zero list, T, sigma): the main term, -zeta'/zeta(sigma), the zero-sum
-bound and omega^+ at each zero through T.  explicit_formula_bound keeps the
-last context in a one-slot memo, keyed on the zero list's identity and on
-T and sigma by value, so a grid of x at one (T, sigma) builds it once.
+bound and, for each zero rho = 1/2 + i gamma through T, gamma with the
+amplitude |omega^+(rho)| and phase arg omega^+(rho).  Since
+Im(omega x^(rho-1)) = x^(-1/2) |omega| sin(gamma log x + arg omega), the
+signed zero sum at x then costs one sine per zero and one dot product.
+explicit_formula_bound keeps the last context in a one-slot memo, keyed on
+the zero list's identity and on T and sigma by value, so a grid of x at one
+(T, sigma) builds it once.
 """
 
 from __future__ import annotations
 
-import json
 import math
 from dataclasses import dataclass, field, fields
+from operator import attrgetter
 
 import numpy as np
 
@@ -84,10 +88,15 @@ def _zeros_through(zl: ZeroList, T: float) -> np.ndarray:
     return zl.ordinates[zl.ordinates <= T]
 
 
-def _signed_sum(w: np.ndarray, rho_m1: np.ndarray, T: float, x: float):
-    """(-(2pi/T) Im sum w x^(rho-1), the factors x^(rho-1))."""
-    xf = np.exp(rho_m1 * math.log(x))
-    return -TWO_PI / T * float(np.sum((w * xf).imag)), xf
+def _phase_sum(f, amp: np.ndarray, gamma: np.ndarray, phase: np.ndarray,
+               L: float) -> float:
+    """sum amp f(gamma L + phase), f being np.sin or np.cos: with amp and
+    phase the modulus and argument of a weight w, and L = log x, this is
+    x^(1/2) Im (f = sin) or x^(1/2) Re (f = cos) of sum w x^(rho-1) over
+    rho = 1/2 + i gamma."""
+    arg = gamma * L
+    arg += phase
+    return float(f(arg, out=arg) @ amp)
 
 
 def nontrivial_zero_sum(zl: ZeroList, ctx: WeightContext, x: float,
@@ -96,7 +105,9 @@ def nontrivial_zero_sum(zl: ZeroList, ctx: WeightContext, x: float,
 
     mode="exact-signed": returns complex(second, fourth) where
       second = -(2pi/T) Im sum omega^+(rho) x^(rho-1)   (a signed value),
-      fourth = -(2pi/T) Re sum theta_{T,1}(rho) x^(rho-1);
+      fourth = -(2pi/T) Re sum theta_{T,1}(rho) x^(rho-1),
+    each as one sine or cosine per zero of gamma log x plus the weight's
+    argument (_phase_sum);
     mode="abs-bound": returns (2pi/T) max over the xi grid of
       sum |omega^+(rho) + xi theta_{T,1}(rho) i|, with no x factor
       (callers divide by sqrt(x)); also returns the attaining xi.
@@ -107,8 +118,10 @@ def nontrivial_zero_sum(zl: ZeroList, ctx: WeightContext, x: float,
     w = omega_plus_batch(ctx, rho) if omega is None else omega
     th = 1.0 - (rho - 1.0) / (1j * ctx.T)
     if mode == "exact-signed":
-        second, xf = _signed_sum(w, rho - 1.0, ctx.T, x)
-        fourth = -TWO_PI / ctx.T * float(np.sum((th * xf).real))
+        L = math.log(x)
+        scale = -TWO_PI / ctx.T / math.sqrt(x)
+        second = scale * _phase_sum(np.sin, np.abs(w), g, np.angle(w), L)
+        fourth = scale * _phase_sum(np.cos, np.abs(th), g, np.angle(th), L)
         return complex(second, fourth)
     if mode == "abs-bound":
         best = -1.0
@@ -258,6 +271,9 @@ class BoundReport:
         if (self.zero_sum_exact is not None
                 and self.zero_sum_exact > self.zero_sum_bound + 1e-12):
             raise ValueError("exact zero sum above its bound")
+        if not (self.zero_sum_path in _ZERO_SUM_PATHS
+                and self.error_path in _ERROR_PATHS):
+            raise ValueError("unknown zero-sum or error path")
 
     def to_dict(self) -> dict:
         """The fields by name, each float as its format_float17 string."""
@@ -269,19 +285,46 @@ class BoundReport:
 
     def to_json(self) -> str:
         """json.dumps(self.to_dict(), indent=1, sort_keys=True), byte for
-        byte, from a fixed template: json.dumps with an indent falls back
-        to the pure-Python encoder, which cost about half of each row."""
-        vals = []
-        for k in _REPORT_KEYS:
-            v = getattr(self, k)
-            vals.append(f'"{format_float17(v)}"' if isinstance(v, float)
-                        else json.dumps(v))
-        return _REPORT_TEMPLATE % tuple(vals)
+        byte, as one % over the fields: json.dumps with an indent falls
+        back to the pure-Python encoder, which cost about half of each
+        row.  The template depends only on the fields' types (T and x may
+        be ints, zero_sum_exact None), so it is built once per type
+        tuple."""
+        vals = _report_fields(self)
+        # not tuple(map(...)): that grows a fresh block on every call, and
+        # the tuple free list keeps up to 2000 of them (300 KB)
+        types = (*map(type, vals),)
+        template = _REPORT_TEMPLATES.get(types)
+        if template is None:
+            template = _REPORT_TEMPLATES[types] = _report_template(types)
+        return template % vals
 
 
+_ZERO_SUM_PATHS = frozenset(("direct", "closed-form"))
+_ERROR_PATHS = frozenset(("folded", "explicit"))
 _REPORT_KEYS = tuple(sorted(f.name for f in fields(BoundReport)))
-_REPORT_TEMPLATE = "{\n%s\n}" % ",\n".join(f' "{k}": %s'
-                                            for k in _REPORT_KEYS)
+_report_fields = attrgetter(*_REPORT_KEYS)
+_REPORT_TEMPLATES = {}
+
+
+def _json_slot(t: type) -> str:
+    """The %-format that writes a value of type t as json.dumps writes its
+    to_dict entry; '%.16e' is format_float17 of a float."""
+    if issubclass(t, float):
+        return '"%.16e"'
+    if t is type(None):
+        return "null%.0s"
+    if issubclass(t, int) and t is not bool:
+        return "%d"
+    if t is str:
+        # __post_init__ admits only the path names: nothing to escape
+        return '"%s"'
+    raise TypeError(f"no JSON slot for a {t.__name__} field")
+
+
+def _report_template(types) -> str:
+    return "{\n%s\n}" % ",\n".join(
+        f' "{k}": {_json_slot(t)}' for k, t in zip(_REPORT_KEYS, types))
 
 
 def _main_coeffs(T: float, sigma: float):
@@ -293,7 +336,7 @@ def _main_coeffs(T: float, sigma: float):
     y = math.pi * (1.0 - sigma) / T
     main = math.pi / T * (1.0 / math.tanh(y)) if abs(y) > 1e-8 \
         else 1.0 / (1.0 - sigma)
-    return main, -log_deriv_zeta(complex(sigma)).value.real
+    return main, float(-log_deriv_zeta(complex(sigma)).value.real)
 
 
 def _main_at(coeffs, sigma: float, x: float):
@@ -309,10 +352,12 @@ class BoundContext:
     """The x-independent part of explicit_formula_bound at one (zero list,
     T, sigma), computed once: the _main_coeffs pair (main term for
     sigma != 1, -zeta'/zeta(sigma)), the zero-sum bound and its path, and
-    rho - 1 and omega^+(rho) over the zeros gamma <= T (None when zl is
-    None or stops below T).  report(T, sigma, x) does the per-x rest:
-    x^(rho-1), the signed zero sum, the trivial-zero and contour terms and
-    the radius."""
+    per zero rho = 1/2 + i gamma with gamma <= T the ordinate gamma, the
+    amplitude |omega^+(rho)| and the phase arg omega^+(rho) (all None when
+    zl is None or stops below T).  report(T, sigma, x) does the per-x rest:
+    the signed zero sum -(2pi/T) sum |omega| sin(gamma log x + arg omega),
+    one sine per zero, the trivial-zero and contour terms and the
+    radius."""
 
     zl: ZeroList | None
     T: float
@@ -320,23 +365,24 @@ class BoundContext:
     main_coeffs: tuple = field(init=False)
     zero_sum: float = field(init=False)
     zero_sum_path: str = field(init=False)
-    rho_m1: np.ndarray | None = field(init=False)
-    omega: np.ndarray | None = field(init=False)
+    gamma: np.ndarray | None = field(init=False)
+    amp: np.ndarray | None = field(init=False)
+    phase: np.ndarray | None = field(init=False)
 
     def __post_init__(self):
         zl, T, sigma = self.zl, self.T, self.sigma
         if not (-1.999 <= sigma <= 100.0):
             raise ValueError("sigma out of the supported range")
         coeffs = _main_coeffs(T, sigma)
-        rho_m1 = w = None
+        g = w = amp = phase = None
         if zl is not None and T <= zl.t_max:
-            rho = 0.5 + 1j * _zeros_through(zl, T)
-            rho_m1 = rho - 1.0
-            w = omega_plus_batch(WeightContext(T, sigma), rho)
+            g = _zeros_through(zl, T)
+            w = omega_plus_batch(WeightContext(T, sigma), 0.5 + 1j * g)
+            amp, phase = np.abs(w), np.angle(w)
         zs, zs_path = zero_sum_bound(zl, T, sigma, omega=w)
         for k, v in (("main_coeffs", coeffs), ("zero_sum", zs),
-                     ("zero_sum_path", zs_path), ("rho_m1", rho_m1),
-                     ("omega", w)):
+                     ("zero_sum_path", zs_path), ("gamma", g), ("amp", amp),
+                     ("phase", phase)):
             object.__setattr__(self, k, v)
 
     def report(self, T: float, sigma: float, x: float) -> BoundReport:
@@ -348,8 +394,8 @@ class BoundContext:
         if not x > T:
             raise ValueError("the formula needs x > T")
         main, pole = _main_at(self.main_coeffs, sigma, x)
-        zs_exact = (None if self.omega is None else math.sqrt(x)
-                    * _signed_sum(self.omega, self.rho_m1, T, x)[0])
+        zs_exact = (None if self.amp is None else -TWO_PI / T * _phase_sum(
+            np.sin, self.amp, self.gamma, self.phase, math.log(x)))
         coth_triv, plain_triv, triv_rhs = trivial_zero_terms(T, sigma, x)
         ipc = hardin_rhs(T, x)
         explicit = (math.pi / T * (1.0 + plain_triv + coth_triv)

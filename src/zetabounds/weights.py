@@ -27,7 +27,7 @@ __all__ = [
     "WeightContext", "theta", "theta_T1", "omega_plus", "omega_plus_batch",
     "omega_plus_from_contour", "F_profile", "F_and_A", "weight_split_error",
     "weighted_log_integral", "weighted_inv_integral", "constants_C",
-    "tremic_check", "adar_error_terms", "salmon_bound_parts",
+    "tremic_check", "adar_error_terms",
 ]
 
 @dataclass(frozen=True)
@@ -362,15 +362,3 @@ def adar_error_terms(t0: float, T: float, sigma: float):
     err2 = ((2.78 * ds + 1.0) * math.log(T / TWO_PI) - 0.4
             + math.pi ** 2 * t0 / T * (0.4 * math.log(t0) + 4.0))
     return p1, err1, err2
-
-
-def salmon_bound_parts(T: float, t0: float, sigma: float):
-    """(coefficient of sum 1/|rho - sigma|, additive remainder) for the
-    low-ordinate part: (2pi/T) sum |omega^+ + xi theta i| over gamma <= t0
-    is at most 2 sum 1/|rho - sigma| + c (t0/T) log(t0/2pi)."""
-    if not (T >= 4.0 * math.pi and TWO_PI <= t0 <= T / 2.0):
-        raise ValueError("need T >= 4 pi and 2 pi <= t0 <= T/2")
-    if abs(sigma - 0.5) > T / 2.0:
-        raise ValueError("|sigma - 1/2| must be at most T/2")
-    c = 1.0 + (2.78 * abs(sigma - 0.5) + 1.0) / T
-    return 2.0, c * t0 / T * math.log(t0 / TWO_PI)

@@ -67,6 +67,51 @@ def test_abs_bound_dominates_signed(zl_med):
         assert abs(ex_val.real) <= bound / math.sqrt(x) + 1e-12
 
 
+def test_zero_sum_exact_against_mpmath(zl_med):
+    """The one-sine zero sum -(2pi/T) sum |w| sin(gamma L + arg w) of a
+    report against -(2pi/T) x^(1/2) Im sum w x^(rho-1) at 40 digits, over
+    the same double gamma and w = omega^+(rho)."""
+    mpmath = pytest.importorskip("mpmath")
+    from zetabounds.weights import omega_plus_batch
+    rng = np.random.default_rng(1801)
+    with mpmath.workdps(40):
+        for T in (50.0, 300.0, 1468.0):
+            g = zl_med.ordinates[zl_med.ordinates <= T]
+            xs = [T * (1.0 + 1e-9), math.exp(60.0)] + [
+                math.exp(v) for v in rng.uniform(math.log(T), 60.0, 2)]
+            # x^(rho - 1) = x^(-1/2) e^(i gamma log x)
+            phases = {x: [mpmath.expj(mpmath.mpf(float(t))
+                                      * mpmath.log(mpmath.mpf(x)))
+                          for t in g] for x in xs}
+            for sigma in (-0.5, 0.0, 1.0, 2.0):
+                ctx = fm.BoundContext(zl_med, T, sigma)
+                w = [mpmath.mpc(complex(a)) for a in omega_plus_batch(
+                    WeightContext(T, sigma), 0.5 + 1j * g)]
+                scale = TWO_PI / T * float(sum(abs(a) for a in w))
+                for x, xf in phases.items():
+                    want = -2 * mpmath.pi / T * mpmath.fsum(
+                        (a * b).imag for a, b in zip(w, xf))
+                    got = ctx.report(T, sigma, x).zero_sum_exact
+                    assert abs(got - float(want)) <= 1e-13 * scale
+
+
+def test_report_float_fields_are_python_floats(zl_med):
+    # a numpy scalar formats the same but is not a float to every reader
+    reps = [fm.explicit_formula_bound(zl_med, 1000.0, sigma, x)
+            for sigma in (-0.5, 0.0, 0.5, 1.0, 2.0)
+            for x in (1e4, 1e8)]
+    reps += [fm.explicit_formula_bound(None, 2e7, sigma, 3e7)
+             for sigma in (0.0, 0.5)]
+    assert any(r.zero_sum_path == "closed-form" for r in reps)
+    for r in reps:
+        floats = [(k, v) for k, v in vars(r).items()
+                  if k not in ("zero_sum_path", "error_path")
+                  and v is not None]
+        assert len(floats) >= 11
+        for k, v in floats:
+            assert type(v) is float, (k, type(v))
+
+
 def test_height_guard(zl_med):
     with pytest.raises(ValueError):
         fm.nontrivial_zero_sum(zl_med, WeightContext(5000.0, 0.0), 2.0)
@@ -175,7 +220,8 @@ def test_report_json_template_matches_json_dumps():
     rng = np.random.default_rng(12)
     zl = zr.bundled_zeros()
     reps = [fm.explicit_formula_bound(zl, 50.0, 0.0, 50.5),
-            fm.explicit_formula_bound(zl, 200, 1.0, 1e5)]
+            fm.explicit_formula_bound(zl, 200, 1.0, 1e5),
+            fm.explicit_formula_bound(zl, 200, 0.5, 10 ** 6)]
     for _ in range(40):
         sigma = float(rng.choice([-1.5, -0.0, 0.0, 0.5, 1.0, 2.0]))
         # no zero list above the closed-form floor: zero_sum_exact is None
@@ -190,6 +236,15 @@ def test_report_json_template_matches_json_dumps():
         assert r.to_json() == json.dumps(r.to_dict(), indent=1,
                                          sort_keys=True)
         assert json.loads(r.to_json()) == r.to_dict()
+
+
+def test_report_rejects_unknown_paths(zl_med):
+    # to_json writes the path names unescaped: only the known ones pass
+    import dataclasses
+    rep = fm.explicit_formula_bound(zl_med, 1000.0, 0.0, 1e6)
+    for k in ("error_path", "zero_sum_path"):
+        with pytest.raises(ValueError):
+            dataclasses.replace(rep, **{k: 'a"b'})
 
 
 def test_sandwich_against_sieve_small(zl_med):

@@ -347,22 +347,9 @@ def test_tremic_small_and_large():
     assert a1_at_0 == 0.5
 
 
-def test_adar_and_salmon_shapes(zl_med):
+def test_adar_and_salmon_shapes():
     p1, err1, err2 = wt.adar_error_terms(60.0, 1800.0, 0.0)
     c1 = wt.constants_C(1)
     c2 = wt.constants_C(2)
     assert abs(p1 - (2 * c1 * math.log(1800.0 / TWO_PI)
                      + 2 * (c1 - c2))) < 1e-12
-    coef, rem = wt.salmon_bound_parts(1800.0, 60.0, 0.0)
-    assert coef == 2.0
-    # the resulting low-part bound dominates the true weighted sum
-    from zetabounds.formula import nontrivial_zero_sum
-    from zetabounds.weights import omega_plus_batch, WeightContext
-    ctx = WeightContext(1800.0, 0.0)
-    g = zl_med.ordinates[zl_med.ordinates <= 60.0]
-    rho = 0.5 + 1j * g
-    w = omega_plus_batch(ctx, rho)
-    th = 1.0 - (rho - 1.0) / (1j * 1800.0)
-    lhs = TWO_PI / 1800.0 * float(np.sum(np.abs(w + 1j * th)))
-    rhs = coef * float(np.sum(1.0 / np.abs(rho - 0.0))) + rem
-    assert lhs <= rhs
