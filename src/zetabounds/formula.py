@@ -88,50 +88,37 @@ def _zeros_through(zl: ZeroList, T: float) -> np.ndarray:
     return zl.ordinates[zl.ordinates <= T]
 
 
-def _phase_sum(f, amp: np.ndarray, gamma: np.ndarray, phase: np.ndarray,
+def _phase_sum(amp: np.ndarray, gamma: np.ndarray, phase: np.ndarray,
                L: float) -> float:
-    """sum amp f(gamma L + phase), f being np.sin or np.cos: with amp and
-    phase the modulus and argument of a weight w, and L = log x, this is
-    x^(1/2) Im (f = sin) or x^(1/2) Re (f = cos) of sum w x^(rho-1) over
-    rho = 1/2 + i gamma."""
+    """sum amp sin(gamma L + phase): with amp and phase the modulus and
+    argument of a weight w, and L = log x, this is x^(1/2) Im of
+    sum w x^(rho-1) over rho = 1/2 + i gamma."""
     arg = gamma * L
     arg += phase
-    return float(f(arg, out=arg) @ amp)
+    return float(np.sin(arg, out=arg) @ amp)
 
 
-def nontrivial_zero_sum(zl: ZeroList, ctx: WeightContext, x: float,
-                        mode: str = "exact-signed", omega=None):
-    """Contribution of the zeros rho = 1/2 + i gamma, gamma <= T.
+def nontrivial_zero_sum(zl: ZeroList, ctx: WeightContext, x: float, *,
+                        omega=None):
+    """Bound on the contribution of the zeros rho = 1/2 + i gamma,
+    gamma <= T: returns (2pi/T) max over the xi grid of
+    sum |omega^+(rho) + xi theta_{T,1}(rho) i| and the attaining xi.
 
-    mode="exact-signed": returns complex(second, fourth) where
-      second = -(2pi/T) Im sum omega^+(rho) x^(rho-1)   (a signed value),
-      fourth = -(2pi/T) Re sum theta_{T,1}(rho) x^(rho-1),
-    each as one sine or cosine per zero of gamma log x plus the weight's
-    argument (_phase_sum);
-    mode="abs-bound": returns (2pi/T) max over the xi grid of
-      sum |omega^+(rho) + xi theta_{T,1}(rho) i|, with no x factor
-      (callers divide by sqrt(x)); also returns the attaining xi.
+    The bound has no x factor (callers divide by sqrt(x)), so x is not
+    read; the signed sum at x is BoundContext.report's zero_sum_exact.
     omega, when given, is omega^+(rho) at these zeros, already computed.
     """
     g = _zeros_through(zl, ctx.T)
     rho = 0.5 + 1j * g
     w = omega_plus_batch(ctx, rho) if omega is None else omega
     th = 1.0 - (rho - 1.0) / (1j * ctx.T)
-    if mode == "exact-signed":
-        L = math.log(x)
-        scale = -TWO_PI / ctx.T / math.sqrt(x)
-        second = scale * _phase_sum(np.sin, np.abs(w), g, np.angle(w), L)
-        fourth = scale * _phase_sum(np.cos, np.abs(th), g, np.angle(th), L)
-        return complex(second, fourth)
-    if mode == "abs-bound":
-        best = -1.0
-        best_xi = None
-        for xi in XI_GRID:
-            val = TWO_PI / ctx.T * float(np.sum(np.abs(w + xi * th * 1j)))
-            if val > best:
-                best, best_xi = val, xi
-        return best, best_xi
-    raise ValueError("unknown mode")
+    best = -1.0
+    best_xi = None
+    for xi in XI_GRID:
+        val = TWO_PI / ctx.T * float(np.sum(np.abs(w + xi * th * 1j)))
+        if val > best:
+            best, best_xi = val, xi
+    return best, best_xi
 
 
 def vihuela_rhs(T: float) -> float:
@@ -156,7 +143,7 @@ def zero_sum_bound(zl: ZeroList | None, T: float, sigma: float,
     if zl is None:
         raise ValueError("desk-scale T needs an explicit zero list")
     ctx = WeightContext(T, sigma)
-    val, _ = nontrivial_zero_sum(zl, ctx, 2.0, mode="abs-bound", omega=omega)
+    val, _ = nontrivial_zero_sum(zl, ctx, 2.0, omega=omega)
     return val, "direct"
 
 
@@ -395,7 +382,7 @@ class BoundContext:
             raise ValueError("the formula needs x > T")
         main, pole = _main_at(self.main_coeffs, sigma, x)
         zs_exact = (None if self.amp is None else -TWO_PI / T * _phase_sum(
-            np.sin, self.amp, self.gamma, self.phase, math.log(x)))
+            self.amp, self.gamma, self.phase, math.log(x)))
         coth_triv, plain_triv, triv_rhs = trivial_zero_terms(T, sigma, x)
         ipc = hardin_rhs(T, x)
         explicit = (math.pi / T * (1.0 + plain_triv + coth_triv)

@@ -15,6 +15,7 @@ theta = 1, A near z = 0 and the constants C1, C2 in `weights`.
 from __future__ import annotations
 
 import cmath
+import functools
 import math
 
 import numpy as np
@@ -190,22 +191,103 @@ def zeta_em_deriv(s: complex, order: int,
         f"{errs[order]:g})")
 
 
+@functools.lru_cache(maxsize=32)
+def _factor_plan(N: int):
+    """How the table of n^(-s), n <= N, is filled from its prime entries:
+    (rows_n, log_p, amp_p, groups), read-only.
+
+    Row r of the table holds n = rows_n[r]: 1 first, then the primes in
+    ascending order, then the composites by Omega(n), the number of prime
+    factors counted with multiplicity, by their least prime factor p
+    within a level, and by n.  Each group (start, stop, p_row, b_rows) is
+    the run of rows with one Omega(n) and one p; row start + i holds
+    p * rows_n[b_rows[i]], and p_row and every b_rows[i] lie before
+    start.  log_p and amp_p are log p and p^(-1/2) for the prime rows
+    1 .. len(log_p).  The plan depends on N alone, so the last few are
+    kept: below zeros.T_RS, N <= 161 and a plan holds a few kilobytes.
+    """
+    n = np.arange(N + 1)
+    spf = n.copy()                      # least prime factor, 1 at n = 0
+    spf[0] = 1
+    for p in range(2, math.isqrt(N) + 1):
+        if spf[p] == p:
+            multiples = spf[p * p::p]
+            np.minimum(multiples, p, out=multiples)
+    omega = np.zeros(N + 1, dtype=np.int64)
+    rest = n.copy()
+    for _ in range(N.bit_length() - 1):         # Omega(n) <= log2 N
+        omega += rest > 1
+        rest //= spf[rest]
+    rows_n = np.lexsort((n, spf, omega))[1:]    # n = 0 sorts first
+    row = np.empty(N + 1, dtype=np.int64)
+    row[rows_n] = np.arange(N)
+    b_rows = row[rows_n // spf[rows_n]]
+    n_primes = int(np.count_nonzero(omega == 1))
+    starts = np.flatnonzero(np.diff(omega[rows_n] * (N + 1)
+                                    + spf[rows_n])) + 1
+    starts = starts[starts > n_primes].tolist()
+    primes = rows_n[1:1 + n_primes]
+    log_p, amp_p = np.log(primes), primes ** -0.5
+    for a in (rows_n, log_p, amp_p, b_rows):
+        a.flags.writeable = False
+    groups = tuple((start, stop, int(row[spf[rows_n[start]]]),
+                    b_rows[start:stop])
+                   for start, stop in zip(starts, starts[1:] + [N]))
+    return rows_n, log_p, amp_p, groups
+
+
+def _dirichlet_table(tt: np.ndarray, plan) -> np.ndarray:
+    """n^(-1/2 - i t) for the n of a _factor_plan's rows (axis 0) and the
+    heights tt (axis 1).
+
+    n^(-1/2 - i t) is completely multiplicative in n: only the prime rows
+    take a cosine and a sine, p^(-1/2) (cos(t log p) - i sin(t log p)),
+    and each composite row is one complex product of two earlier rows,
+    gathered in place a group at a time.  Besides the table, 16 bytes per
+    (n, t), only numpy's fixed ufunc buffer is allocated.
+    """
+    rows_n, log_p, amp_p, groups = plan
+    table = np.empty((rows_n.size, tt.size), dtype=np.complex128)
+    table[0] = 1.0
+    prime_rows = table[1:1 + log_p.size]
+    # the last rows, composites filled later, hold the phases meanwhile:
+    # for N >= 30 there are more composites than primes, and an output
+    # sharing the phases' rows would make numpy copy them first
+    phase = table[-log_p.size:].real
+    np.multiply.outer(-log_p, tt, out=phase)
+    np.cos(phase, out=prime_rows.real)
+    np.sin(phase, out=prime_rows.imag)
+    prime_rows *= amp_p[:, None]
+    for start, stop, p_row, b_rows in groups:
+        rows = table[start:stop]
+        # np.take copies its source first unless out lies apart from it
+        # and mode is not "raise" (b_rows are in range)
+        np.take(table[:start], b_rows, axis=0, out=rows, mode="clip")
+        rows *= table[p_row]
+    return table
+
+
 def zeta_batch_critical(ts: np.ndarray) -> np.ndarray:
     """Vectorised zeta(1/2 + i t) for an array of heights t, best in
     ascending order.
 
-    The sorted heights are cut into blocks of at most _ZETA_CHUNK, and a
-    block is cut once more at half its top height, below which the sum
-    needs about half the terms.  Each block shares one main-sum grid of
-    the length _em_length of its top height, so every height gets at
-    least the terms of its own _em_length and at most the remainder that
-    _zeta_em_all bounds for them: 3.4e-11 just below t = 400, 1.6e-9 at
-    t = 2504 (zeta_em lengthens the sum until its target is met).  The
-    main sum is cos(phase) @ n^(-1/2) - i sin(phase) @ n^(-1/2), two real
-    matrix-vector products, and the tail is zeta's alone (_em_tail without
-    the derivative sums).  Replaying the calls below zeros.T_RS that
-    find_zeros(2504) makes, the cut at half the top height took their
-    time from about 16.2 to 14.9 ms (medians of 150 alternating replays).
+    The sorted heights are cut into blocks of at most _ZETA_CHUNK.  Each
+    block shares one main sum of the length _em_length of its top height,
+    so every height gets at least the terms of its own _em_length and at
+    most the remainder that _zeta_em_all bounds for them: 3.4e-11 just
+    below t = 400, 1.6e-9 at t = 2504 (zeta_em lengthens the sum until
+    its target is met).  The main sum adds the rows of a _dirichlet_table:
+    pi(N) cosines and sines per height, for the primes p <= N, instead of
+    N of each, and about N - pi(N) complex products.  The tail is zeta's
+    alone (_em_tail without the derivative sums).
+
+    A block is not cut again at half its top height: the part below would
+    need about half the terms, but the table makes them cheap, and the
+    cut costs a second _em_tail.  Replaying the calls below zeros.T_RS
+    that find_zeros(2504) makes took 10.8 ms with the cut and 8.5 ms
+    without (medians of 150 alternating replays on two shared cores,
+    faster in 144; 15.4 ms with N cosines and sines per height).
+
     The main sum has about 2.2 t/2pi terms, so zeros.hardy_z_batch uses
     this only below zeros.T_RS and switches to Riemann-Siegel above; at
     any height it is the independent reference that the Riemann-Siegel
@@ -215,25 +297,15 @@ def zeta_batch_critical(ts: np.ndarray) -> np.ndarray:
     out = np.empty(ts.shape, dtype=np.complex128)
     order = np.argsort(ts, kind="stable")
     sorted_ts = ts[order]
-    blocks = []
     for lo in range(0, sorted_ts.size, _ZETA_CHUNK):
-        hi = min(lo + _ZETA_CHUNK, sorted_ts.size)
-        mid = lo + int(np.searchsorted(sorted_ts[lo:hi],
-                                       0.5 * sorted_ts[hi - 1]))
-        blocks += [(lo, mid), (mid, hi)] if mid > lo else [(lo, hi)]
-    for lo, hi in blocks:
-        tt = sorted_ts[lo:hi]
+        tt = sorted_ts[lo:lo + _ZETA_CHUNK]
         tmax = float(tt[-1])
         if tmax > IM_CEILING:
             raise ValueError("height above validity ceiling")
         N = _em_length(complex(0.5, tmax))
-        n = np.arange(1, N + 1, dtype=np.float64)
-        logn = np.log(n)
-        amp = n ** -0.5
-        phase = np.multiply.outer(tt, logn)
-        core = np.cos(phase) @ amp - 1j * (np.sin(phase) @ amp)
+        core = _dirichlet_table(tt, _factor_plan(N)).sum(axis=0)
         (core, _, _), _, _, _ = _em_tail(0.5 + 1j * tt, N, core)
-        out[order[lo:hi]] = core
+        out[order[lo:lo + _ZETA_CHUNK]] = core
     return out
 
 

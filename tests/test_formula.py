@@ -41,30 +41,15 @@ def test_trivial_domain_guard():
 # zero sums
 # ----------------------------------------------------------------------
 
-def test_exact_signed_at_x_one(zl_med):
-    # x = 1 collapses x^(rho-1) to 1: the sums are plain weight sums
-    ctx = WeightContext(1000.0, 0.0)
-    got = fm.nontrivial_zero_sum(zl_med, ctx, 1.0, "exact-signed")
-    from zetabounds.weights import omega_plus_batch
-    g = zl_med.ordinates[zl_med.ordinates <= 1000.0]
-    rho = 0.5 + 1j * g
-    w = omega_plus_batch(ctx, rho)
-    th = 1.0 - (rho - 1.0) / (1j * 1000.0)
-    want2 = -TWO_PI / 1000.0 * float(np.sum(w.imag))
-    want4 = -TWO_PI / 1000.0 * float(np.sum(th.real))
-    assert abs(got.real - want2) < 1e-12
-    assert abs(got.imag - want4) < 1e-12
-
-
 def test_abs_bound_dominates_signed(zl_med):
     ctx = WeightContext(1500.0, 0.0)
-    bound, xi = fm.nontrivial_zero_sum(zl_med, ctx, 7.0, "abs-bound")
+    bound, xi = fm.nontrivial_zero_sum(zl_med, ctx, 7.0)
     assert xi in fm.XI_GRID and abs(xi) == 1.0
-    for x in (2.0, 50.0, 1e6):
-        ex_val = fm.nontrivial_zero_sum(zl_med, ctx, x, "exact-signed")
-        assert abs(ex_val.real) + abs(ex_val.imag) \
-            <= 2.0 * bound / math.sqrt(x) + 1e-12
-        assert abs(ex_val.real) <= bound / math.sqrt(x) + 1e-12
+    bc = fm.BoundContext(zl_med, 1500.0, 0.0)
+    assert bc.zero_sum == bound
+    for x in (1500.5, 5e4, 1e6, 1e12):
+        exact = bc.report(1500.0, 0.0, x).zero_sum_exact
+        assert abs(exact) <= bound + 1e-12
 
 
 def test_zero_sum_exact_against_mpmath(zl_med):

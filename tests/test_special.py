@@ -60,6 +60,46 @@ def test_zeta_pole_and_domain_errors():
         sp.zeta_em(-1.0 + 0j, 1e-18)
 
 
+@pytest.mark.parametrize("N", [30, 31, 41, 97, 128, 161, 1000])
+def test_factor_plan_builds_each_n_once_from_earlier_rows(N):
+    n, log_p, amp_p, groups = sp._factor_plan(N)
+    assert n[0] == 1 and sorted(n.tolist()) == list(range(1, N + 1))
+    primes = [k for k in range(2, N + 1)
+              if all(k % d for d in range(2, math.isqrt(k) + 1))]
+    assert n[1:1 + log_p.size].tolist() == primes
+    assert np.array_equal(log_p, np.log(primes))
+    assert np.array_equal(amp_p, np.array(primes, dtype=float) ** -0.5)
+    # the groups, in the order they are filled, tile the composite rows
+    # once, each row the product of a prime row and a row filled earlier
+    filled = 1 + len(primes)
+    for start, stop, p_row, b_rows in groups:
+        assert start == filled and stop > start
+        assert 1 <= p_row <= len(primes)
+        assert b_rows.size == stop - start and np.all(b_rows < start)
+        assert np.array_equal(n[start:stop], n[p_row] * n[b_rows])
+        filled = stop
+    assert filled == N
+
+
+def test_dirichlet_table_against_mpmath():
+    """Every entry is n^(-1/2 - i t) to within 2 units of
+    n^(-1/2) 2^-52 (t log n + 1), the rounding of the phase t log n (the
+    largest seen was 0.80), at seeded heights and the N of their block."""
+    rng = np.random.default_rng(1901)
+    for lo, hi, m in ((10.0, 400.0, 12), (390.0, 400.0, 8), (10.0, 60.0, 8)):
+        tt = np.sort(rng.uniform(lo, hi, m))
+        N = sp._em_length(complex(0.5, tt[-1]))
+        plan = sp._factor_plan(N)
+        table = sp._dirichlet_table(tt, plan)
+        assert table.shape == (N, m)
+        logs = [mp.log(int(k)) for k in plan[0]]
+        for j, t in enumerate(tt):
+            want = np.array([complex(mp.exp(-(0.5 + 1j * mp.mpf(t)) * lg))
+                             for lg in logs])
+            unit = plan[0] ** -0.5 * 2.0 ** -52 * (t * np.log(plan[0]) + 1.0)
+            assert np.all(np.abs(table[:, j] - want) <= 2.0 * unit)
+
+
 def test_log_deriv_tends_to_zero_on_the_right():
     assert abs(sp.log_deriv_zeta(40.0).value) < 1e-11
 

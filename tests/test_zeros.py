@@ -209,8 +209,8 @@ def test_riemann_siegel_groups_match_row_reference():
 
 
 def test_zeta_batch_critical_matches_scalar_zeta_em():
-    # more heights than one block, shuffled, so that block edges and the
-    # cuts at half a block's top height fall between them
+    # more heights than one block, shuffled, so that a block edge falls
+    # between them
     ts = np.random.default_rng(61).uniform(10.0, zr.T_RS,
                                            sp._ZETA_CHUNK + 40)
     got = zeta_batch_critical(ts)
@@ -233,6 +233,25 @@ def test_hardy_z_mixed_heights_match_each_path():
     mixed = zr.hardy_z_batch(ts)
     alone = np.array([zr.hardy_z_batch(np.array([t]))[0] for t in ts])
     assert np.allclose(mixed, alone, rtol=0.0, atol=1e-11)
+
+
+def test_hardy_z_below_t_rs_goes_through_zeta_batch_critical(monkeypatch):
+    """hardy_z_batch reaches the Euler-Maclaurin path through the name
+    zeros.zeta_batch_critical, with the heights below T_RS only, so a
+    wrapper put there sees every such call."""
+    seen = []
+    real = zr.zeta_batch_critical
+
+    def counting(ts):
+        seen.append(np.array(ts))
+        return real(ts)
+
+    monkeypatch.setattr(zr, "zeta_batch_critical", counting)
+    ts = np.array([2000.0, 150.0, zr.T_RS, 390.0, 20.0])
+    zr.hardy_z_batch(ts)
+    assert len(seen) == 1 and np.array_equal(seen[0], [150.0, 390.0, 20.0])
+    zr.hardy_z_batch(np.array([zr.T_RS, 2000.0]))
+    assert len(seen) == 1
 
 
 def test_ordinates_bracket_em_sign_changes():
