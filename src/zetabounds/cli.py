@@ -208,7 +208,18 @@ def _float_list(s: str):
 
 
 def _int_list(s: str):
-    return tuple(int(float(v)) for v in s.split(",") if v)
+    # inf and nan stay floats, for _check_finite to reject
+    return tuple(int(f) if math.isfinite(f) else f for f in _float_list(s))
+
+
+def _check_finite(ns: argparse.Namespace) -> None:
+    """Every number on the command line is finite: inf or nan is a
+    ValueError here, not an overflow or a check skipped further on."""
+    for name, value in vars(ns).items():
+        values = value if isinstance(value, tuple) else (value,)
+        if any(isinstance(v, float) and not math.isfinite(v)
+               for v in values):
+            raise ValueError(f"--{name.replace('_', '-')} must be finite")
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -275,6 +286,7 @@ def main(argv=None) -> int:
         ap.print_help()
         return EXIT_USAGE
     try:
+        _check_finite(ns)
         return COMMANDS[ns.command](ns)
     except (ValueError, zr.ZeroFileError, zr.MissedZeroError, OSError) as e:
         sys.stdout.write(_error_json(e))

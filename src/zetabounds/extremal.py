@@ -25,7 +25,7 @@ from .util import (TWO_PI, PoleError, adaptive_simpson,  # noqa: F401
 __all__ = [
     "ApproximantParams", "truncated_exp",
     "phi_weight", "phi_hat", "phi_hat_lerch", "l1_gap",
-    "glued_contour_weight", "beurling_majorant", "phi_combo_xi",
+    "glued_contour_weight", "beurling_majorant",
     "l1_gap_quadrature",
 ]
 
@@ -108,17 +108,6 @@ def phi_weight(p: ApproximantParams, t):
     out[inside] = (_phi_circ(p.nu, p.sign, z)
                    + np.sign(z) * _phi_star(p.nu, p.sign, z))
     return out if out.ndim else complex(out)
-
-
-def phi_combo_xi(nu: float, pm: float, xi: float, z: complex) -> complex:
-    """(Phi_circ + xi Phi_star)(z) evaluated through the shifted identity
-    valid for xi = +-1: the same expression with z replaced by z - xi."""
-    if xi not in (-1.0, 1.0):
-        raise ValueError("xi must be +-1")
-    zs = z - xi
-    w = nu - TWO_PI * 1j * zs
-    return (1j * xi / TWO_PI) * (_x_coth_half(nu) - x_coth_x(0.5 * w)
-                                 + pm * math.pi * 1j * zs)
 
 
 def glued_contour_weight(lam: float, side: str, z: complex) -> complex:

@@ -38,7 +38,6 @@ from .zeros import ZeroList
 __all__ = [
     "BoundContext", "BoundReport", "CounterexampleSpec", "trivial_zero_terms",
     "nontrivial_zero_sum", "zero_sum_bound", "vihuela_rhs", "hardin_rhs",
-    "adioso_rhs", "coronidis_rhs", "ranadi_rhs", "moruno_rhs", "arles_rhs",
     "arles_constant", "explicit_formula_bound", "psi_concrete_bound",
     "counterexample_mean", "fandango_allowance", "perron_identity_check",
     "XI_GRID",
@@ -98,14 +97,13 @@ def _phase_sum(amp: np.ndarray, gamma: np.ndarray, phase: np.ndarray,
     return float(np.sin(arg, out=arg) @ amp)
 
 
-def nontrivial_zero_sum(zl: ZeroList, ctx: WeightContext, x: float, *,
-                        omega=None):
+def nontrivial_zero_sum(zl: ZeroList, ctx: WeightContext, *, omega=None):
     """Bound on the contribution of the zeros rho = 1/2 + i gamma,
     gamma <= T: returns (2pi/T) max over the xi grid of
     sum |omega^+(rho) + xi theta_{T,1}(rho) i| and the attaining xi.
 
-    The bound has no x factor (callers divide by sqrt(x)), so x is not
-    read; the signed sum at x is BoundContext.report's zero_sum_exact.
+    The bound holds at every x, with no x factor (callers divide by
+    sqrt(x)); the signed sum at x is BoundContext.report's zero_sum_exact.
     omega, when given, is omega^+(rho) at these zeros, already computed.
     """
     g = _zeros_through(zl, ctx.T)
@@ -143,12 +141,12 @@ def zero_sum_bound(zl: ZeroList | None, T: float, sigma: float,
     if zl is None:
         raise ValueError("desk-scale T needs an explicit zero list")
     ctx = WeightContext(T, sigma)
-    val, _ = nontrivial_zero_sum(zl, ctx, 2.0, omega=omega)
+    val, _ = nontrivial_zero_sum(zl, ctx, omega=omega)
     return val, "direct"
 
 
 # ----------------------------------------------------------------------
-# Archimedean integral bound and its components
+# Archimedean integral bound
 # ----------------------------------------------------------------------
 
 _ARLES_C = None
@@ -167,56 +165,6 @@ def arles_constant() -> float:
         ldp = z2 / z0 - ld * ld
         _ARLES_C = float((ld - 2.0 * ldp).real)
     return _ARLES_C
-
-
-def arles_rhs(x: float) -> float:
-    """Bound for -int_{-1}^{1} (A~)(s) (1-s) x^s ds (positive integrand)."""
-    if x <= 1.0:
-        raise ValueError("need x > 1")
-    c = arles_constant()
-    L = math.log(x)
-    g = EULER_GAMMA
-    return (g * x / L ** 2 + (c - g) / 2.0 * x / L ** 3
-            - (c + g) / (x * L) - c / (x * L ** 2)
-            - (c - g) / (2.0 * x * L ** 3))
-
-
-def moruno_rhs(x: float) -> float:
-    """Bound -2 A~(-1) / (x log x) for the horizontal left-tail integral."""
-    if x < 2.0:
-        raise ValueError("need x >= 2")
-    atilde = -log_deriv_zeta(-1.0 + 0j).value.real + 0.5
-    return -2.0 * atilde / (x * math.log(x))
-
-
-def ranadi_rhs(x: float) -> float:
-    """Bound (pi^2/4x)(2 sqrt2/L^2 + (2+sqrt2)/L^3 + (1/sqrt2)/L^4) for the
-    slanted cot-contour integral."""
-    if x <= 1.0:
-        raise ValueError("need x > 1")
-    L = math.log(x)
-    r2 = math.sqrt(2.0)
-    return (math.pi ** 2 / (4.0 * x)
-            * (2.0 * r2 / L ** 2 + (2.0 + r2) / L ** 3 + 1.0 / r2 / L ** 4))
-
-
-def coronidis_rhs(x: float) -> float:
-    """Bound gamma x/log^2 x + (5/3) x/log^3 x for the whole contour
-    integral |int_C A~(s) Phi(s) x^s ds| (x >= 15)."""
-    if x < 15.0:
-        raise ValueError("need x >= 15")
-    L = math.log(x)
-    return EULER_GAMMA * x / L ** 2 + (5.0 / 3.0) * x / L ** 3
-
-
-def adioso_rhs(sigma0: float, T: float, x: float) -> float:
-    """Bound (4/3)(log T + c_{sigma0} + 3/(2T^2)) / (x log x) for the
-    far-left vertical integral."""
-    if not (sigma0 > 0 and T >= 1 and x >= math.e ** 3):
-        raise ValueError("need sigma0 > 0, T >= 1, x >= e^3")
-    c = abs(log_deriv_zeta(complex(1.0 + sigma0)).value.real) \
-        + 4.0 + math.pi / 2.0
-    return 4.0 / 3.0 * (math.log(T) + c + 1.5 / T ** 2) / (x * math.log(x))
 
 
 def hardin_rhs(T: float, x: float) -> float:

@@ -28,7 +28,7 @@ __all__ = [
     "digamma", "trigamma", "log_gamma", "gamma_abs", "cot_stable",
     "coth_stable", "fejer", "fejer_batch", "lerch", "ei_and_bound",
     "ei_upper_bound", "laurent_coeffs_A", "LaurentCoeffs", "badabook_f",
-    "badabook_f_prime", "zeta_reflection_rhs", "one_minus_x_cot_x",
+    "zeta_reflection_rhs", "one_minus_x_cot_x",
 ]
 
 IM_CEILING = 1e5          # documented validity ceiling for zeta_em
@@ -716,14 +716,6 @@ class LaurentCoeffs:
     def magnitudes(self):
         return tuple(self.a(n) for n in range(len(self.coeffs)))
 
-    def eval_regular_part(self, s: complex) -> complex:
-        """The truncated series sum c_n (s-1)^n."""
-        u = complex(s) - 1.0
-        val = 0.0 + 0.0j
-        for c in reversed(self.coeffs):
-            val = val * u + c
-        return val
-
 
 def laurent_coeffs_A(n_max: int) -> LaurentCoeffs:
     """Coefficients of -zeta'/zeta(s) = 1/(s-1) + sum c_n (s-1)^n, computed
@@ -773,14 +765,3 @@ def badabook_f(t: float) -> float:
     ld = log_deriv_zeta(complex(t)).value.real
     dg = digamma(complex(t)).value.real
     return ld + dg - math.log(TWO_PI)
-
-
-def badabook_f_prime(t: float) -> float:
-    """f'(t) = (zeta'/zeta)'(t) + trigamma(t) for real t > 1."""
-    if t <= 1:
-        raise ValueError("t must exceed 1")
-    z0 = zeta_em_deriv(complex(t), 0, 1e-13).value
-    z1 = zeta_em_deriv(complex(t), 1, 1e-13).value
-    z2 = zeta_em_deriv(complex(t), 2, 1e-12).value
-    ld_prime = (z2 / z0 - (z1 / z0) ** 2).real
-    return ld_prime + trigamma(complex(t)).value.real

@@ -468,8 +468,8 @@ def find_zeros(t_max: float, tol: float = 1e-9) -> ZeroList:
     """
     if not 0 < t_max <= T_MAX_CEILING:
         raise ValueError(f"t_max must lie in (0, {T_MAX_CEILING:g}]")
-    if tol < 1e-9:
-        raise ValueError("tol must be at least 1e-9")
+    if not 1e-9 <= tol < math.inf:
+        raise ValueError("tol must be finite and at least 1e-9")
     if t_max < FIRST_ZERO - 0.5:
         return ZeroList(np.array([]), t_max, source="computed")
 

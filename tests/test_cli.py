@@ -9,6 +9,11 @@ from zetabounds import sieve as sv
 from zetabounds import zeros as zr
 
 
+# the bundled list of the first 100 zeros
+_ZEROS100 = os.path.join(os.path.dirname(zr.__file__), "data",
+                         "zeros100.txt")
+
+
 def run(argv):
     return cli.main(argv)
 
@@ -133,9 +138,7 @@ def test_psi_bound_no_sieve_off_sigma_0_and_1(tmp_path, zl_med,
 ], ids=["stops-below-t_max", "inf-ordinate", "nan-t_max"])
 def test_psi_bound_rejects_an_unsound_zero_file(tmp_path, capsys, head, tail,
                                                 error):
-    bundled = os.path.join(os.path.dirname(zr.__file__), "data",
-                           "zeros100.txt")
-    with open(bundled, encoding="ascii") as fh:
+    with open(_ZEROS100, encoding="ascii") as fh:
         body = "".join(l for l in fh if not l.startswith("#"))
     zfile = tmp_path / "z.txt"
     zfile.write_text(head + body + tail)
@@ -197,13 +200,36 @@ def test_threads_below_one_are_an_error(tmp_path, zl_med, capsys, threads):
 
 def test_psi_bound_checks_threads_at_every_sigma(capsys):
     # sigma = 0.5 runs no sieve, and a bad --threads is still an error
-    zfile = os.path.join(os.path.dirname(zr.__file__), "data",
-                         "zeros100.txt")
-    rc = run(["psi-bound", "--t-max", "200", "--zero-file", zfile,
+    rc = run(["psi-bound", "--t-max", "200", "--zero-file", _ZEROS100,
               "--sigma", "0.5", "--x", "1e5", "--threads=0"])
     assert rc == cli.EXIT_ERROR
     assert json.loads(capsys.readouterr().out) == {
         "error": "ValueError", "message": "threads must be >= 1"}
+
+
+@pytest.mark.parametrize("argv, option", [
+    (["psi-bound", "--t-max", "200", "--zero-file", _ZEROS100,
+      "--x", "1e6,inf"], "x"),
+    (["psi-bound", "--t-max", "200", "--zero-file", _ZEROS100,
+      "--sigma", "0.5", "--x", "1e6,inf"], "x"),
+    (["psi-bound", "--t-max", "200", "--zero-file", _ZEROS100,
+      "--x", "1e6", "--sieve-limit", "nan"], "sieve-limit"),
+    (["sieve", "--x-max", "inf"], "x-max"),
+    (["sieve", "--x-max", "100", "--checkpoints", "1,inf"], "checkpoints"),
+    (["sieve", "--x-max", "100", "--checkpoints", "1,nan"], "checkpoints"),
+    (["counterexample", "--K", "5", "--T", "1", "--delta", "0.1",
+      "--N", "1,inf"], "N"),
+    (["zeros", "--t-max", "60", "--tol", "nan"], "tol"),
+    (["zeros", "--t-max", "60", "--tol", "inf"], "tol"),
+], ids=["psi-bound-x", "psi-bound-x-sigma-half", "psi-bound-sieve-limit",
+        "sieve-x-max", "sieve-checkpoints-inf", "sieve-checkpoints-nan",
+        "counterexample-N", "zeros-tol-nan", "zeros-tol-inf"])
+def test_non_finite_numbers_are_a_json_error(capsys, argv, option):
+    assert run(argv) == cli.EXIT_ERROR
+    out = capsys.readouterr().out
+    assert out.count("\n") == 1
+    assert json.loads(out) == {"error": "ValueError",
+                               "message": f"--{option} must be finite"}
 
 
 def test_sieve_checkpoint_csv(capsys):
@@ -233,9 +259,7 @@ def test_verify_skips_what_a_short_list_cannot_support(tmp_path, capsys):
     # the bundled list reaches t = 236.5: too short for the inverse-square
     # tail and the local expansion at t = 1500, enough for the rest
     out = tmp_path / "v.json"
-    zfile = os.path.join(os.path.dirname(zr.__file__), "data",
-                         "zeros100.txt")
-    rc = run(["verify", "--suite", "appendix-b", "--zero-file", zfile,
+    rc = run(["verify", "--suite", "appendix-b", "--zero-file", _ZEROS100,
               "--out", str(out)])
     assert rc == 0
     got = {r["check"]: r["pass"] for r in json.loads(out.read_text())}

@@ -189,17 +189,6 @@ def test_glued_weight_pole_error():
         ex.glued_contour_weight(nu, MAJORANT, pole)
 
 
-def test_arnoroid_reformulation():
-    rng = np.random.default_rng(6)
-    for _ in range(40):
-        z = complex(rng.uniform(-2.0, 2.0), rng.uniform(-2.0, 2.0))
-        for pm in (1.0, -1.0):
-            for xi in (1.0, -1.0):
-                a = ex._phi_circ(0.9, pm, z) + xi * ex._phi_star(0.9, pm, z)
-                b = ex.phi_combo_xi(0.9, pm, xi, z)
-                assert abs(a - b) < 1e-12
-
-
 # ----------------------------------------------------------------------
 # Beurling majorant of sgn
 # ----------------------------------------------------------------------

@@ -43,7 +43,7 @@ def test_trivial_domain_guard():
 
 def test_abs_bound_dominates_signed(zl_med):
     ctx = WeightContext(1500.0, 0.0)
-    bound, xi = fm.nontrivial_zero_sum(zl_med, ctx, 7.0)
+    bound, xi = fm.nontrivial_zero_sum(zl_med, ctx)
     assert xi in fm.XI_GRID and abs(xi) == 1.0
     bc = fm.BoundContext(zl_med, 1500.0, 0.0)
     assert bc.zero_sum == bound
@@ -99,7 +99,7 @@ def test_report_float_fields_are_python_floats(zl_med):
 
 def test_height_guard(zl_med):
     with pytest.raises(ValueError):
-        fm.nontrivial_zero_sum(zl_med, WeightContext(5000.0, 0.0), 2.0)
+        fm.nontrivial_zero_sum(zl_med, WeightContext(5000.0, 0.0))
 
 
 def test_zero_sum_bound_paths(zl_med):
@@ -128,44 +128,6 @@ def test_pinned_constant_at_1468(zl_med, name, compute):
 
 def test_arles_constant_value():
     assert abs(fm.arles_constant() - 3.86102) < 1e-4
-
-
-def test_arles_quadrature_below_bound():
-    # int_{-1}^{1} |A~(s)| (1-s) x^s ds <= arles bound, via quadrature
-    from zetabounds.special import log_deriv_zeta
-    from zetabounds.util import adaptive_simpson
-
-    for x in (1e4, 1e6):
-        def f(s):
-            at = -log_deriv_zeta(complex(s)).value.real - 1.0 / (s - 1.0)
-            return abs(at) * (1.0 - s) * x ** s
-
-        q = adaptive_simpson(f, -0.999, 0.999, 1e-6)
-        # endpoint slivers contribute less than the f-values there
-        assert q <= fm.arles_rhs(x)
-
-
-def test_ranadi_value_shape():
-    x = 100.0
-    L = math.log(x)
-    want = (math.pi ** 2 / (4 * x)) * (2 * math.sqrt(2) / L ** 2
-                                       + (2 + math.sqrt(2)) / L ** 3
-                                       + (1 / math.sqrt(2)) / L ** 4)
-    assert abs(fm.ranadi_rhs(x) - want) < 1e-18
-
-
-def test_moruno_uses_atilde():
-    want = 2.0 * 1.48505372440541 / (100.0 * math.log(100.0))
-    assert abs(fm.moruno_rhs(100.0) - want) < 1e-6
-
-
-def test_hardin_aggregates_components():
-    T, x = 1e6, 1e7
-    total = fm.hardin_rhs(T, x)
-    # components are individually smaller than the aggregate at scale
-    assert fm.coronidis_rhs(x) / x < total
-    assert fm.adioso_rhs(0.5, T, x) < total
-    assert fm.ranadi_rhs(x) < total
 
 
 # ----------------------------------------------------------------------
@@ -285,22 +247,28 @@ def test_memo_rows_match_fresh_contexts(zl_med):
 
 
 def test_memo_builds_one_context_per_grid(zl_med, monkeypatch):
-    counts = {"log_deriv": 0, "omega": 0}
+    calls = {"log_deriv": [], "omega": [], "zero_sum": []}
 
     def counted(name, f):
-        def wrapper(*args):
-            counts[name] += 1
-            return f(*args)
+        def wrapper(*args, **kwargs):
+            calls[name].append(args)
+            return f(*args, **kwargs)
         return wrapper
 
     monkeypatch.setattr(fm, "log_deriv_zeta",
                         counted("log_deriv", fm.log_deriv_zeta))
     monkeypatch.setattr(fm, "omega_plus_batch",
                         counted("omega", fm.omega_plus_batch))
+    monkeypatch.setattr(fm, "nontrivial_zero_sum",
+                        counted("zero_sum", fm.nontrivial_zero_sum))
     fm._last_context = None
     for x in np.geomspace(2e3, 1e30, 50):
         fm.explicit_formula_bound(zl_med, 1500.0, 0.5, float(x))
-    assert counts["log_deriv"] == 1 and counts["omega"] == 1
+    assert {k: len(v) for k, v in calls.items()} == {
+        "log_deriv": 1, "omega": 1, "zero_sum": 1}
+    # the positional arguments a zero-sum hook reads: the list and its T
+    (args,) = calls["zero_sum"]
+    assert args[0] is zl_med and args[1].T == 1500.0
 
 
 def test_psi_concrete_bound_values():

@@ -327,19 +327,18 @@ def test_laurent_first_coefficient_is_gamma():
 def test_laurent_series_evaluates_log_derivative():
     lc = sp.laurent_coeffs_A(12)
     s = 1.01
-    recon = 1.0 / (s - 1.0) + lc.eval_regular_part(s).real
+    recon = 1.0 / (s - 1.0) + np.polyval(lc.coeffs[::-1], s - 1.0)
     assert abs(recon - (-sp.log_deriv_zeta(s).value.real)) < 1e-8
 
 
 def test_laurent_against_mpmath_stieltjes():
     lc = sp.laurent_coeffs_A(6)
     # independent series division at 40 digits
-    mp.mp.dps = 40
-    u = mp.mpf("0.02")
-    ref = -mp.zeta(1 + u, derivative=1) / mp.zeta(1 + u) - 1 / u
-    mine = lc.eval_regular_part(1.02)
-    assert abs(float(ref) - mine.real) < 1e-9
-    mp.mp.dps = 30
+    with mp.workdps(40):
+        u = mp.mpf("0.02")
+        ref = -mp.zeta(1 + u, derivative=1) / mp.zeta(1 + u) - 1 / u
+        mine = np.polyval(lc.coeffs[::-1], 1.02 - 1.0)
+        assert abs(float(ref) - mine) < 1e-9
 
 
 def test_laurent_depth_guard():
@@ -353,8 +352,3 @@ def test_laurent_depth_guard():
 
 def test_badabook_value_matches_atilde():
     assert abs(sp.badabook_f(2.0) + 0.5 - (-1.48505372440541)) < 1e-9
-
-
-def test_badabook_slope_constant():
-    m = sp.badabook_f_prime(5.0) - 1.0 / 25.0
-    assert abs(m - 0.203) < 5e-3

@@ -46,6 +46,9 @@ def test_finder_domain_checks():
         zr.find_zeros(3e4)
     with pytest.raises(ValueError):
         zr.find_zeros(100.0, tol=1e-12)
+    for tol in (math.nan, math.inf):
+        with pytest.raises(ValueError, match="tol must be finite"):
+            zr.find_zeros(60.0, tol=tol)
 
 
 def test_zerolist_invariants():
