@@ -62,7 +62,11 @@ def trivial_zero_terms(T: float, sigma: float, x: float):
         raise ValueError("need sigma > -2")
     if not (x > 1.0 and T > 0.0):
         raise ValueError("need x > 1 and T > 0")
-    plain = 1.0 / (x ** 3 * (1.0 - x ** -2))
+    try:
+        cube = x ** 3
+    except OverflowError:     # x above about 5.6e102: every term is 0
+        cube = math.inf
+    plain = 1.0 / (cube * (1.0 - x ** -2))
     coth_sum = KahanSum()
     n = 1
     while True:
@@ -71,7 +75,7 @@ def trivial_zero_terms(T: float, sigma: float, x: float):
         n += 1
         if term < 1e-30 or n > 10_000:
             break
-    rhs = (1.0 / (2.0 + sigma) + TWO_PI / T) / (x ** 3 * (1.0 - x ** -2))
+    rhs = (1.0 / (2.0 + sigma) + TWO_PI / T) / (cube * (1.0 - x ** -2))
     return coth_sum.value(), plain, rhs
 
 
@@ -430,7 +434,9 @@ def counterexample_mean(spec: CounterexampleSpec, N: int, sign: str):
     if sign not in ("+", "-"):
         raise ValueError("sign must be '+' or '-'")
     s = 1.0 if sign == "+" else -1.0
-    x = math.exp((TWO_PI * N + s * spec.delta) / spec.T)
+    u = (TWO_PI * N + s * spec.delta) / spec.T
+    # exp overflows from u = 709.8 on: test the exponent first
+    x = math.exp(u) if u <= math.log(1e9) else math.inf
     if x > 1e9:
         raise ValueError("x exceeds the direct-summation ceiling 1e9")
     m = int(x)

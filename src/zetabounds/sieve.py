@@ -18,13 +18,24 @@ it.
 A segment's mask holds its odd numbers only (2^20 entries) and starts as a
 slice of a periodic wheel that has the multiples of 3, 5, 7, 11 and 13
 struck already (Bays-Hudson segments with a Pritchard-style wheel); only
-the base primes from 17 up are struck per segment.
+the base primes from 17 up are struck per segment.  The segment's odd
+proper prime powers are then put back into the mask, so one flatnonzero
+lists every odd prime power in order; only the powers of 2 are inserted.
+
+A pass allocates its work arrays once and reuses them for every segment
+(_Scratch): the mask, the split and prefix sums of _SegmentSum and the
+per-term arrays of extrema_scan.  Freed and allocated again per segment,
+arrays of this size go back to the kernel and are faulted in again: a
+one-thread `sieve --x-max 1e9` took 123 800 minor page faults that way,
+and takes 31 000 with them reused.  Only the positions and Lambda values
+a segment hands on are new arrays.
 """
 
 from __future__ import annotations
 
 import bisect
 import math
+import threading
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
@@ -110,21 +121,50 @@ def _wheel_pattern() -> np.ndarray:
     return keep
 
 
-def _segment_primes(lo: int, hi: int, base: np.ndarray,
-                    wheel: np.ndarray) -> np.ndarray:
+class _Scratch(threading.local):
+    """Work arrays reused across the segments of one pass.
+
+    take(name, n) is the first n entries of the array kept under name,
+    allocated again only when a segment needs more; prime powers thin out
+    as n grows, so the first segment of a pass is its largest and each
+    array is allocated once.  Each thread sees its own arrays (a
+    threading.local), so the workers of a threaded stream never sieve in
+    one another's mask."""
+
+    def __init__(self):
+        self.arrays = {}
+
+    def take(self, name: str, n: int, dtype=np.float64) -> np.ndarray:
+        a = self.arrays.get(name)
+        if a is None or a.size < n:
+            a = self.arrays[name] = np.empty(n, dtype)
+        return a[:n]
+
+
+_NO_POWERS = np.zeros(0, dtype=np.int64)
+
+
+def _segment_primes(lo: int, hi: int, base: np.ndarray, wheel: np.ndarray,
+                    powers: np.ndarray = _NO_POWERS,
+                    scratch: _Scratch | None = None) -> np.ndarray:
     """Primes in [lo, hi] for 2 <= lo <= hi, via the ascending base primes,
-    which must hold every prime up to sqrt(hi), and the _wheel_pattern().
+    which must hold every prime up to sqrt(hi), and the _wheel_pattern(),
+    merged in order with powers, the proper prime powers in [lo, hi].
 
     The mask holds the odd numbers of [lo, hi] only: entry i is odd + 2i.
     It starts as the wheel pattern at the segment's phase, tiled by
     doubling copies, so the multiples of 3 ... 13 cost no strided writes;
     each base prime p >= 17 then strikes its odd multiples from the first
-    one >= max(p^2, lo), a stride of p entries.  2 and the wheel primes
-    themselves are put back when they lie in [lo, hi].
+    one >= max(p^2, lo), a stride of p entries.  The wheel primes
+    themselves are put back when they lie in [lo, hi], and so are the odd
+    powers, struck composites at known entries.  2 and the even powers
+    are not in the mask and are inserted.  The mask is scratch's, when
+    given, so a pass sieves every segment in one array.
     """
     odd = lo | 1
     size = (hi - odd) // 2 + 1
-    mask = np.empty(size, dtype=bool)
+    mask = (np.empty(size, dtype=bool) if scratch is None
+            else scratch.take("mask", size, bool))
     done = min(_WHEEL_PERIOD, size)
     phase = (odd >> 1) % _WHEEL_PERIOD
     mask[:done] = wheel[phase:phase + done]
@@ -141,11 +181,17 @@ def _segment_primes(lo: int, hi: int, base: np.ndarray,
     for q in _WHEEL:
         if lo <= q <= hi:
             mask[(q - odd) >> 1] = True
+    is_even = (powers & 1) == 0
+    mask[(powers[~is_even] - odd) >> 1] = True
     primes = np.flatnonzero(mask)
     primes <<= 1
     primes += odd
+    even = powers[is_even]
     if lo == 2:
-        primes = np.concatenate(([2], primes))
+        even = np.concatenate(([2], even))
+    if even.size:
+        # beyond the first segment, at most one power of 2
+        primes = np.insert(primes, np.searchsorted(primes, even), even)
     return primes
 
 
@@ -163,7 +209,14 @@ class _SieveStream:
     A segment spans SEGMENT consecutive integers [lo, hi] (the last one
     ends at x_max), even and odd, while its sieve mask holds only the odd
     ones; positions are all the prime powers in [lo, hi], 2 and its powers
-    included, in ascending order, and mangoldt their Lambda = log p."""
+    included, in ascending order, and mangoldt their Lambda = log p.
+
+    The proper prime powers come from one table built per stream: the odd
+    ones are put back into the segment's mask and the powers of 2
+    inserted (_segment_primes), and Lambda = log n is then overwritten
+    with log p at their entries.  Each worker thread sieves in a mask of
+    its own (_Scratch), allocated once and reused for its segments; the
+    positions and Lambda values are new arrays, as callers keep them."""
 
     def __init__(self, x_max: int, threads: int = 1):
         self.x_max = int(x_max)
@@ -172,18 +225,17 @@ class _SieveStream:
         self.pp_n, self.pp_l = _prime_powers(self.x_max, self.base)
         self.wheel = _wheel_pattern()
         self.threads = threads
+        self.scratch = _Scratch()
 
     def _one(self, lo: int):
         hi = min(lo + SEGMENT - 1, self.x_max)
-        pos = _segment_primes(lo, hi, self.base, self.wheel)
-        lam = np.log(pos.astype(np.float64))
         i0, i1 = np.searchsorted(self.pp_n, [lo, hi + 1])
+        pos = _segment_primes(lo, hi, self.base, self.wheel,
+                              self.pp_n[i0:i1], self.scratch)
+        lam = pos.astype(np.float64)
+        np.log(lam, out=lam)
         if i1 > i0:
-            # a proper prime power is never prime: insert each one before
-            # the first larger prime
-            at = np.searchsorted(pos, self.pp_n[i0:i1])
-            pos = np.insert(pos, at, self.pp_n[i0:i1])
-            lam = np.insert(lam, at, self.pp_l[i0:i1])
+            lam[np.searchsorted(pos, self.pp_n[i0:i1])] = self.pp_l[i0:i1]
         return lo, hi, pos, lam
 
     def __iter__(self):
@@ -219,9 +271,9 @@ def lambda_segment(lo: int, hi: int):
             np.concatenate([lam for _, _, _, lam in parts]))
 
 
-def _split(terms: np.ndarray, total: float):
+def _split(terms: np.ndarray, total: float, scratch: _Scratch | None = None):
     """(hi, lo) with hi + lo == [total, *terms] exactly, for a non-negative
-    total and terms.
+    total and terms; in scratch's "hi" and "lo" arrays, when given.
 
     hi = (t + c) - c with c = 2^e, where total + max(terms) * len(terms)
     < 2^e, rounds each entry to the grid 2^(e - 52), the ulp of t + c in
@@ -234,10 +286,11 @@ def _split(terms: np.ndarray, total: float):
     """
     top = total + float(terms.max(initial=0.0)) * terms.size
     c = math.ldexp(1.0, math.frexp(top)[1])
-    lo = np.empty(terms.size + 1)
+    n = terms.size + 1
+    lo = np.empty(n) if scratch is None else scratch.take("lo", n)
     lo[0] = total
     lo[1:] = terms
-    hi = lo + c
+    hi = np.add(lo, c, out=None if scratch is None else scratch.take("hi", n))
     hi -= c
     lo -= hi
     return hi, lo
@@ -266,16 +319,21 @@ class _SegmentSum:
     close to a rounding boundary; the checkpoint and scan tests
     *_prefix_sums_correctly_rounded find it equal at every prime power of
     four segments.  Segments are summed in order, so every prefix is the
-    same for any worker count and any set of queries."""
+    same for any worker count and any set of queries.
 
-    __slots__ = ("_high", "_low", "_hi", "_lo", "_blocks")
+    The split parts and the prefixes() cumsums live in one _Scratch for
+    the whole pass, so a segment's arrays, and what prefixes() returns,
+    are valid until the next segment() call."""
+
+    __slots__ = ("_high", "_low", "_hi", "_lo", "_blocks", "_scratch")
 
     def __init__(self):
         self._high, self._low = 0.0, 0.0
+        self._scratch = _Scratch()
 
     def segment(self, terms) -> None:
         """Start the next segment, then add its terms to the running sum."""
-        self._hi, self._lo = _split(terms, self._high)
+        self._hi, self._lo = _split(terms, self._high, self._scratch)
         self._lo[0] += self._low
         self._blocks = None
         self._high = float(self._hi.sum())
@@ -296,8 +354,9 @@ class _SegmentSum:
     def prefixes(self) -> np.ndarray:
         """The running sums through the first k terms of the segment, k = 0
         ... len(terms), by cumsum."""
-        run = np.cumsum(self._lo)
-        run += np.cumsum(self._hi)
+        n = self._lo.size
+        run = np.cumsum(self._lo, out=self._scratch.take("run", n))
+        run += np.cumsum(self._hi, out=self._scratch.take("hi_run", n))
         return run
 
 
@@ -321,8 +380,8 @@ def psi_checkpoints(xs, threads: int = 1, long_run: bool = False):
     psi_run, s_run = _SegmentSum(), _SegmentSum()
     # x = 1 lies before the first segment [2, ...] and reads its empty prefix
     for lo, hi, pos, lam in _SieveStream(max(xs[-1], 2), threads):
-        psi_run.segment(lam)
-        s_run.segment(lam / pos)
+        psi_run.segment(lam)              # copies lam: it may be overwritten
+        s_run.segment(np.divide(lam, pos, out=lam))
         here = xs[len(out):bisect.bisect_right(xs, hi)]
         for x, k in zip(here, np.searchsorted(pos, here, side="right")):
             psi, s = psi_run.prefix(k), s_run.prefix(k)
@@ -369,20 +428,42 @@ def extrema_scan(x_max: int, statistic: str, x_mins=(1,), threads: int = 1,
             best[v][1] = ExtremaRecord(x_at, left, val, "min", statistic)
 
     run = _SegmentSum()   # psi or sum Lambda/n, depending on the statistic
+    scratch = _Scratch()
     for v in x_mins:
         if v < 2:      # segments start at 2; cover the x = 1 start point
             consider(v, v, False, _statistic_at(statistic, 0.0, v))
     for lo, hi, pos, lam in _SieveStream(x_max, threads):
-        posf = pos.astype(np.float64)
-        run.segment(lam if statistic == STAT_PSI else lam / posf)
+        n = pos.size
+        posf = scratch.take("posf", n)
+        posf[:] = pos
+        # lam is this scan's own: its terms can overwrite it
+        run.segment(lam if statistic == STAT_PSI
+                    else np.divide(lam, posf, out=lam))
         sums = run.prefixes()    # a left limit reads the sum before its jump
-        sq = np.sqrt(posf)
+        sq = np.sqrt(posf, out=scratch.take("sq", n))
+        right = scratch.take("right", n)
+        left = scratch.take("left", n)
         if statistic == STAT_PSI:
-            right, left = (sums[1:] - posf) / sq, (sums[:-1] - posf) / sq
+            np.subtract(sums[1:], posf, out=right)
+            np.subtract(sums[:-1], posf, out=left)
+            right /= sq
+            left /= sq
         else:
-            shift = np.log(posf) - EULER_GAMMA
-            right, left = (sums[1:] - shift) * sq, (sums[:-1] - shift) * sq
-        arg = {}     # (is_left, slice start) -> (argmax, argmin) of the slice
+            shift = np.log(posf, out=left)      # left is overwritten last
+            shift -= EULER_GAMMA
+            np.subtract(sums[1:], shift, out=right)
+            np.subtract(sums[:-1], shift, out=left)
+            right *= sq
+            left *= sq
+        # One reduction per side.  Each term is positive and far above an
+        # ulp of the running sum, so the sum rises at every jump, and both
+        # statistics rise with it at fixed x: right[j] > left[j].  So a
+        # left limit never sets a max, nor a jump a min.  The one jump
+        # whose left limit is out of range, at pos[i_r] = v, is no min
+        # either: both statistics fall between jumps, so the next left
+        # limit or the end value at x_max lies below it, and if v = x_max
+        # is the range's only point, the argmax records it first.
+        arg_max, arg_min = {}, {}    # slice start -> its argmax / argmin
         for v in x_mins:
             if v > hi:
                 break
@@ -390,13 +471,16 @@ def extrema_scan(x_max: int, statistic: str, x_mins=(1,), threads: int = 1,
             # belongs to [v, x_max] only for n > v
             i_r = int(np.searchsorted(pos, v))
             i_l = int(np.searchsorted(pos, v, side="right"))
-            for vals, i, is_left in ((right, i_r, False), (left, i_l, True)):
-                if i < vals.size:
-                    if (is_left, i) not in arg:
-                        arg[is_left, i] = (i + int(np.argmax(vals[i:])),
-                                           i + int(np.argmin(vals[i:])))
-                    for j in arg[is_left, i]:
-                        consider(v, int(pos[j]), is_left, float(vals[j]))
+            if i_r < n:
+                if i_r not in arg_max:
+                    arg_max[i_r] = i_r + int(np.argmax(right[i_r:]))
+                j = arg_max[i_r]
+                consider(v, int(pos[j]), False, float(right[j]))
+            if i_l < n:
+                if i_l not in arg_min:
+                    arg_min[i_l] = i_l + int(np.argmin(left[i_l:]))
+                j = arg_min[i_l]
+                consider(v, int(pos[j]), True, float(left[j]))
             if lo <= v:
                 # statistic value at the range start x = v itself
                 consider(v, v, False,

@@ -33,6 +33,7 @@ __all__ = [
 
 T_MAX_CEILING = 2.5e4
 FIRST_ZERO = 14.134725141734694
+FIRST_ZERO_TOL = 1e-4     # how far a list's first ordinate may lie from it
 
 
 class MissedZeroError(RuntimeError):
@@ -81,10 +82,10 @@ class ZeroList:
             raise ZeroFileError("ordinates and t_max must be finite")
         if g.size and not np.all(np.diff(g) > 0):
             raise ValueError("ordinates must be strictly ascending")
-        if g.size and abs(g[0] - FIRST_ZERO) > 1e-4:
+        if g.size and abs(g[0] - FIRST_ZERO) > FIRST_ZERO_TOL:
             raise ZeroFileError(
                 f"first ordinate {g[0]:.6f} is not the known first zero")
-        if g.size == 0 and self.t_max >= FIRST_ZERO + 1e-4:
+        if g.size == 0 and self.t_max >= FIRST_ZERO + FIRST_ZERO_TOL:
             raise MissedZeroError("empty list cannot be complete past the "
                                   "first zero")
         if g.size:
@@ -468,8 +469,9 @@ def find_zeros(t_max: float, tol: float = 1e-9) -> ZeroList:
     """
     if not 0 < t_max <= T_MAX_CEILING:
         raise ValueError(f"t_max must lie in (0, {T_MAX_CEILING:g}]")
-    if not 1e-9 <= tol < math.inf:
-        raise ValueError("tol must be finite and at least 1e-9")
+    # a coarser tol would fail ZeroList's first-ordinate check instead
+    if not 1e-9 <= tol <= FIRST_ZERO_TOL:
+        raise ValueError("tol must be finite and in [1e-9, 1e-4]")
     if t_max < FIRST_ZERO - 0.5:
         return ZeroList(np.array([]), t_max, source="computed")
 

@@ -158,6 +158,37 @@ def test_counterexample_table(tmp_path):
     assert len(lines) == 3
 
 
+def test_counterexample_far_above_the_ceiling_is_a_json_error(capsys):
+    # x = e^(2 pi 1e300) overflows exp: the ceiling is checked first
+    rc = run(["counterexample", "--K", "60", "--T", "1", "--delta", "0.1",
+              "--N", "1e300"])
+    assert rc == cli.EXIT_ERROR
+    assert json.loads(capsys.readouterr().out) == {
+        "error": "ValueError",
+        "message": "x exceeds the direct-summation ceiling 1e9"}
+
+
+def test_psi_bound_at_a_huge_x(tmp_path):
+    # x^3 overflows a double; the trivial-zero terms underflow to 0
+    out = tmp_path / "rep.json"
+    rc = run(["psi-bound", "--t-max", "200", "--zero-file", _ZEROS100,
+              "--x", "1e300", "--sigma", "0.5", "--out", str(out)])
+    assert rc == 0
+    row, = json.loads(out.read_text())
+    assert float(row["trivial_zero_bound"]) == 0.0
+    numbers = [float(v) for k, v in row.items() if not k.endswith("_path")]
+    assert all(math.isfinite(v) for v in numbers)
+    assert float(row["total_lower"]) < float(row["total_upper"])
+
+
+@pytest.mark.parametrize("tol", ["0.5", "1e300"])
+def test_zeros_rejects_a_tol_above_the_first_zero_check(capsys, tol):
+    assert run(["zeros", "--t-max", "60", "--tol", tol]) == cli.EXIT_ERROR
+    assert json.loads(capsys.readouterr().out) == {
+        "error": "ValueError",
+        "message": "tol must be finite and in [1e-9, 1e-4]"}
+
+
 def test_sieve_extrema_csv(capsys):
     rc = run(["sieve", "--x-max", "1e6", "--statistic", "lambda-over-n"])
     assert rc == 0

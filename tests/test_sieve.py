@@ -73,7 +73,19 @@ def _edge_windows():
                                           1009, 2003) for d in (0, 2000)]
     # across SEGMENT, and longer than one segment (split at 3 + SEGMENT)
     wins += [(sv.SEGMENT - 3000, sv.SEGMENT + 3000), (3, sv.SEGMENT + 5000)]
+    # prime powers beyond the first segment: powers of 2 (inserted, not in
+    # the odd-only mask), of wheel primes, and of 17, the first struck base
+    # prime; each as the window's end, start and inner entry
+    wins += [w for n in (2 ** 22, 2 ** 23, 2 ** 24, 3 ** 14, 5 ** 10, 7 ** 8,
+                         11 ** 7, 13 ** 6, 17 ** 6)
+             for w in ((n - 1000, n), (n, n), (n, n + 1000),
+                       (n - 1001, n + 1001))]
+    # three segments, a power of 2 inside the second
+    wins += [_THREE_SEGMENTS]
     return wins
+
+
+_THREE_SEGMENTS = (2 ** 24 - sv.SEGMENT - 777, 2 ** 24 + 2 * sv.SEGMENT - 778)
 
 
 def test_lambda_segment_edge_windows():
@@ -85,6 +97,15 @@ def test_lambda_segment_edge_windows():
         assert ns.dtype == np.int64 and ls.dtype == np.float64
         assert ns.tolist() == want_n, (lo, hi)
         np.testing.assert_allclose(ls, want_l, rtol=1e-15, atol=0)
+    # a pass reuses its scratch arrays from segment to segment; what it
+    # returns must not share them
+    lo, hi = _THREE_SEGMENTS
+    starts = range(lo, hi + 1, sv.SEGMENT)
+    assert len(starts) == 3
+    ns, ls = sv.lambda_segment(lo, hi)
+    parts = [sv.lambda_segment(a, min(a + sv.SEGMENT - 1, hi)) for a in starts]
+    assert np.array_equal(ns, np.concatenate([n for n, _ in parts]))
+    assert np.array_equal(ls, np.concatenate([l for _, l in parts]))
 
 
 def test_segment_primes_near_1e9_against_a_plain_sieve():
@@ -247,6 +268,63 @@ def test_scan_prefix_sums_correctly_rounded():
             assert run.prefixes().tolist() == ref[k:k + pos.size + 1], lo
             k += pos.size
         assert k == ns.size
+
+
+def _statistic_arrays(stat, ns, sums):
+    """The statistic at every jump and every left limit, in the arithmetic
+    of extrema_scan, from the running sums through each term."""
+    nf = ns.astype(np.float64)
+    sq = np.sqrt(nf)
+    if stat == sv.STAT_PSI:
+        return (sums[1:] - nf) / sq, (sums[:-1] - nf) / sq
+    shift = np.log(nf) - EULER_GAMMA
+    return (sums[1:] - shift) * sq, (sums[:-1] - shift) * sq
+
+
+# X is prime, so x_min = X is a range of one jump
+_SCAN_X = 3 * sv.SEGMENT + 13
+_SCAN_X_MINS = (1, 2, 4, 8, 9, 25, 27, 1024, sv.SEGMENT + 1, 3 ** 13,
+                10_000, _SCAN_X)
+
+
+@pytest.fixture(scope="module")
+def scan_reference():
+    ns, ls = sv.lambda_segment(2, _SCAN_X)
+    assert ns[-1] == _SCAN_X
+    sums = {sv.STAT_PSI: _rounded_prefix_sums(ls, 2 ** 53),
+            sv.STAT_LAMBDA_OVER_N: _rounded_prefix_sums(ls / ns, 2 ** 77)}
+    return ns, {stat: np.array(s) for stat, s in sums.items()}
+
+
+@pytest.mark.parametrize("threads", [1, 2])
+@pytest.mark.parametrize("stat", [sv.STAT_PSI, sv.STAT_LAMBDA_OVER_N])
+def test_scan_extrema_against_all_four_reductions(scan_reference, stat,
+                                                   threads):
+    # every jump and every left limit, each side reduced both ways, so a
+    # left-limit max or a jump min the scan skips would show
+    ns, all_sums = scan_reference
+    sums = all_sums[stat]
+    right, left = _statistic_arrays(stat, ns, sums)
+    got = sv.extrema_scan(_SCAN_X, stat, _SCAN_X_MINS, threads=threads)
+    for v in _SCAN_X_MINS:
+        i_r = int(np.searchsorted(ns, v))
+        i_l = int(np.searchsorted(ns, v, side="right"))
+        cands = []           # (x_at, left_limit, value), in scan order
+        for vals, i, is_left in ((right, i_r, False), (left, i_l, True)):
+            if i < vals.size:
+                for j in (i + int(np.argmax(vals[i:])),
+                          i + int(np.argmin(vals[i:]))):
+                    cands.append((int(ns[j]), is_left, float(vals[j])))
+        cands.append((v, False, sv._statistic_at(stat, sums[i_l], v)))
+        cands.append((_SCAN_X, False,
+                      sv._statistic_at(stat, sums[-1], _SCAN_X)))
+        mx = mn = cands[0]
+        for c in cands[1:]:
+            mx = c if c[2] > mx[2] else mx
+            mn = c if c[2] < mn[2] else mn
+        got_mx, got_mn = got[v]
+        assert (got_mx.x_at, got_mx.left_limit, got_mx.value) == mx, v
+        assert (got_mn.x_at, got_mn.left_limit, got_mn.value) == mn, v
 
 
 def test_paper_psi_minimum_bit_for_bit():

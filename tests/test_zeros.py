@@ -46,9 +46,11 @@ def test_finder_domain_checks():
         zr.find_zeros(3e4)
     with pytest.raises(ValueError):
         zr.find_zeros(100.0, tol=1e-12)
-    for tol in (math.nan, math.inf):
+    for tol in (math.nan, math.inf, 0.5, 1.0001e-4):
         with pytest.raises(ValueError, match="tol must be finite"):
             zr.find_zeros(60.0, tol=tol)
+    # the coarsest tol still passes ZeroList's first-ordinate check
+    assert len(zr.find_zeros(60.0, tol=zr.FIRST_ZERO_TOL)) == 13
 
 
 def test_zerolist_invariants():
