@@ -6,21 +6,22 @@ input cannot support is reported as skipped and does not fail the run.
 Re-running a command with identical configuration and fixtures produces
 byte-identical output (no timestamps, fixed key order, 17-significant-digit
 decimal strings).
+
+A command imports the modules it uses when it runs, so `zeros` loads only
+`zeros`, `special` and `util`; the parser reads the constants of `sieve`
+and `verify` only to check or print an option's value.
 """
 
 from __future__ import annotations
 
 import argparse
+import importlib
 import json
 import math
 import sys
 
 import numpy as np
 
-from . import formula as fm
-from . import sieve as sv
-from . import verify as vf
-from . import zeros as zr
 from .util import TWO_PI, atomic_write_text, format_float17
 
 EXIT_OK = 0
@@ -41,7 +42,8 @@ def _error_json(exc: BaseException) -> str:
                       sort_keys=True) + "\n"
 
 
-def _get_zeros(ns: argparse.Namespace, tol: float = 1e-9) -> zr.ZeroList:
+def _get_zeros(ns: argparse.Namespace, tol: float = 1e-9):
+    from . import zeros as zr
     if ns.zero_file:
         zl = zr.load_zeros(ns.zero_file)
         if zl.t_max < ns.t_max:
@@ -58,6 +60,7 @@ def _get_zeros(ns: argparse.Namespace, tol: float = 1e-9) -> zr.ZeroList:
 # ----------------------------------------------------------------------
 
 def cmd_zeros(ns: argparse.Namespace) -> int:
+    from . import zeros as zr
     zl = _get_zeros(ns, ns.tol)
     if ns.out:
         zr.save_zeros(zl, ns.out)
@@ -83,6 +86,8 @@ def cmd_zeros(ns: argparse.Namespace) -> int:
 
 
 def cmd_psi_bound(ns: argparse.Namespace) -> int:
+    from . import formula as fm
+    from . import sieve as sv
     if any(b <= a for a, b in zip(ns.x, ns.x[1:])):
         raise ValueError("x grid must be ascending")
     sv._check_threads(ns.threads)    # whether or not this sigma sieves
@@ -92,8 +97,9 @@ def cmd_psi_bound(ns: argparse.Namespace) -> int:
     # the sieve measures the sum only for sigma = 0 (psi) and 1 (delta)
     if sigma in (0.0, 1.0):
         # x is ascending, so x with one floor are adjacent: sieve it once
-        check_xs = list(dict.fromkeys(int(x) for x in ns.x
-                                      if x <= ns.sieve_limit))
+        limit = (sv.DESK_CEILING if ns.sieve_limit is None
+                 else ns.sieve_limit)
+        check_xs = list(dict.fromkeys(int(x) for x in ns.x if x <= limit))
         cps = {c.x: c for c in sv.psi_checkpoints(check_xs, ns.threads,
                                                   ns.long_run)}
     rows = []
@@ -117,6 +123,7 @@ def cmd_psi_bound(ns: argparse.Namespace) -> int:
 
 
 def cmd_counterexample(ns: argparse.Namespace) -> int:
+    from . import formula as fm
     spec = fm.CounterexampleSpec(K=ns.K, T=ns.T, delta=ns.delta)
     lines = ["N,x,empirical_mean,predicted,allowance\n"]
     for N in ns.N:
@@ -131,12 +138,13 @@ def cmd_counterexample(ns: argparse.Namespace) -> int:
 
 
 def cmd_sieve(ns: argparse.Namespace) -> int:
+    from . import sieve as sv
     if ns.checkpoints:
         cps = sv.psi_checkpoints(ns.checkpoints, ns.threads, ns.long_run)
         _emit(sv.checkpoints_to_csv(cps), ns.out)
         return EXIT_OK
-    res = sv.extrema_scan(int(ns.x_max), ns.statistic, ns.x_min, ns.threads,
-                          ns.long_run)
+    res = sv.extrema_scan(int(ns.x_max), ns.statistic or sv.STAT_PSI,
+                          ns.x_min, ns.threads, ns.long_run)
     lines = ["x_min,kind,x_at,left_limit,value\n"]
     for v in sorted(res):
         for rec in res[v]:
@@ -148,6 +156,8 @@ def cmd_sieve(ns: argparse.Namespace) -> int:
 
 
 def cmd_verify(ns: argparse.Namespace) -> int:
+    from . import verify as vf
+    from . import zeros as zr
     zl = zr.load_zeros(ns.zero_file) if ns.zero_file else None
     rows = [{"suite": suite, "check": name, "pass": result}
             for suite, name, result in vf.run_suites(ns.suite, zl)]
@@ -212,6 +222,28 @@ def _int_list(s: str):
     return tuple(int(f) if math.isfinite(f) else f for f in _float_list(s))
 
 
+class _LazyChoices:
+    """The choices of an option, read from a module the first time
+    argparse checks a value against them or prints them: building the
+    parser imports nothing.  Set as the action's `choices` after
+    add_argument, which would otherwise format them at once."""
+
+    def __init__(self, module: str, read):
+        self._module, self._read, self._values = module, read, None
+
+    def _load(self) -> tuple:
+        if self._values is None:
+            self._values = tuple(self._read(
+                importlib.import_module(self._module, __package__)))
+        return self._values
+
+    def __iter__(self):
+        return iter(self._load())
+
+    def __contains__(self, value) -> bool:
+        return value in self._load()
+
+
 def _check_finite(ns: argparse.Namespace) -> None:
     """Every number on the command line is finite: inf or nan is a
     ValueError here, not an overflow or a check skipped further on."""
@@ -246,7 +278,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--out")
     p.add_argument("--threads", type=int, default=1)
     p.add_argument("--long-run", action="store_true")
-    p.add_argument("--sieve-limit", type=float, default=sv.DESK_CEILING)
+    # default: sieve.DESK_CEILING, read by cmd_psi_bound
+    p.add_argument("--sieve-limit", type=float)
 
     c = sub.add_parser("counterexample", help="Fejer-kernel mean table")
     c.add_argument("--K", type=int, required=True)
@@ -258,9 +291,9 @@ def build_parser() -> argparse.ArgumentParser:
 
     s = sub.add_parser("sieve", help="extrema scan or checkpoint CSV")
     s.add_argument("--x-max", type=float, required=True)
-    s.add_argument("--statistic",
-                   choices=[sv.STAT_PSI, sv.STAT_LAMBDA_OVER_N],
-                   default=sv.STAT_PSI)
+    # default: sieve.STAT_PSI, read by cmd_sieve
+    s.add_argument("--statistic").choices = _LazyChoices(
+        ".sieve", lambda sv: (sv.STAT_PSI, sv.STAT_LAMBDA_OVER_N))
     s.add_argument("--x-min", type=_int_list, default=(1,))
     s.add_argument("--checkpoints", type=_int_list, default=())
     s.add_argument("--out")
@@ -268,12 +301,20 @@ def build_parser() -> argparse.ArgumentParser:
     s.add_argument("--long-run", action="store_true")
 
     v = sub.add_parser("verify", help="run invariant suites")
-    v.add_argument("--suite", default="all",
-                   choices=[*dict.fromkeys(s for s, _, _ in vf.REGISTRY),
-                            "all"])
+    v.add_argument("--suite", default="all").choices = _LazyChoices(
+        ".verify",
+        lambda vf: [*dict.fromkeys(s for s, _, _ in vf.REGISTRY), "all"])
     v.add_argument("--zero-file")
     v.add_argument("--out")
     return ap
+
+
+def _reported_errors() -> tuple:
+    """The exceptions main reports as a JSON error: bad input (a
+    ZeroFileError is a ValueError), a zero list that fails its
+    completeness check, and I/O."""
+    from .zeros import MissedZeroError
+    return (ValueError, MissedZeroError, OSError)
 
 
 def main(argv=None) -> int:
@@ -288,7 +329,7 @@ def main(argv=None) -> int:
     try:
         _check_finite(ns)
         return COMMANDS[ns.command](ns)
-    except (ValueError, zr.ZeroFileError, zr.MissedZeroError, OSError) as e:
+    except _reported_errors() as e:     # evaluated only once one is raised
         sys.stdout.write(_error_json(e))
         return EXIT_ERROR
 

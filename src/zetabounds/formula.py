@@ -66,17 +66,19 @@ def trivial_zero_terms(T: float, sigma: float, x: float):
         cube = x ** 3
     except OverflowError:     # x above about 5.6e102: every term is 0
         cube = math.inf
-    plain = 1.0 / (cube * (1.0 - x ** -2))
-    coth_sum = KahanSum()
-    n = 1
-    while True:
+    denom = cube * (1.0 - x ** -2)
+    # a Kahan sum, kept in locals: this runs once per bound row
+    coth_sum = carry = 0.0
+    for n in range(1, 10_001):
         term = x ** (-2 * n - 1) / math.tanh(math.pi * (2 * n + sigma) / T)
-        coth_sum.add(term)
-        n += 1
-        if term < 1e-30 or n > 10_000:
+        y = term - carry
+        total = coth_sum + y
+        carry = (total - coth_sum) - y
+        coth_sum = total
+        if term < 1e-30:
             break
-    rhs = (1.0 / (2.0 + sigma) + TWO_PI / T) / (cube * (1.0 - x ** -2))
-    return coth_sum.value(), plain, rhs
+    rhs = (1.0 / (2.0 + sigma) + TWO_PI / T) / denom
+    return coth_sum, 1.0 / denom, rhs
 
 
 # ----------------------------------------------------------------------

@@ -36,7 +36,6 @@ from __future__ import annotations
 import bisect
 import math
 import threading
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
@@ -244,6 +243,8 @@ class _SieveStream:
             for lo in starts:
                 yield self._one(lo)
             return
+        # here, not at the top: one thread, the default, never needs it
+        from concurrent.futures import ThreadPoolExecutor
         with ThreadPoolExecutor(max_workers=self.threads) as exe:
             # 8 segments (2^24 integers) in flight per worker: with 2, two
             # threads at 1e9 waited on the slowest segment more often

@@ -5,13 +5,14 @@ Two quadratures live here.  `gauss_kronrod` integrates a vectorised
 integrand over given panels with the nested 7-point Gauss / 15-point
 Kronrod pair, halving the panels whose error estimate is above their
 share of the tolerance, and returns the value with its error estimate;
-the L1 gap, the Perron check, the Fourier transform of phi and the Fejer
-mean run on it.  `adaptive_simpson` calls a scalar integrand node by
-node.  It stays for two reasons: the weighted log/inv integrals and
-`lehman_sum` call it, and perfbench's tracer counts quadrature calls and
-integrand calls by wrapping it by name in `weights`, `formula` and
-`extremal`.  Moving those integrals onto panels waits for an in-program
-counter that the tracer can read instead (ROADMAP items 3 and 6)."""
+the L1 gap, the Perron check, the Fourier transform of phi, the Fejer
+mean and the integrals of `lehman_sum` run on it.  `adaptive_simpson`
+calls a scalar integrand node by node.  It stays for two reasons: the
+weighted log/inv integrals call it, and perfbench's tracer counts
+quadrature calls and integrand calls by wrapping it by name in
+`weights`, `formula` and `extremal`.  Moving those integrals onto panels
+waits for an in-program counter that the tracer can read instead
+(ROADMAP items 3 and 6)."""
 
 from __future__ import annotations
 

@@ -123,6 +123,8 @@ def check_ei_bound():
 def check_q_bounds(zl):
     """|Q(t)| < 1 on [15, 280]; the bound 0.2 log t + 2 at every ordinate
     is an invariant of ZeroList itself."""
+    if zl.t_max < 15.0:
+        return None
     hi = min(zl.t_max, 280.0)
     for t in np.union1d(np.linspace(15.0, hi, 40), np.linspace(15.0, hi, 60)):
         if abs(zr.count_and_Q(zl, float(t)).Q) >= 1.0:
@@ -131,6 +133,8 @@ def check_q_bounds(zl):
 
 
 def check_lehman_randomised(zl):
+    if zl.t_max < 28.0:
+        return None    # each window starts in [14, t_max / 2]
     rng = np.random.default_rng(15)
     makers = [
         lambda a, b: (lambda t: 1.0 / (t - a + 1.0) ** b, "decreasing"),
@@ -154,6 +158,8 @@ def check_lehman_randomised(zl):
 
 
 def check_box_counts(zl):
+    if zl.t_max < 26.0:
+        return None    # each box is centred in [20, t_max - 6]
     rng = np.random.default_rng(16)
     for _ in range(40):
         T = rng.uniform(20.0, zl.t_max - 6.0)

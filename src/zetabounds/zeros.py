@@ -22,7 +22,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .special import log_deriv_zeta, zeta_batch_critical
-from .util import TWO_PI, adaptive_simpson
+from .util import TWO_PI, gauss_kronrod
 
 __all__ = [
     "ZeroList", "ZeroCountStats", "MissedZeroError", "ZeroFileError",
@@ -611,6 +611,13 @@ def lehman_sum(zl: ZeroList, phi, t0: float, t1: float, direction: str):
 
     phi must be non-negative and monotone in the declared direction
     ('decreasing' or 'increasing'); a sampled direction mismatch raises.
+
+    The integrals of phi log(t/2pi) and phi/t run on gauss_kronrod.  Its
+    panel estimates cannot fall below the change of the integrand across
+    one rounding step of t, up to 2^-52 t1.  For a phi that changes by at
+    most its own size over a unit of t (as verify's weights do), that
+    puts each tolerance at 1e-10, or 2^-52 (t1 - t0) t1 f_max where that
+    is larger, with f_max the integrand's bound from the probe values.
     """
     if not (14.0 <= t0 <= t1 <= zl.t_max):
         raise ValueError("need 14 <= t0 <= t1 <= t_max")
@@ -630,9 +637,17 @@ def lehman_sum(zl: ZeroList, phi, t0: float, t1: float, direction: str):
     inwin = g[(g > t0) & (g <= t1)]
     exact = float(sum(phi(float(x)) for x in inwin))
 
-    main = adaptive_simpson(lambda t: phi(t) * math.log(t / TWO_PI),
-                            t0, t1, 1e-10) / TWO_PI
-    invt = adaptive_simpson(lambda t: phi(t) / t, t0, t1, 1e-10)
+    main = invt = 0.0
+    if t1 > t0:
+        def phis(t):
+            return np.fromiter(map(phi, t.tolist()), np.float64, t.size)
+        # phi is monotone, so the probes hold its largest value
+        scale = 2.0 ** -52 * (t1 - t0) * t1 * float(pv.max())
+        main = gauss_kronrod(
+            lambda t: phis(t) * np.log(t / TWO_PI), (t0, t1),
+            max(1e-10, scale * math.log(t1 / TWO_PI)))[0] / TWO_PI
+        invt = gauss_kronrod(lambda t: phis(t) / t, (t0, t1),
+                             max(1e-10, scale / t0))[0]
     q0 = count_and_Q(zl, t0).Q
     q1 = count_and_Q(zl, t1).Q
     rhs_dec = main + phi(t0) * (_q_bound(t0) - q0) + invt / 5.0

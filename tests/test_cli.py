@@ -125,7 +125,7 @@ def test_psi_bound_no_sieve_off_sigma_0_and_1(tmp_path, zl_med,
     def no_sieve(*args, **kwargs):
         raise AssertionError("psi-bound sieved at sigma = 0.5")
 
-    monkeypatch.setattr(cli.sv, "psi_checkpoints", no_sieve)
+    monkeypatch.setattr(sv, "psi_checkpoints", no_sieve)
     assert run(argv + ["--out", str(sieved)]) == 0
     assert sieved.read_bytes() == plain.read_bytes()
 
@@ -302,3 +302,30 @@ def test_verify_skips_what_a_short_list_cannot_support(tmp_path, capsys):
     lines = capsys.readouterr().out.splitlines()
     assert sorted(l for l in lines if l.startswith("SKIP")) == sorted(
         f"SKIP [appendix-b] {c}" for c in skipped)
+
+
+@pytest.mark.parametrize("t_max, computed", [
+    (0.0, set()),
+    (20.0, {"counting remainder bounds"}),
+    (27.0, {"counting remainder bounds", "window counts below box bound"}),
+])
+def test_verify_skips_appendix_b_checks_below_their_heights(
+        tmp_path, t_max, computed):
+    """A list too short for a check's random windows skips that check
+    instead of failing the run: the counting check needs t_max >= 15, the
+    box counts 26 and the monotone sums 28.  t_max = 0 is an empty file,
+    whose height falls back to 0."""
+    zfile = tmp_path / "z.txt"
+    if t_max:
+        g = zr.bundled_zeros().ordinates
+        zr.save_zeros(zr.ZeroList(g[g <= t_max], t_max), str(zfile))
+    else:
+        zfile.write_text("")
+    out = tmp_path / "v.json"
+    rc = run(["verify", "--suite", "appendix-b", "--zero-file", str(zfile),
+              "--out", str(out)])
+    assert rc == 0
+    got = {r["check"]: r["pass"] for r in json.loads(out.read_text())}
+    assert len(got) == 5
+    assert {c for c, v in got.items() if v is not None} == computed
+    assert all(got[c] is True for c in computed)
