@@ -8,8 +8,9 @@ byte-identical output (no timestamps, fixed key order, 17-significant-digit
 decimal strings).
 
 A command imports the modules it uses when it runs, so `zeros` loads only
-`zeros`, `special` and `util`; the parser reads the constants of `sieve`
-and `verify` only to check or print an option's value.
+`zeros`, `special` and `util`, and `--help`, `--paper-constants` and a
+usage error load neither numpy nor `util`; the parser reads the constants
+of `sieve` and `verify` only to check or print an option's value.
 """
 
 from __future__ import annotations
@@ -20,10 +21,6 @@ import json
 import math
 import sys
 
-import numpy as np
-
-from .util import TWO_PI, atomic_write_text, format_float17
-
 EXIT_OK = 0
 EXIT_ERROR = 1
 EXIT_USAGE = 2
@@ -32,6 +29,7 @@ EXIT_VIOLATION = 3     # a sandwich violation: must never happen
 
 def _emit(text: str, out_path: str | None) -> None:
     if out_path:
+        from .util import atomic_write_text
         atomic_write_text(out_path, text)
     else:
         sys.stdout.write(text)
@@ -60,7 +58,10 @@ def _get_zeros(ns: argparse.Namespace, tol: float = 1e-9):
 # ----------------------------------------------------------------------
 
 def cmd_zeros(ns: argparse.Namespace) -> int:
+    import numpy as np
+
     from . import zeros as zr
+    from .util import atomic_write_text, format_float17
     zl = _get_zeros(ns, ns.tol)
     if ns.out:
         zr.save_zeros(zl, ns.out)
@@ -88,6 +89,7 @@ def cmd_zeros(ns: argparse.Namespace) -> int:
 def cmd_psi_bound(ns: argparse.Namespace) -> int:
     from . import formula as fm
     from . import sieve as sv
+    from .util import format_float17
     if any(b <= a for a, b in zip(ns.x, ns.x[1:])):
         raise ValueError("x grid must be ascending")
     sv._check_threads(ns.threads)    # whether or not this sigma sieves
@@ -124,6 +126,7 @@ def cmd_psi_bound(ns: argparse.Namespace) -> int:
 
 def cmd_counterexample(ns: argparse.Namespace) -> int:
     from . import formula as fm
+    from .util import TWO_PI, format_float17
     spec = fm.CounterexampleSpec(K=ns.K, T=ns.T, delta=ns.delta)
     lines = ["N,x,empirical_mean,predicted,allowance\n"]
     for N in ns.N:
@@ -139,6 +142,7 @@ def cmd_counterexample(ns: argparse.Namespace) -> int:
 
 def cmd_sieve(ns: argparse.Namespace) -> int:
     from . import sieve as sv
+    from .util import format_float17
     if ns.checkpoints:
         cps = sv.psi_checkpoints(ns.checkpoints, ns.threads, ns.long_run)
         _emit(sv.checkpoints_to_csv(cps), ns.out)

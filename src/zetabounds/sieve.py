@@ -22,13 +22,25 @@ the base primes from 17 up are struck per segment.  The segment's odd
 proper prime powers are then put back into the mask, so one flatnonzero
 lists every odd prime power in order; only the powers of 2 are inserted.
 
+An extrema scan bounds each block of 64 consecutive prime powers of a
+segment from the running sums at its two ends and its first and last n,
+and computes per-term values only in the blocks whose bound reaches the
+lowest max or the highest min recorded so far for an x_min the segment
+reaches, and in every block from an x_min on while it has no record yet;
+a segment below every x_min has none.  Every value in a skipped block
+lies below each such max and above each such min, so it could not
+replace a record, and the first extremum that does lies in a candidate
+block; the records are those of a scan of every term.  Past the first
+segments most blocks are skipped: 89 % of them in a scan to 5e7 with
+x_min = 1 and 10^4.
+
 A pass allocates its work arrays once and reuses them for every segment
-(_Scratch): the mask, the split and prefix sums of _SegmentSum and the
-per-term arrays of extrema_scan.  Freed and allocated again per segment,
-arrays of this size go back to the kernel and are faulted in again: a
-one-thread `sieve --x-max 1e9` took 123 800 minor page faults that way,
-and takes 31 000 with them reused.  Only the positions and Lambda values
-a segment hands on are new arrays.
+(_Scratch): the mask, the split parts and in-block running sums of
+_SegmentSum and the per-term arrays of extrema_scan.  Freed and allocated
+again per segment, arrays of this size go back to the kernel and are
+faulted in again: a one-thread `sieve --x-max 1e9` took 123 800 minor
+page faults that way, and takes 31 000 with them reused.  Only the
+positions and Lambda values a segment hands on are new arrays.
 """
 
 from __future__ import annotations
@@ -50,7 +62,8 @@ __all__ = [
 SEGMENT = 1 << 21
 _WHEEL = (3, 5, 7, 11, 13)    # presieved into every segment's mask
 _WHEEL_PERIOD = 15015         # 3*5*7*11*13: the wheel's period in odd numbers
-_BLOCK = 1 << 10              # terms per block of a segment's prefix sums
+_BLOCK = 64                   # terms per block of running sums and bounds
+_BOUND_ULPS = 16              # a block bound's margin, in ulps of its terms
 HARD_CEILING = 10_000_000_000
 DESK_CEILING = 1_000_000_000
 STAT_PSI = "psi"                      # (psi(x) - x)/sqrt(x)
@@ -272,9 +285,10 @@ def lambda_segment(lo: int, hi: int):
             np.concatenate([lam for _, _, _, lam in parts]))
 
 
-def _split(terms: np.ndarray, total: float, scratch: _Scratch | None = None):
+def _split(terms: np.ndarray, total: float, out=None):
     """(hi, lo) with hi + lo == [total, *terms] exactly, for a non-negative
-    total and terms; in scratch's "hi" and "lo" arrays, when given.
+    total and terms; in out, a pair of arrays of len(terms) + 1, when
+    given.
 
     hi = (t + c) - c with c = 2^e, where total + max(terms) * len(terms)
     < 2^e, rounds each entry to the grid 2^(e - 52), the ulp of t + c in
@@ -288,22 +302,13 @@ def _split(terms: np.ndarray, total: float, scratch: _Scratch | None = None):
     top = total + float(terms.max(initial=0.0)) * terms.size
     c = math.ldexp(1.0, math.frexp(top)[1])
     n = terms.size + 1
-    lo = np.empty(n) if scratch is None else scratch.take("lo", n)
+    hi, lo = (np.empty(n), np.empty(n)) if out is None else out
     lo[0] = total
     lo[1:] = terms
-    hi = np.add(lo, c, out=None if scratch is None else scratch.take("hi", n))
+    np.add(lo, c, out=hi)
     hi -= c
     lo -= hi
     return hi, lo
-
-
-def _block_prefix(terms: np.ndarray) -> np.ndarray:
-    """[0, sum of block 0, sum of blocks 0 and 1, ...] over the whole
-    blocks of _BLOCK terms: block sums pairwise, then summed in order."""
-    n = terms.size // _BLOCK
-    out = np.zeros(n + 1)
-    np.cumsum(terms[:n * _BLOCK].reshape(n, _BLOCK).sum(axis=1), out=out[1:])
-    return out
 
 
 class _SegmentSum:
@@ -322,11 +327,21 @@ class _SegmentSum:
     four segments.  Segments are summed in order, so every prefix is the
     same for any worker count and any set of queries.
 
-    The split parts and the prefixes() cumsums live in one _Scratch for
-    the whole pass, so a segment's arrays, and what prefixes() returns,
-    are valid until the next segment() call."""
+    The terms fall in blocks of _BLOCK.  Each part's sum before a block is
+    the sum before the segment plus the block sums before it, in order;
+    within a block, running() adds the block's terms to it one at a time.
+    A block sum is einsum's, whose order is fixed for a machine (it sums
+    SIMD lanes, with no per-call overhead of a row-wise reduction): the hi
+    parts sum exactly in any order, and the low sums' rounding stays far
+    below a grid step.  prefix_at(k) reads the sum before k's block, or
+    the running sum of its block, so a prefix is a function of k alone,
+    whether a checkpoint, a scan's bound or its per-term values read it.
 
-    __slots__ = ("_high", "_low", "_hi", "_lo", "_blocks", "_scratch")
+    The split parts and the running sums live in one _Scratch for the
+    whole pass, so a segment's arrays, and what running() returns, are
+    valid until the next segment() or running() call."""
+
+    __slots__ = ("_high", "_low", "_parts", "_starts", "_scratch")
 
     def __init__(self):
         self._high, self._low = 0.0, 0.0
@@ -334,31 +349,68 @@ class _SegmentSum:
 
     def segment(self, terms) -> None:
         """Start the next segment, then add its terms to the running sum."""
-        self._hi, self._lo = _split(terms, self._high, self._scratch)
-        self._lo[0] += self._low
-        self._blocks = None
-        self._high = float(self._hi.sum())
-        self._low = float(self._lo.sum())
+        n = terms.size
+        size = -(-n // _BLOCK) * _BLOCK + 1    # the blocks, after the carry
+        hi, lo = (self._scratch.take(name, size) for name in ("hi", "lo"))
+        _split(terms, self._high, (hi[:n + 1], lo[:n + 1]))
+        hi[n + 1:] = 0.0                       # the last block's tail
+        lo[n + 1:] = 0.0
+        lo[0] += self._low
+        self._high = float(hi[:n + 1].sum())
+        self._low = float(lo[:n + 1].sum())
+        self._parts = hi, lo
+        self._starts = None
 
-    def prefix(self, k: int) -> float:
-        """The running sum through the first k terms of the segment, from
-        the whole blocks before k and the terms after them: O(_BLOCK) per
-        call, and a function of k alone."""
-        if self._blocks is None:
-            self._blocks = _block_prefix(self._hi), _block_prefix(self._lo)
-        k += 1                   # entry 0 is the sum before the segment
-        q = k // _BLOCK
-        hi = self._blocks[0][q] + self._hi[q * _BLOCK:k].sum()
-        lo = self._blocks[1][q] + self._lo[q * _BLOCK:k].sum()
-        return float(hi + lo)
+    def _block_starts(self):
+        """The hi and lo sums before each block of the segment, and after
+        the last one."""
+        if self._starts is None:
+            self._starts = []
+            for part in self._parts:
+                starts = np.empty((part.size - 1) // _BLOCK + 1)
+                starts[0] = part[0]
+                np.einsum("ij->i", part[1:].reshape(-1, _BLOCK),
+                          out=starts[1:])
+                self._starts.append(np.cumsum(starts, out=starts))
+        return self._starts
 
-    def prefixes(self) -> np.ndarray:
-        """The running sums through the first k terms of the segment, k = 0
-        ... len(terms), by cumsum."""
-        n = self._lo.size
-        run = np.cumsum(self._lo, out=self._scratch.take("run", n))
-        run += np.cumsum(self._hi, out=self._scratch.take("hi_run", n))
-        return run
+    def running(self, blocks: np.ndarray) -> np.ndarray:
+        """The (len(blocks), _BLOCK) running sums through the first
+        r = 1 ... _BLOCK terms of each of the ascending blocks; a term past
+        the end of the segment is 0."""
+        starts = self._block_starts()
+        shape = (blocks.size, _BLOCK)
+        hi, lo = (self._scratch.take(name, blocks.size * _BLOCK)
+                  .reshape(shape) for name in ("run_hi", "run_lo"))
+        for run, part, start in zip((hi, lo), self._parts, starts):
+            terms = part[1:].reshape(-1, _BLOCK)
+            if blocks.size == len(terms):       # every block: a plain copy
+                np.copyto(run, terms)
+            else:
+                np.take(terms, blocks, axis=0, out=run, mode="clip")
+            run[:, 0] += start[blocks]
+            np.cumsum(run, axis=1, out=run)
+        lo[:, -1] = starts[1][blocks + 1]   # as the next block starts
+        hi += lo
+        return hi
+
+    def prefix_at(self, ks) -> np.ndarray:
+        """The running sums through the first k terms of the segment, for
+        each k of the ascending ks, 0 <= k <= len(terms) rounded up to a
+        whole block."""
+        ks = np.asarray(ks, dtype=np.int64)
+        blocks, r = np.divmod(ks, _BLOCK)
+        hi, lo = self._block_starts()
+        out = hi[blocks] + lo[blocks]
+        inner = np.flatnonzero(r)
+        if inner.size:
+            blocks = blocks[inner]
+            first = np.empty(blocks.size, bool)   # of the ks in a block
+            first[0] = True
+            np.not_equal(blocks[1:], blocks[:-1], out=first[1:])
+            out[inner] = self.running(blocks[first])[
+                np.cumsum(first) - 1, r[inner] - 1]
+        return out
 
 
 def psi_checkpoints(xs, threads: int = 1, long_run: bool = False):
@@ -384,8 +436,11 @@ def psi_checkpoints(xs, threads: int = 1, long_run: bool = False):
         psi_run.segment(lam)              # copies lam: it may be overwritten
         s_run.segment(np.divide(lam, pos, out=lam))
         here = xs[len(out):bisect.bisect_right(xs, hi)]
-        for x, k in zip(here, np.searchsorted(pos, here, side="right")):
-            psi, s = psi_run.prefix(k), s_run.prefix(k)
+        if not here:
+            continue
+        ks = np.searchsorted(pos, here, side="right")
+        for x, psi, s in zip(here, psi_run.prefix_at(ks).tolist(),
+                             s_run.prefix_at(ks).tolist()):
             out.append(SieveCheckpoint(
                 x, psi, s - (math.log(x) - EULER_GAMMA), s))
     return out
@@ -399,10 +454,101 @@ def _statistic_at(statistic: str, total: float, x) -> float:
     return (total - (math.log(x) - EULER_GAMMA)) * math.sqrt(x)
 
 
+def _block_bounds(statistic: str, sums: np.ndarray, first: np.ndarray,
+                  last: np.ndarray):
+    """(above, below): no jump value of a block exceeds above, and no left
+    limit falls below below, for the blocks with the running sums sums[b]
+    before and sums[b + 1] after them and first and last positions first
+    and last.
+
+    Within a block the running sum and n only rise, so a jump's numerator
+    is at most the block's end sum less the shift at its first n, and a
+    left limit's at least its start sum less the shift at its last n; the
+    root that keeps the bound on the safe side depends on the sign of that
+    numerator.  _BOUND_ULPS ulps of the terms that are summed to it cover
+    the rounding of each value and a prefix that misses the monotone,
+    correctly rounded one by an ulp."""
+    start, end = sums[:-1], sums[1:]
+    if statistic == STAT_PSI:                  # (psi(n) - n) / sqrt(n)
+        above = end - first
+        above /= np.sqrt(np.where(above >= 0, first, last))
+        below = start - last
+        below /= np.sqrt(np.where(below >= 0, last, first))
+        slack = (end + last) / np.sqrt(first)
+    else:                  # (S(n) - (log n - gamma)) sqrt(n), log n > gamma
+        shift_last = np.log(last) - EULER_GAMMA
+        above = end - (np.log(first) - EULER_GAMMA)
+        above *= np.sqrt(np.where(above >= 0, last, first))
+        below = start - shift_last
+        below *= np.sqrt(np.where(below >= 0, first, last))
+        slack = (end + shift_last) * np.sqrt(last)
+    slack *= _BOUND_ULPS * np.finfo(np.float64).eps
+    return above + slack, below - slack
+
+
+def _candidate_values(statistic: str, run: _SegmentSum, posf: np.ndarray,
+                      cand: np.ndarray, scratch: _Scratch):
+    """The statistic at the jumps and at the left limits of the terms of
+    the candidate blocks cand, in order, from the running sums of run and
+    the positions posf, one row of _BLOCK per block; in scratch."""
+    shape = (cand.size, _BLOCK)
+    right, left = (scratch.take(name, cand.size * _BLOCK).reshape(shape)
+                   for name in ("right", "left"))
+    if not cand.size:
+        return right.reshape(-1), left.reshape(-1)
+    sums = run.running(cand)                    # through each term
+    # every block a candidate: posf is read here last, so x can be posf
+    x = posf if cand.size == posf.shape[0] else np.take(
+        posf, cand, axis=0, mode="clip",
+        out=scratch.take("x", cand.size * _BLOCK).reshape(shape))
+    if statistic == STAT_PSI:
+        shift = x
+    else:
+        shift = np.log(x, out=left)             # left is overwritten last
+        shift -= EULER_GAMMA
+    np.subtract(sums, shift, out=right)
+    # a left limit reads the sum before its jump: the one before it in the
+    # row, or before its block for the first of a row
+    first = shift[:, 0].copy()
+    np.subtract(sums.reshape(-1)[:-1], shift.reshape(-1)[1:],
+                out=left.reshape(-1)[1:])
+    np.subtract(run.prefix_at(cand * _BLOCK), first, out=left[:, 0])
+    sq = np.sqrt(x, out=x)
+    if statistic == STAT_PSI:
+        right /= sq
+        left /= sq
+    else:
+        right *= sq
+        left *= sq
+    return right.reshape(-1), left.reshape(-1)
+
+
+def _first_entry(cand: np.ndarray, i: int) -> int:
+    """The entry, among the terms of the ascending blocks cand in order, of
+    the first term from term i of the segment on."""
+    b, r = divmod(i, _BLOCK)
+    c = int(np.searchsorted(cand, b))
+    return c * _BLOCK + (r if c < cand.size and cand[c] == b else 0)
+
+
+def _term(cand: np.ndarray, entry: int) -> int:
+    """The segment's term at an entry of the terms of the blocks cand."""
+    return int(cand[entry // _BLOCK]) * _BLOCK + entry % _BLOCK
+
+
 def extrema_scan(x_max: int, statistic: str, x_mins=(1,), threads: int = 1,
                  long_run: bool = False):
     """Running extrema of the chosen statistic over [x_min, x_max] for each
     requested x_min, evaluated at every jump x = n and left limit x = n^-.
+
+    A segment computes per-term values only in its candidate blocks of
+    _BLOCK prime powers: those whose bound (_block_bounds) reaches the
+    lowest max or the highest min recorded so far for an x_min the segment
+    reaches, and every block from an x_min on while it has no record yet.
+    A segment below every x_min has none.  The first extremum of a slice
+    that beats a record lies in a candidate block, and the candidates
+    before it in that slice hold lesser values, so the reductions over the
+    candidates in order give every record a scan of all terms gives.
 
     Returns {x_min: (max_record, min_record)}.
     """
@@ -434,28 +580,36 @@ def extrema_scan(x_max: int, statistic: str, x_mins=(1,), threads: int = 1,
         if v < 2:      # segments start at 2; cover the x = 1 start point
             consider(v, v, False, _statistic_at(statistic, 0.0, v))
     for lo, hi, pos, lam in _SieveStream(x_max, threads):
-        n = pos.size
-        posf = scratch.take("posf", n)
-        posf[:] = pos
         # lam is this scan's own: its terms can overwrite it
         run.segment(lam if statistic == STAT_PSI
-                    else np.divide(lam, posf, out=lam))
-        sums = run.prefixes()    # a left limit reads the sum before its jump
-        sq = np.sqrt(posf, out=scratch.take("sq", n))
-        right = scratch.take("right", n)
-        left = scratch.take("left", n)
-        if statistic == STAT_PSI:
-            np.subtract(sums[1:], posf, out=right)
-            np.subtract(sums[:-1], posf, out=left)
-            right /= sq
-            left /= sq
-        else:
-            shift = np.log(posf, out=left)      # left is overwritten last
-            shift -= EULER_GAMMA
-            np.subtract(sums[1:], shift, out=right)
-            np.subtract(sums[:-1], shift, out=left)
-            right *= sq
-            left *= sq
+                    else np.divide(lam, pos, out=lam))
+        active = x_mins[:bisect.bisect_right(x_mins, hi)]
+        if not active:
+            continue
+        n = pos.size
+        nb = -(-n // _BLOCK)
+        posf = scratch.take("posf", nb * _BLOCK)
+        posf[:n] = pos
+        posf[n:] = pos[-1:]            # the last block's tail repeats its n
+        posf = posf.reshape(nb, _BLOCK)
+        # an x_min without a record reads every block from its own on; the
+        # blocks before it are candidates if they can move a record
+        new = [v for v in active if best[v][0] is None]
+        bounded = int(np.searchsorted(pos, new[0])) // _BLOCK if new else nb
+        records = [best[v] for v in active if best[v][0] is not None]
+        above, below = _block_bounds(
+            statistic, run.prefix_at(np.arange(bounded + 1) * _BLOCK),
+            posf[:bounded, 0], posf[:bounded, -1])
+        cand = np.flatnonzero(
+            (above >= min((mx.value for mx, _ in records), default=math.inf))
+            | (below <= max((mn.value for _, mn in records),
+                            default=-math.inf)))
+        cand = np.concatenate((cand, np.arange(bounded, nb)))
+        right, left = _candidate_values(statistic, run, posf, cand, scratch)
+        # the candidates' terms in order, without the last block's tail
+        size = right.size
+        if cand.size and cand[-1] == nb - 1:
+            size -= nb * _BLOCK - n
         # One reduction per side.  Each term is positive and far above an
         # ulp of the running sum, so the sum rises at every jump, and both
         # statistics rise with it at fixed x: right[j] > left[j].  So a
@@ -465,30 +619,30 @@ def extrema_scan(x_max: int, statistic: str, x_mins=(1,), threads: int = 1,
         # limit or the end value at x_max lies below it, and if v = x_max
         # is the range's only point, the argmax records it first.
         arg_max, arg_min = {}, {}    # slice start -> its argmax / argmin
-        for v in x_mins:
-            if v > hi:
-                break
+        for v in active:
             # jump values count for x >= v; a left limit at x = n^-
             # belongs to [v, x_max] only for n > v
             i_r = int(np.searchsorted(pos, v))
             i_l = int(np.searchsorted(pos, v, side="right"))
-            if i_r < n:
-                if i_r not in arg_max:
-                    arg_max[i_r] = i_r + int(np.argmax(right[i_r:]))
-                j = arg_max[i_r]
-                consider(v, int(pos[j]), False, float(right[j]))
-            if i_l < n:
-                if i_l not in arg_min:
-                    arg_min[i_l] = i_l + int(np.argmin(left[i_l:]))
-                j = arg_min[i_l]
-                consider(v, int(pos[j]), True, float(left[j]))
+            p = _first_entry(cand, i_r)
+            if p < size:
+                if p not in arg_max:
+                    arg_max[p] = p + int(np.argmax(right[p:size]))
+                j = arg_max[p]
+                consider(v, int(pos[_term(cand, j)]), False, float(right[j]))
+            p = _first_entry(cand, i_l)
+            if p < size:
+                if p not in arg_min:
+                    arg_min[p] = p + int(np.argmin(left[p:size]))
+                j = arg_min[p]
+                consider(v, int(pos[_term(cand, j)]), True, float(left[j]))
             if lo <= v:
                 # statistic value at the range start x = v itself
-                consider(v, v, False,
-                         _statistic_at(statistic, run.prefix(i_l), v))
+                consider(v, v, False, _statistic_at(
+                    statistic, float(run.prefix_at([i_l])[0]), v))
     # endpoint candidate at x_max (statistic value just after the last
     # jump), from the prefix psi_checkpoints would read there
-    end = run.prefix(pos.size) if x_max >= 2 else 0.0
+    end = float(run.prefix_at([pos.size])[0]) if x_max >= 2 else 0.0
     for v in x_mins:
         consider(v, x_max, False, _statistic_at(statistic, end, x_max))
     return {v: tuple(best[v]) for v in x_mins}

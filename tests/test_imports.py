@@ -90,6 +90,20 @@ def test_zeros_command_loads_only_zeros_special_and_util(tmp_path):
     assert json.loads(stats.read_text())["count"] == 29
 
 
+def test_help_and_usage_errors_load_no_numpy():
+    # --help, a bare call, --paper-constants and an unknown command
+    loaded = _loaded_after(
+        "from zetabounds import cli\n"
+        "for argv in (['--help'], [], ['--paper-constants'], ['nope']):\n"
+        "    try:\n"
+        "        code = cli.main(argv)\n"
+        "    except SystemExit as exit:\n"
+        "        code = exit.code\n"
+        "    assert code in (cli.EXIT_OK, cli.EXIT_USAGE), (argv, code)",
+        "numpy", "zetabounds.util", "zetabounds.zeros")
+    assert loaded == []
+
+
 def test_public_names_are_exactly_the_old_ones():
     assert sorted(zetabounds.__all__) == sorted(name for _, name in NAMES)
 

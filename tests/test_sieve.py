@@ -265,7 +265,8 @@ def test_scan_prefix_sums_correctly_rounded():
         run, k = sv._SegmentSum(), 0
         for lo, hi, pos, lam in sv._SieveStream(x_max):
             run.segment(lam if stat == sv.STAT_PSI else lam / pos)
-            assert run.prefixes().tolist() == ref[k:k + pos.size + 1], lo
+            sums = run.prefix_at(np.arange(pos.size + 1))
+            assert sums.tolist() == ref[k:k + pos.size + 1], lo
             k += pos.size
         assert k == ns.size
 
@@ -285,28 +286,41 @@ def _statistic_arrays(stat, ns, sums):
 _SCAN_X = 3 * sv.SEGMENT + 13
 _SCAN_X_MINS = (1, 2, 4, 8, 9, 25, 27, 1024, sv.SEGMENT + 1, 3 ** 13,
                 10_000, _SCAN_X)
+# five segments, with x_min in each but the third; 7.2e6 has its max and
+# min in the fifth segment, and 9.99e6 its max inside blocks that the other
+# records would let the scan skip
+_FIVE_X = 10 ** 7
+_FIVE_X_MINS = (1, 2, 1024, 10_000, sv.SEGMENT + 1, 3 * sv.SEGMENT + 5,
+                7_200_000, 9_990_000, _FIVE_X - 1, _FIVE_X)
 
 
-@pytest.fixture(scope="module")
-def scan_reference():
-    ns, ls = sv.lambda_segment(2, _SCAN_X)
-    assert ns[-1] == _SCAN_X
+def _scan_sums(x):
+    """The prime powers up to x and the correctly rounded running sums of
+    each statistic."""
+    ns, ls = sv.lambda_segment(2, x)
     sums = {sv.STAT_PSI: _rounded_prefix_sums(ls, 2 ** 53),
             sv.STAT_LAMBDA_OVER_N: _rounded_prefix_sums(ls / ns, 2 ** 77)}
     return ns, {stat: np.array(s) for stat, s in sums.items()}
 
 
-@pytest.mark.parametrize("threads", [1, 2])
-@pytest.mark.parametrize("stat", [sv.STAT_PSI, sv.STAT_LAMBDA_OVER_N])
-def test_scan_extrema_against_all_four_reductions(scan_reference, stat,
-                                                   threads):
-    # every jump and every left limit, each side reduced both ways, so a
-    # left-limit max or a jump min the scan skips would show
-    ns, all_sums = scan_reference
-    sums = all_sums[stat]
+@pytest.fixture(scope="module")
+def scan_reference():
+    ns, sums = _scan_sums(_SCAN_X)
+    assert ns[-1] == _SCAN_X
+    return ns, sums
+
+
+@pytest.fixture(scope="module")
+def five_segment_reference():
+    return _scan_sums(_FIVE_X)
+
+
+def _assert_records(got, stat, x_max, x_mins, ns, sums):
+    """got holds, for each x_min, the records of every jump and every left
+    limit, each side reduced both ways, so a left-limit max or a jump min
+    the scan skips would show."""
     right, left = _statistic_arrays(stat, ns, sums)
-    got = sv.extrema_scan(_SCAN_X, stat, _SCAN_X_MINS, threads=threads)
-    for v in _SCAN_X_MINS:
+    for v in x_mins:
         i_r = int(np.searchsorted(ns, v))
         i_l = int(np.searchsorted(ns, v, side="right"))
         cands = []           # (x_at, left_limit, value), in scan order
@@ -316,8 +330,8 @@ def test_scan_extrema_against_all_four_reductions(scan_reference, stat,
                           i + int(np.argmin(vals[i:]))):
                     cands.append((int(ns[j]), is_left, float(vals[j])))
         cands.append((v, False, sv._statistic_at(stat, sums[i_l], v)))
-        cands.append((_SCAN_X, False,
-                      sv._statistic_at(stat, sums[-1], _SCAN_X)))
+        cands.append((x_max, False,
+                      sv._statistic_at(stat, sums[-1], x_max)))
         mx = mn = cands[0]
         for c in cands[1:]:
             mx = c if c[2] > mx[2] else mx
@@ -325,6 +339,65 @@ def test_scan_extrema_against_all_four_reductions(scan_reference, stat,
         got_mx, got_mn = got[v]
         assert (got_mx.x_at, got_mx.left_limit, got_mx.value) == mx, v
         assert (got_mn.x_at, got_mn.left_limit, got_mn.value) == mn, v
+
+
+@pytest.mark.parametrize("threads", [1, 2])
+@pytest.mark.parametrize("stat", [sv.STAT_PSI, sv.STAT_LAMBDA_OVER_N])
+def test_scan_extrema_against_all_four_reductions(scan_reference, stat,
+                                                   threads):
+    ns, sums = scan_reference
+    got = sv.extrema_scan(_SCAN_X, stat, _SCAN_X_MINS, threads=threads)
+    _assert_records(got, stat, _SCAN_X, _SCAN_X_MINS, ns, sums[stat])
+
+
+@pytest.mark.parametrize("block", [sv._BLOCK, 8])
+@pytest.mark.parametrize("threads", [1, 2])
+@pytest.mark.parametrize("stat", [sv.STAT_PSI, sv.STAT_LAMBDA_OVER_N])
+def test_scan_skips_blocks_and_keeps_every_record(five_segment_reference,
+                                                  stat, threads, block,
+                                                  monkeypatch):
+    # the blocks whose bounds cannot reach a record get no per-term values,
+    # and the records are those of every term; blocks of 8 have bounds
+    # tight enough that a bound or threshold wrong by a little would show
+    monkeypatch.setattr(sv, "_BLOCK", block)
+    blocks = [0, 0]         # blocks given per-term values, blocks in all
+    values = sv._candidate_values
+
+    def counted(statistic, run, posf, cand, scratch):
+        blocks[0] += cand.size
+        blocks[1] += posf.shape[0]
+        return values(statistic, run, posf, cand, scratch)
+
+    monkeypatch.setattr(sv, "_candidate_values", counted)
+    got = sv.extrema_scan(_FIVE_X, stat, _FIVE_X_MINS, threads=threads)
+    assert blocks[0] < 0.9 * blocks[1], blocks   # 13 % skipped of 64
+    ns, sums = five_segment_reference
+    _assert_records(got, stat, _FIVE_X, _FIVE_X_MINS, ns, sums[stat])
+
+
+@pytest.mark.parametrize("stat", [sv.STAT_PSI, sv.STAT_LAMBDA_OVER_N])
+def test_block_bounds_hold_for_any_rising_sum(stat):
+    # a block's jump values lie below its bound and its left limits above
+    # it for any running sum up to its end sum (from its start sum) at any
+    # n of the block: numerators of both signs and far from 0, where the
+    # root taken at the wrong end of the block would show
+    rng = np.random.default_rng(23)
+    for _ in range(400):
+        first = math.exp(rng.uniform(math.log(2.0), math.log(1e9)))
+        last = first * (1.0 + 10.0 ** rng.uniform(-6.0, -1.0))
+        if stat == sv.STAT_PSI:
+            start = first * rng.uniform(0.0, 2.0)
+            end = start + first * rng.uniform(0.0, 0.5)
+        else:
+            start = rng.uniform(0.0, 2.0 * math.log(last) + 10.0)
+            end = start + rng.uniform(0.0, 20.0)
+        above, below = sv._block_bounds(stat, np.array([start, end]),
+                                        np.array([first]), np.array([last]))
+        ns = np.linspace(first, last, 9)
+        right, _ = _statistic_arrays(stat, ns, np.full(10, end))
+        _, left = _statistic_arrays(stat, ns, np.full(10, start))
+        assert above[0] >= right.max() and below[0] <= left.min(), \
+            (first, last, start, end)
 
 
 def test_paper_psi_minimum_bit_for_bit():
