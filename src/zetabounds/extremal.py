@@ -19,8 +19,8 @@ import numpy as np
 
 from .special import coth_stable, lerch, trigamma, x_coth_x
 # adaptive_simpson stays bound: perfbench/workloads.instrument wraps it here
-from .util import (TWO_PI, PoleError, adaptive_simpson,  # noqa: F401
-                   gauss_kronrod)
+from .util import (BLOCK_BYTES, TWO_PI, PoleError,  # noqa: F401
+                   adaptive_simpson, gauss_kronrod)
 
 __all__ = [
     "ApproximantParams", "truncated_exp",
@@ -131,12 +131,20 @@ def glued_contour_weight(lam: float, side: str, z: complex) -> complex:
 # The approximants themselves (interpolation series)
 # ----------------------------------------------------------------------
 
-def _series_length(nu: float, ax: float) -> int:
-    """Terms needed so the dropped tail is below ~1e-14 of the result."""
-    n1 = (40.0 + 2.0 * math.log(2.0 + ax)) / nu
-    if nu * (ax + 10.0) <= 45.0 + 2.0 * math.log(2.0 + ax):
-        n1 = max(n1, ax + 50.0)
-    return max(50, int(math.ceil(n1)))
+def _series_length(nu: float, ax):
+    """Terms needed at |x| = ax (a number or an array) so that the
+    dropped tail is below ~1e-14 of the result."""
+    lg = 2.0 * np.log(2.0 + ax)
+    n1 = (40.0 + lg) / nu
+    n1 = np.where(nu * (ax + 10.0) <= 45.0 + lg,
+                  np.maximum(n1, ax + 50.0), n1)
+    return np.maximum(50.0, np.ceil(n1))
+
+
+@functools.lru_cache(maxsize=16)
+def _series_head(nu: float) -> int:
+    """The terms every point needs: the length at x = 0, the least."""
+    return int(_series_length(nu, 0.0))
 
 
 def _gv_series_g(nu: float, x: np.ndarray) -> np.ndarray:
@@ -144,21 +152,37 @@ def _gv_series_g(nu: float, x: np.ndarray) -> np.ndarray:
     g(x) = 1/x^2 + sum_{n>=1} e^(-nu n) (1/(x-n)^2 - nu/(x-n) + nu/x).
 
     x must stay clear of integers (node values are handled by the caller).
+    The value at a point does not depend on the other points: each point
+    sums its own number of terms, the head that every point needs
+    (`_series_head`) as one pairwise sum and the rest one term at a time.
+    The points go in blocks of at most `BLOCK_BYTES` of terms, or one at a
+    time where a point needs more.
     """
     x = np.asarray(x, dtype=np.float64)
-    N = _series_length(nu, float(np.max(np.abs(x))) if x.size else 1.0)
+    k = _series_head(nu)
+    N = np.maximum(_series_length(nu, np.abs(x)), k).astype(np.intp)
     q = math.exp(-nu)
-    geo = q * (1.0 - q ** N) / (1.0 - q)     # sum_{n=1..N} e^(-nu n)
+    geo = q * (1.0 - np.exp(-nu * N)) / (1.0 - q)   # sum_{n<=N} e^(-nu n)
     g = 1.0 / x ** 2 + nu * geo / x
-    n = np.arange(1.0, N + 1.0)
+    top = int(N.max(initial=k))
+    n = np.arange(1.0, top + 1.0)
     w = np.exp(-nu * n)
-    # chunk over n to keep the broadcast matrix small
-    step = max(1, int(4e6 / max(x.size, 1)))
-    for lo in range(0, N, step):
-        nn = n[lo:lo + step]
-        ww = w[lo:lo + step]
-        d = x[..., None] - nn
-        g += ((1.0 / (d * d) - nu / d) * ww).sum(axis=-1)
+    rows = max(1, BLOCK_BYTES // (8 * top))
+    for i in range(0, x.size, rows):
+        xs, Ns = x[i:i + rows], N[i:i + rows]
+        m = int(Ns.max())
+        d = xs[:, None] - n[:m]
+        t = d * d                       # (1/d^2 - nu/d) e^(-nu n), in place
+        np.divide(1.0, t, out=t)
+        t -= np.divide(nu, d, out=d)
+        t *= w[:m]
+        # term k becomes g + the head; the running sums from there on
+        # hold each point's value at its own last term
+        t[:, k - 1] = g[i:i + rows] + t[:, :k].sum(axis=1)
+        tail = t[:, k - 1:]
+        np.cumsum(tail, axis=1, out=tail)
+        g[i:i + rows] = t.ravel()[np.arange(0, t.size, m) + (Ns - 1)]
+        del d, t, tail          # freed before the next block's are made
     return g
 
 
@@ -189,7 +213,8 @@ def _sinc_sq(x: np.ndarray) -> np.ndarray:
 
 def phi_hat(p: ApproximantParams, x):
     """Majorant or minorant of I_lambda at real points x: an array in gives
-    an array out, a number in gives a float out."""
+    an array out, a number in gives a float out.  The value at a point
+    does not depend on the other points of x."""
     x = np.asarray(x, dtype=np.float64)
     y = (1.0 if p.lam > 0 else -1.0) * x.ravel()
     out = _gv_major_batch(p.nu, y)

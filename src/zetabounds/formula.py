@@ -30,8 +30,8 @@ import numpy as np
 
 from .special import fejer_batch, log_deriv_zeta
 # adaptive_simpson stays bound: perfbench/workloads.instrument wraps it here
-from .util import (EULER_GAMMA, TWO_PI, KahanSum,  # noqa: F401
-                   adaptive_simpson, format_float17, gauss_kronrod)
+from .util import (BLOCK_BYTES, EULER_GAMMA, TWO_PI,  # noqa: F401
+                   KahanSum, adaptive_simpson, format_float17, gauss_kronrod)
 from .weights import WeightContext, omega_plus_batch
 from .zeros import ZeroList
 
@@ -491,9 +491,19 @@ def perron_identity_check(coeffs, phi, phi_hat, T: float, sigma: float,
         raise ValueError("need a finite, modest Dirichlet polynomial")
     n = np.arange(1, coeffs.size + 1, dtype=np.float64)
     logn = np.log(n)
+    # A(s) in (nodes x n) matrices of at most BLOCK_BYTES, each worked in
+    # place; the complex copies save the casts (the products are the same)
+    logn_c, coeffs_c = logn.astype(np.complex128), coeffs.astype(np.complex128)
+    rows = max(1, BLOCK_BYTES // (16 * n.size))
 
     def integrand(t):
-        A = (np.exp(-np.outer(sigma + 1j * t, logn)) * coeffs).sum(axis=1)
+        A = np.empty(t.size, dtype=np.complex128)
+        for i in range(0, t.size, rows):
+            e = np.outer(sigma + 1j * t[i:i + rows], logn_c)
+            np.negative(e, out=e)
+            np.exp(e, out=e)
+            e *= coeffs_c
+            A[i:i + rows] = e.sum(axis=1)
         return phi(t / T) * A * np.exp(1j * math.log(x) * t)
 
     lhs = (x ** sigma / (TWO_PI * T)

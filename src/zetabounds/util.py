@@ -1,18 +1,18 @@
 """Shared numerical plumbing: error-tagged values, compensated summation,
 quadrature, Bernoulli numbers, and output formatting.
 
-Two quadratures live here.  `gauss_kronrod` integrates a vectorised
-integrand over given panels with the nested 7-point Gauss / 15-point
-Kronrod pair, halving the panels whose error estimate is above their
-share of the tolerance, and returns the value with its error estimate;
-the L1 gap, the Perron check, the Fourier transform of phi, the Fejer
-mean and the integrals of `lehman_sum` run on it.  `adaptive_simpson`
-calls a scalar integrand node by node.  It stays for two reasons: the
-weighted log/inv integrals call it, and perfbench's tracer counts
-quadrature calls and integrand calls by wrapping it by name in
-`weights`, `formula` and `extremal`.  Moving those integrals onto panels
-waits for an in-program counter that the tracer can read instead
-(ROADMAP items 3 and 6)."""
+Two quadratures live here; both call a vectorised integrand on arrays.
+`gauss_kronrod` integrates over given panels with the nested 7-point
+Gauss / 15-point Kronrod pair, halving the panels whose error estimate is
+above their share of the tolerance, and returns the value with its error
+estimate; the L1 gap, the Perron check, the Fourier transform of phi, the
+Fejer mean and the integrals of `lehman_sum` run on it.
+`adaptive_simpson` works the classical recursive rule breadth first, one
+integrand call per depth.  It stays for two reasons: the weighted log/inv
+integrals call it, and perfbench's tracer counts quadrature calls and
+integrand calls by wrapping it by name in `weights`, `formula` and
+`extremal`.  Moving those integrals onto panels waits for an in-program
+counter that the tracer can read instead (ROADMAP item 6)."""
 
 from __future__ import annotations
 
@@ -85,11 +85,14 @@ class KahanSum:
 
 
 def adaptive_simpson(f, a: float, b: float, tol: float = 1e-8):
-    """Adaptive Simpson quadrature with absolute tolerance `tol`.
+    """Adaptive Simpson quadrature with absolute tolerance `tol` of an f
+    that maps an array of points to real or complex values.
 
-    Works for real- or complex-valued integrands; the recursion splits until
-    the Richardson error estimate on each subinterval is below its share of
-    the tolerance, to at most 48 halvings.
+    The recursive rule, worked breadth first: a piece whose Richardson
+    error is at most tol 2^-depth, or at depth 48, gives left + right +
+    err; the others are halved.  Each depth's new points go to f in one
+    call.  f sees exactly the recursion's points, and the pieces are
+    added in its order, so the value is the recursion's to the bit.
     """
     if not a < b:
         if a == b:
@@ -99,25 +102,36 @@ def adaptive_simpson(f, a: float, b: float, tol: float = 1e-8):
     def simpson(x0, x2, f0, f1, f2):
         return (x2 - x0) / 6.0 * (f0 + 4.0 * f1 + f2)
 
-    def recurse(x0, x2, f0, f1, f2, whole, tol, depth):
+    x0, x2 = np.array([a], dtype=np.float64), np.array([b], dtype=np.float64)
+    f0, f1, f2 = np.asarray(f(np.array([a, 0.5 * (a + b), b]))).reshape(3, 1)
+    whole = simpson(x0, x2, f0, f1, f2)
+    levels = []
+    for depth in range(48, -1, -1):
         xm = 0.5 * (x0 + x2)
-        xl = 0.5 * (x0 + xm)
-        xr = 0.5 * (xm + x2)
-        fl = f(xl)
-        fr = f(xr)
+        fl, fr = np.asarray(f(np.concatenate([0.5 * (x0 + xm),
+                                              0.5 * (xm + x2)]))
+                            ).reshape(2, -1)
         left = simpson(x0, xm, f0, fl, f1)
         right = simpson(xm, x2, f1, fr, f2)
         err = (left + right - whole) / 15.0
-        if depth <= 0 or abs(err) <= tol:
-            return left + right + err
-        half = 0.5 * tol
-        return (recurse(x0, xm, f0, fl, f1, left, half, depth - 1)
-                + recurse(xm, x2, f1, fr, f2, right, half, depth - 1))
-
-    m = 0.5 * (a + b)
-    fa, fm, fb = f(a), f(m), f(b)
-    whole = simpson(a, b, fa, fm, fb)
-    return recurse(a, b, fa, fm, fb, whole, tol, 48)
+        ok = np.abs(err) <= tol if depth else np.ones(err.shape, bool)
+        levels.append((left + right + err, ok))
+        if ok.all():
+            break
+        # the failed pieces' left halves, then their right halves
+        fail = ~ok
+        x0, x2, f0, f1, f2, whole = (
+            np.concatenate([lo[fail], hi[fail]])
+            for lo, hi in ((x0, xm), (xm, x2), (f0, f1), (fl, fr), (f1, f2),
+                           (left, right)))
+        tol = 0.5 * tol
+    # a failed piece is its left half plus its right half, as recursed
+    value = levels.pop()[0]
+    for piece, ok in reversed(levels):
+        half = value.size // 2
+        piece[~ok] = value[:half] + value[half:]
+        value = piece
+    return value[0].item()
 
 
 @functools.lru_cache(maxsize=1)
@@ -157,7 +171,10 @@ def kronrod_rule():
     return x, wk, wg
 
 
-_GK_BLOCK_POINTS = 100  # integrand points per call of f
+_GK_BLOCK_POINTS = 400  # integrand points per call of f
+# bytes of one (points x terms) matrix of an integrand that broadcasts over
+# a series: 2^13 doubles, small enough to stay in cache and in the heap
+BLOCK_BYTES = 1 << 16
 _GK_MAX_PASSES = 40
 _GK_MAX_PANELS = 1 << 15
 
@@ -183,8 +200,9 @@ def gauss_kronrod(f, edges, tol: float):
     then sees the same side of the jump.  Of 300 unit jumps at random
     points of one panel, 11 come back wrong in that way.
 
-    f is called on blocks of at most 100 points (6 panels), which keeps
-    the temporaries of an integrand that broadcasts over a series small.
+    f is called on blocks of at most 400 points (26 panels), so that its
+    per-call cost is paid once per block; an integrand that broadcasts
+    over a series works in matrices of at most `BLOCK_BYTES`.
     """
     edges = np.asarray(edges, dtype=np.float64)
     if edges.ndim != 1 or edges.size < 2 or not np.all(np.diff(edges) > 0):

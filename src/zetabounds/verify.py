@@ -359,7 +359,7 @@ def check_tritura_random():
 def F_profile_holds(u) -> bool:
     """On the increasing grid u in (0, 1]: F decreases, is positive before
     u = 1 and stays below 1/(pi u)."""
-    F = np.array([wt.F_profile(float(v)) for v in u])
+    F = wt.F_profile(np.asarray(u, dtype=np.float64))
     return bool(np.all(np.diff(F) < 1e-12) and np.all(F[:-1] > 0.0)
                 and np.all(F < 1.0 / (math.pi * u) + 1e-15))
 

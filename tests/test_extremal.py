@@ -210,3 +210,18 @@ def test_params_validation():
         ApproximantParams(nu=1.0, side="nope", lam=1.0)
     with pytest.raises(ValueError):
         ApproximantParams(nu=2.0, side=MAJORANT, lam=1.0)
+
+
+@pytest.mark.parametrize("lam", [0.25, 1.0, 4.0, -0.5])
+@pytest.mark.parametrize("side", [MAJORANT, MINORANT])
+def test_phi_hat_does_not_depend_on_its_batch(lam, side):
+    """phi_hat at x has the same bits whichever points share its call (the
+    eight approximants whose L1 gaps CI prints): the series length
+    follows each point, not the largest |x| of the block."""
+    p = ApproximantParams.make(lam, side)
+    xs = np.concatenate([np.random.default_rng(31).uniform(-300, 300, 500),
+                         np.arange(-20.0, 21.0), np.arange(-5, 5) + 1e-7,
+                         [0.5, 1e4 + 0.3, -1e4 - 0.3]])
+    batch = ex.phi_hat(p, xs)
+    for i, x in enumerate(xs.tolist()):
+        assert batch[i] == ex.phi_hat(p, x), x

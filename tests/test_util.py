@@ -8,7 +8,85 @@ import numpy as np
 import pytest
 
 import zetabounds
-from zetabounds.util import PrecisionError, gauss_kronrod, kronrod_rule
+from zetabounds.util import (PrecisionError, adaptive_simpson, gauss_kronrod,
+                             kronrod_rule)
+
+
+# ----------------------------------------------------------------------
+# Adaptive Simpson
+# ----------------------------------------------------------------------
+
+def _recursive_simpson(f, a, b, tol):
+    """The depth-first adaptive Simpson that `adaptive_simpson` replaces,
+    kept as its reference: f is called on one point at a time.  Returns
+    (value, deepest depth reached)."""
+    if not a < b:
+        if a == b:
+            return 0.0, 0
+        value, deepest = _recursive_simpson(f, b, a, tol)
+        return -value, deepest
+
+    def simpson(x0, x2, f0, f1, f2):
+        return (x2 - x0) / 6.0 * (f0 + 4.0 * f1 + f2)
+
+    def recurse(x0, x2, f0, f1, f2, whole, tol, depth):
+        xm = 0.5 * (x0 + x2)
+        xl = 0.5 * (x0 + xm)
+        xr = 0.5 * (xm + x2)
+        fl = f(xl)
+        fr = f(xr)
+        left = simpson(x0, xm, f0, fl, f1)
+        right = simpson(xm, x2, f1, fr, f2)
+        err = (left + right - whole) / 15.0
+        if depth <= 0 or abs(err) <= tol:
+            return left + right + err, 48 - depth
+        half = 0.5 * tol
+        vl, dl = recurse(x0, xm, f0, fl, f1, left, half, depth - 1)
+        vr, dr = recurse(xm, x2, f1, fr, f2, right, half, depth - 1)
+        return vl + vr, max(dl, dr)
+
+    m = 0.5 * (a + b)
+    fa, fm, fb = f(a), f(m), f(b)
+    return recurse(a, b, fa, fm, fb, simpson(a, b, fa, fm, fb), tol, 48)
+
+
+def _log_weight(t):
+    from zetabounds.weights import _weight_norm
+    return _weight_norm(t, 2500.0) * np.log(t / (2.0 * math.pi))
+
+
+@pytest.mark.parametrize("f, a, b, tol, deepest", [
+    (lambda t: np.sin(3.0 * t) * np.exp(-t), 0.0, 4.0, 1e-10, None),
+    (lambda t: np.exp(7j * t) / (1.0 + t * t), -1.0, 2.0, 1e-9, None),
+    (lambda t: np.sqrt(t), 2.0, 0.0, 1e-9, None),
+    (np.cos, 1.5, 1.5, 1e-9, 0),
+    (lambda t: np.where(t < 1.0 / 3.0, 0.0, 1.0), 0.0, 1.0, 1e-6, 48),
+    (_log_weight, 55.0, 2500.0, 1e-9, None),
+], ids=["real", "complex", "reversed", "empty", "depth-cap", "log-weight"])
+def test_adaptive_simpson_is_the_recursion(f, a, b, tol, deepest):
+    """Breadth first, adaptive Simpson calls f on the same points as the
+    depth-first recursion, and adds the same values in the same order, so
+    it returns the recursion's value to the bit.  It calls f once for the
+    end points and the middle and once per depth reached."""
+    seen, seen_ref, calls = [], [], []
+
+    def traced(x):
+        calls.append(x.size)
+        seen.extend(x.tolist())
+        return f(x)
+
+    def traced_ref(x):
+        seen_ref.append(x)
+        return f(np.array([x]))[0].item()
+
+    want, depth = _recursive_simpson(traced_ref, a, b, tol)
+    got = adaptive_simpson(traced, a, b, tol)
+    assert sorted(seen) == sorted(seen_ref)
+    assert len(set(seen)) == len(seen)
+    assert got == want and type(got) is type(want)
+    if deepest is not None:
+        assert depth == deepest
+    assert len(calls) == (depth + 2 if a != b else 0)
 
 
 # ----------------------------------------------------------------------

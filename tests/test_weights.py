@@ -154,6 +154,26 @@ def test_A_strip_bounds():
     assert vf.A_strip_holds(np.random.default_rng(9))
 
 
+def test_F_profile_on_arrays_is_the_scalar_profile():
+    us = np.concatenate([np.geomspace(1e-3, 0.5, 150),
+                         1.0 - np.geomspace(1e-12, 0.5, 150),
+                         np.linspace(-2.5, 3.5, 121) + 1e-3, [1.0]])
+    got = wt.F_profile(us)
+    assert isinstance(got, np.ndarray) and got.shape == us.shape
+    for u, F in zip(us.tolist(), got.tolist()):
+        scalar = wt.F_profile(u)
+        assert type(scalar) is float and F == scalar, u
+    assert wt.F_profile(np.array([1.0, 0.5]))[0] == 0.0
+    two_d = wt.F_profile(us[:300].reshape(3, 100))
+    assert np.array_equal(two_d.ravel(), got[:300])
+
+
+@pytest.mark.parametrize("pole", [0.0, 2.0, -1.0, 3.0])
+def test_F_profile_pole_inside_an_array(pole):
+    with pytest.raises(PoleError):
+        wt.F_profile(np.array([0.25, 1.0, pole, 0.75]))
+
+
 def test_F_pole_errors():
     with pytest.raises(PoleError):
         wt.F_and_A(0.0)
@@ -269,7 +289,7 @@ def test_classical_weight_integral_identity():
     # with weight 1/t the same integral is exactly the log^2 difference
     from zetabounds.util import adaptive_simpson
     T, t0 = 800.0, 25.0
-    q = adaptive_simpson(lambda t: 2.0 / t * math.log(t / TWO_PI), t0, T,
+    q = adaptive_simpson(lambda t: 2.0 / t * np.log(t / TWO_PI), t0, T,
                          1e-11)
     want = math.log(T / TWO_PI) ** 2 - math.log(t0 / TWO_PI) ** 2
     assert abs(q - want) < 1e-9
