@@ -78,17 +78,38 @@ def _em_length(s: complex) -> int:
     return max(int(math.ceil(_EM_BETA * abs(s.imag) / TWO_PI)) + 20, 30)
 
 
+def _em_coefficients():
+    """B_2k / (2k)! for k = 1 .. _EM_K, and (2 _EM_K + 2)!."""
+    coeffs, fact = [], 1.0
+    for k in range(1, _EM_K + 2):
+        fact *= (2 * k - 1) * (2 * k)
+        coeffs.append(BERNOULLI_2K[k - 1] / fact)
+    return coeffs[:-1], fact
+
+
+_EM_COEFFS, _EM_FACT = _em_coefficients()
+# the Pochhammer factors s + j, j = 0 .. 2 _EM_K, one row each
+_EM_SHIFTS = np.arange(2.0 * _EM_K + 1.0)[:, None]
+
+
 def _em_tail(s, N: int, f0, f1=None, f2=None):
     """Add the Euler-Maclaurin tail beyond n = N, with _EM_K Bernoulli
     corrections, to the main sums f0, f1, f2 of n^-s, -log n n^-s and
-    log^2 n n^-s over n <= N; s and the sums are scalars or arrays alike.
-    Without f1 and f2 only zeta's tail is added, and the derivatives of
-    the product below are not formed.
+    log^2 n n^-s over n <= N.  Returns the three sums, N^-s, the
+    Pochhammer product s (s+1) ... (s + 2 _EM_K) with its first two
+    derivatives, and (2 _EM_K + 2)!, which set the remainder.
 
-    The Pochhammer product s (s+1) ... (s+2k-2) and its first two
-    derivatives are carried from k to k + 1.  Returns the three sums,
-    N^-s, that product through s + 2 _EM_K with its derivatives, and
-    (2 _EM_K + 2)!, which set the remainder.
+    With f1 and f2, s and the sums are scalars or arrays alike, and the
+    product and its derivatives are carried from one order to the next.
+    Without them, s is an array, only zeta's tail is added (the
+    derivatives come back as None), and all orders are done at once: the
+    products are one cumulative product over the rows of s + j, and the
+    corrections are added to f0 in order by one cumulative sum.  These
+    are the loop's operations in the loop's order, but numpy rounds some
+    complex products of a long array differently from those of a short
+    one, so the sums can differ from the loop's in the last bits: by at
+    most 4.3e-16 relative in zeta_batch_critical, at 4 937 seeded heights
+    below zeros.T_RS in calls of 1 to 3 000.
     """
     derivs = f1 is not None
     lN = math.log(N)
@@ -96,28 +117,31 @@ def _em_tail(s, N: int, f0, f1=None, f2=None):
     sm1 = s - 1.0
     t1 = N * NmS / sm1                # N^(1-s)/(s-1)
     f0 += t1 - 0.5 * NmS              # main sum runs through n = N inclusive
-    if derivs:
-        f1 += t1 * (-lN - 1.0 / sm1) + 0.5 * lN * NmS
-        f2 += t1 * (lN * lN + 2.0 * lN / sm1 + 2.0 / sm1 ** 2) \
-            - 0.5 * lN * lN * NmS
+    if not derivs:
+        p = np.cumprod(s + _EM_SHIFTS, axis=0)[::2]
+        terms = np.multiply.outer(_EM_COEFFS, NmS)
+        terms *= [[N ** (1 - 2 * k)] for k in range(1, _EM_K + 1)]
+        terms *= p[:-1]
+        terms[0] += f0
+        return ((np.cumsum(terms, axis=0)[-1], None, None), NmS,
+                (p[-1], None, None), _EM_FACT)
+    f1 += t1 * (-lN - 1.0 / sm1) + 0.5 * lN * NmS
+    f2 += t1 * (lN * lN + 2.0 * lN / sm1 + 2.0 / sm1 ** 2) \
+        - 0.5 * lN * lN * NmS
 
     p, p1, p2 = 1.0 + 0.0j, 0.0j, 0.0j
-    fact = 1.0
     for k in range(1, _EM_K + 2):
         for j in range(max(2 * k - 3, 0), 2 * k - 1):
             f = s + j
-            if derivs:
-                p1, p2 = p1 * f + p, p2 * f + 2.0 * p1
+            p1, p2 = p1 * f + p, p2 * f + 2.0 * p1
             p = p * f
-        fact *= (2 * k - 1) * (2 * k)
         if k > _EM_K:
             break
-        scale = BERNOULLI_2K[k - 1] / fact * NmS * N ** (1 - 2 * k)
+        scale = _EM_COEFFS[k - 1] * NmS * N ** (1 - 2 * k)
         f0 += scale * p
-        if derivs:
-            f1 += scale * (p1 - lN * p)
-            f2 += scale * (p2 - 2.0 * lN * p1 + lN * lN * p)
-    return (f0, f1, f2), NmS, (p, p1, p2), fact
+        f1 += scale * (p1 - lN * p)
+        f2 += scale * (p2 - 2.0 * lN * p1 + lN * lN * p)
+    return (f0, f1, f2), NmS, (p, p1, p2), _EM_FACT
 
 
 def _zeta_em_all(s: complex, N: int):
@@ -194,17 +218,20 @@ def zeta_em_deriv(s: complex, order: int,
 @functools.lru_cache(maxsize=32)
 def _factor_plan(N: int):
     """How the table of n^(-s), n <= N, is filled from its prime entries:
-    (rows_n, log_p, amp_p, groups), read-only.
+    (rows_n, log_p, amp_p, levels), read-only.
 
     Row r of the table holds n = rows_n[r]: 1 first, then the primes in
     ascending order, then the composites by Omega(n), the number of prime
     factors counted with multiplicity, by their least prime factor p
-    within a level, and by n.  Each group (start, stop, p_row, b_rows) is
-    the run of rows with one Omega(n) and one p; row start + i holds
-    p * rows_n[b_rows[i]], and p_row and every b_rows[i] lie before
-    start.  log_p and amp_p are log p and p^(-1/2) for the prime rows
-    1 .. len(log_p).  The plan depends on N alone, so the last few are
-    kept: below zeros.T_RS, N <= 161 and a plan holds a few kilobytes.
+    within a level, and by n.  Each level (start, stop, b_rows, p_runs) is
+    the run of rows with one Omega(n): row start + i holds
+    p * rows_n[b_rows[i]], with p its least prime factor and b_rows[i] a
+    row of the level below, so before start.  p_runs splits the level by
+    p into (lo, hi, p_row): rows start + lo .. start + hi - 1 and the row
+    of their p.  log_p and amp_p are log p and p^(-1/2) for the prime
+    rows 1 .. len(log_p).  The plan depends on N alone, so the last few
+    are kept: below zeros.T_RS, N <= 161 and a plan holds a few
+    kilobytes.
     """
     n = np.arange(N + 1)
     spf = n.copy()                      # least prime factor, 1 at n = 0
@@ -221,19 +248,21 @@ def _factor_plan(N: int):
     rows_n = np.lexsort((n, spf, omega))[1:]    # n = 0 sorts first
     row = np.empty(N + 1, dtype=np.int64)
     row[rows_n] = np.arange(N)
-    b_rows = row[rows_n // spf[rows_n]]
+    p_rows, b_rows = row[spf[rows_n]], row[rows_n // spf[rows_n]]
     n_primes = int(np.count_nonzero(omega == 1))
-    starts = np.flatnonzero(np.diff(omega[rows_n] * (N + 1)
-                                    + spf[rows_n])) + 1
+    starts = np.flatnonzero(np.diff(omega[rows_n])) + 1
     starts = starts[starts > n_primes].tolist()
     primes = rows_n[1:1 + n_primes]
     log_p, amp_p = np.log(primes), primes ** -0.5
     for a in (rows_n, log_p, amp_p, b_rows):
         a.flags.writeable = False
-    groups = tuple((start, stop, int(row[spf[rows_n[start]]]),
-                    b_rows[start:stop])
-                   for start, stop in zip(starts, starts[1:] + [N]))
-    return rows_n, log_p, amp_p, groups
+    levels = []
+    for start, stop in zip(starts, starts[1:] + [N]):
+        runs = np.flatnonzero(np.diff(p_rows[start:stop], prepend=0)).tolist()
+        levels.append((start, stop, b_rows[start:stop], tuple(
+            (lo, hi, int(p_rows[start + lo]))
+            for lo, hi in zip(runs, runs[1:] + [stop - start]))))
+    return rows_n, log_p, amp_p, tuple(levels)
 
 
 def _dirichlet_table(tt: np.ndarray, plan) -> np.ndarray:
@@ -242,11 +271,13 @@ def _dirichlet_table(tt: np.ndarray, plan) -> np.ndarray:
 
     n^(-1/2 - i t) is completely multiplicative in n: only the prime rows
     take a cosine and a sine, p^(-1/2) (cos(t log p) - i sin(t log p)),
-    and each composite row is one complex product of two earlier rows,
-    gathered in place a group at a time.  Besides the table, 16 bytes per
-    (n, t), only numpy's fixed ufunc buffer is allocated.
+    and each composite row is one complex product of two earlier rows:
+    a level's rows of a lower level are gathered in one call, then
+    multiplied by the row of their least prime factor.  Besides the
+    table, 16 bytes per (n, t), only numpy's fixed ufunc buffer is
+    allocated.
     """
-    rows_n, log_p, amp_p, groups = plan
+    rows_n, log_p, amp_p, levels = plan
     table = np.empty((rows_n.size, tt.size), dtype=np.complex128)
     table[0] = 1.0
     prime_rows = table[1:1 + log_p.size]
@@ -258,12 +289,13 @@ def _dirichlet_table(tt: np.ndarray, plan) -> np.ndarray:
     np.cos(phase, out=prime_rows.real)
     np.sin(phase, out=prime_rows.imag)
     prime_rows *= amp_p[:, None]
-    for start, stop, p_row, b_rows in groups:
+    for start, stop, b_rows, p_runs in levels:
         rows = table[start:stop]
         # np.take copies its source first unless out lies apart from it
         # and mode is not "raise" (b_rows are in range)
         np.take(table[:start], b_rows, axis=0, out=rows, mode="clip")
-        rows *= table[p_row]
+        for lo, hi, p_row in p_runs:
+            rows[lo:hi] *= table[p_row]
     return table
 
 
@@ -282,11 +314,12 @@ def zeta_batch_critical(ts: np.ndarray) -> np.ndarray:
     alone (_em_tail without the derivative sums).
 
     A block is not cut again at half its top height: the part below would
-    need about half the terms, but the table makes them cheap, and the
-    cut costs a second _em_tail.  Replaying the calls below zeros.T_RS
-    that find_zeros(2504) makes took 10.8 ms with the cut and 8.5 ms
-    without (medians of 150 alternating replays on two shared cores,
-    faster in 144; 15.4 ms with N cosines and sines per height).
+    need about half the terms, but the table makes them cheap, and each
+    cut adds a block's fixed cost.  Replaying the parts below zeros.T_RS
+    of the calls that find_zeros(2504) makes (11 calls of 3 to 206
+    heights) took 1.48 to 1.52 times as long with the cut as without
+    (medians of 30 alternating replays on two shared cores, twice), and
+    1.11 times with one fixed cut at t = 200.
 
     The main sum has about 2.2 t/2pi terms, so zeros.hardy_z_batch uses
     this only below zeros.T_RS and switches to Riemann-Siegel above; at

@@ -267,9 +267,10 @@ def check_fourier_pair():
 
 def check_beurling_limit():
     p = ex.ApproximantParams.make(1e-3, ex.MAJORANT)
-    for x in np.linspace(-3.0, 3.0, 101):
+    xs = np.linspace(-3.0, 3.0, 101)
+    for x, value in zip(xs, ex.phi_hat(p, xs)):
         target = (ex.beurling_majorant(float(x)) + 1.0) / 2.0
-        if abs(ex.phi_hat(p, float(x)) - target) > 5e-3:
+        if abs(value - target) > 5e-3:
             return False
     return True
 

@@ -193,29 +193,31 @@ def _riemann_siegel_z(ts: np.ndarray) -> np.ndarray:
     + (-1)^(N-1) a^(-1/2) sum_{k=0}^{4} C_k(p) a^(-k),
     with a = sqrt(t/2pi), N = floor(a), p = a - N.
 
-    The heights are grouped by N (a stable sort, which leaves ascending
-    input in place), and each group's main sum is one real matrix-vector
-    product of the cosines with the amplitudes n^(-1/2), n <= N, in
-    blocks of at most _RS_BLOCK phases.
+    The heights are sorted by N (a stable sort, which leaves ascending
+    input in place), and each run of heights with the same N is one real
+    matrix-vector product of the cosines with the amplitudes n^(-1/2),
+    n <= N, in blocks of at most _RS_BLOCK phases.
     """
     a = np.sqrt(ts / TWO_PI)
     n_terms = np.floor(a)
-    th = hardy_theta(ts)
-    out = np.empty_like(ts)
     order = np.argsort(n_terms, kind="stable")
     n_sorted = n_terms[order]
-    starts = np.flatnonzero(np.diff(n_sorted, prepend=-1.0))
-    stops = np.append(starts[1:], ts.size)
+    t_sorted = ts[order]
+    th_sorted = hardy_theta(t_sorted)
     n = np.arange(1.0, n_sorted[-1] + 1.0)
-    logn, amp = np.log(n), n ** -0.5
-    for start, stop in zip(starts, stops):
+    logn, amp = -np.log(n), n ** -0.5
+    main = np.empty_like(ts)
+    starts = np.flatnonzero(np.diff(n_sorted, prepend=-1.0)).tolist()
+    for start, stop in zip(starts, starts[1:] + [ts.size]):
         k = int(n_sorted[start])
         rows = max(_RS_BLOCK // k, 1)
         for lo in range(start, stop, rows):
-            idx = order[lo:min(lo + rows, stop)]
-            phase = np.multiply.outer(ts[idx], -logn[:k])
-            phase += th[idx, None]
-            out[idx] = 2.0 * (np.cos(phase, out=phase) @ amp[:k])
+            hi = min(lo + rows, stop)
+            phase = np.multiply.outer(t_sorted[lo:hi], logn[:k])
+            phase += th_sorted[lo:hi, None]
+            np.matmul(np.cos(phase, out=phase), amp[:k], out=main[lo:hi])
+    out = np.empty_like(ts)
+    out[order] = 2.0 * main
     corr = _rs_correction(a, a - n_terms - 0.5)
     sign = np.where(n_terms % 2 == 1.0, 1.0, -1.0)     # (-1)^(N-1)
     return out + sign * corr / np.sqrt(a)
@@ -228,16 +230,17 @@ _RS_COLUMNS = np.array(_RS_COEFFS).T[::-1, :, None]
 def _rs_correction(a: np.ndarray, z: np.ndarray) -> np.ndarray:
     """sum_{k=0}^{4} C_k(z) a^(-k), by Horner in 1/a, with C_k from
     _RS_COEFFS at z = p - 1/2.  The five C_k are one Horner in z^2 over a
-    (5, n) array: about 55 numpy operations whatever n, where a Horner per
-    row took 110, with the same arithmetic per entry."""
+    (5, n) array, started at the leading column, and the Horner in 1/a
+    starts at C_4: about 50 numpy operations whatever n, where a Horner
+    per row took 110, with the same arithmetic per entry."""
     z2 = z * z
-    ck = np.zeros((len(_RS_COEFFS), z.size))
-    for col in _RS_COLUMNS:
+    ck = np.repeat(_RS_COLUMNS[0], z.size, axis=1)
+    for col in _RS_COLUMNS[1:]:
         ck *= z2
         ck += col
     ck[1::2] *= z
-    corr = np.zeros_like(z)
-    for row in ck[::-1]:
+    corr = ck[-1]
+    for row in ck[-2::-1]:
         corr = corr / a + row
     return corr
 
@@ -391,47 +394,79 @@ def _turing_block_count(g_p: float) -> int:
     return math.ceil(0.0061 * lg * lg + 0.08 * lg)
 
 
-def _refine_brackets(a: np.ndarray, b: np.ndarray, za: np.ndarray,
-                     zb: np.ndarray, tol: float) -> np.ndarray:
-    """Midpoints of the sign-change brackets [a, b] of Z, each narrowed to
-    width <= 2 tol, so that every midpoint is within tol of a root.
+class _Brackets:
+    """Sign-change brackets [a, b] of Z, narrowed by the Anderson-Bjorck
+    method (N. Anderson and A. Bjorck, "A new high order method of regula
+    falsi type for computing a root of an equation", BIT 13 (1973)
+    253-264) until each is at most 2 tol wide, so that its midpoint is
+    within tol of a root.  The caller evaluates Z: points() gives one
+    point per bracket still wider than 2 tol, and step(z) takes Z at
+    those points; brackets can be added between steps.
 
-    Vectorised Anderson-Bjorck method (N. Anderson and A. Bjorck, "A new
-    high order method of regula falsi type for computing a root of an
-    equation", BIT 13 (1973) 253-264), a modified regula falsi: each step
-    evaluates Z at the secant point c of the bracket and keeps the part
-    that still changes sign.  An endpoint kept twice in a row has its Z
-    value scaled by m = 1 - Z(c)/z, with z the value of the endpoint that
-    c replaced (both have one sign, so m < 1), or by 1/2 where m <= 0 as
-    in the Illinois method; this pulls the next secant point toward it,
-    past the root.  The point is held at least tol inside the bracket, so
-    once the secant estimate is within tol of the root the next one or
-    two steps close the bracket to width <= tol.  On the brackets of
-    find_zeros(2504) it spends 6.28 Z points per bracket in 13
-    hardy_z_batch calls, where the Illinois halving spent 7.21 in 15.
+    Anderson-Bjorck is a modified regula falsi: each step evaluates Z at
+    the secant point c of the bracket and keeps the part that still
+    changes sign.  An endpoint kept twice in a row has its Z value scaled
+    by m = 1 - Z(c)/z, with z the value of the endpoint that c replaced
+    (both have one sign, so m < 1); this pulls the next secant point
+    toward it, past the root.  Where m <= 0, Z(c) is no smaller than the
+    value it replaced: Z bends so that the secant points creep toward the
+    root from one side, and the next point is the bracket's midpoint
+    instead, where the Illinois method would halve the kept value.  On
+    the brackets of find_zeros(2504) that takes 6.29 Z points per bracket
+    and at most 11 steps, where halving took 6.28 and 13 (at 21900: 6.33
+    and 14, where halving took 6.32 and 13).  A secant point is held at
+    least tol inside the bracket, so once the secant estimate is within
+    tol of the root the next one or two steps close the bracket to width
+    <= tol.
     """
-    a, b, za, zb = a.copy(), b.copy(), za.copy(), zb.copy()
-    kept = np.zeros(a.size, dtype=np.int8)     # -1: a kept, +1: b kept
-    live = np.flatnonzero(b - a > 2.0 * tol)
-    while live.size:
-        al, bl, fa, fb = a[live], b[live], za[live], zb[live]
-        c = np.clip(bl - fb * (bl - al) / (fb - fa), al + tol, bl - tol)
-        zc = hardy_z_batch(c)
-        right = np.sign(zc) == np.sign(fa)     # root lies in [c, b]
+
+    def __init__(self, tol: float):
+        self.tol = tol
+        # the open brackets; kept: -1 a kept, +1 b kept; halve: the next
+        # point bisects
+        self.a = self.b = self.za = self.zb = np.empty(0)
+        self.kept = np.empty(0, dtype=np.int8)
+        self.halve = np.empty(0, dtype=bool)
+        self.c = np.empty(0)        # the points of the step under way
+        self.closed = []            # midpoints of the closed brackets
+
+    def add(self, a, b, za, zb) -> None:
+        wide = b - a > 2.0 * self.tol
+        self.closed.append(0.5 * (a + b)[~wide])
+        self.a, self.b, self.za, self.zb = (
+            np.concatenate([old, new[wide]]) for old, new in
+            ((self.a, a), (self.b, b), (self.za, za), (self.zb, zb)))
+        self.kept = np.concatenate([self.kept, np.zeros(wide.sum(), np.int8)])
+        self.halve = np.concatenate([self.halve, np.zeros(wide.sum(), bool)])
+
+    def points(self) -> np.ndarray:
+        a, b, za, zb, tol = self.a, self.b, self.za, self.zb, self.tol
+        c = np.minimum(np.maximum(b - zb * (b - a) / (zb - za), a + tol),
+                       b - tol)
+        self.c = np.where(self.halve, 0.5 * (a + b), c)
+        return self.c
+
+    def step(self, zc: np.ndarray) -> None:
+        c, za, zb = self.c, self.za, self.zb
+        right = np.sign(zc) == np.sign(za)     # root lies in [c, b]
         # m lies in (0, 1] unless Z(c) >= the replaced value, or that value
         # was an exact zero of the computed Z
         with np.errstate(divide="ignore", invalid="ignore"):
-            m = 1.0 - zc / np.where(right, fa, fb)
-        m[~((m > 0.0) & (m <= 1.0))] = 0.5
-        scale = np.where(kept[live] == np.where(right, 1, -1), m, 1.0)
-        keep_b, keep_a = live[right], live[~right]
-        a[keep_b], za[keep_b] = c[right], zc[right]
-        b[keep_a], zb[keep_a] = c[~right], zc[~right]
-        zb[keep_b] *= scale[right]
-        za[keep_a] *= scale[~right]
-        kept[keep_b], kept[keep_a] = 1, -1
-        live = live[b[live] - a[live] > 2.0 * tol]
-    return 0.5 * (a + b)
+            m = 1.0 - zc / np.where(right, za, zb)
+        creep = ~((m > 0.0) & (m <= 1.0))
+        side = np.where(right, 1, -1).astype(np.int8)
+        scale = np.where((self.kept == side) & ~(self.halve | creep), m, 1.0)
+        a, b = np.where(right, c, self.a), np.where(right, self.b, c)
+        za = np.where(right, zc, za * scale)
+        zb = np.where(right, zb * scale, zc)
+        wide = b - a > 2.0 * self.tol
+        self.closed.append(0.5 * (a + b)[~wide])
+        self.a, self.b, self.za, self.zb, self.kept, self.halve = (
+            x[wide] for x in (a, b, za, zb, side, creep))
+
+    def roots(self) -> np.ndarray:
+        """The midpoints of the closed brackets, ascending."""
+        return np.sort(np.concatenate(self.closed))
 
 
 def find_zeros(t_max: float, tol: float = 1e-9) -> ZeroList:
@@ -442,9 +477,8 @@ def find_zeros(t_max: float, tol: float = 1e-9) -> ZeroList:
     holds the first zero.  One hardy_z_batch call evaluates Z at them all.
     Good points (gram_points) cut the scan into Rosser blocks; a block of
     k Gram intervals must show k sign changes of Z.  Each round bisects
-    every gap of every block still short of that, with one hardy_z_batch
-    call for all of them; a block still short after _ROSSER_ROUNDS rounds
-    raises MissedZeroError.
+    every gap of every block still short of that; a block still short
+    after _ROSSER_ROUNDS rounds raises MissedZeroError.
 
     Turing's method bounds the count from above.  By Brent (1979),
     Theorem 3.2, if K consecutive Rosser blocks with union [g_N, g_p)
@@ -458,14 +492,19 @@ def find_zeros(t_max: float, tol: float = 1e-9) -> ZeroList:
     or a Turing block that breaks Rosser's rule, raise MissedZeroError.
 
     The sign changes at or below t_max are refined by the Anderson-Bjorck
-    method (_refine_brackets) to brackets at most 2 tol wide; each
-    ordinate is its bracket's midpoint, within tol of a sign change of the
-    computed Z.  A value of Z counts as a sign only where it exceeds
-    _z_error_bound; a Gram point is good only where (-1)^n Z exceeds that
-    bound plus _z_prime_bound times _gram_offset, the most Z can change
-    between the computed and the exact Gram point.  ZeroList's |Q(t)|
-    check stays as a backstop.  The scan costs 1.24 Z points per zero at
-    T = 2504 and 1.32 at 21900, the refinement 6.28 and 6.32.
+    method (_Brackets) to brackets at most 2 tol wide; each ordinate is
+    its bracket's midpoint, within tol of a sign change of the computed
+    Z.  A block's brackets start once it shows all its sign changes, the
+    blocks complete after the Gram points at once; each later call of
+    hardy_z_batch evaluates the Rosser midpoints of the short blocks and
+    one point per open bracket together.  A value of Z counts as a sign
+    only where it exceeds _z_error_bound; a Gram point is good only where
+    (-1)^n Z exceeds that bound plus _z_prime_bound times _gram_offset,
+    the most Z can change between the computed and the exact Gram point.
+    ZeroList's |Q(t)| check stays as a backstop.  The scan costs 1.24 Z
+    points per zero at T = 2504 and 1.32 at 21900, the refinement 6.30
+    and 6.33, in 12 and 15 hardy_z_batch calls (17 and 19 with the
+    Rosser rounds first and the Illinois halving).
     """
     if not 0 < t_max <= T_MAX_CEILING:
         raise ValueError(f"t_max must lie in (0, {T_MAX_CEILING:g}]")
@@ -501,35 +540,46 @@ def find_zeros(t_max: float, tol: float = 1e-9) -> ZeroList:
     t, z = t[:edges[-1] + 1], z[:edges[-1] + 1]
     sure = np.abs(z) > err[:edges[-1] + 1]
 
-    for rounds in range(_ROSSER_ROUNDS + 1):
-        ts, zs = t[sure], z[sure]
-        flips = np.flatnonzero(np.signbit(zs[:-1]) != np.signbit(zs[1:]))
-        found = np.bincount(np.searchsorted(edge_t, ts[flips], "right") - 1,
-                            minlength=need.size)
-        short = found < need
-        if not short.any():
+    brackets = _Brackets(tol)
+    started = np.zeros(need.size, dtype=bool)   # blocks whose brackets run
+    rounds = 0
+    while True:
+        mid = np.empty(0)
+        if not started.all():
+            ts, zs = t[sure], z[sure]
+            flips = np.flatnonzero(np.signbit(zs[:-1]) != np.signbit(zs[1:]))
+            block = np.searchsorted(edge_t, ts[flips], "right") - 1
+            found = np.bincount(block, minlength=need.size)
+            short = found < need
+            if rounds == _ROSSER_ROUNDS and short.any():
+                i = int(np.argmax(short))
+                raise MissedZeroError(
+                    f"Rosser block [{edge_t[i]:.6f}, {edge_t[i + 1]:.6f}] "
+                    f"shows {found[i]} of {need[i]} sign changes")
+            if not short.any() and (found[:n_turing].sum()
+                                    > need[:n_turing].sum()):
+                raise MissedZeroError(
+                    f"{found[:n_turing].sum()} sign changes through "
+                    f"t = {edge_t[n_turing]:.6f}, where Turing's method "
+                    f"allows {need[:n_turing].sum()}")
+            f = flips[~(started | short)[block] & (ts[flips] <= t_max)]
+            brackets.add(ts[f], ts[f + 1], zs[f], zs[f + 1])
+            started = ~short
+            gaps = np.flatnonzero(
+                short[np.searchsorted(edge_t, t[:-1], "right") - 1])
+            mid = 0.5 * (t[gaps] + t[gaps + 1])
+        c = brackets.points()
+        if not (mid.size or c.size):
             break
-        if rounds == _ROSSER_ROUNDS:
-            i = int(np.argmax(short))
-            raise MissedZeroError(
-                f"Rosser block [{edge_t[i]:.6f}, {edge_t[i + 1]:.6f}] shows "
-                f"{found[i]} of {need[i]} sign changes")
-        gaps = np.flatnonzero(
-            short[np.searchsorted(edge_t, t[:-1], "right") - 1])
-        mid = 0.5 * (t[gaps] + t[gaps + 1])
-        zm = hardy_z_batch(mid)
-        t = np.insert(t, gaps + 1, mid)
-        z = np.insert(z, gaps + 1, zm)
-        sure = np.insert(sure, gaps + 1, np.abs(zm) > _z_error_bound(mid))
-
-    if found[:n_turing].sum() > need[:n_turing].sum():
-        raise MissedZeroError(
-            f"{found[:n_turing].sum()} sign changes through "
-            f"t = {edge_t[n_turing]:.6f}, where Turing's method allows "
-            f"{need[:n_turing].sum()}")
-    flips = flips[ts[flips] <= t_max]
-    roots = _refine_brackets(ts[flips], ts[flips + 1], zs[flips],
-                             zs[flips + 1], tol)
+        zz = hardy_z_batch(np.concatenate([mid, c]))
+        if mid.size:
+            zm = zz[:mid.size]
+            t = np.insert(t, gaps + 1, mid)
+            z = np.insert(z, gaps + 1, zm)
+            sure = np.insert(sure, gaps + 1, np.abs(zm) > _z_error_bound(mid))
+            rounds += 1
+        brackets.step(zz[mid.size:])
+    roots = brackets.roots()
     return ZeroList(roots[roots <= t_max], t_max, source="computed")
 
 

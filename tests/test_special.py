@@ -62,21 +62,26 @@ def test_zeta_pole_and_domain_errors():
 
 @pytest.mark.parametrize("N", [30, 31, 41, 97, 128, 161, 1000])
 def test_factor_plan_builds_each_n_once_from_earlier_rows(N):
-    n, log_p, amp_p, groups = sp._factor_plan(N)
+    n, log_p, amp_p, levels = sp._factor_plan(N)
     assert n[0] == 1 and sorted(n.tolist()) == list(range(1, N + 1))
     primes = [k for k in range(2, N + 1)
               if all(k % d for d in range(2, math.isqrt(k) + 1))]
     assert n[1:1 + log_p.size].tolist() == primes
     assert np.array_equal(log_p, np.log(primes))
     assert np.array_equal(amp_p, np.array(primes, dtype=float) ** -0.5)
-    # the groups, in the order they are filled, tile the composite rows
-    # once, each row the product of a prime row and a row filled earlier
+    # the levels, in the order they are filled, tile the composite rows
+    # once, each row the product of a prime row and a row filled earlier,
+    # and a level's runs of one prime tile its rows
     filled = 1 + len(primes)
-    for start, stop, p_row, b_rows in groups:
+    for start, stop, b_rows, p_runs in levels:
         assert start == filled and stop > start
-        assert 1 <= p_row <= len(primes)
         assert b_rows.size == stop - start and np.all(b_rows < start)
-        assert np.array_equal(n[start:stop], n[p_row] * n[b_rows])
+        los, his, _ = zip(*p_runs)
+        assert los == (0,) + his[:-1] and his[-1] == stop - start
+        for lo, hi, p in p_runs:
+            assert 1 <= p <= len(primes) and hi > lo
+            assert np.array_equal(n[start + lo:start + hi],
+                                  n[p] * n[b_rows[lo:hi]])
         filled = stop
     assert filled == N
 

@@ -357,20 +357,33 @@ def test_z_points_per_zero(monkeypatch):
     monkeypatch.setattr(zr, "hardy_z_batch", counting)
     zl = zr.find_zeros(2504.0)
     assert sum(points) <= 7.8 * len(zl)
+    # the Gram points, then Rosser rounds and refinement steps together
+    assert len(points) <= 12
+
+
+def _refine(a, b, za, zb, tol):
+    """The brackets refined by zeros._Brackets alone, Z from
+    zeros.hardy_z_batch; their midpoints, ascending."""
+    brackets = zr._Brackets(tol)
+    brackets.add(a, b, za, zb)
+    while (c := brackets.points()).size:
+        brackets.step(zr.hardy_z_batch(c))
+    return brackets.roots()
 
 
 def test_refiner_on_the_finders_brackets(monkeypatch):
     seen = []
-    real_refine = zr._refine_brackets
+    real_add = zr._Brackets.add
 
-    def capture(*args):
+    def capture(self, *args):
         seen.append(args)
-        return real_refine(*args)
+        return real_add(self, *args)
 
-    monkeypatch.setattr(zr, "_refine_brackets", capture)
+    monkeypatch.setattr(zr._Brackets, "add", capture)
     zr.find_zeros(2504.0)
     monkeypatch.undo()
-    (a, b, za, zb, tol), = seen
+    a, b, za, zb = (np.concatenate(part) for part in zip(*seen))
+    tol = 1e-9
 
     real_z = zr.hardy_z_batch
     points = []
@@ -380,8 +393,8 @@ def test_refiner_on_the_finders_brackets(monkeypatch):
         return real_z(ts)
 
     monkeypatch.setattr(zr, "hardy_z_batch", counting)
-    r = zr._refine_brackets(a, b, za, zb, tol)
-    assert sum(points) <= 6.5 * a.size
+    r = _refine(a, b, za, zb, tol)
+    assert r.size == a.size and sum(points) <= 6.5 * a.size
     assert np.all(np.signbit(real_z(r - tol)) != np.signbit(real_z(r + tol)))
 
     # brackets already at most 2 tol wide come back as their midpoints,
@@ -389,12 +402,11 @@ def test_refiner_on_the_finders_brackets(monkeypatch):
     points.clear()
     lo, hi = r[::100] - 0.9 * tol, r[::100] + 0.9 * tol
     zlo, zhi = real_z(lo), real_z(hi)
-    assert np.array_equal(zr._refine_brackets(lo, hi, zlo, zhi, tol),
-                          0.5 * (lo + hi))
+    assert np.array_equal(_refine(lo, hi, zlo, zhi, tol), 0.5 * (lo + hi))
     assert points == []
-    mixed = zr._refine_brackets(np.append(a, lo), np.append(b, hi),
-                                np.append(za, zlo), np.append(zb, zhi), tol)
-    assert np.array_equal(mixed[a.size:], 0.5 * (lo + hi))
+    mixed = _refine(np.append(a, lo), np.append(b, hi), np.append(za, zlo),
+                    np.append(zb, zhi), tol)
+    assert np.array_equal(mixed, np.sort(np.append(r, 0.5 * (lo + hi))))
 
 
 def _hide_pair(monkeypatch, lo, hi):
@@ -414,8 +426,14 @@ def _hide_pair(monkeypatch, lo, hi):
 def test_short_rosser_block_raises(zl_med, monkeypatch, j):
     g = zl_med.ordinates
     _hide_pair(monkeypatch, g[j], g[j + 1])
+    calls = _record_calls(monkeypatch)
     with pytest.raises(MissedZeroError, match="Rosser block"):
         zr.find_zeros(2000.0)
+    # the Gram points, then _ROSSER_ROUNDS calls that bisect the short
+    # block, the first of them also refining the complete blocks' zeros
+    mids = _rosser_midpoints(calls)
+    assert len(calls) == 1 + zr._ROSSER_ROUNDS and all(m.any() for m in mids)
+    assert not mids[0].all()
 
 
 @pytest.mark.parametrize("t_max", [300.0, 1000.0])
@@ -434,6 +452,57 @@ def test_pair_hidden_in_turing_blocks_raises(zl_med, monkeypatch, t_max):
     _hide_pair(monkeypatch, zeros[j], zeros[j + 1])
     with pytest.raises(MissedZeroError, match="Rosser block"):
         zr.find_zeros(t_max)
+
+
+def _record_calls(monkeypatch):
+    """Wrap zeros.hardy_z_batch (as it stands, stubbed or not); the list
+    it returns gets each call's heights."""
+    calls = []
+    inner = zr.hardy_z_batch
+
+    def recording(ts):
+        calls.append(np.array(ts, dtype=np.float64))
+        return inner(ts)
+
+    monkeypatch.setattr(zr, "hardy_z_batch", recording)
+    return calls
+
+
+def _rosser_midpoints(calls):
+    """For each call after the first, which of its heights bisect two
+    adjacent points of the scan so far (the Gram points of the first
+    call, then the midpoints before)."""
+    grid = np.sort(calls[0])
+    masks = []
+    for ts in calls[1:]:
+        i = np.clip(np.searchsorted(grid, ts) - 1, 0, grid.size - 2)
+        mid = ts == 0.5 * (grid[i] + grid[i + 1])
+        masks.append(mid)
+        grid = np.sort(np.append(grid, ts[mid]))
+    return masks
+
+
+def test_refinement_runs_beside_the_rosser_rounds(monkeypatch):
+    """The second call bisects the short Rosser blocks (below 300 Gram's
+    law first fails at g_126 = 282.45) and already refines the brackets
+    of the complete ones; the short blocks' zeros are refined by later
+    calls, once the blocks resolve."""
+    tol = 1e-9
+    calls = _record_calls(monkeypatch)
+    g = zr.find_zeros(300.0, tol).ordinates
+    monkeypatch.undo()
+    mids = _rosser_midpoints(calls)
+    assert mids[0].any() and not mids[0].all()
+    grid = calls[0]
+    gaps = np.searchsorted(grid, calls[1][mids[0]]) - 1
+    assert np.searchsorted(grid, 282.455) - 1 in gaps
+    in_short = g[np.isin(np.searchsorted(grid, g) - 1, gaps)]
+    assert in_short.size >= 2
+    late = np.concatenate([ts[~m] for ts, m in zip(calls[2:], mids[1:])])
+    assert all(np.abs(late - r).min() < 1e-3 for r in in_short)
+    z = zr.hardy_z_batch
+    assert np.all(np.signbit(z(in_short - tol))
+                  != np.signbit(z(in_short + tol)))
 
 
 # ----------------------------------------------------------------------
