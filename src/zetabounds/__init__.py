@@ -22,24 +22,24 @@ _EXPORTS = {
         ("BoundContext", "BoundReport", "CounterexampleSpec",
          "counterexample_mean", "explicit_formula_bound",
          "nontrivial_zero_sum", "perron_identity_check",
-         "psi_concrete_bound", "trivial_zero_terms", "zero_sum_bound"),
+         "trivial_zero_terms", "zero_sum_bound"),
         "formula"),
     **dict.fromkeys(
         ("ExtremaRecord", "SieveCheckpoint", "extrema_scan",
-         "lambda_segment", "psi_checkpoints"), "sieve"),
+         "psi_checkpoints"), "sieve"),
     **dict.fromkeys(
         ("EvalWithError", "LaurentCoeffs", "badabook_f", "cot_stable",
-         "coth_stable", "digamma", "ei_and_bound", "fejer",
+         "coth_stable", "digamma", "ei_and_bound",
          "laurent_coeffs_A", "lerch", "log_deriv_zeta", "zeta_em"),
         "special"),
     **dict.fromkeys(("PoleError", "PrecisionError"), "util"),
     **dict.fromkeys(
-        ("WeightContext", "F_and_A", "constants_C", "omega_plus", "theta",
+        ("WeightContext", "F_and_A", "constants_C", "omega_plus",
          "tremic_check", "weight_split_error", "weighted_inv_integral",
          "weighted_log_integral"), "weights"),
     **dict.fromkeys(
         ("MissedZeroError", "ZeroCountStats", "ZeroFileError", "ZeroList",
-         "box_count_bound", "bundled_zeros", "count_and_Q", "find_zeros",
+         "box_count_bound", "count_and_Q", "find_zeros",
          "inverse_square_tail", "lehman_sum", "load_zeros",
          "local_log_deriv", "save_zeros"), "zeros"),
 }

@@ -144,10 +144,12 @@ def cmd_sieve(ns: argparse.Namespace) -> int:
     from . import sieve as sv
     from .util import format_float17
     if ns.checkpoints:
+        if max(ns.checkpoints) > ns.x_max:
+            raise ValueError("checkpoints must be <= x_max")
         cps = sv.psi_checkpoints(ns.checkpoints, ns.threads, ns.long_run)
         _emit(sv.checkpoints_to_csv(cps), ns.out)
         return EXIT_OK
-    res = sv.extrema_scan(int(ns.x_max), ns.statistic or sv.STAT_PSI,
+    res = sv.extrema_scan(ns.x_max, ns.statistic or sv.STAT_PSI,
                           ns.x_min, ns.threads, ns.long_run)
     lines = ["x_min,kind,x_at,left_limit,value\n"]
     for v in sorted(res):
@@ -221,9 +223,18 @@ def _float_list(s: str):
     return tuple(float(v) for v in s.split(",") if v)
 
 
+class _NotWhole(float):
+    """A value of an integer option that is not a whole number, inf and nan
+    included, kept for _check_numbers to reject under the option's name."""
+
+
+def _int(s: str):
+    f = float(s)
+    return int(f) if f.is_integer() else _NotWhole(f)
+
+
 def _int_list(s: str):
-    # inf and nan stay floats, for _check_finite to reject
-    return tuple(int(f) if math.isfinite(f) else f for f in _float_list(s))
+    return tuple(_int(v) for v in s.split(",") if v)
 
 
 class _LazyChoices:
@@ -248,14 +259,18 @@ class _LazyChoices:
         return value in self._load()
 
 
-def _check_finite(ns: argparse.Namespace) -> None:
-    """Every number on the command line is finite: inf or nan is a
-    ValueError here, not an overflow or a check skipped further on."""
+def _check_numbers(ns: argparse.Namespace) -> None:
+    """Every number on the command line is finite, and every value of an
+    integer option whole: inf, nan or 2.5 is a ValueError here, not an
+    overflow, a check skipped or a value truncated further on."""
     for name, value in vars(ns).items():
         values = value if isinstance(value, tuple) else (value,)
+        option = f"--{name.replace('_', '-')}"
         if any(isinstance(v, float) and not math.isfinite(v)
                for v in values):
-            raise ValueError(f"--{name.replace('_', '-')} must be finite")
+            raise ValueError(f"{option} must be finite")
+        if any(isinstance(v, _NotWhole) for v in values):
+            raise ValueError(f"{option} takes integers only")
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -294,15 +309,27 @@ def build_parser() -> argparse.ArgumentParser:
     c.add_argument("--out")
 
     s = sub.add_parser("sieve", help="extrema scan or checkpoint CSV")
-    s.add_argument("--x-max", type=float, required=True)
+    s.add_argument("--x-max", type=_int, required=True,
+                   help="the end of the range: an integer up to 1e9 "
+                        "(1e10 with --long-run); 1e9 reads as 1000000000")
     # default: sieve.STAT_PSI, read by cmd_sieve
-    s.add_argument("--statistic").choices = _LazyChoices(
+    s.add_argument("--statistic", help="psi scans (psi(x)-x)/sqrt(x), "
+                   "lambda-over-n scans sqrt(x)(sum_{n<=x} Lambda(n)/n - "
+                   "log(x) + gamma); default psi").choices = _LazyChoices(
         ".sieve", lambda sv: (sv.STAT_PSI, sv.STAT_LAMBDA_OVER_N))
-    s.add_argument("--x-min", type=_int_list, default=(1,))
-    s.add_argument("--checkpoints", type=_int_list, default=())
-    s.add_argument("--out")
-    s.add_argument("--threads", type=int, default=1)
-    s.add_argument("--long-run", action="store_true")
+    s.add_argument("--x-min", type=_int_list, default=(1,),
+                   help="comma-separated integers <= x_max: scan each "
+                        "range [x_min, x_max] (default 1)")
+    s.add_argument("--checkpoints", type=_int_list, default=(),
+                   help="comma-separated ascending integers <= x_max: "
+                        "write psi(x) and delta(x) at each x in place of "
+                        "the scan")
+    s.add_argument("--out", help="write the CSV here, not to stdout")
+    s.add_argument("--threads", type=int, default=1,
+                   help="worker threads; any count gives the same output "
+                        "(default 1)")
+    s.add_argument("--long-run", action="store_true",
+                   help="allow x_max and checkpoints above 1e9")
 
     v = sub.add_parser("verify", help="run invariant suites")
     v.add_argument("--suite", default="all").choices = _LazyChoices(
@@ -331,7 +358,7 @@ def main(argv=None) -> int:
         ap.print_help()
         return EXIT_USAGE
     try:
-        _check_finite(ns)
+        _check_numbers(ns)
         return COMMANDS[ns.command](ns)
     except _reported_errors() as e:     # evaluated only once one is raised
         sys.stdout.write(_error_json(e))

@@ -38,7 +38,7 @@ from .zeros import ZeroList
 __all__ = [
     "BoundContext", "BoundReport", "CounterexampleSpec", "trivial_zero_terms",
     "nontrivial_zero_sum", "zero_sum_bound", "vihuela_rhs", "hardin_rhs",
-    "arles_constant", "explicit_formula_bound", "psi_concrete_bound",
+    "arles_constant", "explicit_formula_bound",
     "counterexample_mean", "fandango_allowance", "perron_identity_check",
     "XI_GRID",
 ]
@@ -387,22 +387,6 @@ def epsilon_at(zl: ZeroList | None, T: float, x: float) -> float:
     sigma = 0: max deviation of the sandwich from 1."""
     rep = explicit_formula_bound(zl, T, 0.0, x)
     return max(abs(rep.total_upper - 1.0), abs(rep.total_lower - 1.0))
-
-
-def psi_concrete_bound(x: float):
-    """(the all-x envelope (pi/3e12) x + 113.67 sqrt(x), and the refined
-    (sqrt(x)/8pi)((log x - 2 log(log x/(pi e)))^2 - 4) where the height
-    condition 2 pi^2 sqrt(x)/log x >= 1e7 holds, else None)."""
-    if x < 1.0:
-        raise ValueError("need x >= 1")
-    envelope = math.pi / 3e12 * x + 113.67 * math.sqrt(x)
-    refined = None
-    if x > 1.0 and TWO_PI * math.pi * math.sqrt(x) / math.log(x) >= 1e7:
-        L = math.log(x)
-        refined = (math.sqrt(x) / (8.0 * math.pi)
-                   * ((L - 2.0 * math.log(L / (math.pi * math.e))) ** 2
-                      - 4.0))
-    return envelope, refined
 
 
 # ----------------------------------------------------------------------

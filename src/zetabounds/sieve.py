@@ -55,7 +55,7 @@ import numpy as np
 from .util import EULER_GAMMA
 
 __all__ = [
-    "SieveCheckpoint", "ExtremaRecord", "lambda_segment", "psi_checkpoints",
+    "SieveCheckpoint", "ExtremaRecord", "psi_checkpoints",
     "extrema_scan", "checkpoints_to_csv", "STAT_PSI", "STAT_LAMBDA_OVER_N",
 ]
 
@@ -269,20 +269,6 @@ class _SieveStream:
                     futs.append(exe.submit(self._one, starts[idx]))
                     idx += 1
                 yield futs.pop(0).result()
-
-
-def lambda_segment(lo: int, hi: int):
-    """(n, Lambda(n)) for the prime powers n in [lo, hi], ascending."""
-    if not (2 <= lo <= hi):
-        raise ValueError("need 2 <= lo <= hi")
-    if hi > HARD_CEILING:
-        raise ValueError("hi above supported ceiling")
-    if hi - lo > 100_000_000:
-        raise ValueError("segment too long; split the request")
-    stream = _SieveStream(hi)
-    parts = [stream._one(a) for a in range(lo, hi + 1, SEGMENT)]
-    return (np.concatenate([pos for _, _, pos, _ in parts]),
-            np.concatenate([lam for _, _, _, lam in parts]))
 
 
 def _split(terms: np.ndarray, total: float, out=None):

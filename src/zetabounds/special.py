@@ -26,7 +26,7 @@ from .util import (BERNOULLI_2K, EULER_GAMMA, TWO_PI, EvalWithError,
 __all__ = [
     "zeta_em", "zeta_em_deriv", "zeta_batch_critical", "log_deriv_zeta",
     "digamma", "trigamma", "log_gamma", "gamma_abs", "cot_stable",
-    "coth_stable", "fejer", "fejer_batch", "lerch", "ei_and_bound",
+    "coth_stable", "fejer_batch", "lerch", "ei_and_bound",
     "ei_upper_bound", "laurent_coeffs_A", "LaurentCoeffs", "badabook_f",
     "zeta_reflection_rhs", "one_minus_x_cot_x",
 ]
@@ -614,23 +614,10 @@ def x_coth_x(x):
 # Fejer kernel
 # ----------------------------------------------------------------------
 
-def fejer(K: int, t: float) -> float:
-    """Fejer kernel F_K(t) = (1/(K+1)) (sin((K+1)t/2)/sin(t/2))^2, >= 0.
-
-    The removable singularities at t in 2 pi Z take the value K + 1.
-    """
-    if K < 1:
-        raise ValueError("K must be >= 1")
-    u = 0.5 * t
-    up = u - math.pi * round(u / math.pi)
-    if abs(up) < 1e-12:
-        return float(K + 1)
-    r = math.sin((K + 1) * up) / math.sin(up)
-    return max(r * r / (K + 1), 0.0)
-
-
 def fejer_batch(K: int, t: np.ndarray) -> np.ndarray:
-    """Vectorised Fejer kernel with the same removable-point handling."""
+    """Fejer kernel F_K(t) = (1/(K+1)) (sin((K+1)t/2)/sin(t/2))^2 >= 0 on
+    an array; the removable singularities at t in 2 pi Z take the value
+    K + 1."""
     if K < 1:
         raise ValueError("K must be >= 1")
     u = 0.5 * np.asarray(t, dtype=np.float64)

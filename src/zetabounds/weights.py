@@ -24,10 +24,10 @@ from .special import ZETA_EVEN, cot_stable, one_minus_x_cot_x, x_coth_x
 from .util import TWO_PI, PoleError, adaptive_simpson
 
 __all__ = [
-    "WeightContext", "theta", "theta_T1", "omega_plus", "omega_plus_batch",
+    "WeightContext", "theta_T1", "omega_plus", "omega_plus_batch",
     "omega_plus_from_contour", "F_profile", "F_and_A", "weight_split_error",
     "weighted_log_integral", "weighted_inv_integral", "constants_C",
-    "tremic_check", "adar_error_terms",
+    "tremic_check",
 ]
 
 @dataclass(frozen=True)
@@ -53,11 +53,6 @@ class WeightContext:
         object.__setattr__(self, "lam", lam)
         object.__setattr__(self, "c", c)
         object.__setattr__(self, "sigma_one_branch", one)
-
-
-def theta(ctx: WeightContext, s: complex) -> complex:
-    """theta_{T,sigma}(s) = 1 - (s - sigma)/(iT)."""
-    return 1.0 - (complex(s) - ctx.sigma) / (1j * ctx.T)
 
 
 def theta_T1(T: float, s: complex) -> complex:
@@ -343,30 +338,3 @@ def tremic_check(n_max: int) -> bool:
         if a.min() < -1e-15 or b.min() < -1e-15:
             return False
     return True
-
-
-# ----------------------------------------------------------------------
-# Error-term building blocks for the zero-sum bound
-# ----------------------------------------------------------------------
-
-def adar_error_terms(t0: float, T: float, sigma: float):
-    """(P1(log(T/2pi)), err1(t0), err2(t0, T)) entering the tail bound
-
-    (1/2pi)(log^2(T/2pi) - log^2(t0/2pi) - P1) + err1/t0 + err2/T
-
-    for the weighted sum over zeros with ordinates in (t0, T].
-    """
-    if not (t0 >= TWO_PI * math.e and T >= 3.0 * t0):
-        raise ValueError("need t0 >= 2 pi e and T >= 3 t0")
-    if abs(sigma - 0.5) > T / 2.0:
-        raise ValueError("|sigma - 1/2| must be at most T/2")
-    c1 = constants_C(1)
-    c2 = constants_C(2)
-    p1 = 2.0 * c1 * math.log(T / TWO_PI) + 2.0 * (c1 - c2)
-    ds = abs(sigma - 0.5)
-    err1 = (2.0 * (0.4 * math.log(t0) + 4.2)
-            + (math.log(math.e * t0 / TWO_PI) / math.pi
-               + 4.0 / (5.0 * t0) * (math.log(t0) + 41.0 / 4.0)) * ds)
-    err2 = ((2.78 * ds + 1.0) * math.log(T / TWO_PI) - 0.4
-            + math.pi ** 2 * t0 / T * (0.4 * math.log(t0) + 4.0))
-    return p1, err1, err2

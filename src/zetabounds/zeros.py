@@ -16,7 +16,6 @@ Riemann-Siegel formula from T_RS up and by Euler-Maclaurin below it.
 from __future__ import annotations
 
 import math
-import os
 from dataclasses import dataclass
 
 import numpy as np
@@ -27,7 +26,7 @@ from .util import TWO_PI, gauss_kronrod
 __all__ = [
     "ZeroList", "ZeroCountStats", "MissedZeroError", "ZeroFileError",
     "hardy_theta", "hardy_z_batch", "gram_points", "find_zeros",
-    "load_zeros", "save_zeros", "bundled_zeros", "count_and_Q", "lehman_sum", "box_count_bound",
+    "load_zeros", "save_zeros", "count_and_Q", "lehman_sum", "box_count_bound",
     "inverse_square_tail", "local_log_deriv",
 ]
 
@@ -629,12 +628,6 @@ def load_zeros(path: str) -> ZeroList:
     if t_max is None:
         t_max = float(arr[-1]) if arr.size else 0.0
     return ZeroList(arr, t_max, source=path, rh_assumed=rh)
-
-
-def bundled_zeros() -> ZeroList:
-    """The packaged first-100-ordinates fixture."""
-    here = os.path.dirname(__file__)
-    return load_zeros(os.path.join(here, "data", "zeros100.txt"))
 
 
 # ----------------------------------------------------------------------

@@ -1,6 +1,5 @@
 import json
 import math
-import os
 
 import pytest
 
@@ -9,9 +8,16 @@ from zetabounds import sieve as sv
 from zetabounds import zeros as zr
 
 
-# the bundled list of the first 100 zeros
-_ZEROS100 = os.path.join(os.path.dirname(zr.__file__), "data",
-                         "zeros100.txt")
+# stands for the path of the zeros_237 file in parametrized argv
+_ZEROS_237 = "zeros-237.txt"
+
+
+@pytest.fixture(scope="module")
+def zeros_237(tmp_path_factory, zl_100):
+    """A zero file of the first 100 zeros, complete through t = 237."""
+    path = tmp_path_factory.mktemp("zeros") / _ZEROS_237
+    zr.save_zeros(zl_100, str(path))
+    return str(path)
 
 
 def run(argv):
@@ -66,7 +72,7 @@ def test_psi_bound_pipeline(tmp_path, zl_med):
     assert lo <= float(rows[0]["sieve_value"]) <= hi
 
 
-def test_psi_bound_sigma_one_branch(tmp_path, zl_med):
+def test_psi_bound_sigma_one_branch(tmp_path, zl_med, prime_powers):
     zfile = tmp_path / "z.txt"
     zr.save_zeros(zl_med, str(zfile))
     out = tmp_path / "rep.json"
@@ -77,7 +83,7 @@ def test_psi_bound_sigma_one_branch(tmp_path, zl_med):
     want = math.log(1e5) - 0.5772156649015328606
     assert abs(float(rows[0]["main_term"]) - want) < 1e-12
     # at both x the sieve value is sum_{n <= x} Lambda(n)/n, as sieved
-    ns, ls = sv.lambda_segment(2, 100_000)
+    ns, ls = prime_powers.window(2, 100_000)
     c = sv.psi_checkpoints([100_000])[0]
     for r in rows:
         assert abs(float(r["sieve_value"]) - math.fsum(ls / ns)) < 1e-12
@@ -131,14 +137,14 @@ def test_psi_bound_no_sieve_off_sigma_0_and_1(tmp_path, zl_med,
 
 
 @pytest.mark.parametrize("head, tail, error", [
-    # the 100 bundled zeros reach t = 236.5; 4520 zeros lie below 5000
+    # the first 100 zeros reach t = 237; 4520 zeros lie below 5000
     ("# t_max=5000 rh=1\n", "", "MissedZeroError"),
     ("", "inf\n", "ZeroFileError"),
     ("# t_max=nan rh=1\n", "", "ZeroFileError"),
 ], ids=["stops-below-t_max", "inf-ordinate", "nan-t_max"])
-def test_psi_bound_rejects_an_unsound_zero_file(tmp_path, capsys, head, tail,
-                                                error):
-    with open(_ZEROS100, encoding="ascii") as fh:
+def test_psi_bound_rejects_an_unsound_zero_file(tmp_path, capsys, zeros_237,
+                                                head, tail, error):
+    with open(zeros_237, encoding="ascii") as fh:
         body = "".join(l for l in fh if not l.startswith("#"))
     zfile = tmp_path / "z.txt"
     zfile.write_text(head + body + tail)
@@ -168,10 +174,10 @@ def test_counterexample_far_above_the_ceiling_is_a_json_error(capsys):
         "message": "x exceeds the direct-summation ceiling 1e9"}
 
 
-def test_psi_bound_at_a_huge_x(tmp_path):
+def test_psi_bound_at_a_huge_x(tmp_path, zeros_237):
     # x^3 overflows a double; the trivial-zero terms underflow to 0
     out = tmp_path / "rep.json"
-    rc = run(["psi-bound", "--t-max", "200", "--zero-file", _ZEROS100,
+    rc = run(["psi-bound", "--t-max", "200", "--zero-file", zeros_237,
               "--x", "1e300", "--sigma", "0.5", "--out", str(out)])
     assert rc == 0
     row, = json.loads(out.read_text())
@@ -229,9 +235,9 @@ def test_threads_below_one_are_an_error(tmp_path, zl_med, capsys, threads):
                        "message": "threads must be >= 1"}
 
 
-def test_psi_bound_checks_threads_at_every_sigma(capsys):
+def test_psi_bound_checks_threads_at_every_sigma(capsys, zeros_237):
     # sigma = 0.5 runs no sieve, and a bad --threads is still an error
-    rc = run(["psi-bound", "--t-max", "200", "--zero-file", _ZEROS100,
+    rc = run(["psi-bound", "--t-max", "200", "--zero-file", zeros_237,
               "--sigma", "0.5", "--x", "1e5", "--threads=0"])
     assert rc == cli.EXIT_ERROR
     assert json.loads(capsys.readouterr().out) == {
@@ -239,11 +245,11 @@ def test_psi_bound_checks_threads_at_every_sigma(capsys):
 
 
 @pytest.mark.parametrize("argv, option", [
-    (["psi-bound", "--t-max", "200", "--zero-file", _ZEROS100,
+    (["psi-bound", "--t-max", "200", "--zero-file", _ZEROS_237,
       "--x", "1e6,inf"], "x"),
-    (["psi-bound", "--t-max", "200", "--zero-file", _ZEROS100,
+    (["psi-bound", "--t-max", "200", "--zero-file", _ZEROS_237,
       "--sigma", "0.5", "--x", "1e6,inf"], "x"),
-    (["psi-bound", "--t-max", "200", "--zero-file", _ZEROS100,
+    (["psi-bound", "--t-max", "200", "--zero-file", _ZEROS_237,
       "--x", "1e6", "--sieve-limit", "nan"], "sieve-limit"),
     (["sieve", "--x-max", "inf"], "x-max"),
     (["sieve", "--x-max", "100", "--checkpoints", "1,inf"], "checkpoints"),
@@ -255,12 +261,44 @@ def test_psi_bound_checks_threads_at_every_sigma(capsys):
 ], ids=["psi-bound-x", "psi-bound-x-sigma-half", "psi-bound-sieve-limit",
         "sieve-x-max", "sieve-checkpoints-inf", "sieve-checkpoints-nan",
         "counterexample-N", "zeros-tol-nan", "zeros-tol-inf"])
-def test_non_finite_numbers_are_a_json_error(capsys, argv, option):
+def test_non_finite_numbers_are_a_json_error(capsys, zeros_237, argv,
+                                            option):
+    argv = [zeros_237 if a == _ZEROS_237 else a for a in argv]
     assert run(argv) == cli.EXIT_ERROR
     out = capsys.readouterr().out
     assert out.count("\n") == 1
     assert json.loads(out) == {"error": "ValueError",
                                "message": f"--{option} must be finite"}
+
+
+@pytest.mark.parametrize("argv, message", [
+    (["sieve", "--x-max", "100.9", "--x-min", "1.5"],
+     "--x-max takes integers only"),
+    (["sieve", "--x-max", "100", "--x-min", "1.5"],
+     "--x-min takes integers only"),
+    (["sieve", "--x-max", "2.7"], "--x-max takes integers only"),
+    (["sieve", "--x-max", "100", "--checkpoints", "10,2.5"],
+     "--checkpoints takes integers only"),
+    (["sieve", "--x-max", "100", "--checkpoints", "5,10,500"],
+     "checkpoints must be <= x_max"),
+    (["counterexample", "--K", "5", "--T", "1", "--delta", "0.1",
+      "--N", "1,2.5"], "--N takes integers only"),
+], ids=["sieve-x-max-and-x-min", "sieve-x-min", "sieve-x-max",
+        "sieve-checkpoints", "sieve-checkpoint-above-x-max",
+        "counterexample-N"])
+def test_integer_options_reject_other_values(capsys, argv, message):
+    # each was truncated, or a checkpoint above x_max sieved, before
+    assert run(argv) == cli.EXIT_ERROR
+    assert json.loads(capsys.readouterr().out) == {"error": "ValueError",
+                                                   "message": message}
+
+
+def test_integer_options_read_integral_spellings(capsys):
+    outs = []
+    for x_max, cps in (("100", "10,100"), ("1e2", "1e1,100.0")):
+        assert run(["sieve", "--x-max", x_max, "--checkpoints", cps]) == 0
+        outs.append(capsys.readouterr().out)
+    assert outs[0] == outs[1] and outs[0].count("\n") == 3
 
 
 def test_sieve_checkpoint_csv(capsys):
@@ -286,11 +324,12 @@ def test_verify_deterministic(tmp_path):
     assert o1.read_bytes() == o2.read_bytes()
 
 
-def test_verify_skips_what_a_short_list_cannot_support(tmp_path, capsys):
-    # the bundled list reaches t = 236.5: too short for the inverse-square
+def test_verify_skips_what_a_short_list_cannot_support(tmp_path, capsys,
+                                                       zeros_237):
+    # the first 100 zeros reach t = 237: too short for the inverse-square
     # tail and the local expansion at t = 1500, enough for the rest
     out = tmp_path / "v.json"
-    rc = run(["verify", "--suite", "appendix-b", "--zero-file", _ZEROS100,
+    rc = run(["verify", "--suite", "appendix-b", "--zero-file", zeros_237,
               "--out", str(out)])
     assert rc == 0
     got = {r["check"]: r["pass"] for r in json.loads(out.read_text())}
@@ -310,14 +349,14 @@ def test_verify_skips_what_a_short_list_cannot_support(tmp_path, capsys):
     (27.0, {"counting remainder bounds", "window counts below box bound"}),
 ])
 def test_verify_skips_appendix_b_checks_below_their_heights(
-        tmp_path, t_max, computed):
+        tmp_path, zl_100, t_max, computed):
     """A list too short for a check's random windows skips that check
     instead of failing the run: the counting check needs t_max >= 15, the
     box counts 26 and the monotone sums 28.  t_max = 0 is an empty file,
     whose height falls back to 0."""
     zfile = tmp_path / "z.txt"
     if t_max:
-        g = zr.bundled_zeros().ordinates
+        g = zl_100.ordinates
         zr.save_zeros(zr.ZeroList(g[g <= t_max], t_max), str(zfile))
     else:
         zfile.write_text("")

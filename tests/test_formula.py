@@ -161,11 +161,11 @@ def test_report_json_round_trip(zl_med):
     assert d["zero_sum_path"] == "direct"
 
 
-def test_report_json_template_matches_json_dumps():
+def test_report_json_template_matches_json_dumps(zl_100):
     """to_json fills a template; it must write json.dumps' bytes."""
     import json
     rng = np.random.default_rng(12)
-    zl = zr.bundled_zeros()
+    zl = zl_100
     reps = [fm.explicit_formula_bound(zl, 50.0, 0.0, 50.5),
             fm.explicit_formula_bound(zl, 200, 1.0, 1e5),
             fm.explicit_formula_bound(zl, 200, 0.5, 10 ** 6)]
@@ -210,10 +210,10 @@ def test_sandwich_against_sieve_small(zl_med):
             assert rep1.total_lower <= measured1 <= rep1.total_upper
 
 
-def test_sandwich_sigma_half(zl_med):
+def test_sandwich_sigma_half(zl_med, prime_powers):
     # direct summation of Lambda(n) n^-1/2 for a non-integer sigma
     x = 10 ** 5
-    ns, ls = sv.lambda_segment(2, x)
+    ns, ls = prime_powers.window(2, x)
     measured = float(np.sum(ls / np.sqrt(ns))) / math.sqrt(x)
     rep = fm.explicit_formula_bound(zl_med, 1000.0, 0.5, float(x))
     assert rep.total_lower <= measured <= rep.total_upper
@@ -269,25 +269,6 @@ def test_memo_builds_one_context_per_grid(zl_med, monkeypatch):
     # the positional arguments a zero-sum hook reads: the list and its T
     (args,) = calls["zero_sum"]
     assert args[0] is zl_med and args[1].T == 1500.0
-
-
-def test_psi_concrete_bound_values():
-    env, refined = fm.psi_concrete_bound(1e6)
-    assert abs(env - (math.pi / 3e12 * 1e6 + 113.67 * 1e3)) < 1e-9
-    assert refined is None
-    env2, refined2 = fm.psi_concrete_bound(3e14)
-    assert refined2 is not None
-    # refined kicks in exactly at the height threshold
-    assert TWO_PI * math.pi * math.sqrt(3e14) / math.log(3e14) >= 1e7
-    x_below = 2.8e14
-    assert fm.psi_concrete_bound(x_below)[1] is None
-
-
-def test_psi_concrete_bound_vs_sieve():
-    xs = [10 ** 4, 10 ** 6, 10 ** 8]
-    for c in sv.psi_checkpoints(xs):
-        env, _ = fm.psi_concrete_bound(float(c.x))
-        assert abs(c.psi - c.x) <= env
 
 
 # ----------------------------------------------------------------------
@@ -348,8 +329,8 @@ def test_perron_single_coefficient():
     assert d < 1e-10
 
 
-def test_perron_mangoldt_polynomial():
-    ns, ls = sv.lambda_segment(2, 50)
+def test_perron_mangoldt_polynomial(prime_powers):
+    ns, ls = prime_powers.window(2, 50)
     co = np.zeros(50)
     co[ns - 1] = ls
     phi, phi_hat = _pair(-0.8, ex.MINORANT)

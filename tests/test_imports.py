@@ -1,8 +1,13 @@
 """Start-up: the package and each CLI command import only the modules
-they use, and every public name still resolves."""
+they use, every public name still resolves, and the program reads each
+one."""
 
+import ast
+import importlib
 import json
 import os
+import pathlib
+import pkgutil
 import subprocess
 import sys
 
@@ -10,25 +15,24 @@ import pytest
 
 import zetabounds
 
-# the names the package has always exported, by defining submodule
+# the names the package exports, by defining submodule
 PUBLIC = {
     "extremal": ("ApproximantParams beurling_majorant glued_contour_weight "
                  "l1_gap phi_hat phi_hat_lerch phi_weight truncated_exp"),
     "formula": ("BoundContext BoundReport CounterexampleSpec "
                 "counterexample_mean explicit_formula_bound "
                 "nontrivial_zero_sum perron_identity_check "
-                "psi_concrete_bound trivial_zero_terms zero_sum_bound"),
-    "sieve": ("ExtremaRecord SieveCheckpoint extrema_scan lambda_segment "
-              "psi_checkpoints"),
+                "trivial_zero_terms zero_sum_bound"),
+    "sieve": "ExtremaRecord SieveCheckpoint extrema_scan psi_checkpoints",
     "special": ("EvalWithError LaurentCoeffs badabook_f cot_stable "
-                "coth_stable digamma ei_and_bound fejer laurent_coeffs_A "
+                "coth_stable digamma ei_and_bound laurent_coeffs_A "
                 "lerch log_deriv_zeta zeta_em"),
     "util": "PoleError PrecisionError",
-    "weights": ("WeightContext F_and_A constants_C omega_plus theta "
+    "weights": ("WeightContext F_and_A constants_C omega_plus "
                 "tremic_check weight_split_error weighted_inv_integral "
                 "weighted_log_integral"),
     "zeros": ("MissedZeroError ZeroCountStats ZeroFileError ZeroList "
-              "box_count_bound bundled_zeros count_and_Q find_zeros "
+              "box_count_bound count_and_Q find_zeros "
               "inverse_square_tail lehman_sum load_zeros local_log_deriv "
               "save_zeros"),
 }
@@ -128,3 +132,32 @@ def test_unknown_name_is_an_attribute_error():
         zetabounds.nope
     with pytest.raises(ImportError):
         exec("from zetabounds import nope", {})
+
+
+def _names_loaded(*roots):
+    """Each identifier that a Name or an Attribute node loads in the .py
+    files under roots, relative to the repository: a definition, an
+    __all__ entry or an _EXPORTS key is not such a node."""
+    repo = pathlib.Path(__file__).resolve().parents[1]
+    loaded = set()
+    for root in roots:
+        for path in sorted((repo / root).rglob("*.py")):
+            tree = ast.parse(path.read_text(encoding="utf-8"), str(path))
+            for node in ast.walk(tree):
+                if isinstance(node, ast.Name) \
+                        and isinstance(node.ctx, ast.Load):
+                    loaded.add(node.id)
+                elif isinstance(node, ast.Attribute) \
+                        and isinstance(node.ctx, ast.Load):
+                    loaded.add(node.attr)
+    return loaded
+
+
+def test_every_exported_name_is_read_by_the_program():
+    # a name that only tests read is code the program never runs: move
+    # it into the tests or delete it
+    exported = set(zetabounds._EXPORTS)
+    for module in pkgutil.iter_modules(zetabounds.__path__):
+        exported |= set(getattr(importlib.import_module(
+            f"zetabounds.{module.name}"), "__all__", ()))
+    assert exported - _names_loaded("src", "perfbench") == set()

@@ -11,8 +11,17 @@ from zetabounds import sieve as sv
 from zetabounds.util import EULER_GAMMA
 
 
-def test_lambda_segment_enumeration():
-    ns, ls = sv.lambda_segment(2, 10)
+def _stream_window(lo, hi):
+    """(n, Lambda(n)) for the prime powers n in [lo, hi], from the segments
+    of a _SieveStream to hi started at lo."""
+    stream = sv._SieveStream(hi)
+    parts = [stream._one(a) for a in range(lo, hi + 1, sv.SEGMENT)]
+    return (np.concatenate([pos for _, _, pos, _ in parts]),
+            np.concatenate([lam for _, _, _, lam in parts]))
+
+
+def test_stream_enumeration():
+    ns, ls = _stream_window(2, 10)
     got = dict(zip(ns.tolist(), ls.tolist()))
     want = {2: math.log(2), 3: math.log(3), 4: math.log(2),
             5: math.log(5), 7: math.log(7), 8: math.log(2),
@@ -20,45 +29,21 @@ def test_lambda_segment_enumeration():
     assert got == want
 
 
-def test_lambda_segment_window():
-    ns, _ = sv.lambda_segment(100, 110)
+def test_stream_window():
+    ns, _ = _stream_window(100, 110)
     assert ns.tolist() == [101, 103, 107, 109]
 
 
-def test_segment_concatenation_consistency():
-    full_n, full_l = sv.lambda_segment(2, 10 ** 6)
-    parts = [sv.lambda_segment(a, min(a + 10 ** 5 - 1, 10 ** 6))
-             for a in range(2, 10 ** 6, 10 ** 5)]
-    cat_n = np.concatenate([p[0] for p in parts])
-    cat_l = np.concatenate([p[1] for p in parts])
-    assert np.array_equal(full_n, cat_n)
-    assert np.array_equal(full_l, cat_l)
-
-
-class _Reference:
-    """(n, Lambda(n)) on a window from a plain sieve of [0, limit] and the
-    powers of its primes up to sqrt(limit), with Lambda from math.log."""
-
-    def __init__(self, limit):
-        self.limit = limit
-        self.is_p = np.ones(limit + 1, dtype=bool)
-        self.is_p[:2] = False
-        for p in range(2, math.isqrt(limit) + 1):
-            if self.is_p[p]:
-                self.is_p[p * p::p] = False
-
-    def window(self, lo, hi):
-        assert hi <= self.limit
-        primes = np.flatnonzero(self.is_p[lo:hi + 1]) + lo
-        lam = {n: math.log(n) for n in primes.tolist()}
-        for p in np.flatnonzero(self.is_p[:math.isqrt(hi) + 1]).tolist():
-            pk = p * p
-            while pk <= hi:
-                if pk >= lo:
-                    lam[pk] = math.log(p)
-                pk *= p
-        ns = sorted(lam)
-        return ns, [lam[n] for n in ns]
+def test_segment_concatenation_consistency(prime_powers):
+    # a pass gives the oracle's terms wherever its segments start: over
+    # [2, 1e6] whole and over its windows of 1e5
+    wins = [(2, 10 ** 6)] + [(a, min(a + 10 ** 5 - 1, 10 ** 6))
+                             for a in range(2, 10 ** 6, 10 ** 5)]
+    for lo, hi in wins:
+        ns, ls = _stream_window(lo, hi)
+        want_n, want_l = prime_powers.window(lo, hi)
+        assert np.array_equal(ns, want_n), lo
+        assert np.array_equal(ls, want_l), lo
 
 
 def _edge_windows():
@@ -88,45 +73,41 @@ def _edge_windows():
 _THREE_SEGMENTS = (2 ** 24 - sv.SEGMENT - 777, 2 ** 24 + 2 * sv.SEGMENT - 778)
 
 
-def test_lambda_segment_edge_windows():
+def test_segment_primes_edge_windows(prime_powers):
     wins = _edge_windows()
-    ref = _Reference(max(hi for _, hi in wins))
+    base = sv._base_primes(math.isqrt(max(hi for _, hi in wins)))
+    wheel = sv._wheel_pattern()
+    primes = prime_powers.primes
     for lo, hi in wins:
-        ns, ls = sv.lambda_segment(lo, hi)
-        want_n, want_l = ref.window(lo, hi)
+        want_p = primes[np.searchsorted(primes, lo):
+                        np.searchsorted(primes, hi, side="right")]
+        assert np.array_equal(sv._segment_primes(lo, hi, base, wheel),
+                              want_p), (lo, hi)
+        ns, ls = _stream_window(lo, hi)
+        want_n, want_l = prime_powers.window(lo, hi)
         assert ns.dtype == np.int64 and ls.dtype == np.float64
-        assert ns.tolist() == want_n, (lo, hi)
-        np.testing.assert_allclose(ls, want_l, rtol=1e-15, atol=0)
+        assert np.array_equal(ns, want_n), (lo, hi)
+        assert np.array_equal(ls, want_l), (lo, hi)
     # a pass reuses its scratch arrays from segment to segment; what it
     # returns must not share them
     lo, hi = _THREE_SEGMENTS
     starts = range(lo, hi + 1, sv.SEGMENT)
     assert len(starts) == 3
-    ns, ls = sv.lambda_segment(lo, hi)
-    parts = [sv.lambda_segment(a, min(a + sv.SEGMENT - 1, hi)) for a in starts]
+    ns, ls = _stream_window(lo, hi)
+    parts = [_stream_window(a, min(a + sv.SEGMENT - 1, hi)) for a in starts]
     assert np.array_equal(ns, np.concatenate([n for n, _ in parts]))
     assert np.array_equal(ls, np.concatenate([l for _, l in parts]))
 
 
-def test_segment_primes_near_1e9_against_a_plain_sieve():
+def test_segment_primes_near_1e9_against_a_plain_sieve(prime_powers):
     # whole segments at the desk ceiling, struck by every base prime up to
     # sqrt(1e9)
     base = sv._base_primes(math.isqrt(10 ** 9) + 1)
     wheel = sv._wheel_pattern()
     for lo in (10 ** 9 - sv.SEGMENT + 1, 10 ** 9 - 3 * sv.SEGMENT // 2):
         hi = lo + sv.SEGMENT - 1
-        is_p = np.ones(hi - lo + 1, dtype=bool)
-        for p in base.tolist():
-            is_p[max(p * p, -(-lo // p) * p) - lo::p] = False
         assert np.array_equal(sv._segment_primes(lo, hi, base, wheel),
-                              np.flatnonzero(is_p) + lo), lo
-
-
-def test_lambda_segment_guards():
-    with pytest.raises(ValueError):
-        sv.lambda_segment(10, 5)
-    with pytest.raises(ValueError):
-        sv.lambda_segment(2, 2 * 10 ** 8)
+                              prime_powers.primes_in(lo, hi)), lo
 
 
 def test_psi_small_values():
@@ -142,19 +123,19 @@ def test_delta_at_one():
     assert c.delta == EULER_GAMMA
 
 
-def _delta_by_fsum(x):
-    ns, ls = sv.lambda_segment(2, x)
+def _delta_by_fsum(prime_powers, x):
+    ns, ls = prime_powers.window(2, x)
     return math.fsum((ls / ns).tolist()) - math.log(x) + EULER_GAMMA
 
 
-def test_delta_matches_direct_at_1e6():
+def test_delta_matches_direct_at_1e6(prime_powers):
     c = sv.psi_checkpoints([10 ** 6])[0]
-    assert abs(c.delta - _delta_by_fsum(10 ** 6)) <= 1e-13
+    assert abs(c.delta - _delta_by_fsum(prime_powers, 10 ** 6)) <= 1e-13
 
 
-def test_delta_invariant_bound():
+def test_delta_invariant_bound(prime_powers):
     for c in sv.psi_checkpoints([2, 10, 10 ** 4, sv.SEGMENT + 1]):
-        assert abs(c.delta - _delta_by_fsum(c.x)) <= 1e-13
+        assert abs(c.delta - _delta_by_fsum(prime_powers, c.x)) <= 1e-13
         # delta is formed from the sum the checkpoint carries
         assert c.delta == c.sum_lambda_over_n - (math.log(c.x)
                                                  - EULER_GAMMA)
@@ -235,11 +216,11 @@ def _rounded_prefix_sums(terms, scale):
     return [s / scale for s in sums]
 
 
-def test_checkpoint_prefix_sums_correctly_rounded():
+def test_checkpoint_prefix_sums_correctly_rounded(prime_powers):
     # four segments; each Lambda(n) >= log 2 is a multiple of 2^-53 and
     # each Lambda(n)/n >= 2^-25 one of 2^-77
     x_max = 3 * sv.SEGMENT + 1000
-    ns, ls = sv.lambda_segment(2, x_max)
+    ns, ls = prime_powers.window(2, x_max)
     psi_ref = _rounded_prefix_sums(ls, 2 ** 53)
     s_ref = _rounded_prefix_sums(ls / ns, 2 ** 77)
     rng = np.random.default_rng(11)
@@ -254,11 +235,11 @@ def test_checkpoint_prefix_sums_correctly_rounded():
         assert c.sum_lambda_over_n == s_ref[k], c.x
 
 
-def test_scan_prefix_sums_correctly_rounded():
+def test_scan_prefix_sums_correctly_rounded(prime_powers):
     # the running sums extrema_scan reads, at every jump and every left
     # limit of four segments
     x_max = 4 * sv.SEGMENT + 1
-    ns, ls = sv.lambda_segment(2, x_max)
+    ns, ls = prime_powers.window(2, x_max)
     refs = {sv.STAT_PSI: _rounded_prefix_sums(ls, 2 ** 53),
             sv.STAT_LAMBDA_OVER_N: _rounded_prefix_sums(ls / ns, 2 ** 77)}
     for stat, ref in refs.items():
@@ -294,25 +275,25 @@ _FIVE_X_MINS = (1, 2, 1024, 10_000, sv.SEGMENT + 1, 3 * sv.SEGMENT + 5,
                 7_200_000, 9_990_000, _FIVE_X - 1, _FIVE_X)
 
 
-def _scan_sums(x):
+def _scan_sums(prime_powers, x):
     """The prime powers up to x and the correctly rounded running sums of
     each statistic."""
-    ns, ls = sv.lambda_segment(2, x)
+    ns, ls = prime_powers.window(2, x)
     sums = {sv.STAT_PSI: _rounded_prefix_sums(ls, 2 ** 53),
             sv.STAT_LAMBDA_OVER_N: _rounded_prefix_sums(ls / ns, 2 ** 77)}
     return ns, {stat: np.array(s) for stat, s in sums.items()}
 
 
 @pytest.fixture(scope="module")
-def scan_reference():
-    ns, sums = _scan_sums(_SCAN_X)
+def scan_reference(prime_powers):
+    ns, sums = _scan_sums(prime_powers, _SCAN_X)
     assert ns[-1] == _SCAN_X
     return ns, sums
 
 
 @pytest.fixture(scope="module")
-def five_segment_reference():
-    return _scan_sums(_FIVE_X)
+def five_segment_reference(prime_powers):
+    return _scan_sums(prime_powers, _FIVE_X)
 
 
 def _assert_records(got, stat, x_max, x_mins, ns, sums):
@@ -400,13 +381,13 @@ def test_block_bounds_hold_for_any_rising_sum(stat):
             (first, last, start, end)
 
 
-def test_paper_psi_minimum_bit_for_bit():
+def test_paper_psi_minimum_bit_for_bit(prime_powers):
     # the paper's min of (psi(x) - x)/sqrt(x) on [1e4, ...], the left
     # limit at x = 36 917 099, from the correctly rounded psi(x - 1)
     x = 36_917_099
     mn = sv.extrema_scan(x + 1, sv.STAT_PSI, (10_000,))[10_000][1]
     assert (mn.x_at, mn.left_limit) == (x, True)
-    psi = math.fsum(sv.lambda_segment(2, x - 1)[1].tolist())
+    psi = math.fsum(prime_powers.window(2, x - 1)[1].tolist())
     assert mn.value == (psi - x) / math.sqrt(x) == -0.7509024438274304
 
 

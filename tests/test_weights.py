@@ -38,9 +38,8 @@ def test_c_against_high_precision():
 
 
 def test_theta_trivials():
-    ctx = WeightContext(77.0, 0.3)
-    assert wt.theta(ctx, 0.3) == 1.0
-    assert abs(wt.theta(ctx, 0.3 + 77.0j)) == 0.0
+    assert wt.theta_T1(77.0, 1.0) == 1.0
+    assert abs(wt.theta_T1(77.0, 1.0 + 77.0j)) == 0.0
 
 
 # ----------------------------------------------------------------------
@@ -365,11 +364,3 @@ def test_tremic_small_and_large():
     # spot value a_1(0) = 1 - 1/2
     a1_at_0 = (1.0 - 0.0) ** 2 - (1.0 / 2.0 - 0.0 + 0.0)
     assert a1_at_0 == 0.5
-
-
-def test_adar_and_salmon_shapes():
-    p1, err1, err2 = wt.adar_error_terms(60.0, 1800.0, 0.0)
-    c1 = wt.constants_C(1)
-    c2 = wt.constants_C(2)
-    assert abs(p1 - (2 * c1 * math.log(1800.0 / TWO_PI)
-                     + 2 * (c1 - c2))) < 1e-12

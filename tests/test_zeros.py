@@ -62,9 +62,9 @@ def test_zerolist_invariants():
         ZeroList(np.array([]), 100.0)   # cannot be complete to 100
 
 
-def test_zerolist_holds_a_read_only_copy():
-    g = np.array(zr.bundled_zeros().ordinates)
-    zl = ZeroList(g, zr.bundled_zeros().t_max)
+def test_zerolist_holds_a_read_only_copy(zl_100):
+    g = np.array(zl_100.ordinates)
+    zl = ZeroList(g, zl_100.t_max)
     with pytest.raises(ValueError):
         zl.ordinates[5] = 0.0
     g[5] = 0.0          # the caller's own array stays writable
@@ -76,6 +76,39 @@ def test_zerolist_rejects_three_missing_zeros(zl_med, i):
     g = np.delete(zl_med.ordinates, [i, i + 1, i + 2])
     with pytest.raises(MissedZeroError, match="near t"):
         ZeroList(g, zl_med.t_max)
+
+
+@pytest.fixture(scope="module")
+def zl_ceiling():
+    """The 24 944 zeros through the desk ceiling t = 21900."""
+    return zr.find_zeros(21900.0, 1e-9)
+
+
+@pytest.mark.xfail(strict=True, raises=pytest.fail.Exception,
+                   reason="ZeroList's completeness checks miss these gaps")
+@pytest.mark.parametrize("loader", ["ZeroList", "load_zeros"])
+@pytest.mark.parametrize("missing", [
+    (7005.0629,),                  # the Lehmer zero
+    (20000.128, 20001.194),        # an adjacent pair
+    None,                          # the top 3 ordinates
+], ids=["lehmer-7005", "pair-20000", "top-3"])
+def test_zerolist_rejects_a_gap_at_the_ceiling(zl_ceiling, tmp_path,
+                                               missing, loader):
+    g = zl_ceiling.ordinates
+    if missing is None:
+        drop = [g.size - 3, g.size - 2, g.size - 1]
+    else:
+        drop = [int(np.argmin(np.abs(g - t))) for t in missing]
+        assert np.allclose(g[drop], missing, atol=1e-3, rtol=0)
+    g = np.delete(g, drop)
+    with pytest.raises(MissedZeroError):
+        if loader == "ZeroList":
+            ZeroList(g, zl_ceiling.t_max)
+        else:
+            path = tmp_path / "gap.txt"
+            path.write_text("# t_max=21900.000000000 rh=1\n"
+                            + "".join(f"{v:.9f}\n" for v in g))
+            zr.load_zeros(str(path))
 
 
 # ----------------------------------------------------------------------
@@ -542,12 +575,17 @@ def test_load_rejects_unsorted(tmp_path):
         zr.load_zeros(str(p))
 
 
-def test_bundled_fixture_matches_finder(zl_small):
-    fx = zr.bundled_zeros()
-    assert len(fx) == 100
-    n = min(len(fx), len(zl_small))
-    assert np.max(np.abs(fx.ordinates[:n]
-                         - zl_small.ordinates[:n])) < 1e-6
+def test_first_100_zeros_against_mpmath(zl_100, zl_small):
+    # the zl_100 fixture: 100 zeros through t = 237, each within the
+    # finder's tol of mpmath's at a sample (zetazero takes up to 0.25 s a
+    # zero), and within twice that of a longer list's first 100
+    assert len(zl_100) == 100 and zl_100.t_max == 237.0
+    with mp.workdps(15):
+        for k in (1, 2, 50, 100):
+            assert abs(zl_100.ordinates[k - 1]
+                       - float(mp.zetazero(k).imag)) <= 1e-9, k
+    assert np.max(np.abs(zl_100.ordinates
+                         - zl_small.ordinates[:100])) <= 2e-9
 
 
 # ----------------------------------------------------------------------
