@@ -8,14 +8,11 @@ from zetabounds import sieve as sv
 from zetabounds import zeros as zr
 
 
-# stands for the path of the zeros_237 file in parametrized argv
-_ZEROS_237 = "zeros-237.txt"
-
 
 @pytest.fixture(scope="module")
 def zeros_237(tmp_path_factory, zl_100):
     """A zero file of the first 100 zeros, complete through t = 237."""
-    path = tmp_path_factory.mktemp("zeros") / _ZEROS_237
+    path = tmp_path_factory.mktemp("zeros") / "zeros-237.txt"
     zr.save_zeros(zl_100, str(path))
     return str(path)
 
@@ -245,11 +242,11 @@ def test_psi_bound_checks_threads_at_every_sigma(capsys, zeros_237):
 
 
 @pytest.mark.parametrize("argv, option", [
-    (["psi-bound", "--t-max", "200", "--zero-file", _ZEROS_237,
+    (["psi-bound", "--t-max", "200", "--zero-file", "zeros.txt",
       "--x", "1e6,inf"], "x"),
-    (["psi-bound", "--t-max", "200", "--zero-file", _ZEROS_237,
+    (["psi-bound", "--t-max", "200", "--zero-file", "zeros.txt",
       "--sigma", "0.5", "--x", "1e6,inf"], "x"),
-    (["psi-bound", "--t-max", "200", "--zero-file", _ZEROS_237,
+    (["psi-bound", "--t-max", "200", "--zero-file", "zeros.txt",
       "--x", "1e6", "--sieve-limit", "nan"], "sieve-limit"),
     (["sieve", "--x-max", "inf"], "x-max"),
     (["sieve", "--x-max", "100", "--checkpoints", "1,inf"], "checkpoints"),
@@ -261,9 +258,8 @@ def test_psi_bound_checks_threads_at_every_sigma(capsys, zeros_237):
 ], ids=["psi-bound-x", "psi-bound-x-sigma-half", "psi-bound-sieve-limit",
         "sieve-x-max", "sieve-checkpoints-inf", "sieve-checkpoints-nan",
         "counterexample-N", "zeros-tol-nan", "zeros-tol-inf"])
-def test_non_finite_numbers_are_a_json_error(capsys, zeros_237, argv,
-                                            option):
-    argv = [zeros_237 if a == _ZEROS_237 else a for a in argv]
+def test_non_finite_numbers_are_a_json_error(capsys, argv, option):
+    # the numbers are checked before any file is read
     assert run(argv) == cli.EXIT_ERROR
     out = capsys.readouterr().out
     assert out.count("\n") == 1

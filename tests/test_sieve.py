@@ -88,15 +88,6 @@ def test_segment_primes_edge_windows(prime_powers):
         assert ns.dtype == np.int64 and ls.dtype == np.float64
         assert np.array_equal(ns, want_n), (lo, hi)
         assert np.array_equal(ls, want_l), (lo, hi)
-    # a pass reuses its scratch arrays from segment to segment; what it
-    # returns must not share them
-    lo, hi = _THREE_SEGMENTS
-    starts = range(lo, hi + 1, sv.SEGMENT)
-    assert len(starts) == 3
-    ns, ls = _stream_window(lo, hi)
-    parts = [_stream_window(a, min(a + sv.SEGMENT - 1, hi)) for a in starts]
-    assert np.array_equal(ns, np.concatenate([n for n, _ in parts]))
-    assert np.array_equal(ls, np.concatenate([l for _, l in parts]))
 
 
 def test_segment_primes_near_1e9_against_a_plain_sieve(prime_powers):

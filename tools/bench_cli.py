@@ -2,10 +2,10 @@
 """Wall time and peak memory of the CLI commands, parent against change.
 
     python3 tools/bench_cli.py --base DIR --head DIR --base-id ID \
-        --head-id ID [--runs 10] --out BENCH_N.json
+        --head-id ID --out BENCH_N.json
 
 DIR is a source checkout (its src/ is put on PYTHONPATH) and ID names it
-in the record.  Each command runs --runs times on each side, in pairs
+in the record.  Each command runs PAIRS times on each side, in pairs
 whose order alternates (base first in even pairs, head first in odd
 ones), as `python3 -m zetabounds.cli ...` in a fresh process writing its
 output to a scratch directory, so start-up is part of every time.  The
@@ -26,6 +26,7 @@ import time
 
 import numpy as np
 
+PAIRS = 10
 COMMANDS = (
     ("zeros --t-max 2000", ["zeros", "--t-max", "2000"]),
     ("zeros --t-max 5000", ["zeros", "--t-max", "5000"]),
@@ -85,16 +86,13 @@ def main():
     ap.add_argument("--head", required=True)
     ap.add_argument("--base-id", required=True)
     ap.add_argument("--head-id", required=True)
-    ap.add_argument("--runs", type=int, default=10)
     ap.add_argument("--out", required=True)
     ns = ap.parse_args()
-    if ns.runs < 2:
-        ap.error("--runs must be at least 2, for quartiles")
     trees = {"base": os.path.abspath(ns.base),
              "head": os.path.abspath(ns.head)}
     runs = {name: {"base": [], "head": []} for name, _ in COMMANDS}
     with tempfile.TemporaryDirectory() as scratch:
-        for pair in range(ns.runs):
+        for pair in range(PAIRS):
             order = ("base", "head") if pair % 2 == 0 else ("head", "base")
             for name, argv in COMMANDS:
                 for side in order:
@@ -104,7 +102,7 @@ def main():
         "what": "wall time (start-up included) and peak RSS of CLI "
                 "commands, parent (base) against change (head)",
         "tool": "tools/bench_cli.py",
-        "pairs": ns.runs,
+        "pairs": PAIRS,
         "order": "alternated: base first in even pairs, head first in odd",
         "commits": {"base": ns.base_id, "head": ns.head_id},
         "machine": {"cpu": cpu_model(), "cores": os.cpu_count(),
