@@ -144,13 +144,18 @@ def cmd_sieve(ns: argparse.Namespace) -> int:
     from . import sieve as sv
     from .util import format_float17
     if ns.checkpoints:
+        if ns.statistic is not None or ns.x_min is not None:
+            raise ValueError("--statistic and --x-min set a scan, not "
+                             "--checkpoints")
+        sv.check_x_max(ns.x_max, ns.long_run)
         if max(ns.checkpoints) > ns.x_max:
             raise ValueError("checkpoints must be <= x_max")
         cps = sv.psi_checkpoints(ns.checkpoints, ns.threads, ns.long_run)
         _emit(sv.checkpoints_to_csv(cps), ns.out)
         return EXIT_OK
     res = sv.extrema_scan(ns.x_max, ns.statistic or sv.STAT_PSI,
-                          ns.x_min, ns.threads, ns.long_run)
+                          (1,) if ns.x_min is None else ns.x_min,
+                          ns.threads, ns.long_run)
     lines = ["x_min,kind,x_at,left_limit,value\n"]
     for v in sorted(res):
         for rec in res[v]:
@@ -317,7 +322,8 @@ def build_parser() -> argparse.ArgumentParser:
                    "lambda-over-n scans sqrt(x)(sum_{n<=x} Lambda(n)/n - "
                    "log(x) + gamma); default psi").choices = _LazyChoices(
         ".sieve", lambda sv: (sv.STAT_PSI, sv.STAT_LAMBDA_OVER_N))
-    s.add_argument("--x-min", type=_int_list, default=(1,),
+    # default: (1,) for a scan, read by cmd_sieve
+    s.add_argument("--x-min", type=_int_list,
                    help="comma-separated integers <= x_max: scan each "
                         "range [x_min, x_max] (default 1)")
     s.add_argument("--checkpoints", type=_int_list, default=(),

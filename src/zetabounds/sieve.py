@@ -3,17 +3,20 @@ extrema scans of the normalised error terms.
 
 Segments are independent work units of 2^21 consecutive integers: a
 segment's mask (1 MB) and each of its arrays of about 110 000 terms fit
-in a core's 2 MB L2 cache (2^20 was faster still on one thread, but
-slower than 2^22 with two at 1e9).  A running sum is carried across
-segments as an exact part on a power-of-two grid plus the sum of the
-parts below that grid: each segment splits the carried exact part and
-its own terms on one grid set by the running total, so every partial sum
-of the grid parts is exact in double and only the sums of the half-step
-remainders round.  Segments are summed in order, so results are
-identical for any worker count, and every prefix is the correctly
-rounded sum: of psi and of the sum of Lambda(n)/n at each of the
-3 002 195 prime powers up to 5e7, as extrema_scan reads them, all equal
-it.
+in a core's 2 MB L2 cache.  2^20 is slower: `sieve --x-max 1e9
+--threads 2` took 3.4 and 3.7 s at 2^21 against 4.9 and 5.2 s at 2^20
+(medians of two sets of six alternated runs on 2 cores, 2^21 faster in
+all twelve), and one thread 4.5 against 4.9 s (four runs, 3 of 4).
+
+A running sum is carried across segments as an exact part on a
+power-of-two grid plus the sum of the parts below that grid: each
+segment splits the carried exact part and its own terms on one grid set
+by the running total, so every partial sum of the grid parts is exact in
+double and only the sums of the half-step remainders round.  Segments
+are summed in order, so results are identical for any worker count, and
+every prefix is the correctly rounded sum: of psi and of the sum of
+Lambda(n)/n at each of the 3 002 195 prime powers up to 5e7, as
+extrema_scan reads them, all equal it.
 
 A segment's mask holds its odd numbers only (2^20 entries) and starts as a
 slice of a periodic wheel that has the multiples of 3, 5, 7, 11 and 13
@@ -35,12 +38,20 @@ segments most blocks are skipped: 89 % of them in a scan to 5e7 with
 x_min = 1 and 10^4.
 
 A pass allocates its work arrays once and reuses them for every segment
-(_Scratch): the mask, the split parts and in-block running sums of
-_SegmentSum and the per-term arrays of extrema_scan.  Freed and allocated
-again per segment, arrays of this size go back to the kernel and are
-faulted in again: a one-thread `sieve --x-max 1e9` took 123 800 minor
-page faults that way, and takes 31 000 with them reused.  Only the
-positions and Lambda values a segment hands on are new arrays.
+(_Scratch).  The mask and the split parts of _SegmentSum scale with the
+segment; psi_checkpoints splits psi and the sum of Lambda(n)/n in one
+pair of parts, psi's prefixes read before the second split.  The
+in-block running sums and the per-term arrays of extrema_scan scale with
+the chunk, _CHUNK candidate blocks (16 384 terms, 128 KiB an array).
+The positions and Lambda values a segment hands on are new arrays, and a
+pass drops them before the next segment is sieved.  So a one-thread pass
+holds about five arrays of a segment's terms at its peak, however long
+its range: to 4 SEGMENT + 1 under tracemalloc, 6.8 MB for an extrema
+scan and 6.2 MB for psi_checkpoints, 5.5 and 4.9 arrays of the first
+segment's 155 921 terms.  Freed and allocated again per segment, arrays
+of this size go back to the kernel and are faulted in again: a
+one-thread `sieve --x-max 1e9` took 123 800 minor page faults that way,
+and takes 10 200 with them reused.
 """
 
 from __future__ import annotations
@@ -56,13 +67,15 @@ from .util import EULER_GAMMA
 
 __all__ = [
     "SieveCheckpoint", "ExtremaRecord", "psi_checkpoints",
-    "extrema_scan", "checkpoints_to_csv", "STAT_PSI", "STAT_LAMBDA_OVER_N",
+    "extrema_scan", "check_x_max", "checkpoints_to_csv", "STAT_PSI",
+    "STAT_LAMBDA_OVER_N",
 ]
 
 SEGMENT = 1 << 21
 _WHEEL = (3, 5, 7, 11, 13)    # presieved into every segment's mask
 _WHEEL_PERIOD = 15015         # 3*5*7*11*13: the wheel's period in odd numbers
 _BLOCK = 64                   # terms per block of running sums and bounds
+_CHUNK = 256                  # candidate blocks given per-term values at once
 _BOUND_ULPS = 16              # a block bound's margin, in ulps of its terms
 HARD_CEILING = 10_000_000_000
 DESK_CEILING = 1_000_000_000
@@ -324,14 +337,15 @@ class _SegmentSum:
     whether a checkpoint, a scan's bound or its per-term values read it.
 
     The split parts and the running sums live in one _Scratch for the
-    whole pass, so a segment's arrays, and what running() returns, are
-    valid until the next segment() or running() call."""
+    whole pass, which sums sharing it also use, so a segment's arrays,
+    and what running() returns, are valid until the next segment() or
+    running() call of any of them."""
 
     __slots__ = ("_high", "_low", "_parts", "_starts", "_scratch")
 
-    def __init__(self):
+    def __init__(self, scratch: _Scratch | None = None):
         self._high, self._low = 0.0, 0.0
-        self._scratch = _Scratch()
+        self._scratch = _Scratch() if scratch is None else scratch
 
     def segment(self, terms) -> None:
         """Start the next segment, then add its terms to the running sum."""
@@ -368,10 +382,12 @@ class _SegmentSum:
         shape = (blocks.size, _BLOCK)
         hi, lo = (self._scratch.take(name, blocks.size * _BLOCK)
                   .reshape(shape) for name in ("run_hi", "run_lo"))
+        b0 = int(blocks[0]) if blocks.size else 0
+        adjacent = blocks.size and int(blocks[-1]) - b0 + 1 == blocks.size
         for run, part, start in zip((hi, lo), self._parts, starts):
             terms = part[1:].reshape(-1, _BLOCK)
-            if blocks.size == len(terms):       # every block: a plain copy
-                np.copyto(run, terms)
+            if adjacent:                        # a plain copy
+                np.copyto(run, terms[b0:b0 + blocks.size])
             else:
                 np.take(terms, blocks, axis=0, out=run, mode="clip")
             run[:, 0] += start[blocks]
@@ -416,19 +432,21 @@ def psi_checkpoints(xs, threads: int = 1, long_run: bool = False):
     out = []
     if not xs:
         return out
-    psi_run, s_run = _SegmentSum(), _SegmentSum()
+    # one split buffer: psi's prefixes are read before S's split takes it
+    scratch = _Scratch()
+    psi_run, s_run = _SegmentSum(scratch), _SegmentSum(scratch)
     # x = 1 lies before the first segment [2, ...] and reads its empty prefix
     for lo, hi, pos, lam in _SieveStream(max(xs[-1], 2), threads):
-        psi_run.segment(lam)              # copies lam: it may be overwritten
-        s_run.segment(np.divide(lam, pos, out=lam))
         here = xs[len(out):bisect.bisect_right(xs, hi)]
-        if not here:
-            continue
         ks = np.searchsorted(pos, here, side="right")
-        for x, psi, s in zip(here, psi_run.prefix_at(ks).tolist(),
-                             s_run.prefix_at(ks).tolist()):
-            out.append(SieveCheckpoint(
-                x, psi, s - (math.log(x) - EULER_GAMMA), s))
+        psi_run.segment(lam)              # copies lam: it may be overwritten
+        psis = psi_run.prefix_at(ks).tolist() if here else []
+        s_run.segment(np.divide(lam, pos, out=lam))
+        del pos, lam                      # freed before the next is sieved
+        if here:
+            for x, psi, s in zip(here, psis, s_run.prefix_at(ks).tolist()):
+                out.append(SieveCheckpoint(
+                    x, psi, s - (math.log(x) - EULER_GAMMA), s))
     return out
 
 
@@ -472,21 +490,19 @@ def _block_bounds(statistic: str, sums: np.ndarray, first: np.ndarray,
     return above + slack, below - slack
 
 
-def _candidate_values(statistic: str, run: _SegmentSum, posf: np.ndarray,
+def _candidate_values(statistic: str, run: _SegmentSum, pos: np.ndarray,
                       cand: np.ndarray, scratch: _Scratch):
     """The statistic at the jumps and at the left limits of the terms of
-    the candidate blocks cand, in order, from the running sums of run and
-    the positions posf, one row of _BLOCK per block; in scratch."""
+    the ascending candidate blocks cand, in order, from the running sums
+    of run and the positions pos, one row of _BLOCK per block (the last
+    block's tail repeats its last n); in scratch."""
     shape = (cand.size, _BLOCK)
-    right, left = (scratch.take(name, cand.size * _BLOCK).reshape(shape)
-                   for name in ("right", "left"))
-    if not cand.size:
-        return right.reshape(-1), left.reshape(-1)
+    right, left, x = (scratch.take(name, cand.size * _BLOCK).reshape(shape)
+                      for name in ("right", "left", "x"))
     sums = run.running(cand)                    # through each term
-    # every block a candidate: posf is read here last, so x can be posf
-    x = posf if cand.size == posf.shape[0] else np.take(
-        posf, cand, axis=0, mode="clip",
-        out=scratch.take("x", cand.size * _BLOCK).reshape(shape))
+    at = scratch.take("at", cand.size * _BLOCK, np.int64).reshape(shape)
+    np.add.outer(cand * _BLOCK, np.arange(_BLOCK), out=at)
+    np.copyto(x, pos.take(at, mode="clip"))
     if statistic == STAT_PSI:
         shift = x
     else:
@@ -522,6 +538,15 @@ def _term(cand: np.ndarray, entry: int) -> int:
     return int(cand[entry // _BLOCK]) * _BLOCK + entry % _BLOCK
 
 
+def check_x_max(x_max: int, long_run: bool = False) -> None:
+    """Raise ValueError unless 1 <= x_max <= the ceiling, DESK_CEILING or
+    with long_run HARD_CEILING: the range a pass may sieve."""
+    if x_max > (HARD_CEILING if long_run else DESK_CEILING):
+        raise ValueError("x_max beyond ceiling (pass long_run=True)")
+    if x_max < 1:
+        raise ValueError("x_max must be >= 1")
+
+
 def extrema_scan(x_max: int, statistic: str, x_mins=(1,), threads: int = 1,
                  long_run: bool = False):
     """Running extrema of the chosen statistic over [x_min, x_max] for each
@@ -541,10 +566,7 @@ def extrema_scan(x_max: int, statistic: str, x_mins=(1,), threads: int = 1,
     x_max = int(x_max)
     if statistic not in (STAT_PSI, STAT_LAMBDA_OVER_N):
         raise ValueError("unknown statistic")
-    if x_max > (HARD_CEILING if long_run else DESK_CEILING):
-        raise ValueError("x_max beyond ceiling (pass long_run=True)")
-    if x_max < 1:
-        raise ValueError("x_max must be >= 1")
+    check_x_max(x_max, long_run)
     x_mins = sorted(int(v) for v in x_mins)
     if x_mins and x_mins[0] < 1:
         raise ValueError("x_min must be >= 1")
@@ -569,66 +591,79 @@ def extrema_scan(x_max: int, statistic: str, x_mins=(1,), threads: int = 1,
         # lam is this scan's own: its terms can overwrite it
         run.segment(lam if statistic == STAT_PSI
                     else np.divide(lam, pos, out=lam))
+        del lam                        # the split has copied its terms
+        n = pos.size
         active = x_mins[:bisect.bisect_right(x_mins, hi)]
         if not active:
+            del pos                    # freed before the next is sieved
             continue
-        n = pos.size
         nb = -(-n // _BLOCK)
-        posf = scratch.take("posf", nb * _BLOCK)
-        posf[:n] = pos
-        posf[n:] = pos[-1:]            # the last block's tail repeats its n
-        posf = posf.reshape(nb, _BLOCK)
         # an x_min without a record reads every block from its own on; the
         # blocks before it are candidates if they can move a record
         new = [v for v in active if best[v][0] is None]
         bounded = int(np.searchsorted(pos, new[0])) // _BLOCK if new else nb
         records = [best[v] for v in active if best[v][0] is not None]
+        heads = np.arange(bounded + 1) * _BLOCK   # each block's first term
         above, below = _block_bounds(
-            statistic, run.prefix_at(np.arange(bounded + 1) * _BLOCK),
-            posf[:bounded, 0], posf[:bounded, -1])
+            statistic, run.prefix_at(heads), pos[heads[:-1]].astype(float),
+            pos.take(heads[1:] - 1, mode="clip").astype(float))
         cand = np.flatnonzero(
             (above >= min((mx.value for mx, _ in records), default=math.inf))
             | (below <= max((mn.value for _, mn in records),
                             default=-math.inf)))
         cand = np.concatenate((cand, np.arange(bounded, nb)))
-        right, left = _candidate_values(statistic, run, posf, cand, scratch)
         # the candidates' terms in order, without the last block's tail
-        size = right.size
+        size = cand.size * _BLOCK
         if cand.size and cand[-1] == nb - 1:
             size -= nb * _BLOCK - n
-        # One reduction per side.  Each term is positive and far above an
-        # ulp of the running sum, so the sum rises at every jump, and both
-        # statistics rise with it at fixed x: right[j] > left[j].  So a
-        # left limit never sets a max, nor a jump a min.  The one jump
-        # whose left limit is out of range, at pos[i_r] = v, is no min
-        # either: both statistics fall between jumps, so the next left
-        # limit or the end value at x_max lies below it, and if v = x_max
-        # is the range's only point, the argmax records it first.
-        arg_max, arg_min = {}, {}    # slice start -> its argmax / argmin
+        # jump values count for x >= v; a left limit at x = n^- belongs to
+        # [v, x_max] only for n > v: the entries where each slice starts
+        slices = [(v, _first_entry(cand, int(np.searchsorted(pos, v))),
+                   _first_entry(cand, int(np.searchsorted(pos, v, "right"))))
+                  for v in active]
+        # One reduction per side and chunk of _CHUNK candidate blocks, the
+        # chunks in order; consider() keeps the first of equal values, so
+        # the records are those of one reduction over the slice.  Each term
+        # is positive and far above an ulp of the running sum, so the sum
+        # rises at every jump, and both statistics rise with it at fixed
+        # x: right[j] > left[j].  So a left limit never sets a max (the
+        # chunk's jumps, considered first, hold a greater value), nor a
+        # jump a min.  The one jump whose left limit is out of range, at
+        # pos[i_r] = v, is no min either: both statistics fall between
+        # jumps, so the next left limit or the end value at x_max lies
+        # below it, and if v = x_max is the range's only point, the argmax
+        # records it first.
+        for c in range(0, cand.size, _CHUNK):
+            right, left = _candidate_values(statistic, run, pos,
+                                            cand[c:c + _CHUNK], scratch)
+            e0 = c * _BLOCK                    # the chunk's first entry
+            e1 = min(e0 + right.size, size)
+            arg_max, arg_min = {}, {}  # slice start -> its argmax / argmin
+            for v, p_r, p_l in slices:
+                p = max(p_r, e0)
+                if p < e1:
+                    if p not in arg_max:
+                        arg_max[p] = p + int(np.argmax(right[p - e0:e1 - e0]))
+                    j = arg_max[p]
+                    consider(v, int(pos[_term(cand, j)]), False,
+                             float(right[j - e0]))
+                p = max(p_l, e0)
+                if p < e1:
+                    if p not in arg_min:
+                        arg_min[p] = p + int(np.argmin(left[p - e0:e1 - e0]))
+                    j = arg_min[p]
+                    consider(v, int(pos[_term(cand, j)]), True,
+                             float(left[j - e0]))
         for v in active:
-            # jump values count for x >= v; a left limit at x = n^-
-            # belongs to [v, x_max] only for n > v
-            i_r = int(np.searchsorted(pos, v))
-            i_l = int(np.searchsorted(pos, v, side="right"))
-            p = _first_entry(cand, i_r)
-            if p < size:
-                if p not in arg_max:
-                    arg_max[p] = p + int(np.argmax(right[p:size]))
-                j = arg_max[p]
-                consider(v, int(pos[_term(cand, j)]), False, float(right[j]))
-            p = _first_entry(cand, i_l)
-            if p < size:
-                if p not in arg_min:
-                    arg_min[p] = p + int(np.argmin(left[p:size]))
-                j = arg_min[p]
-                consider(v, int(pos[_term(cand, j)]), True, float(left[j]))
             if lo <= v:
                 # statistic value at the range start x = v itself
+                i_l = int(np.searchsorted(pos, v, side="right"))
                 consider(v, v, False, _statistic_at(
                     statistic, float(run.prefix_at([i_l])[0]), v))
+        del pos                        # freed before the next is sieved
     # endpoint candidate at x_max (statistic value just after the last
     # jump), from the prefix psi_checkpoints would read there
-    end = float(run.prefix_at([pos.size])[0]) if x_max >= 2 else 0.0
+    end = float(run.prefix_at([n])[0]) if x_max >= 2 else 0.0
     for v in x_mins:
         consider(v, x_max, False, _statistic_at(statistic, end, x_max))
     return {v: tuple(best[v]) for v in x_mins}

@@ -277,13 +277,25 @@ def test_non_finite_numbers_are_a_json_error(capsys, argv, option):
      "--checkpoints takes integers only"),
     (["sieve", "--x-max", "100", "--checkpoints", "5,10,500"],
      "checkpoints must be <= x_max"),
+    (["sieve", "--x-max", "2e9"],
+     "x_max beyond ceiling (pass long_run=True)"),
+    (["sieve", "--x-max", "2e9", "--checkpoints", "10"],
+     "x_max beyond ceiling (pass long_run=True)"),
+    (["sieve", "--x-max", "100", "--checkpoints", "10", "--statistic",
+      "psi"], "--statistic and --x-min set a scan, not --checkpoints"),
+    (["sieve", "--x-max", "100", "--checkpoints", "10", "--x-min", "1"],
+     "--statistic and --x-min set a scan, not --checkpoints"),
     (["counterexample", "--K", "5", "--T", "1", "--delta", "0.1",
       "--N", "1,2.5"], "--N takes integers only"),
 ], ids=["sieve-x-max-and-x-min", "sieve-x-min", "sieve-x-max",
         "sieve-checkpoints", "sieve-checkpoint-above-x-max",
+        "sieve-x-max-above-the-ceiling",
+        "sieve-checkpoints-x-max-above-the-ceiling",
+        "sieve-checkpoints-statistic", "sieve-checkpoints-x-min",
         "counterexample-N"])
 def test_integer_options_reject_other_values(capsys, argv, message):
-    # each was truncated, or a checkpoint above x_max sieved, before
+    # each was truncated, ignored, or a checkpoint above x_max or up to an
+    # x_max above the ceiling sieved, before
     assert run(argv) == cli.EXIT_ERROR
     assert json.loads(capsys.readouterr().out) == {"error": "ValueError",
                                                    "message": message}

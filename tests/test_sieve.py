@@ -1,5 +1,6 @@
 import itertools
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -332,19 +333,69 @@ def test_scan_skips_blocks_and_keeps_every_record(five_segment_reference,
     # and the records are those of every term; blocks of 8 have bounds
     # tight enough that a bound or threshold wrong by a little would show
     monkeypatch.setattr(sv, "_BLOCK", block)
-    blocks = [0, 0]         # blocks given per-term values, blocks in all
-    values = sv._candidate_values
+    ns, sums = five_segment_reference
+    given = [0]             # blocks given per-term values, over all chunks
+    values, bounds = sv._candidate_values, sv._block_bounds
 
-    def counted(statistic, run, posf, cand, scratch):
-        blocks[0] += cand.size
-        blocks[1] += posf.shape[0]
-        return values(statistic, run, posf, cand, scratch)
+    def counted(statistic, run, pos, cand, scratch):
+        given[0] += cand.size
+        return values(statistic, run, pos, cand, scratch)
+
+    def checked(statistic, run_sums, first, last):
+        # each block is bounded from its own first and last n: consecutive
+        # blocks, each of `block` prime powers but a segment's last one
+        i, j = np.searchsorted(ns, first), np.searchsorted(ns, last)
+        assert np.array_equal(ns[i], first) and np.array_equal(ns[j], last)
+        assert np.all(j[:-1] - i[:-1] == block - 1)
+        assert np.all(j[-1:] - i[-1:] < block) and np.all(i[1:] == j[:-1] + 1)
+        return bounds(statistic, run_sums, first, last)
 
     monkeypatch.setattr(sv, "_candidate_values", counted)
+    monkeypatch.setattr(sv, "_block_bounds", checked)
     got = sv.extrema_scan(_FIVE_X, stat, _FIVE_X_MINS, threads=threads)
-    assert blocks[0] < 0.9 * blocks[1], blocks   # 13 % skipped of 64
-    ns, sums = five_segment_reference
+    # every segment reaches x_min = 1: the blocks of all five
+    edges = np.searchsorted(ns, np.arange(2, _FIVE_X + sv.SEGMENT,
+                                          sv.SEGMENT))
+    blocks = int(np.sum(-(-np.diff(edges) // block)))
+    assert given[0] < 0.9 * blocks, (given[0], blocks)   # 13 % skipped of 64
     _assert_records(got, stat, _FIVE_X, _FIVE_X_MINS, ns, sums[stat])
+
+
+@pytest.mark.parametrize("chunk", [1, 3])
+@pytest.mark.parametrize("threads", [1, 2])
+@pytest.mark.parametrize("stat", [sv.STAT_PSI, sv.STAT_LAMBDA_OVER_N])
+def test_scan_records_do_not_depend_on_the_chunk(scan_reference, stat,
+                                                 threads, chunk,
+                                                 monkeypatch):
+    # per-term values by chunks of one or three candidate blocks: a slice
+    # starts, a record lies and equal values fall on either side of a
+    # chunk's edge, and the first of them is still the record
+    monkeypatch.setattr(sv, "_CHUNK", chunk)
+    ns, sums = scan_reference
+    got = sv.extrema_scan(_SCAN_X, stat, _SCAN_X_MINS, threads=threads)
+    _assert_records(got, stat, _SCAN_X, _SCAN_X_MINS, ns, sums[stat])
+
+
+def _peak_bytes(call):
+    """The peak of the memory traced while call() runs."""
+    tracemalloc.start()
+    try:
+        call()
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+def test_passes_hold_few_segment_arrays(prime_powers):
+    # a pass holds a bounded number of arrays the size of a segment's terms,
+    # however many segments it sieves: here five, the first the largest
+    x_max = 4 * sv.SEGMENT + 1
+    array = 8 * prime_powers.window(2, sv.SEGMENT)[0].size
+    for call in (lambda: sv.extrema_scan(x_max, sv.STAT_PSI),
+                 lambda: sv.extrema_scan(x_max, sv.STAT_LAMBDA_OVER_N),
+                 lambda: sv.psi_checkpoints([x_max])):
+        peak = _peak_bytes(call)
+        assert peak <= 6 * array, peak / array
 
 
 @pytest.mark.parametrize("stat", [sv.STAT_PSI, sv.STAT_LAMBDA_OVER_N])

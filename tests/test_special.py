@@ -10,9 +10,6 @@ from hypothesis import strategies as st
 from zetabounds import special as sp
 from zetabounds.util import EULER_GAMMA, PoleError, PrecisionError
 
-mp.mp.dps = 30
-
-
 # ----------------------------------------------------------------------
 # zeta_em
 # ----------------------------------------------------------------------
@@ -34,6 +31,7 @@ def test_zeta_vanishes_at_first_zero():
     assert abs(got.value) < 1e-4
 
 
+@mp.workdps(30)
 def test_zeta_error_claims_hold_against_mpmath():
     pts = [2.0 + 0j, 0.5 + 14.134725j, -1.0 + 0j, 0.5 + 1000j,
            0.25 + 5j, -0.5 + 2j, -1.9 + 0.3j, 0.5 + 24999j]
@@ -43,6 +41,7 @@ def test_zeta_error_claims_hold_against_mpmath():
         assert abs(got.value - ref) <= got.abs_error
 
 
+@mp.workdps(30)
 def test_zeta_derivatives_against_mpmath():
     for s in (1.5 + 0j, -1.0 + 0j, 2.0 + 3j):
         for order in (1, 2):
@@ -86,6 +85,7 @@ def test_factor_plan_builds_each_n_once_from_earlier_rows(N):
     assert filled == N
 
 
+@mp.workdps(30)
 def test_dirichlet_table_against_mpmath():
     """Every entry is n^(-1/2 - i t) to within 2 units of
     n^(-1/2) 2^-52 (t log n + 1), the rounding of the phase t log n (the
@@ -137,6 +137,7 @@ def test_digamma_recurrence_and_pole():
         sp.digamma(-3.0)
 
 
+@mp.workdps(30)
 def test_gamma_and_trigamma_against_mpmath():
     for z in (0.5 + 3j, 2.7 - 1.2j, -1.3 + 0.4j):
         assert abs(sp.gamma_abs(z).value.real
@@ -173,6 +174,7 @@ def test_cot_matches_ratio_off_poles(x, y):
                - cmath.cos(z) / cmath.sin(z)) < 1e-11 * (1 + abs(z))
 
 
+@mp.workdps(30)
 def test_near_pole_laurent_accuracy():
     z = 3 * math.pi + 0.05
     assert abs(sp.cot_stable(z) - complex(mp.cot(z))) < 1e-12
@@ -210,6 +212,7 @@ def test_one_minus_x_cot_x_small_and_out_of_range():
 
 
 @pytest.mark.parametrize("k", [0, 3])
+@mp.workdps(30)
 def test_cot_coth_on_both_sides_of_the_pole_switch(k):
     for w in (0.1 * f * d for f in (0.999, 1.001) for d in DIRECTIONS):
         z = k * math.pi + w

@@ -9,9 +9,6 @@ from zetabounds import weights as wt
 from zetabounds.util import TWO_PI, PoleError
 from zetabounds.weights import WeightContext
 
-mp.mp.dps = 50
-
-
 # ----------------------------------------------------------------------
 # context and theta
 # ----------------------------------------------------------------------
@@ -28,6 +25,7 @@ def test_sigma_one_branch_constant():
     assert ctx.c == 1.0 / math.pi
 
 
+@mp.workdps(50)
 def test_c_against_high_precision():
     T, sigma = 100.0, 0.0
     ctx = WeightContext(T, sigma)
@@ -59,6 +57,7 @@ def test_omega_sigma_one_equals_profile():
         assert abs(wt.omega_plus(ctx, s) - F) < 1e-12
 
 
+@mp.workdps(50)
 def test_omega_against_50_digit_oracle():
     # independent compensated evaluation via mpmath at 50 digits
     T, sigma = 100.0, 0.0
@@ -86,6 +85,7 @@ def test_omega_batch_matches_scalar(zl_small):
     assert np.max(np.abs(vb - vs)) < 1e-14
 
 
+@mp.workdps(50)
 def test_omega_near_theta_zero_against_mpmath():
     # 30 points with |theta| in [0.005, 0.03], real, imaginary and
     # diagonal, up to the series switch at |theta| = 0.03
@@ -188,6 +188,7 @@ def _F_ref(z):
     return 1 / mp.pi - (1 - z) * mp.cot(mp.pi * (1 - z))
 
 
+@mp.workdps(50)
 def test_F_profile_against_mpmath():
     us = np.concatenate([np.geomspace(1e-3, 0.5, 150),
                          1.0 - np.geomspace(1e-12, 0.5, 150)])
@@ -198,6 +199,7 @@ def test_F_profile_against_mpmath():
     assert wt.F_profile(1.0) == 0.0
 
 
+@mp.workdps(50)
 def test_F_and_A_real_axis_is_the_profile():
     us = np.concatenate([np.linspace(-2.5, 3.5, 121) + 1e-3,
                          1.0 - np.geomspace(1e-12, 0.5, 40)])
@@ -209,6 +211,7 @@ def test_F_and_A_real_axis_is_the_profile():
                 < 1e-14 * max(1.0, abs(A)), u
 
 
+@mp.workdps(50)
 def test_F_and_A_near_one_against_mpmath():
     # cot(pi z) is taken as -cot(pi (1 - z)): no rounding of pi z
     zs = [1.0 - 10.0 ** -k for k in range(2, 13)] + [complex(1 - 1e-9, 1e-9)]
@@ -219,6 +222,7 @@ def test_F_and_A_near_one_against_mpmath():
         assert abs(A - complex(want - 1 / (mp.pi * z))) < 1e-15, z
 
 
+@mp.workdps(50)
 def test_F_and_A_on_both_sides_of_the_series_switch():
     # |z| = 0.7 is where A leaves the zeta(2n) series
     for f in (0.999, 1.001):
