@@ -143,7 +143,7 @@ def cmd_counterexample(ns: argparse.Namespace) -> int:
 def cmd_sieve(ns: argparse.Namespace) -> int:
     from . import sieve as sv
     from .util import format_float17
-    if ns.checkpoints:
+    if ns.checkpoints is not None:
         if ns.statistic is not None or ns.x_min is not None:
             raise ValueError("--statistic and --x-min set a scan, not "
                              "--checkpoints")
@@ -265,12 +265,15 @@ class _LazyChoices:
 
 
 def _check_numbers(ns: argparse.Namespace) -> None:
-    """Every number on the command line is finite, and every value of an
-    integer option whole: inf, nan or 2.5 is a ValueError here, not an
-    overflow, a check skipped or a value truncated further on."""
+    """Every comma list on the command line holds a value, every number
+    is finite, and every value of an integer option whole: ",", inf, nan
+    or 2.5 is a ValueError here, not an empty output, a check skipped, an
+    overflow or a value truncated further on."""
     for name, value in vars(ns).items():
         values = value if isinstance(value, tuple) else (value,)
         option = f"--{name.replace('_', '-')}"
+        if not values:
+            raise ValueError(f"{option} needs at least one value")
         if any(isinstance(v, float) and not math.isfinite(v)
                for v in values):
             raise ValueError(f"{option} must be finite")
@@ -326,7 +329,7 @@ def build_parser() -> argparse.ArgumentParser:
     s.add_argument("--x-min", type=_int_list,
                    help="comma-separated integers <= x_max: scan each "
                         "range [x_min, x_max] (default 1)")
-    s.add_argument("--checkpoints", type=_int_list, default=(),
+    s.add_argument("--checkpoints", type=_int_list,
                    help="comma-separated ascending integers <= x_max: "
                         "write psi(x) and delta(x) at each x in place of "
                         "the scan")

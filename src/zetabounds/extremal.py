@@ -5,7 +5,9 @@ half-line sgn(lambda) u >= 0 and 0 elsewhere.  The optimal majorant/minorant
 of exponential type 2 pi is evaluated both from its interpolation series
 (`phi_hat`) and from a Lerch-transcendent closed form (`phi_hat_lerch`);
 `phi_weight` gives the compactly supported function on [-1, 1] whose Fourier
-transform the approximant is.  The lambda -> 0 limit (the classical sgn
+transform the approximant is; it and `glued_contour_weight` take one
+coth((nu - 2 pi i z)/2) per node for both the circ part and the star part.
+The lambda -> 0 limit (the classical sgn
 majorant) is exposed separately as `beurling_majorant`.
 """
 
@@ -79,11 +81,6 @@ def truncated_exp(lam: float, u):
 # Fourier-side weight on [-1, 1]
 # ----------------------------------------------------------------------
 
-def _phi_circ(nu: float, pm: float, z):
-    w = nu - TWO_PI * 1j * z
-    return 0.5 * (coth_stable(0.5 * w) + pm)
-
-
 @functools.lru_cache(maxsize=16)
 def _x_coth_half(nu: float) -> complex:
     """(nu/2) coth(nu/2), the z-independent term of the star part: one
@@ -91,10 +88,15 @@ def _x_coth_half(nu: float) -> complex:
     return x_coth_x(0.5 * nu)
 
 
-def _phi_star(nu: float, pm: float, z):
-    w = nu - TWO_PI * 1j * z
-    return (1j / TWO_PI) * (_x_coth_half(nu) - x_coth_x(0.5 * w)
-                            + pm * math.pi * 1j * z)
+def _phi_parts(nu: float, pm: float, z):
+    """(circ part, star part) of the weight at z, a number or an array:
+    with h = (nu - 2 pi i z)/2 and one c = coth h per node,
+    circ = (c + pm)/2 and star = (i/2pi)(x_coth_x(nu/2) - h c + pm pi i z)."""
+    half = 0.5 * (nu - TWO_PI * 1j * z)
+    c = coth_stable(half)
+    return (0.5 * (c + pm),
+            (1j / TWO_PI) * (_x_coth_half(nu) - half * c
+                             + pm * math.pi * 1j * z))
 
 
 def phi_weight(p: ApproximantParams, t):
@@ -105,8 +107,8 @@ def phi_weight(p: ApproximantParams, t):
     out = np.zeros(t.shape, dtype=np.complex128)
     inside = np.abs(t) <= 1.0
     z = (1.0 if p.lam > 0 else -1.0) * t[inside]
-    out[inside] = (_phi_circ(p.nu, p.sign, z)
-                   + np.sign(z) * _phi_star(p.nu, p.sign, z))
+    circ, star = _phi_parts(p.nu, p.sign, z)
+    out[inside] = circ + np.sign(z) * star
     return out if out.ndim else complex(out)
 
 
@@ -124,7 +126,8 @@ def glued_contour_weight(lam: float, side: str, z: complex) -> complex:
     if abs(w / 2.0 - 1j * math.pi * round((w / 2.0).imag / math.pi)) < 1e-12:
         raise PoleError("on the pole lattice n - i nu / 2 pi")
     sr = 0.0 if z.real == 0 else math.copysign(1.0, z.real)
-    return _phi_circ(abs(lam), pm, zz) + sl * sr * _phi_star(abs(lam), pm, zz)
+    circ, star = _phi_parts(abs(lam), pm, zz)
+    return circ + sl * sr * star
 
 
 # ----------------------------------------------------------------------

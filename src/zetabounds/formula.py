@@ -28,9 +28,10 @@ from operator import attrgetter
 
 import numpy as np
 
-from .special import fejer_batch, log_deriv_zeta
+from .special import (_dirichlet_table, _factor_plan, fejer_batch,
+                      log_deriv_zeta)
 # adaptive_simpson stays bound: perfbench/workloads.instrument wraps it here
-from .util import (BLOCK_BYTES, EULER_GAMMA, TWO_PI,  # noqa: F401
+from .util import (EULER_GAMMA, TWO_PI,  # noqa: F401
                    KahanSum, adaptive_simpson, format_float17, gauss_kronrod)
 from .weights import WeightContext, omega_plus_batch
 from .zeros import ZeroList
@@ -45,6 +46,10 @@ __all__ = [
 
 XI_GRID = (-1.0, -0.5, 0.0, 0.5, 1.0)
 VIHUELA_T_FLOOR = 1e7
+# bytes of one Dirichlet table of the Perron check: at N = 40 a table of
+# 2^18 B was as fast as one unblocked table, and one of 2^16 B 10 % slower;
+# at N = 2000 (8 nodes a table) 2^20 B would be about 1.4 times as fast
+_TABLE_BYTES = 1 << 18
 
 
 # ----------------------------------------------------------------------
@@ -455,10 +460,46 @@ def fandango_allowance(spec: CounterexampleSpec, x: float) -> float:
 # Smoothed Perron identity
 # ----------------------------------------------------------------------
 
+def _dirichlet_polynomial(coeffs: np.ndarray, sigma: float):
+    """t -> A(sigma + i t) = sum_n a_n n^(-sigma - i t) on an array of t,
+    for the coefficients a_1 .. a_N.
+
+    The table n^(-1/2 - i t) of special._dirichlet_table takes pi(N)
+    cosines and sines per t, for the prime rows, and N - pi(N) complex
+    products; n^(1/2 - sigma) is folded into the coefficients once.  The
+    t go in blocks whose table holds at most _TABLE_BYTES, and each
+    column is added up by halving the rows, the same additions in the
+    same order at every block size, so A(t) does not depend on the other
+    points of its call."""
+    plan = _factor_plan(coeffs.size)
+    rows_n = plan[0]
+    weight = (coeffs[rows_n - 1] * rows_n ** (0.5 - sigma))[:, None]
+    block = max(1, _TABLE_BYTES // (16 * coeffs.size))
+
+    def A(t):
+        out = np.empty(t.size, dtype=np.complex128)
+        for i in range(0, t.size, block):
+            tt = t[i:i + block]
+            # numpy multiplies a lone complex number in place without the
+            # fused multiply-add of its vector loop: a lone node goes twice
+            table = _dirichlet_table(tt if tt.size > 1 else np.repeat(tt, 2),
+                                     plan)
+            table *= weight
+            rows = table.shape[0]
+            while rows > 1:
+                half = rows // 2
+                table[:half] += table[rows - half:rows]
+                rows -= half
+            out[i:i + block] = table[0, :tt.size]
+        return out
+
+    return A
+
+
 def perron_identity_check(coeffs, phi, phi_hat, T: float, sigma: float,
                           x: float) -> float:
     """|LHS - RHS| of the smoothed Perron identity for a finite Dirichlet
-    polynomial sum a_n n^-s:
+    polynomial A(s) = sum a_n n^-s:
 
       (1/(2 pi i T)) int phi(Im s / T) A(s) x^s ds
         = (1/2pi) sum_n a_n (x/n)^sigma phi_hat((T/2pi) log(n/x)),
@@ -467,28 +508,19 @@ def perron_identity_check(coeffs, phi, phi_hat, T: float, sigma: float,
     [-1, 1], so over |Im s| <= T).  It is evaluated by Gauss-Kronrod
     panels split at Im s = 0, where phi may jump or have a kink, to a total
     tolerance of 2e-9.  phi and phi_hat map an array to an array: phi is
-    called once per block of nodes, where A(s) is one product of the
-    matrix n^-s by the coefficients, and phi_hat once for all n.
+    called once per block of nodes, and phi_hat once for all n.  A(s)
+    comes from the prime rows of special._dirichlet_table, in tables of
+    at most _TABLE_BYTES (2^18 B), with each node's column added in a
+    fixed order (_dirichlet_polynomial).
     """
     coeffs = np.asarray(coeffs, dtype=np.float64)
     if coeffs.size == 0 or coeffs.size > 2000:
         raise ValueError("need a finite, modest Dirichlet polynomial")
     n = np.arange(1, coeffs.size + 1, dtype=np.float64)
-    logn = np.log(n)
-    # A(s) in (nodes x n) matrices of at most BLOCK_BYTES, each worked in
-    # place; the complex copies save the casts (the products are the same)
-    logn_c, coeffs_c = logn.astype(np.complex128), coeffs.astype(np.complex128)
-    rows = max(1, BLOCK_BYTES // (16 * n.size))
+    A = _dirichlet_polynomial(coeffs, sigma)
 
     def integrand(t):
-        A = np.empty(t.size, dtype=np.complex128)
-        for i in range(0, t.size, rows):
-            e = np.outer(sigma + 1j * t[i:i + rows], logn_c)
-            np.negative(e, out=e)
-            np.exp(e, out=e)
-            e *= coeffs_c
-            A[i:i + rows] = e.sum(axis=1)
-        return phi(t / T) * A * np.exp(1j * math.log(x) * t)
+        return phi(t / T) * A(t) * np.exp(1j * math.log(x) * t)
 
     lhs = (x ** sigma / (TWO_PI * T)
            * gauss_kronrod(integrand, (-T, 0.0, T), 2e-9)[0])

@@ -267,7 +267,7 @@ def _factor_plan(N: int):
 
 def _dirichlet_table(tt: np.ndarray, plan) -> np.ndarray:
     """n^(-1/2 - i t) for the n of a _factor_plan's rows (axis 0) and the
-    heights tt (axis 1).
+    heights tt (axis 1), for any N >= 1.
 
     n^(-1/2 - i t) is completely multiplicative in n: only the prime rows
     take a cosine and a sine, p^(-1/2) (cos(t log p) - i sin(t log p)),
@@ -275,16 +275,26 @@ def _dirichlet_table(tt: np.ndarray, plan) -> np.ndarray:
     a level's rows of a lower level are gathered in one call, then
     multiplied by the row of their least prime factor.  Besides the
     table, 16 bytes per (n, t), only numpy's fixed ufunc buffer is
-    allocated.
+    allocated, and for N < 9 the phases' own rows.
+
+    Another abscissa sigma goes through the coefficients: a_n n^(-sigma -
+    i t) is a_n n^(1/2 - sigma) times the table's entry.  Two callers:
+    zeta_batch_critical adds the rows as they stand, and
+    formula.perron_identity_check weights them by the coefficients of its
+    Dirichlet polynomial A(s).
     """
     rows_n, log_p, amp_p, levels = plan
     table = np.empty((rows_n.size, tt.size), dtype=np.complex128)
     table[0] = 1.0
     prime_rows = table[1:1 + log_p.size]
-    # the last rows, composites filled later, hold the phases meanwhile:
-    # for N >= 30 there are more composites than primes, and an output
-    # sharing the phases' rows would make numpy copy them first
-    phase = table[-log_p.size:].real
+    # the last rows, composites filled later, hold the phases meanwhile
+    # where there are at least as many composites as primes (N >= 9): an
+    # output sharing the phases' rows would make numpy copy them first,
+    # and the sines would read the cosines
+    if rows_n.size - 1 - log_p.size >= log_p.size:
+        phase = table[rows_n.size - log_p.size:].real
+    else:
+        phase = np.empty((log_p.size, tt.size))
     np.multiply.outer(-log_p, tt, out=phase)
     np.cos(phase, out=prime_rows.real)
     np.sin(phase, out=prime_rows.imag)

@@ -8,11 +8,13 @@ above their share of the tolerance, and returns the value with its error
 estimate; the L1 gap, the Perron check, the Fourier transform of phi, the
 Fejer mean and the integrals of `lehman_sum` run on it.
 `adaptive_simpson` works the classical recursive rule breadth first, one
-integrand call per depth.  It stays for two reasons: the weighted log/inv
-integrals call it, and perfbench's tracer counts quadrature calls and
-integrand calls by wrapping it by name in `weights`, `formula` and
-`extremal`.  Moving those integrals onto panels waits for an in-program
-counter that the tracer can read instead (ROADMAP item 6)."""
+integrand call per depth; the pieces that go one level deeper are gathered
+from one stacked array of their ends, values and estimates.  It stays for
+two reasons: the weighted log/inv integrals call it, and perfbench's
+tracer counts quadrature calls and integrand calls by wrapping it by name
+in `weights`, `formula` and `extremal`.  Moving those integrals onto
+panels waits for an in-program counter that the tracer can read instead
+(ROADMAP item 6)."""
 
 from __future__ import annotations
 
@@ -91,8 +93,10 @@ def adaptive_simpson(f, a: float, b: float, tol: float = 1e-8):
     The recursive rule, worked breadth first: a piece whose Richardson
     error is at most tol 2^-depth, or at depth 48, gives left + right +
     err; the others are halved.  Each depth's new points go to f in one
-    call.  f sees exactly the recursion's points, and the pieces are
-    added in its order, so the value is the recursion's to the bit.
+    call, and the halves' six rows (ends, the three values and the
+    estimate) are gathered in one indexing of their stacked array.  f
+    sees exactly the recursion's points, and the pieces are added in its
+    order, so the value is the recursion's to the bit.
     """
     if not a < b:
         if a == b:
@@ -118,12 +122,12 @@ def adaptive_simpson(f, a: float, b: float, tol: float = 1e-8):
         levels.append((left + right + err, ok))
         if ok.all():
             break
-        # the failed pieces' left halves, then their right halves
-        fail = ~ok
-        x0, x2, f0, f1, f2, whole = (
-            np.concatenate([lo[fail], hi[fail]])
-            for lo, hi in ((x0, xm), (xm, x2), (f0, f1), (fl, fr), (f1, f2),
-                           (left, right)))
+        # the failed pieces' left halves, then their right halves: one
+        # gather of the stacked rows, each pair of rows read as one row
+        x0, x2, f0, f1, f2, whole = np.array(
+            (x0, xm, xm, x2, f0, f1, fl, fr, f1, f2, left, right)
+        )[:, ~ok].reshape(6, -1)
+        x0, x2 = x0.real, x2.real       # f's values may be complex
         tol = 0.5 * tol
     # a failed piece is its left half plus its right half, as recursed
     value = levels.pop()[0]

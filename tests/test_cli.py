@@ -301,6 +301,23 @@ def test_integer_options_reject_other_values(capsys, argv, message):
                                                    "message": message}
 
 
+@pytest.mark.parametrize("argv, option", [
+    (["sieve", "--x-max", "1e6", "--x-min", ","], "x-min"),
+    (["sieve", "--x-max", "1e6", "--checkpoints", ","], "checkpoints"),
+    (["psi-bound", "--t-max", "100", "--x", ","], "x"),
+    (["counterexample", "--K", "5", "--T", "1", "--delta", "0.1",
+      "--N", ","], "N"),
+], ids=["sieve-x-min", "sieve-checkpoints", "psi-bound-x",
+        "counterexample-N"])
+def test_empty_lists_are_a_json_error(tmp_path, capsys, argv, option):
+    # a header-only CSV, a scan in place of the checkpoints, or [], before
+    out = tmp_path / "out"
+    assert run(argv + ["--out", str(out)]) == cli.EXIT_ERROR
+    assert json.loads(capsys.readouterr().out) == {
+        "error": "ValueError", "message": f"--{option} needs at least one value"}
+    assert not out.exists()
+
+
 def test_integer_options_read_integral_spellings(capsys):
     outs = []
     for x_max, cps in (("100", "10,100"), ("1e2", "1e1,100.0")):

@@ -7,6 +7,7 @@ from hypothesis import strategies as st
 
 from zetabounds import extremal as ex
 from zetabounds.extremal import MAJORANT, MINORANT, ApproximantParams
+from zetabounds.special import coth_stable, x_coth_x
 from zetabounds.util import PoleError
 
 LAMBDAS = (0.1, 0.25, 1.0, 4.0, -0.1, -0.25, -1.0, -4.0)
@@ -177,9 +178,39 @@ def test_lerch_route_node_and_limit():
 
 def test_glued_weight_star_vanishes_at_origin():
     for nu in (0.3, 1.0):
-        assert abs(ex._phi_star(nu, 1.0, 0.0)) == 0.0
-        assert abs(ex._phi_circ(nu, 1.0, 1.0)
-                   + ex._phi_star(nu, 1.0, 1.0)) < 1e-13
+        assert abs(ex._phi_parts(nu, 1.0, 0.0)[1]) == 0.0
+        circ, star = ex._phi_parts(nu, 1.0, 1.0)
+        assert abs(circ + star) < 1e-13
+
+
+def _two_coth_parts(nu, pm, z):
+    """(circ, star) with coth(w/2) taken twice, once in each part."""
+    w = nu - 2.0 * math.pi * 1j * z
+    circ = 0.5 * (coth_stable(0.5 * w) + pm)
+    star = (1j / (2.0 * math.pi)) * (x_coth_x(0.5 * nu) - x_coth_x(0.5 * w)
+                                     + pm * math.pi * 1j * z)
+    return circ, star
+
+
+@pytest.mark.parametrize("lam", LAMBDAS)
+@pytest.mark.parametrize("side", [MAJORANT, MINORANT])
+def test_one_coth_per_node_keeps_the_bits(lam, side):
+    """phi_weight on an array and glued_contour_weight at a point equal,
+    bit for bit, the circ and star parts with coth(w/2) taken in each."""
+    rng = np.random.default_rng(41)
+    p = ApproximantParams.make(lam, side)
+    t = np.concatenate([rng.uniform(-1.0, 1.0, 200), [-1.0, -0.0, 0.0, 1.0]])
+    z = math.copysign(1.0, lam) * t
+    circ, star = _two_coth_parts(p.nu, p.sign, z)
+    want = circ + np.sign(z) * star
+    assert ex.phi_weight(p, t).tobytes() == want.tobytes()
+    for zc in rng.uniform(-3.0, 3.0, 40) + 1j * rng.uniform(-1.0, 1.0, 40):
+        zz = math.copysign(1.0, lam) * zc
+        circ, star = _two_coth_parts(p.nu, p.sign, zz)
+        sr = 0.0 if zc.real == 0 else math.copysign(1.0, zc.real)
+        want = circ + math.copysign(1.0, lam) * sr * star
+        got = ex.glued_contour_weight(lam, side, zc)
+        assert np.array([got]).tobytes() == np.array([want]).tobytes()
 
 
 def test_glued_weight_pole_error():

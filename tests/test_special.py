@@ -59,7 +59,8 @@ def test_zeta_pole_and_domain_errors():
         sp.zeta_em(-1.0 + 0j, 1e-18)
 
 
-@pytest.mark.parametrize("N", [30, 31, 41, 97, 128, 161, 1000])
+@pytest.mark.parametrize("N", [1, 2, 5, 8, 9, 30, 31, 41, 97, 128, 161,
+                               1000])
 def test_factor_plan_builds_each_n_once_from_earlier_rows(N):
     n, log_p, amp_p, levels = sp._factor_plan(N)
     assert n[0] == 1 and sorted(n.tolist()) == list(range(1, N + 1))
@@ -89,11 +90,16 @@ def test_factor_plan_builds_each_n_once_from_earlier_rows(N):
 def test_dirichlet_table_against_mpmath():
     """Every entry is n^(-1/2 - i t) to within 2 units of
     n^(-1/2) 2^-52 (t log n + 1), the rounding of the phase t log n (the
-    largest seen was 0.80), at seeded heights and the N of their block."""
+    largest seen was 0.80), at seeded heights and the N of their block,
+    and at N = 1, 2, 5, 8 and 9, where the phases cannot sit in the
+    composite rows (N < 9) or just can."""
     rng = np.random.default_rng(1901)
-    for lo, hi, m in ((10.0, 400.0, 12), (390.0, 400.0, 8), (10.0, 60.0, 8)):
+    for lo, hi, m, N in ((10.0, 400.0, 12, None), (390.0, 400.0, 8, None),
+                         (10.0, 60.0, 8, None), (-40.0, 400.0, 6, 1),
+                         (-40.0, 400.0, 6, 2), (-40.0, 400.0, 6, 5),
+                         (-40.0, 400.0, 6, 8), (-40.0, 400.0, 6, 9)):
         tt = np.sort(rng.uniform(lo, hi, m))
-        N = sp._em_length(complex(0.5, tt[-1]))
+        N = N or sp._em_length(complex(0.5, tt[-1]))
         plan = sp._factor_plan(N)
         table = sp._dirichlet_table(tt, plan)
         assert table.shape == (N, m)
@@ -101,7 +107,8 @@ def test_dirichlet_table_against_mpmath():
         for j, t in enumerate(tt):
             want = np.array([complex(mp.exp(-(0.5 + 1j * mp.mpf(t)) * lg))
                              for lg in logs])
-            unit = plan[0] ** -0.5 * 2.0 ** -52 * (t * np.log(plan[0]) + 1.0)
+            unit = (plan[0] ** -0.5 * 2.0 ** -52
+                    * (abs(t) * np.log(plan[0]) + 1.0))
             assert np.all(np.abs(table[:, j] - want) <= 2.0 * unit)
 
 
