@@ -46,10 +46,20 @@ __all__ = [
 
 XI_GRID = (-1.0, -0.5, 0.0, 0.5, 1.0)
 VIHUELA_T_FLOOR = 1e7
-# bytes of one Dirichlet table of the Perron check: at N = 40 a table of
-# 2^18 B was as fast as one unblocked table, and one of 2^16 B 10 % slower;
-# at N = 2000 (8 nodes a table) 2^20 B would be about 1.4 times as fast
+# bytes of one Dirichlet table of the Perron check, and its fewest nodes:
+# at N = 40 a table of 2^18 B (409 nodes) was as fast as one unblocked
+# table, and one of 2^16 B 10 % slower; at N = 2000, where 2^18 B holds 8
+# nodes, tables of 16, 32 and 64 nodes took the CI case from 38.7 ms to
+# 30.1, 26.3 and 27.1 ms (medians of 15)
 _TABLE_BYTES = 1 << 18
+_TABLE_MIN_NODES = 32
+# phase, in radians, of the Perron integrand's fastest term across one
+# starting panel, +-2 about its middle: K15 is exact to degree 22, so the
+# term is at its rounding floor (2^23/23! = 3e-16), and what still splits a
+# panel is the estimate |K15 - G7|, G7 being exact to degree 13 only.
+# Over the six Perron cases of CI the phases 2, 3, 4, 5 and 8 took 6 060,
+# 4 170, 3 600, 5 310 and 5 070 nodes, the two panels (-T, 0, T) 6 180
+_PERRON_PHASE = 4.0
 
 
 # ----------------------------------------------------------------------
@@ -467,23 +477,21 @@ def _dirichlet_polynomial(coeffs: np.ndarray, sigma: float):
     The table n^(-1/2 - i t) of special._dirichlet_table takes pi(N)
     cosines and sines per t, for the prime rows, and N - pi(N) complex
     products; n^(1/2 - sigma) is folded into the coefficients once.  The
-    t go in blocks whose table holds at most _TABLE_BYTES, and each
+    t go in blocks whose table holds at most _TABLE_BYTES, or
+    _TABLE_MIN_NODES of them where that is more (N > 512), and each
     column is added up by halving the rows, the same additions in the
     same order at every block size, so A(t) does not depend on the other
     points of its call."""
     plan = _factor_plan(coeffs.size)
     rows_n = plan[0]
     weight = (coeffs[rows_n - 1] * rows_n ** (0.5 - sigma))[:, None]
-    block = max(1, _TABLE_BYTES // (16 * coeffs.size))
+    block = max(_TABLE_MIN_NODES, _TABLE_BYTES // (16 * coeffs.size))
 
     def A(t):
         out = np.empty(t.size, dtype=np.complex128)
         for i in range(0, t.size, block):
             tt = t[i:i + block]
-            # numpy multiplies a lone complex number in place without the
-            # fused multiply-add of its vector loop: a lone node goes twice
-            table = _dirichlet_table(tt if tt.size > 1 else np.repeat(tt, 2),
-                                     plan)
+            table = _dirichlet_table(tt, plan)
             table *= weight
             rows = table.shape[0]
             while rows > 1:
@@ -505,12 +513,17 @@ def perron_identity_check(coeffs, phi, phi_hat, T: float, sigma: float,
         = (1/2pi) sum_n a_n (x/n)^sigma phi_hat((T/2pi) log(n/x)),
 
     the line integral running over Re s = sigma (phi is supported on
-    [-1, 1], so over |Im s| <= T).  It is evaluated by Gauss-Kronrod
-    panels split at Im s = 0, where phi may jump or have a kink, to a total
-    tolerance of 2e-9.  phi and phi_hat map an array to an array: phi is
-    called once per block of nodes, and phi_hat once for all n.  A(s)
-    comes from the prime rows of special._dirichlet_table, in tables of
-    at most _TABLE_BYTES (2^18 B), with each node's column added in a
+    [-1, 1], so over |Im s| <= T).  It is evaluated by Gauss-Kronrod to
+    a total tolerance of 2e-9.  The integrand
+    sum_n a_n n^-sigma phi(t/T) e^(i t log(x/n)) oscillates at up to
+    Omega = max(|log x|, |log(x/N)|), so the first pass starts from
+    panels about _PERRON_PHASE/Omega wide, not from the two halves:
+    each half is cut from 0 into equal panels, so that Im s = 0, where phi
+    may jump or have a kink, and +-T are exact edges.  phi and phi_hat
+    map an array to an array: phi is called once per block of nodes, and
+    phi_hat once for all n.  A(s) comes from the prime rows of
+    special._dirichlet_table, in tables of at most _TABLE_BYTES (2^18 B)
+    or of _TABLE_MIN_NODES nodes, with each node's column added in a
     fixed order (_dirichlet_polynomial).
     """
     coeffs = np.asarray(coeffs, dtype=np.float64)
@@ -522,8 +535,12 @@ def perron_identity_check(coeffs, phi, phi_hat, T: float, sigma: float,
     def integrand(t):
         return phi(t / T) * A(t) * np.exp(1j * math.log(x) * t)
 
+    omega = max(abs(math.log(x)), abs(math.log(x / coeffs.size)))
+    panels = max(1, math.ceil(T * omega / _PERRON_PHASE))
+    half = T * (np.arange(panels + 1) / panels)   # 0 and T exact
+    edges = np.concatenate([-half[:0:-1], half])
     lhs = (x ** sigma / (TWO_PI * T)
-           * gauss_kronrod(integrand, (-T, 0.0, T), 2e-9)[0])
+           * gauss_kronrod(integrand, edges, 2e-9)[0])
     rhs = float((coeffs * (x / n) ** sigma
                  * phi_hat(T / TWO_PI * np.log(n / x))).sum()) / TWO_PI
     return abs(lhs - rhs)

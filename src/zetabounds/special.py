@@ -267,7 +267,9 @@ def _factor_plan(N: int):
 
 def _dirichlet_table(tt: np.ndarray, plan) -> np.ndarray:
     """n^(-1/2 - i t) for the n of a _factor_plan's rows (axis 0) and the
-    heights tt (axis 1), for any N >= 1.
+    heights tt (axis 1), for any N >= 1.  Column j < tt.size holds tt[j]
+    with the same bits in a table of any width: a lone height is done in
+    two equal columns, so callers read the first tt.size.
 
     n^(-1/2 - i t) is completely multiplicative in n: only the prime rows
     take a cosine and a sine, p^(-1/2) (cos(t log p) - i sin(t log p)),
@@ -281,9 +283,14 @@ def _dirichlet_table(tt: np.ndarray, plan) -> np.ndarray:
     i t) is a_n n^(1/2 - sigma) times the table's entry.  Two callers:
     zeta_batch_critical adds the rows as they stand, and
     formula.perron_identity_check weights them by the coefficients of its
-    Dirichlet polynomial A(s).
+    Dirichlet polynomial A(s).  Both add the rows of a table of at least
+    two columns, which numpy does row by row; it adds a lone column
+    pairwise, in another order.
     """
     rows_n, log_p, amp_p, levels = plan
+    # numpy multiplies a lone complex number in place without the fused
+    # multiply-add of its vector loop: a lone height goes twice
+    tt = tt if tt.size > 1 else np.repeat(tt, 2)
     table = np.empty((rows_n.size, tt.size), dtype=np.complex128)
     table[0] = 1.0
     prime_rows = table[1:1 + log_p.size]
@@ -346,7 +353,7 @@ def zeta_batch_critical(ts: np.ndarray) -> np.ndarray:
         if tmax > IM_CEILING:
             raise ValueError("height above validity ceiling")
         N = _em_length(complex(0.5, tmax))
-        core = _dirichlet_table(tt, _factor_plan(N)).sum(axis=0)
+        core = _dirichlet_table(tt, _factor_plan(N)).sum(axis=0)[:tt.size]
         (core, _, _), _, _, _ = _em_tail(0.5 + 1j * tt, N, core)
         out[order[lo:lo + _ZETA_CHUNK]] = core
     return out

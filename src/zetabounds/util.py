@@ -6,15 +6,17 @@ Two quadratures live here; both call a vectorised integrand on arrays.
 Gauss / 15-point Kronrod pair, halving the panels whose error estimate is
 above their share of the tolerance, and returns the value with its error
 estimate; the L1 gap, the Perron check, the Fourier transform of phi, the
-Fejer mean and the integrals of `lehman_sum` run on it.
+Fejer mean and the integrals of `lehman_sum` run on it.  The caller places
+the first panels where its integrand needs them: the Perron check starts
+from panels as wide as its fastest oscillation allows, not from two halves.
 `adaptive_simpson` works the classical recursive rule breadth first, one
 integrand call per depth; the pieces that go one level deeper are gathered
 from one stacked array of their ends, values and estimates.  It stays for
-two reasons: the weighted log/inv integrals call it, and perfbench's
-tracer counts quadrature calls and integrand calls by wrapping it by name
-in `weights`, `formula` and `extremal`.  Moving those integrals onto
-panels waits for an in-program counter that the tracer can read instead
-(ROADMAP item 6)."""
+two reasons: the weighted log/inv integrals call it, in s = log t, where
+their weight's T/(pi t) behaviour is smooth, and perfbench's tracer counts
+quadrature calls and integrand calls by wrapping it by name in `weights`,
+`formula` and `extremal`.  Moving those integrals onto panels waits for an
+in-program counter that the tracer can read instead (ROADMAP item 6)."""
 
 from __future__ import annotations
 

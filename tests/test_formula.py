@@ -346,6 +346,35 @@ def test_perron_triangle_pair():
     assert d < 1e-6
 
 
+@pytest.mark.parametrize("k,case,nodes", [
+    (0, (1, 0.5, ex.MAJORANT, 30.0, 1.2, 7.3), 600),
+    (1, (40, 0.8, ex.MAJORANT, 20.0, 1.2, 20.0), 600),
+    (2, (100, -0.6, ex.MINORANT, 35.0, 0.7, 45.0), 1050),
+    (3, (17, 1.5, ex.MINORANT, 8.0, 2.0, 3.0), 210),
+    (4, (60, 0.3, ex.MAJORANT, 12.0, 1.0, 11.5), 570),
+    (5, (2000, 0.8, ex.MAJORANT, 20.0, 1.2, 20.0), 750)])
+def test_perron_panels_follow_the_integrand_frequency(monkeypatch, k, case,
+                                                      nodes):
+    """The CI cases of quadrature.txt: starting from panels about
+    4/Omega wide, Gauss-Kronrod takes at most the stated nodes (from the
+    two panels (-T, 0, T) it took 1 050, 990, 1 890, 270, 750 and
+    1 230), and the residual stays below the verify suite's 1e-6 and the
+    quadrature's own tolerance 2e-9 times x^sigma / (2 pi T)."""
+    m, lam, side, T, sigma, x = case
+    points = []
+    inner = fm.gauss_kronrod
+
+    def counting(f, *args):
+        return inner(lambda t: points.append(t.size) or f(t), *args)
+
+    monkeypatch.setattr(fm, "gauss_kronrod", counting)
+    phi, phi_hat = _pair(lam, side)
+    coeffs = np.random.default_rng(k).uniform(0.0, 2.0, m)
+    d = fm.perron_identity_check(coeffs, phi, phi_hat, T, sigma, x)
+    assert sum(points) <= nodes
+    assert d < 1e-6 and d <= 2e-9 * x ** sigma / (TWO_PI * T)
+
+
 @pytest.mark.parametrize("N", [1, 40, 300, 2000])
 def test_perron_dirichlet_sum_does_not_depend_on_the_batch(N):
     """A(s) at a node has the same bits whether the node comes alone, in

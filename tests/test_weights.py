@@ -333,9 +333,42 @@ def test_weighted_integrals_finish_at_large_T():
     qi, rhs = wt.weighted_inv_integral(T, t0)
     assert abs(qi - _weighted_ref(T, t0, "inv")) < 1e-12 * qi
     assert qi <= rhs
-    # up to T = 3700 the log integral's tolerance is still 1e-9 at t0 = 2 pi
-    f_max = wt._weight_norm(TWO_PI, 3700.0) * math.log(3700.0 / TWO_PI)
-    assert wt._simpson_tol(3700.0, TWO_PI, f_max) == 1e-9
+    # in s = log t, up to T = 1.3e5 the log integral's tolerance is still
+    # 1e-9 at t0 = 2 pi, the longest interval; at 1.4e5 it is not
+    for T, tol_is_floor in ((1.3e5, True), (1.4e5, False)):
+        length = math.log(T / TWO_PI)
+        tol = wt._simpson_tol(length, T / 3.0 * length)
+        assert (tol == 1e-9) == tol_is_floor
+
+
+def test_log_integral_bound_on_t_times_the_weight():
+    # the log integral's tolerance rests on u |F(u) + (1 - u) i| <= 1/3
+    u = np.linspace(1e-9, 1.0, 200_001)
+    assert np.all(u * wt._weight_norm(u, 1.0) <= 1.0 / 3.0)
+
+
+@pytest.mark.parametrize("T,t0,log_points,inv_points", [
+    (2500.0, 55.0, 3300, 500), (400.0, 6.8, 2000, 600),
+    (1e6, 30.0, 15000, 5000)])
+def test_weighted_integrals_in_log_t_take_few_points(monkeypatch, T, t0,
+                                                     log_points,
+                                                     inv_points):
+    """In s = log t the weight's T/(pi t) near t0 is smooth, and adaptive
+    Simpson takes at most the stated points (in t it took 5 662, 3 478 and
+    16 410 for the log integral, 1 985, 2 321 and 21 121 for the inv
+    integral).  The values at these (T, t0) are checked against mpmath by
+    test_weighted_integrals_against_mpmath and ..._finish_at_large_T."""
+    points = []
+    inner = wt.adaptive_simpson
+
+    def counting(f, *args):
+        return inner(lambda s: points.append(s.size) or f(s), *args)
+
+    monkeypatch.setattr(wt, "adaptive_simpson", counting)
+    for kind, limit in (("log", log_points), ("inv", inv_points)):
+        points.clear()
+        getattr(wt, f"weighted_{kind}_integral")(T, t0)
+        assert sum(points) <= limit
 
 
 def test_inv_integral():

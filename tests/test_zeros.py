@@ -265,6 +265,21 @@ def test_zeta_batch_critical_matches_scalar_zeta_em():
             <= 1e-12
 
 
+@pytest.mark.parametrize("lo", [100.0, 250.0, 390.0])
+def test_zeta_batch_critical_bits_do_not_depend_on_the_batch(lo):
+    """Heights that share one main-sum length get the same bits alone
+    and in batches of 3, 7 and 64: a batch of 3 or 7 leaves a lone
+    height at the end."""
+    N = sp._em_length(complex(0.5, lo))
+    hi = lo + 0.3
+    assert sp._em_length(complex(0.5, hi)) == N
+    ts = np.sort(np.random.default_rng(int(lo)).uniform(lo, hi, 64))
+    whole = zeta_batch_critical(ts).tobytes()
+    for k in (1, 3, 7):
+        parts = [zeta_batch_critical(ts[i:i + k]) for i in range(0, 64, k)]
+        assert b"".join(p.tobytes() for p in parts) == whole
+
+
 def test_hardy_z_mixed_heights_match_each_path():
     # heights on both sides of T_RS, unsorted, come back in input order
     ts = np.array([2000.0, 150.0, zr.T_RS, 390.0, 20000.0])
