@@ -32,6 +32,7 @@ __all__ = [
 ]
 
 _NODE_EPS = 1e-6          # within this of an integer, use the node limit
+_L1_TAIL_BOUND = 1e-12    # the L1 tails' stated remainder, at most
 MAJORANT = "majorant"
 MINORANT = "minorant"
 
@@ -256,48 +257,121 @@ def l1_gap(p: ApproximantParams) -> float:
 
 def l1_gap_quadrature(p: ApproximantParams) -> float:
     """||phi_hat - I_lambda||_1 by Gauss-Kronrod panels on [-Y, Y] to a
-    total tolerance of 1e-8, plus analytic tails (the integrand decays only
-    like 1/y^2, so the tails matter).
+    total tolerance of 1e-8, plus the tails over |y| > Y from `_l1_tail`
+    (the integrand decays only like 1/y^2, so the tails matter).
 
     The panels start as the unit intervals: the integrand vanishes at every
     integer and I_lambda jumps at 0, so each panel is smooth.  phi_hat
-    takes each block of nodes in one call.  Y = 200 is raised until every
-    non-negligible interpolation node lies inside the window, which the
-    tail formula requires.
+    takes each block of nodes in one call.  Y is the smallest integer
+    that meets two conditions:
+    - every interpolation node that matters lies inside the window, which
+      the tail formula requires.  At |x| = Y the series sums
+      (40 + 2 log(Y + 2))/nu terms (`_series_length`), and
+      nu (Y - 20) >= 48 + 2 log(Y + 2) puts every node of weight above
+      e^-48/(Y + 2)^2 at least 20 inside the edge;
+    - the tails' stated remainder is at most `_L1_TAIL_BOUND`.
     """
-    Y = math.ceil(max(200.0, (48.0 + 2.0 * math.log(202.0)) / p.nu + 20.0))
+    nu = p.nu
+    # the right side grows like log Y, so this climbs to the smallest Y
+    Y = 20
+    while (need := math.ceil((48.0 + 2.0 * math.log(Y + 2.0)) / nu
+                             + 20.0)) > Y:
+        Y = need
+    if p.side == MAJORANT:
+        # the 1/y^2 term alone puts 24/(pi^2 omega^4 Y^5) into the bound
+        Y = max(Y, math.ceil((24.0 / (math.pi ** 2 * TWO_PI ** 4
+                                      * _L1_TAIL_BOUND)) ** 0.2))
+    tail, remainder = _l1_tail(p, float(Y))
+    while remainder > _L1_TAIL_BOUND:
+        Y += 1
+        tail, remainder = _l1_tail(p, float(Y))
+    return _l1_window(p, Y) + tail
+
+
+def _l1_window(p: ApproximantParams, Y: int) -> float:
+    """Integral of |phi_hat - I_lambda| over [-Y, Y] by unit panels."""
     sign = 1.0 if p.side == MAJORANT else -1.0
 
     def integrand(y):
         return sign * (phi_hat(p, y) - truncated_exp(p.lam, y))
 
     edges = np.arange(-Y, Y + 1, dtype=np.float64)
-    inner, _ = gauss_kronrod(integrand, edges, 1e-8)
-    return inner + _l1_tail(p, float(Y))
+    return gauss_kronrod(integrand, edges, 1e-8)[0]
 
 
-def _l1_tail(p: ApproximantParams, Y: float) -> float:
-    """Integral of |phi_hat - I_lambda| over |y| > Y from the term-by-term
-    primitives of the interpolation series, with sin^2 replaced by its mean
-    1/2 (the oscillatory correction is O(1/Y^2) and folded into the test
-    tolerance).  Requires every retained node n to satisfy n < Y."""
+def _l1_tail(p: ApproximantParams, Y: float) -> tuple[float, float]:
+    """(integral of |phi_hat - I_lambda| over |y| > Y, bound on the error
+    of its integration-by-parts remainder) for an integer Y.
+
+    Off the nodes the majorant is s(y) G(y) with s = (sin pi y/pi)^2 =
+    (1 - cos omega y)/(2 pi^2), omega = 2 pi, and, from the series cut at
+    Nt = Y - 10 terms with w_n = e^(-nu n),
+
+        G(y) = c/y^2 + sum_{n<=Nt} w_n (1/(y - n)^2 - nu/(y - n) + nu/y)
+
+    and c = 1.  The minorant is the majorant less sinc^2 = s(y)/y^2, the
+    c/y^2 term: it is s G with c = 0, since the sinc^2 tail (g = 1/y^2)
+    cancels that term's mean, oscillating part and remainder exactly.  The
+    majorant lies above I_lambda and the minorant below, so each gap is a
+    signed sum of the tails of s G and of e^(-nu y) over y > Y.
+
+    With d = Y - n and e = Y + n, the mean parts integrate term by term:
+    c/Y + sum w_n (1/d + nu log(1 - n/Y)) over y > Y, and
+    c/Y + sum w_n (1/e - nu log(1 + n/Y)) over y < -Y.  For the oscillating
+    part, sin omega Y = 0 and cos omega Y = 1, so four integrations by
+    parts give
+
+        int_Y^inf cos(omega y) G(y) dy = -G'(Y)/omega^2 + G'''(Y)/omega^4 - R,
+        R = -(1/omega^4) int_Y^inf cos(omega y) G''''(y) dy,
+
+    and the left tail is the same with H(u) = G(-u) on u > Y.  Term by
+    term,
+
+        G'(Y)   = -2c/Y^3 + sum w_n (-2/d^3 + nu/d^2 - nu/Y^2),
+        H'(Y)   = -2c/Y^3 + sum w_n (-2/e^3 - nu/e^2 + nu/Y^2),
+        G'''(Y) = -24c/Y^5 + sum w_n (-24/d^5 + 6 nu/d^4 - 6 nu/Y^4),
+        H'''(Y) = -24c/Y^5 + sum w_n (-24/e^5 - 6 nu/e^4 + 6 nu/Y^4),
+
+    and the two tails of s G are (means + (G' + H')/omega^2
+    - (G''' + H''')/omega^4 + R_right + R_left)/(2 pi^2).
+
+    The bound on R: on y > Y, G = A - B with A = c/y^2 + sum w_n/(y - n)^2
+    and B = nu sum w_n (1/(y - n) - 1/y), and H = A_ + B_ with n -> -n.
+    Every term of A'''' and B'''' is positive for y > n (120/(y - n)^6 and
+    24 nu ((y - n)^-5 - y^-5)), every term of A_'''' positive and of
+    B_'''' negative.  A function f with f'''' of one sign on (Y, inf) and
+    f''' -> 0 there has int_Y^inf |f''''| = |f'''(Y)|, so
+
+        |R_right| + |R_left| <= (48c/Y^5 + sum w_n (24/d^5 + 24/e^5
+                                 + 6 nu (1/d^4 - 1/e^4))) / omega^4,
+
+    and the bound returned is that over 2 pi^2.  The nodes n > Nt are left
+    out: ValueError unless w_Nt/(Y - Nt) <= 1e-16, and the window of
+    `l1_gap_quadrature` keeps their weights below e^-48/(Y + 2)^2."""
     nu = p.nu
+    c = 1.0 if p.side == MAJORANT else 0.0
     Nt = int(Y) - 10
     n = np.arange(1.0, Nt + 1.0)
     w = np.exp(-nu * n)
     if w[-1] / (Y - Nt) > 1e-16:
         raise ValueError("window too small for the series decay")
-    right = 1.0 / Y + float((w * (1.0 / (Y - n) + nu * np.log1p(-n / Y))
-                             ).sum())
-    left = 1.0 / Y + float((w * (1.0 / (Y + n) - nu * np.log1p(n / Y))).sum())
-    tail_major = (right + left) / (2.0 * math.pi ** 2)
+    inv_d, inv_e = 1.0 / (Y - n), 1.0 / (Y + n)
+    logs = nu * (np.log1p(-n / Y) - np.log1p(n / Y))
+    means = 2.0 * c / Y + float((w * (inv_d + inv_e + logs)).sum())
+    g1 = -4.0 * c / Y ** 3 + float((w * (nu * (inv_d ** 2 - inv_e ** 2)
+                                          - 2.0 * (inv_d ** 3 + inv_e ** 3))
+                                     ).sum())
+    poles = 24.0 * (inv_d ** 5 + inv_e ** 5)
+    slopes = 6.0 * nu * (inv_d ** 4 - inv_e ** 4)
+    g3 = -48.0 * c / Y ** 5 + float((w * (slopes - poles)).sum())
+    r = 48.0 * c / Y ** 5 + float((w * (slopes + poles)).sum())
+    omega2 = TWO_PI ** 2
+    tail = (means + g1 / omega2 - g3 / omega2 ** 2) / (2.0 * math.pi ** 2)
+    bound = r / (2.0 * math.pi ** 2 * omega2 ** 2)
     exp_tail = math.exp(-nu * Y) / nu
     if p.side == MAJORANT:
-        # int (M - E) over both tails
-        return tail_major - exp_tail
-    # minorant: |L - E| = E - L = (E - M) + sinc^2
-    sinc_tail = 1.0 / (math.pi ** 2 * Y)
-    return exp_tail - tail_major + sinc_tail
+        return tail - exp_tail, bound
+    return exp_tail - tail, bound
 
 
 def beurling_majorant(x: float) -> float:

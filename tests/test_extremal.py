@@ -159,6 +159,89 @@ def test_gap_closed_forms():
     assert abs(ex.l1_gap(pL) - (1.0 - 1.0 / (math.e - 1.0))) < 1e-15
 
 
+GAP_NUS = (0.1, 0.25, 0.5, 0.9, 1.0, 1.1, 2.0, 4.0, 8.0)
+
+
+@pytest.mark.parametrize("nu", GAP_NUS)
+def test_l1_gap_quadrature_against_the_closed_form(nu):
+    for lam in (nu, -nu):
+        for side in (MAJORANT, MINORANT):
+            p = ApproximantParams.make(lam, side)
+            assert abs(ex.l1_gap_quadrature(p) - ex.l1_gap(p)) <= 1e-10
+
+
+@pytest.mark.parametrize("nu", GAP_NUS)
+@pytest.mark.parametrize("side", [MAJORANT, MINORANT])
+def test_l1_window_is_the_smallest_that_meets_both_conditions(
+        monkeypatch, nu, side):
+    """The window keeps the nodes that matter inside it and the tails'
+    stated remainder at most 1e-12, and Y - 1 fails one of the two."""
+    p = ApproximantParams.make(nu, side)
+    windows = []
+    tail = ex._l1_tail
+
+    def recorded(p, Y):
+        windows.append(Y)
+        return tail(p, Y)
+
+    monkeypatch.setattr(ex, "_l1_tail", recorded)
+    monkeypatch.setattr(ex, "_l1_window", lambda p, Y: 0.0)
+    ex.l1_gap_quadrature(p)
+    Y = windows[-1]
+
+    def meets(Y):
+        return (nu * (Y - 20.0) >= 48.0 + 2.0 * math.log(Y + 2.0)
+                and tail(p, Y)[1] <= 1e-12)
+
+    assert meets(Y) and not meets(Y - 1.0)
+
+
+# (lambda, windows): each window is below the one l1_gap_quadrature takes,
+# so that the tails carry more, and wide enough for the series decay
+TAIL_CASES = [(lam, Y) for lam, windows in (
+    (0.25, (150,)), (0.5, (80, 100)), (1.0, (45, 60)), (-1.0, (45,)),
+    (4.0, (20, 30)), (-8.0, (15, 20))) for Y in windows]
+
+
+@pytest.mark.parametrize("lam, Y", TAIL_CASES)
+@pytest.mark.parametrize("side", [MAJORANT, MINORANT])
+def test_l1_tail_against_a_window_twice_as_wide(lam, Y, side):
+    """Panels on [-Y, Y] plus the tail match panels on [-2Y, 2Y] plus the
+    tail, and the closed form, within the stated remainders (1.6e-13 to
+    2.1e-9).  Without its oscillating part the tail is off by 7e-10 to
+    1.5e-6 here, 740 to 4 400 times the remainder.
+
+    The stated remainder is the integral of |G''''|/w^4, about the size of
+    the G''' term.  R itself is about G^(5)(Y)/w^6, which at a node
+    d = Y - n >= 11 from the edge is 30/(w d)^2 < 1/150 of its share of
+    the bound: the tails must match to 1/100 of the bound, which they do
+    not without the G''' term."""
+    p = ApproximantParams.make(lam, side)
+    tail, bound = ex._l1_tail(p, float(Y))
+    wide, wide_bound = ex._l1_tail(p, 2.0 * Y)
+    gap = ex._l1_window(p, Y) + tail
+    err = abs(gap - (ex._l1_window(p, 2 * Y) + wide))
+    assert err <= bound / 100 + wide_bound
+    assert abs(gap - ex.l1_gap(p)) <= bound
+
+
+@pytest.mark.parametrize("side, most", [(MINORANT, 2400), (MAJORANT, 2550)])
+def test_l1_gap_quadrature_node_count(monkeypatch, side, most):
+    """At nu = 1 the window is 77 for the minorant and 83 for the
+    majorant, whose 1/y^2 term sets it through the remainder: 15 nodes a
+    unit panel, 2 310 and 2 490 in all."""
+    nodes = []
+    phi_hat = ex.phi_hat
+
+    def counted(p, x):
+        nodes.append(np.size(x))
+        return phi_hat(p, x)
+
+    monkeypatch.setattr(ex, "phi_hat", counted)
+    ex.l1_gap_quadrature(ApproximantParams.make(1.0, side))
+    assert sum(nodes) <= most
+
+
 # ----------------------------------------------------------------------
 # Lerch closed form
 # ----------------------------------------------------------------------

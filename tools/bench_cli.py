@@ -31,6 +31,7 @@ COMMANDS = (
     ("zeros --t-max 2000", ["zeros", "--t-max", "2000"]),
     ("zeros --t-max 5000", ["zeros", "--t-max", "5000"]),
     ("zeros --t-max 21900", ["zeros", "--t-max", "21900"]),
+    ("verify --suite extremal", ["verify", "--suite", "extremal"]),
     ("verify --suite all", ["verify", "--suite", "all"]),
     ("psi-bound --t-max 1468 --x 1e6",
      ["psi-bound", "--t-max", "1468", "--x", "1e6"]),
