@@ -46,13 +46,6 @@ __all__ = [
 
 XI_GRID = (-1.0, -0.5, 0.0, 0.5, 1.0)
 VIHUELA_T_FLOOR = 1e7
-# bytes of one Dirichlet table of the Perron check, and its fewest nodes:
-# at N = 40 a table of 2^18 B (409 nodes) was as fast as one unblocked
-# table, and one of 2^16 B 10 % slower; at N = 2000, where 2^18 B holds 8
-# nodes, tables of 16, 32 and 64 nodes took the CI case from 38.7 ms to
-# 30.1, 26.3 and 27.1 ms (medians of 15)
-_TABLE_BYTES = 1 << 18
-_TABLE_MIN_NODES = 32
 # phase, in radians, of the Perron integrand's fastest term across one
 # starting panel, +-2 about its middle: K15 is exact to degree 22, so the
 # term is at its rounding floor (2^23/23! = 3e-16), and what still splits a
@@ -476,30 +469,23 @@ def _dirichlet_polynomial(coeffs: np.ndarray, sigma: float):
 
     The table n^(-1/2 - i t) of special._dirichlet_table takes pi(N)
     cosines and sines per t, for the prime rows, and N - pi(N) complex
-    products; n^(1/2 - sigma) is folded into the coefficients once.  The
-    t go in blocks whose table holds at most _TABLE_BYTES, or
-    _TABLE_MIN_NODES of them where that is more (N > 512), and each
-    column is added up by halving the rows, the same additions in the
-    same order at every block size, so A(t) does not depend on the other
-    points of its call."""
+    products; n^(1/2 - sigma) is folded into the coefficients once.  All
+    the t of a call go in one table, and each column is added up by
+    halving the rows, the same additions in the same order at every
+    width, so A(t) does not depend on the other points of its call."""
     plan = _factor_plan(coeffs.size)
     rows_n = plan[0]
     weight = (coeffs[rows_n - 1] * rows_n ** (0.5 - sigma))[:, None]
-    block = max(_TABLE_MIN_NODES, _TABLE_BYTES // (16 * coeffs.size))
 
     def A(t):
-        out = np.empty(t.size, dtype=np.complex128)
-        for i in range(0, t.size, block):
-            tt = t[i:i + block]
-            table = _dirichlet_table(tt, plan)
-            table *= weight
-            rows = table.shape[0]
-            while rows > 1:
-                half = rows // 2
-                table[:half] += table[rows - half:rows]
-                rows -= half
-            out[i:i + block] = table[0, :tt.size]
-        return out
+        table = _dirichlet_table(t, plan)
+        table *= weight
+        rows = table.shape[0]
+        while rows > 1:
+            half = rows // 2
+            table[:half] += table[rows - half:rows]
+            rows -= half
+        return table[0, :t.size]
 
     return A
 
@@ -522,9 +508,8 @@ def perron_identity_check(coeffs, phi, phi_hat, T: float, sigma: float,
     may jump or have a kink, and +-T are exact edges.  phi and phi_hat
     map an array to an array: phi is called once per block of nodes, and
     phi_hat once for all n.  A(s) comes from the prime rows of
-    special._dirichlet_table, in tables of at most _TABLE_BYTES (2^18 B)
-    or of _TABLE_MIN_NODES nodes, with each node's column added in a
-    fixed order (_dirichlet_polynomial).
+    special._dirichlet_table, one table per block of nodes, with each
+    node's column added in a fixed order (_dirichlet_polynomial).
     """
     coeffs = np.asarray(coeffs, dtype=np.float64)
     if coeffs.size == 0 or coeffs.size > 2000:

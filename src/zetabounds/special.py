@@ -7,9 +7,10 @@ coth, Fejer kernel, Lerch transcendent, exponential integral) follows the
 usual asymptotic-plus-recurrence or series playbook.
 
 The series 1 - w cot w = 2 sum zeta(2n) (w/pi)^(2n) and its zeta(2n)
-table live here once, in one_minus_x_cot_x: cot and coth take their
-poles out through it, and so do the weight omega^+ near theta = 0 and
-theta = 1, A near z = 0 and the constants C1, C2 in `weights`.
+table live here once, in one_minus_x_cot_x: coth takes its poles out
+through it (and cot through coth), and so do the weight omega^+ near
+theta = 0 and theta = 1, A near z = 0 and the constants C1, C2 in
+`weights`.
 """
 
 from __future__ import annotations
@@ -35,7 +36,6 @@ IM_CEILING = 1e5          # documented validity ceiling for zeta_em
 _EM_K = 12                # Bernoulli correction terms
 _EM_BETA = 2.2            # main-sum length multiplier vs |Im s|/2pi
 _NEAR_POLE = 0.1          # cot/coth switch-over distance
-_ZETA_CHUNK = 384         # heights per zeta_batch_critical main-sum block
 
 # Stieltjes constants gamma_0..gamma_13 (standard published values).
 _STIELTJES = [
@@ -280,7 +280,8 @@ def _dirichlet_table(tt: np.ndarray, plan) -> np.ndarray:
     allocated, and for N < 9 the phases' own rows.
 
     Another abscissa sigma goes through the coefficients: a_n n^(-sigma -
-    i t) is a_n n^(1/2 - sigma) times the table's entry.  Two callers:
+    i t) is a_n n^(1/2 - sigma) times the table's entry.  Two callers,
+    each with one table for all the heights of a call:
     zeta_batch_critical adds the rows as they stand, and
     formula.perron_identity_check weights them by the coefficients of its
     Dirichlet polynomial A(s).  Both add the rows of a table of at least
@@ -320,23 +321,15 @@ def zeta_batch_critical(ts: np.ndarray) -> np.ndarray:
     """Vectorised zeta(1/2 + i t) for an array of heights t, best in
     ascending order.
 
-    The sorted heights are cut into blocks of at most _ZETA_CHUNK.  Each
-    block shares one main sum of the length _em_length of its top height,
-    so every height gets at least the terms of its own _em_length and at
-    most the remainder that _zeta_em_all bounds for them: 3.4e-11 just
-    below t = 400, 1.6e-9 at t = 2504 (zeta_em lengthens the sum until
-    its target is met).  The main sum adds the rows of a _dirichlet_table:
-    pi(N) cosines and sines per height, for the primes p <= N, instead of
-    N of each, and about N - pi(N) complex products.  The tail is zeta's
-    alone (_em_tail without the derivative sums).
-
-    A block is not cut again at half its top height: the part below would
-    need about half the terms, but the table makes them cheap, and each
-    cut adds a block's fixed cost.  Replaying the parts below zeros.T_RS
-    of the calls that find_zeros(2504) makes (11 calls of 3 to 206
-    heights) took 1.48 to 1.52 times as long with the cut as without
-    (medians of 30 alternating replays on two shared cores, twice), and
-    1.11 times with one fixed cut at t = 200.
+    The heights share one main sum, of the length _em_length of the
+    largest |t|, so every height gets at least the terms of its own
+    _em_length and at most the remainder that _zeta_em_all bounds for
+    them: 3.4e-11 just below t = 400, 1.6e-9 at t = 2504 (zeta_em
+    lengthens the sum until its target is met).  The main sum adds the
+    rows of a _dirichlet_table: pi(N) cosines and sines per height, for
+    the primes p <= N, instead of N of each, and about N - pi(N) complex
+    products.  The tail is zeta's alone (_em_tail without the derivative
+    sums).
 
     The main sum has about 2.2 t/2pi terms, so zeros.hardy_z_batch uses
     this only below zeros.T_RS and switches to Riemann-Siegel above; at
@@ -344,18 +337,16 @@ def zeta_batch_critical(ts: np.ndarray) -> np.ndarray:
     path and the zero finder are tested against.
     """
     ts = np.asarray(ts, dtype=np.float64)
-    out = np.empty(ts.shape, dtype=np.complex128)
+    tmax = float(np.abs(ts).max(initial=0.0))
+    if tmax > IM_CEILING:
+        raise ValueError("height above validity ceiling")
+    N = _em_length(complex(0.5, tmax))
     order = np.argsort(ts, kind="stable")
-    sorted_ts = ts[order]
-    for lo in range(0, sorted_ts.size, _ZETA_CHUNK):
-        tt = sorted_ts[lo:lo + _ZETA_CHUNK]
-        tmax = float(tt[-1])
-        if tmax > IM_CEILING:
-            raise ValueError("height above validity ceiling")
-        N = _em_length(complex(0.5, tmax))
-        core = _dirichlet_table(tt, _factor_plan(N)).sum(axis=0)[:tt.size]
-        (core, _, _), _, _, _ = _em_tail(0.5 + 1j * tt, N, core)
-        out[order[lo:lo + _ZETA_CHUNK]] = core
+    tt = ts[order]
+    core = _dirichlet_table(tt, _factor_plan(N)).sum(axis=0)[:tt.size]
+    (core, _, _), _, _, _ = _em_tail(0.5 + 1j * tt, N, core)
+    out = np.empty(ts.shape, dtype=np.complex128)
+    out[order] = core
     return out
 
 
@@ -514,8 +505,9 @@ def one_minus_x_cot_x(w):
     """g(w) = 1 - w cot w = 2 sum_{n>=1} zeta(2n) (w/pi)^(2n), for a scalar
     or an array w with |w| < 3 pi / 4.
 
-    The one home of this series: cot w = (1 - g(w))/w and
-    coth w = (1 - g(iw))/w near their poles, and in `weights`
+    The one home of this series: coth w = (1 - g(iw))/w near its poles,
+    and so cot w = -i coth(-i w) = (1 - g(w))/w near its own, and in
+    `weights`
     -theta cot(pi theta) = (g(pi theta) - 1)/pi near theta = 0,
     (1 - w) cot(pi w) = (1 - w)(1 - g(pi w))/(pi w) near theta = 1 - w = 1
     and f(z) = 1/(pi z) - cot(pi z) = g(pi z)/(pi z) near z = 0.  It sums, in
@@ -552,22 +544,13 @@ def _minus_k_pi(v, k):
 
 
 def cot_stable(z: complex) -> complex:
-    """cot z; (1 - one_minus_x_cot_x(w))/w where z = k pi + w with
-    |w| < 0.1, an overflow-safe ratio elsewhere."""
+    """cot z = -i coth(-i z), through coth_stable: its pole reduction,
+    near-pole series and overflow-safe far field.  Both products with -i
+    are done as swaps of the parts, so that no zero part takes its sign
+    from a multiplication by 0."""
     z = complex(z)
-    k = round(z.real / math.pi)
-    w = complex(_minus_k_pi(z.real, k), z.imag)
-    if abs(w) < _NEAR_POLE:
-        if w == 0:
-            raise PoleError("evaluation at a pole")
-        return (1.0 - one_minus_x_cot_x(w)) / w
-    if abs(z.imag) > 20.0:
-        # keep the tiny exponential in the numerator: no overflow, and
-        # the limit values -i (upper half) / +i (lower half) come out exact
-        sgn = 1.0 if z.imag > 0 else -1.0
-        w = cmath.exp(2j * sgn * z)
-        return -sgn * 1j * (1.0 + 2.0 * w / (1.0 - w))
-    return cmath.cos(z) / cmath.sin(z)
+    c = coth_stable(complex(z.imag, -z.real))
+    return complex(c.imag, -c.real)
 
 
 def coth_stable(z):

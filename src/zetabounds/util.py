@@ -64,10 +64,6 @@ class EvalWithError:
                 and not math.isfinite(self.abs_error)):
             raise ValueError("abs_error must be finite for finite values")
 
-    @property
-    def real(self) -> float:
-        return self.value.real
-
 
 class KahanSum:
     """Compensated running sum; cheap insurance against cancellation."""

@@ -379,7 +379,8 @@ def test_perron_panels_follow_the_integrand_frequency(monkeypatch, k, case,
 def test_perron_dirichlet_sum_does_not_depend_on_the_batch(N):
     """A(s) at a node has the same bits whether the node comes alone, in
     a batch of 7 or in one of 390, the most a Gauss-Kronrod call passes:
-    at N = 300 and 2000 a batch of 390 spans several tables."""
+    each batch is one table, of 2 (a lone node goes twice), 7 or 390
+    columns."""
     rng = np.random.default_rng(N)
     A = fm._dirichlet_polynomial(rng.uniform(0.0, 2.0, N), 1.2)
     t = rng.uniform(-35.0, 35.0, 390)

@@ -354,9 +354,8 @@ def test_weighted_integrals_in_log_t_take_few_points(monkeypatch, T, t0,
                                                      log_points,
                                                      inv_points):
     """In s = log t the weight's T/(pi t) near t0 is smooth, and adaptive
-    Simpson takes at most the stated points (in t it took 5 662, 3 478 and
-    16 410 for the log integral, 1 985, 2 321 and 21 121 for the inv
-    integral).  The values at these (T, t0) are checked against mpmath by
+    Simpson takes at most the stated points.  The values at these
+    (T, t0) are checked against mpmath by
     test_weighted_integrals_against_mpmath and ..._finish_at_large_T."""
     points = []
     inner = wt.adaptive_simpson

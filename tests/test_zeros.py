@@ -247,10 +247,10 @@ def test_riemann_siegel_groups_match_row_reference():
 
 
 def test_zeta_batch_critical_matches_scalar_zeta_em():
-    # more heights than one block, shuffled, so that a block edge falls
-    # between them
-    ts = np.random.default_rng(61).uniform(10.0, zr.T_RS,
-                                           sp._ZETA_CHUNK + 40)
+    # 424 shuffled heights, more than any call of find_zeros passes
+    # (test_find_zeros_sends_zeta_batch_critical_small_batches), share
+    # the main sum of the top height's length
+    ts = np.random.default_rng(61).uniform(10.0, zr.T_RS, 424)
     got = zeta_batch_critical(ts)
     for t, z in zip(ts, got):
         s = complex(0.5, t)
@@ -305,6 +305,32 @@ def test_hardy_z_below_t_rs_goes_through_zeta_batch_critical(monkeypatch):
     assert len(seen) == 1 and np.array_equal(seen[0], [150.0, 390.0, 20.0])
     zr.hardy_z_batch(np.array([zr.T_RS, 2000.0]))
     assert len(seen) == 1
+
+
+@pytest.mark.parametrize("t_max", [14.5, 400.0, 21900.0])
+def test_find_zeros_sends_zeta_batch_critical_small_batches(monkeypatch,
+                                                            t_max):
+    """zeta_batch_critical builds one table for all the heights of a
+    call, so what find_zeros passes it bounds that table.  The scan's
+    call passes t = 10 and the Gram points below T_RS.  A later call
+    passes one point per open bracket, one zero below T_RS in each, and
+    one midpoint per gap of a short Rosser block there: the zeros and
+    those gaps each number about the scan's points, so a call stays
+    within twice them."""
+    # every Gram point below T_RS has an index below T_RS
+    gram = zr.gram_points(np.arange(int(zr.T_RS)))
+    scan = 1 + int(np.count_nonzero(gram < zr.T_RS))
+    sizes = []
+    real = zr.zeta_batch_critical
+
+    def counting(ts):
+        sizes.append(len(ts))
+        return real(ts)
+
+    monkeypatch.setattr(zr, "zeta_batch_critical", counting)
+    zr.find_zeros(t_max)
+    assert sizes[0] == scan
+    assert max(sizes) <= 2 * scan
 
 
 def test_ordinates_bracket_em_sign_changes():
