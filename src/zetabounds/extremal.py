@@ -22,7 +22,8 @@ import numpy as np
 from .special import coth_stable, lerch, trigamma, x_coth_x
 # adaptive_simpson stays bound: perfbench/workloads.instrument wraps it here
 from .util import (BLOCK_BYTES, TWO_PI, PoleError,  # noqa: F401
-                   adaptive_simpson, gauss_kronrod)
+                   adaptive_simpson, gauss_kronrod, kronrod_pair,
+                   kronrod_rule)
 
 __all__ = [
     "ApproximantParams", "truncated_exp",
@@ -256,14 +257,17 @@ def l1_gap(p: ApproximantParams) -> float:
 
 
 def l1_gap_quadrature(p: ApproximantParams) -> float:
-    """||phi_hat - I_lambda||_1 by Gauss-Kronrod panels on [-Y, Y] to a
-    total tolerance of 1e-8, plus the tails over |y| > Y from `_l1_tail`
-    (the integrand decays only like 1/y^2, so the tails matter).
+    """||phi_hat - I_lambda||_1 by Gauss-Kronrod unit panels on [-Y, Y]
+    (`_l1_window`), each to its share 1e-8/(2Y) of a total tolerance of
+    1e-8, plus the tails over |y| > Y from `_l1_tail` (the integrand
+    decays only like 1/y^2, so the tails matter).
 
-    The panels start as the unit intervals: the integrand vanishes at every
-    integer and I_lambda jumps at 0, so each panel is smooth.  phi_hat
-    takes each block of nodes in one call.  Y is the smallest integer
-    that meets two conditions:
+    The panels are the unit intervals: the integrand vanishes at every
+    integer and I_lambda jumps at 0, so each panel is smooth.  The window
+    takes their nodes as one lattice, with one series carried from panel
+    to panel, and redoes with phi_hat only a panel whose K15 and G7 differ
+    by more than its share.  Y is the smallest integer that meets two
+    conditions:
     - every interpolation node that matters lies inside the window, which
       the tail formula requires.  At |x| = Y the series sums
       (40 + 2 log(Y + 2))/nu terms (`_series_length`), and
@@ -288,15 +292,85 @@ def l1_gap_quadrature(p: ApproximantParams) -> float:
     return _l1_window(p, Y) + tail
 
 
+def _l1_lattice(p: ApproximantParams, Y: int) -> np.ndarray:
+    """The window's integrand sign (phi_hat - I_lambda) at the 15 Kronrod
+    nodes of each unit panel of [-Y, Y]: one row per panel, in ascending
+    y, with the nodes of `kronrod_rule` in its order.
+
+    In x = sgn(lambda) y, with q = e^-nu and h(d) = 1/d^2 - nu/d, the
+    majorant off the integers is s(x) (1/x^2 + nu q/((1 - q) x) + S(x)),
+    where s = (sin pi x/pi)^2 and S(x) = sum_{n>=1} q^n h(x - n); the
+    minorant leaves out the 1/x^2, which is sinc^2/s.  The nodes x = m +
+    c_k of all 2Y panels form a lattice, so
+    - s has period 1: it is taken once per offset, from the node's
+      distance to the nearest integer, and so keeps its relative accuracy
+      where x is near an integer and s is small;
+    - S is summed directly only on the leftmost panel, x = -Y + c_k, to
+      `_series_length(nu, Y)` terms, and then carried rightward by the
+      exact identity S(x + 1) = q (h(x) + S(x)).  Rightward every step
+      multiplies what it carries, rounding included, by q; leftward,
+      S(x) = S(x + 1)/q - h(x) would multiply it by e^nu a step.  The
+      carry runs as a doubling scan: with S_0 on the first row and
+      q h(x - 1) on the others, the step of stride k adds q^k times the
+      row k above, so that after it every row holds the sum of its last
+      2k terms, each with its power of q; every factor is at most 1, as
+      in the step-by-step carry.
+    h is singular only at 0, so the term of S that is large beside an
+    integer n > 0 is h at a node within 1/2 of 0; those nodes,
+    +-(0.5 - 0.5|node|), are exact in floating point (Sterbenz), as is
+    the distance u that s is taken from."""
+    nu = p.nu
+    q = math.exp(-nu)
+    nodes = kronrod_rule()[0]
+    x = np.arange(0.5 - Y, Y, dtype=np.float64)[:, None] + 0.5 * nodes
+    h = (1.0 - nu * x) / (x * x)
+    S = np.empty_like(x)
+    S[0] = _shift_series(nu, x[0], int(_series_length(nu, float(Y))))
+    S[1:] = q * h[:-1]
+    k = 1
+    while k < len(S):
+        S[k:] += q ** k * S[:-k]
+        k *= 2
+    S += nu / (math.expm1(nu) * x)
+    if p.side == MAJORANT:
+        S += 1.0 / (x * x)
+    # S is now phi_hat/s
+    v = (np.sin(math.pi * (0.5 - 0.5 * np.abs(nodes))) / math.pi) ** 2 * S
+    v[Y:] -= np.exp(-nu * x[Y:])
+    v *= p.sign
+    # y = -x maps panel m and node k onto panel -1 - m and node 14 - k
+    return v if p.lam > 0 else v[::-1, ::-1]
+
+
+def _shift_series(nu: float, x: np.ndarray, terms: int) -> np.ndarray:
+    """S(x) = sum_{n <= terms} e^(-nu n) h(x - n), h(d) = 1/d^2 - nu/d,
+    summed directly at each point of the 1-d array x."""
+    n = np.arange(1.0, terms + 1.0)
+    d = x[:, None] - n
+    return ((1.0 - nu * d) / (d * d) * np.exp(-nu * n)).sum(axis=1)
+
+
 def _l1_window(p: ApproximantParams, Y: int) -> float:
-    """Integral of |phi_hat - I_lambda| over [-Y, Y] by unit panels."""
-    sign = 1.0 if p.side == MAJORANT else -1.0
+    """Integral of |phi_hat - I_lambda| over [-Y, Y] by unit panels.
+
+    Every panel gets K15 and G7 from the lattice values of `_l1_lattice`
+    (`kronrod_pair`), and is accepted by the rule of `gauss_kronrod`'s
+    first pass: |K15 - G7| at most its share 1e-8/(2Y).  A panel over its
+    share (within 2 of y = 0, at small nu or large, where the integrand
+    is steepest) goes to `gauss_kronrod` alone with that share as
+    its tolerance and the direct integrand sign (phi_hat - I_lambda), so
+    it is halved exactly as it would be among all the panels."""
+    share = 1e-8 / (2.0 * Y)
+    k15, g7 = kronrod_pair(_l1_lattice(p, Y), 0.5)
+    ok = np.abs(k15 - g7) <= share
+    value = k15[ok].sum()
 
     def integrand(y):
-        return sign * (phi_hat(p, y) - truncated_exp(p.lam, y))
+        return p.sign * (phi_hat(p, y) - truncated_exp(p.lam, y))
 
-    edges = np.arange(-Y, Y + 1, dtype=np.float64)
-    return gauss_kronrod(integrand, edges, 1e-8)[0]
+    for m in np.flatnonzero(~ok) - Y:
+        value += gauss_kronrod(integrand, (float(m), m + 1.0), share)[0]
+    return float(value)
 
 
 def _l1_tail(p: ApproximantParams, Y: float) -> tuple[float, float]:

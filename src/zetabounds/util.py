@@ -5,10 +5,14 @@ Two quadratures live here; both call a vectorised integrand on arrays.
 `gauss_kronrod` integrates over given panels with the nested 7-point
 Gauss / 15-point Kronrod pair, halving the panels whose error estimate is
 above their share of the tolerance, and returns the value with its error
-estimate; the L1 gap, the Perron check, the Fourier transform of phi, the
-Fejer mean and the integrals of `lehman_sum` run on it.  The caller places
-the first panels where its integrand needs them: the Perron check starts
-from panels as wide as its fastest oscillation allows, not from two halves.
+estimate; the Perron check, the Fourier transform of phi, the Fejer mean
+and the integrals of `lehman_sum` run on it.  The caller places the first
+panels where its integrand needs them: the Perron check starts from
+panels as wide as its fastest oscillation allows, not from two halves.
+`kronrod_pair` is its K15/G7 arithmetic on a panel's node values; the L1
+gap applies it to all its unit panels at once, from values it takes on
+their common lattice of nodes, and sends only the panels that fail the
+first pass's test to `gauss_kronrod`.
 `adaptive_simpson` works the classical recursive rule breadth first, one
 integrand call per depth; the pieces that go one level deeper are gathered
 from one stacked array of their ends, values and estimates.  It stays for
@@ -173,6 +177,16 @@ def kronrod_rule():
     return x, wk, wg
 
 
+def kronrod_pair(v, half):
+    """(K15, G7) of each panel: v holds one row per panel of the
+    integrand at the nodes of `kronrod_rule` on that panel, and half is
+    the panels' half-length (an array, or one number for all).  G7 reads
+    the odd columns, the Gauss nodes."""
+    _, w_k, w_g = kronrod_rule()
+    # sums, not `@`: a first BLAS call costs the process ~0.2 MB
+    return half * (v * w_k).sum(axis=1), half * (v[:, 1::2] * w_g).sum(axis=1)
+
+
 _GK_BLOCK_POINTS = 400  # integrand points per call of f
 # bytes of one (points x terms) matrix of an integrand that broadcasts over
 # a series: 2^13 doubles, small enough to stay in cache and in the heap
@@ -204,12 +218,15 @@ def gauss_kronrod(f, edges, tol: float):
 
     f is called on blocks of at most 400 points (26 panels), so that its
     per-call cost is paid once per block; an integrand that broadcasts
-    over a series works in matrices of at most `BLOCK_BYTES`.
+    over a series works in matrices of at most `BLOCK_BYTES`.  K15 and G7
+    come from `kronrod_pair`.  The L1 gap (`extremal._l1_window`) calls
+    this with one unit panel at a time, only for a panel its lattice
+    values do not pass, and the panel's share of the window's tolerance.
     """
     edges = np.asarray(edges, dtype=np.float64)
     if edges.ndim != 1 or edges.size < 2 or not np.all(np.diff(edges) > 0):
         raise ValueError("edges must be an ascending sequence of >= 2 points")
-    nodes, w_k, w_g = kronrod_rule()
+    nodes = kronrod_rule()[0]
     block = max(1, _GK_BLOCK_POINTS // nodes.size)
     per_length = tol / (edges[-1] - edges[0])
     a, b, parent = edges[:-1], edges[1:], None
@@ -222,9 +239,9 @@ def gauss_kronrod(f, edges, tol: float):
             h = half[i:i + block]
             v = np.asarray(f((mid[i:i + block, None] + h[:, None] * nodes)
                              .ravel())).reshape(-1, nodes.size)
-            # sums, not `@`: a first BLAS call costs the process ~0.2 MB
-            q_k.append(h * (v * w_k).sum(axis=1))
-            q_g.append(h * (v[:, 1::2] * w_g).sum(axis=1))
+            k15, g7 = kronrod_pair(v, h)
+            q_k.append(k15)
+            q_g.append(g7)
         q = np.concatenate(q_k)
         if not np.all(np.isfinite(q)):
             raise PrecisionError("the integrand is not finite at a node")

@@ -8,7 +8,7 @@ from hypothesis import strategies as st
 from zetabounds import extremal as ex
 from zetabounds.extremal import MAJORANT, MINORANT, ApproximantParams
 from zetabounds.special import coth_stable, x_coth_x
-from zetabounds.util import PoleError
+from zetabounds.util import PoleError, kronrod_pair, kronrod_rule
 
 LAMBDAS = (0.1, 0.25, 1.0, 4.0, -0.1, -0.25, -1.0, -4.0)
 
@@ -164,10 +164,75 @@ GAP_NUS = (0.1, 0.25, 0.5, 0.9, 1.0, 1.1, 2.0, 4.0, 8.0)
 
 @pytest.mark.parametrize("nu", GAP_NUS)
 def test_l1_gap_quadrature_against_the_closed_form(nu):
+    """Within the tails' stated remainder 1e-12, the threshold of
+    `verify.check_gap_identity`; the largest difference here is 4.4e-15
+    (nu = 0.1)."""
     for lam in (nu, -nu):
         for side in (MAJORANT, MINORANT):
             p = ApproximantParams.make(lam, side)
-            assert abs(ex.l1_gap_quadrature(p) - ex.l1_gap(p)) <= 1e-10
+            assert abs(ex.l1_gap_quadrature(p) - ex.l1_gap(p)) <= 1e-12
+
+
+def _window(monkeypatch, p):
+    """The Y that l1_gap_quadrature passes to _l1_window."""
+    windows = []
+    with monkeypatch.context() as m:
+        m.setattr(ex, "_l1_window", lambda p, Y: windows.append(Y) or 0.0)
+        ex.l1_gap_quadrature(p)
+    return windows[0]
+
+
+@pytest.mark.parametrize("nu", GAP_NUS)
+def test_l1_lattice_matches_the_direct_integrand(monkeypatch, nu):
+    """At every node y of the window, for both signs of lambda and both
+    sides, the lattice integrand is within 2 eps (1 + |y|/u) of
+    sign (phi_hat(y) - I_lambda(y)), where u is the node's distance to the
+    nearest integer.  The direct form rounds y (by up to |y| eps/2) before
+    it takes sin(pi y), which near an integer moves s(y) by a relative
+    error of about |y| eps/u, on values of size at most about 1; the
+    lattice takes s from u itself.  The differences reach half the bound:
+    2 eps beside y = 0, where the values are near 1, and 2.4e-13 (0.42 of
+    eps (1 + |y|/u)) at y = 10.9957 for nu = 0.1."""
+    nodes = kronrod_rule()[0]
+    u = 0.5 - 0.5 * np.abs(nodes)
+    for lam in (nu, -nu):
+        for side in (MAJORANT, MINORANT):
+            p = ApproximantParams.make(lam, side)
+            Y = _window(monkeypatch, p)
+            y = np.arange(0.5 - Y, Y)[:, None] + 0.5 * nodes
+            direct = p.sign * (ex.phi_hat(p, y) - ex.truncated_exp(lam, y))
+            lattice = ex._l1_lattice(p, Y)
+            assert lattice.shape == (2 * Y, nodes.size)
+            bound = 2.0 * np.finfo(float).eps * (1.0 + np.abs(y) / u)
+            assert np.all(np.abs(lattice - direct) <= bound), (lam, side)
+
+
+@pytest.mark.parametrize("lam, redone", [
+    (1.0, []), (-1.0, []), (8.0, [(0.0, 1.0)]), (-8.0, [(-1.0, 0.0)])])
+@pytest.mark.parametrize("side", [MAJORANT, MINORANT])
+def test_l1_window_redoes_the_panels_over_their_share(
+        monkeypatch, lam, side, redone):
+    """A panel whose lattice K15 and G7 differ by more than its share
+    1e-8/(2Y) is not accepted from the lattice: it goes to gauss_kronrod
+    alone, with that share as its tolerance, and no other panel does.  At
+    nu = 8 that is the panel on the side of 0 where I_lambda lives, at
+    nu = 1 none."""
+    p = ApproximantParams.make(lam, side)
+    Y = _window(monkeypatch, p)
+    share = 1e-8 / (2 * Y)
+    k15, g7 = kronrod_pair(ex._l1_lattice(p, Y), 0.5)
+    over = np.flatnonzero(np.abs(k15 - g7) > share) - Y
+    assert [(float(m), m + 1.0) for m in over] == redone
+    calls = []
+    gauss_kronrod = ex.gauss_kronrod
+
+    def recorded(f, edges, tol):
+        calls.append((tuple(float(e) for e in edges), tol))
+        return gauss_kronrod(f, edges, tol)
+
+    monkeypatch.setattr(ex, "gauss_kronrod", recorded)
+    ex._l1_window(p, Y)
+    assert calls == [(panel, share) for panel in redone]
 
 
 @pytest.mark.parametrize("nu", GAP_NUS)
@@ -225,21 +290,32 @@ def test_l1_tail_against_a_window_twice_as_wide(lam, Y, side):
     assert abs(gap - ex.l1_gap(p)) <= bound
 
 
-@pytest.mark.parametrize("side, most", [(MINORANT, 2400), (MAJORANT, 2550)])
-def test_l1_gap_quadrature_node_count(monkeypatch, side, most):
-    """At nu = 1 the window is 77 for the minorant and 83 for the
-    majorant, whose 1/y^2 term sets it through the remainder: 15 nodes a
-    unit panel, 2 310 and 2 490 in all."""
-    nodes = []
-    phi_hat = ex.phi_hat
+@pytest.mark.parametrize("lam, nodes", [
+    (1.0, 0), (-1.0, 0), (8.0, 45), (-8.0, 45)])
+@pytest.mark.parametrize("side", [MAJORANT, MINORANT])
+def test_l1_gap_quadrature_node_count(monkeypatch, lam, side, nodes):
+    """The direct work left in one call: the start panel's series, 15
+    nodes of 50 terms (`_series_length` at the window's edge, Y = 77 or
+    83 at nu = 1 and 27 or 70 at nu = 8, is its floor of 50), and phi_hat
+    at the nodes of the panels redone: none at nu = 1, and at nu = 8 one
+    panel beside 0 that fails once and passes as two halves, 15 + 30
+    nodes."""
+    terms, evaluated = [], []
+    shift_series, phi_hat = ex._shift_series, ex.phi_hat
+
+    def counted_series(nu, x, n):
+        terms.append(np.size(x) * n)
+        return shift_series(nu, x, n)
 
     def counted(p, x):
-        nodes.append(np.size(x))
+        evaluated.append(np.size(x))
         return phi_hat(p, x)
 
+    monkeypatch.setattr(ex, "_shift_series", counted_series)
     monkeypatch.setattr(ex, "phi_hat", counted)
-    ex.l1_gap_quadrature(ApproximantParams.make(1.0, side))
-    assert sum(nodes) <= most
+    ex.l1_gap_quadrature(ApproximantParams.make(lam, side))
+    assert terms == [15 * 50]
+    assert sum(evaluated) == nodes
 
 
 # ----------------------------------------------------------------------
