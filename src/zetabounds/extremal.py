@@ -22,7 +22,7 @@ import numpy as np
 from .special import coth_stable, lerch, trigamma, x_coth_x
 # adaptive_simpson stays bound: perfbench/workloads.instrument wraps it here
 from .util import (BLOCK_BYTES, TWO_PI, PoleError,  # noqa: F401
-                   adaptive_simpson, gauss_kronrod, kronrod_pair,
+                   PrecisionError, adaptive_simpson, gauss_kronrod,
                    kronrod_rule)
 
 __all__ = [
@@ -258,37 +258,26 @@ def l1_gap(p: ApproximantParams) -> float:
 
 def l1_gap_quadrature(p: ApproximantParams) -> float:
     """||phi_hat - I_lambda||_1 by Gauss-Kronrod unit panels on [-Y, Y]
-    (`_l1_window`), each to its share 1e-8/(2Y) of a total tolerance of
-    1e-8, plus the tails over |y| > Y from `_l1_tail` (the integrand
-    decays only like 1/y^2, so the tails matter).
+    (`_l1_window`), to a total tolerance of 1e-8, plus the tails over
+    |y| > Y from `_l1_tail` (the integrand decays only like 1/y^2, so the
+    tails matter).
 
-    The panels are the unit intervals: the integrand vanishes at every
-    integer and I_lambda jumps at 0, so each panel is smooth.  The window
-    takes their nodes as one lattice, with one series carried from panel
-    to panel, and redoes with phi_hat only a panel whose K15 and G7 differ
-    by more than its share.  Y is the smallest integer that meets two
-    conditions:
-    - every interpolation node that matters lies inside the window, which
-      the tail formula requires.  At |x| = Y the series sums
-      (40 + 2 log(Y + 2))/nu terms (`_series_length`), and
-      nu (Y - 20) >= 48 + 2 log(Y + 2) puts every node of weight above
-      e^-48/(Y + 2)^2 at least 20 inside the edge;
-    - the tails' stated remainder is at most `_L1_TAIL_BOUND`.
+    The window has one rule: Y is the smallest integer >= 21 at which the
+    series weight that the tail leaves out, sum_{n >= Y - 10} e^(-nu n)
+    = e^(-nu (Y - 10))/(1 - e^-nu), is at most 1e-15.  The tail sums the
+    nodes n <= Y - 10 term by term and bounds the rest, so this weight
+    sets its left-out term; the floor 21 keeps the remainder of the
+    majorant's 1/y^2 term, 1440/(2 pi^2 (2 pi)^6 Y^7), at 6.6e-13 or
+    less, so that the series' own terms fit beside it: the whole stated
+    remainder is at most 7.3e-13 for nu in [0.05, 60].  Y is 379 at
+    nu = 0.1, 45 at nu = 1 and 21 from nu = 3.15 up.  PrecisionError if
+    the stated remainder is above `_L1_TAIL_BOUND`.
     """
     nu = p.nu
-    # the right side grows like log Y, so this climbs to the smallest Y
-    Y = 20
-    while (need := math.ceil((48.0 + 2.0 * math.log(Y + 2.0)) / nu
-                             + 20.0)) > Y:
-        Y = need
-    if p.side == MAJORANT:
-        # the 1/y^2 term alone puts 24/(pi^2 omega^4 Y^5) into the bound
-        Y = max(Y, math.ceil((24.0 / (math.pi ** 2 * TWO_PI ** 4
-                                      * _L1_TAIL_BOUND)) ** 0.2))
+    Y = max(21, 10 + math.ceil(-math.log(1e-15 * -math.expm1(-nu)) / nu))
     tail, remainder = _l1_tail(p, float(Y))
-    while remainder > _L1_TAIL_BOUND:
-        Y += 1
-        tail, remainder = _l1_tail(p, float(Y))
+    if remainder > _L1_TAIL_BOUND:
+        raise PrecisionError(f"L1 tail remainder {remainder:.3g} at Y = {Y}")
     return _l1_window(p, Y) + tail
 
 
@@ -301,20 +290,22 @@ def _l1_lattice(p: ApproximantParams, Y: int) -> np.ndarray:
     majorant off the integers is s(x) (1/x^2 + nu q/((1 - q) x) + S(x)),
     where s = (sin pi x/pi)^2 and S(x) = sum_{n>=1} q^n h(x - n); the
     minorant leaves out the 1/x^2, which is sinc^2/s.  The nodes x = m +
-    c_k of all 2Y panels form a lattice, so
+    c_k of the panels form a lattice, so
     - s has period 1: it is taken once per offset, from the node's
       distance to the nearest integer, and so keeps its relative accuracy
       where x is near an integer and s is small;
-    - S is summed directly only on the leftmost panel, x = -Y + c_k, to
-      `_series_length(nu, Y)` terms, and then carried rightward by the
-      exact identity S(x + 1) = q (h(x) + S(x)).  Rightward every step
-      multiplies what it carries, rounding included, by q; leftward,
-      S(x) = S(x + 1)/q - h(x) would multiply it by e^nu a step.  The
-      carry runs as a doubling scan: with S_0 on the first row and
-      q h(x - 1) on the others, the step of stride k adds q^k times the
-      row k above, so that after it every row holds the sum of its last
-      2k terms, each with its power of q; every factor is at most 1, as
-      in the step-by-step carry.
+    - S is carried rightward by the exact identity
+      S(x + 1) = q (h(x) + S(x)), from S = 0 on the row r =
+      ceil(60 log 2/nu) panels left of the window.  On the window's rows,
+      which alone are kept, the carry then leaves out only terms of
+      weight below q^r <= 2^-60, each at |x - n| > Y.
+      Rightward every step multiplies what it carries, rounding included,
+      by q; leftward, S(x) = S(x + 1)/q - h(x) would multiply it by e^nu
+      a step.  The carry runs as a doubling scan: with 0 on the first row
+      and q h(x - 1) on the others, the step of stride k adds q^k times
+      the row k above, so that after it every row holds the sum of its
+      last 2k terms, each with its power of q; every factor is at most 1,
+      as in the step-by-step carry.
     h is singular only at 0, so the term of S that is large beside an
     integer n > 0 is h at a node within 1/2 of 0; those nodes,
     +-(0.5 - 0.5|node|), are exact in floating point (Sterbenz), as is
@@ -322,15 +313,16 @@ def _l1_lattice(p: ApproximantParams, Y: int) -> np.ndarray:
     nu = p.nu
     q = math.exp(-nu)
     nodes = kronrod_rule()[0]
-    x = np.arange(0.5 - Y, Y, dtype=np.float64)[:, None] + 0.5 * nodes
+    r = math.ceil(60.0 * math.log(2.0) / nu)
+    x = np.arange(0.5 - Y - r, Y, dtype=np.float64)[:, None] + 0.5 * nodes
     h = (1.0 - nu * x) / (x * x)
-    S = np.empty_like(x)
-    S[0] = _shift_series(nu, x[0], int(_series_length(nu, float(Y))))
+    S = np.zeros_like(x)
     S[1:] = q * h[:-1]
     k = 1
     while k < len(S):
         S[k:] += q ** k * S[:-k]
         k *= 2
+    x, S = x[r:], S[r:]
     S += nu / (math.expm1(nu) * x)
     if p.side == MAJORANT:
         S += 1.0 / (x * x)
@@ -342,40 +334,24 @@ def _l1_lattice(p: ApproximantParams, Y: int) -> np.ndarray:
     return v if p.lam > 0 else v[::-1, ::-1]
 
 
-def _shift_series(nu: float, x: np.ndarray, terms: int) -> np.ndarray:
-    """S(x) = sum_{n <= terms} e^(-nu n) h(x - n), h(d) = 1/d^2 - nu/d,
-    summed directly at each point of the 1-d array x."""
-    n = np.arange(1.0, terms + 1.0)
-    d = x[:, None] - n
-    return ((1.0 - nu * d) / (d * d) * np.exp(-nu * n)).sum(axis=1)
-
-
 def _l1_window(p: ApproximantParams, Y: int) -> float:
-    """Integral of |phi_hat - I_lambda| over [-Y, Y] by unit panels.
-
-    Every panel gets K15 and G7 from the lattice values of `_l1_lattice`
-    (`kronrod_pair`), and is accepted by the rule of `gauss_kronrod`'s
-    first pass: |K15 - G7| at most its share 1e-8/(2Y).  A panel over its
-    share (within 2 of y = 0, at small nu or large, where the integrand
-    is steepest) goes to `gauss_kronrod` alone with that share as
-    its tolerance and the direct integrand sign (phi_hat - I_lambda), so
-    it is halved exactly as it would be among all the panels."""
-    share = 1e-8 / (2.0 * Y)
-    k15, g7 = kronrod_pair(_l1_lattice(p, Y), 0.5)
-    ok = np.abs(k15 - g7) <= share
-    value = k15[ok].sum()
-
+    """Integral of |phi_hat - I_lambda| over [-Y, Y]: one `gauss_kronrod`
+    call over the 2Y unit panels, tolerance 1e-8, with the values of
+    `_l1_lattice` as its first pass.  Acceptance and halving are
+    `gauss_kronrod`'s own, so the direct integrand
+    sign (phi_hat - I_lambda) is taken only at the halves of a panel over
+    its share 1e-8/(2Y): within 2 of y = 0, at small nu or large, where
+    the integrand is steepest."""
     def integrand(y):
         return p.sign * (phi_hat(p, y) - truncated_exp(p.lam, y))
 
-    for m in np.flatnonzero(~ok) - Y:
-        value += gauss_kronrod(integrand, (float(m), m + 1.0), share)[0]
-    return float(value)
+    return gauss_kronrod(integrand, np.arange(-Y, Y + 1.0), 1e-8,
+                         first_pass=_l1_lattice(p, Y))[0]
 
 
 def _l1_tail(p: ApproximantParams, Y: float) -> tuple[float, float]:
-    """(integral of |phi_hat - I_lambda| over |y| > Y, bound on the error
-    of its integration-by-parts remainder) for an integer Y.
+    """(integral of |phi_hat - I_lambda| over |y| > Y, bound on its error)
+    for an integer Y > 10.
 
     Off the nodes the majorant is s(y) G(y) with s = (sin pi y/pi)^2 =
     (1 - cos omega y)/(2 pi^2), omega = 2 pi, and, from the series cut at
@@ -392,56 +368,72 @@ def _l1_tail(p: ApproximantParams, Y: float) -> tuple[float, float]:
     With d = Y - n and e = Y + n, the mean parts integrate term by term:
     c/Y + sum w_n (1/d + nu log(1 - n/Y)) over y > Y, and
     c/Y + sum w_n (1/e - nu log(1 + n/Y)) over y < -Y.  For the oscillating
-    part, sin omega Y = 0 and cos omega Y = 1, so four integrations by
+    part, sin omega Y = 0 and cos omega Y = 1, so six integrations by
     parts give
 
-        int_Y^inf cos(omega y) G(y) dy = -G'(Y)/omega^2 + G'''(Y)/omega^4 - R,
-        R = -(1/omega^4) int_Y^inf cos(omega y) G''''(y) dy,
+        int_Y^inf cos(omega y) G(y) dy
+            = -G'(Y)/omega^2 + G'''(Y)/omega^4 - G^(5)(Y)/omega^6 - R,
+        R = (1/omega^6) int_Y^inf cos(omega y) G^(6)(y) dy,
 
     and the left tail is the same with H(u) = G(-u) on u > Y.  Term by
-    term,
+    term, for odd k the nu/Y^(k+1) terms of G^(k) and H^(k) cancel and
 
-        G'(Y)   = -2c/Y^3 + sum w_n (-2/d^3 + nu/d^2 - nu/Y^2),
-        H'(Y)   = -2c/Y^3 + sum w_n (-2/e^3 - nu/e^2 + nu/Y^2),
-        G'''(Y) = -24c/Y^5 + sum w_n (-24/d^5 + 6 nu/d^4 - 6 nu/Y^4),
-        H'''(Y) = -24c/Y^5 + sum w_n (-24/e^5 - 6 nu/e^4 + 6 nu/Y^4),
+        G^(k)(Y) + H^(k)(Y) = -2 (k+1)! c/Y^(k+2)
+            + sum w_n (nu k! (d^-(k+1) - e^-(k+1))
+                       - (k+1)! (d^-(k+2) + e^-(k+2))),
 
-    and the two tails of s G are (means + (G' + H')/omega^2
-    - (G''' + H''')/omega^4 + R_right + R_left)/(2 pi^2).
+    so the two tails of s G are (means + sum over k = 1, 3, 5 of
+    (-1)^((k-1)/2) (G^(k) + H^(k))/omega^(k+1) + R_right + R_left)/(2 pi^2).
 
     The bound on R: on y > Y, G = A - B with A = c/y^2 + sum w_n/(y - n)^2
     and B = nu sum w_n (1/(y - n) - 1/y), and H = A_ + B_ with n -> -n.
-    Every term of A'''' and B'''' is positive for y > n (120/(y - n)^6 and
-    24 nu ((y - n)^-5 - y^-5)), every term of A_'''' positive and of
-    B_'''' negative.  A function f with f'''' of one sign on (Y, inf) and
-    f''' -> 0 there has int_Y^inf |f''''| = |f'''(Y)|, so
+    Every term of A^(6) and B^(6) is positive for y > n (5040/(y - n)^8
+    and 720 nu ((y - n)^-7 - y^-7)), every term of A_^(6) positive and of
+    B_^(6) negative.  A function f with f^(6) of one sign on (Y, inf) and
+    f^(5) -> 0 there has int_Y^inf |f^(6)| = |f^(5)(Y)|, so
 
-        |R_right| + |R_left| <= (48c/Y^5 + sum w_n (24/d^5 + 24/e^5
-                                 + 6 nu (1/d^4 - 1/e^4))) / omega^4,
+        |R_right| + |R_left| <= (1440c/Y^7 + sum w_n (720/d^7 + 720/e^7
+                                 + 120 nu (1/d^6 - 1/e^6))) / omega^6,
 
-    and the bound returned is that over 2 pi^2.  The nodes n > Nt are left
-    out: ValueError unless w_Nt/(Y - Nt) <= 1e-16, and the window of
-    `l1_gap_quadrature` keeps their weights below e^-48/(Y + 2)^2."""
+    the k = 5 sum with both its parts taken positive.
+
+    The nodes n > Nt are left out.  Node n puts s(y) w_n g_n(y) into the
+    majorant, with g_n = 1/(y - n)^2 - nu n/(y (y - n)).  Over |y| > Y,
+    int s/(y - n)^2 <= 1 (the integral of sinc^2), and with
+    s <= min((y - n)^2, 1/pi^2) and n/|y| <= 2 within 1 of n,
+    int n s/|y (y - n)| <= 2 + 4 log(n + 1)/pi^2: by partial fractions,
+    beyond 1 of n, y < -Y gives at most log(n + 1), Y < y < n - 1 at
+    most 2 log n and y > n + 1 at most log(n + 1), each times 1/pi^2.
+    With log(n + 1) <= log(Nt + 1) + (n - Nt)/(Nt + 1) and q = e^-nu, the
+    nodes n > Nt put at most
+
+        W (1 + nu (2 + 4 (log(Nt + 1) + 1/((1 - q)(Nt + 1)))/pi^2))
+
+    into the tails, W = e^(-nu (Nt + 1))/(1 - q) their weight.  The bound
+    returned is the R bound over 2 pi^2 plus this."""
     nu = p.nu
     c = 1.0 if p.side == MAJORANT else 0.0
     Nt = int(Y) - 10
     n = np.arange(1.0, Nt + 1.0)
     w = np.exp(-nu * n)
-    if w[-1] / (Y - Nt) > 1e-16:
-        raise ValueError("window too small for the series decay")
     inv_d, inv_e = 1.0 / (Y - n), 1.0 / (Y + n)
     logs = nu * (np.log1p(-n / Y) - np.log1p(n / Y))
-    means = 2.0 * c / Y + float((w * (inv_d + inv_e + logs)).sum())
-    g1 = -4.0 * c / Y ** 3 + float((w * (nu * (inv_d ** 2 - inv_e ** 2)
-                                          - 2.0 * (inv_d ** 3 + inv_e ** 3))
-                                     ).sum())
-    poles = 24.0 * (inv_d ** 5 + inv_e ** 5)
-    slopes = 6.0 * nu * (inv_d ** 4 - inv_e ** 4)
-    g3 = -48.0 * c / Y ** 5 + float((w * (slopes - poles)).sum())
-    r = 48.0 * c / Y ** 5 + float((w * (slopes + poles)).sum())
+    tail = 2.0 * c / Y + float((w * (inv_d + inv_e + logs)).sum())
     omega2 = TWO_PI ** 2
-    tail = (means + g1 / omega2 - g3 / omega2 ** 2) / (2.0 * math.pi ** 2)
-    bound = r / (2.0 * math.pi ** 2 * omega2 ** 2)
+    for k in (1, 3, 5):
+        pole_c = 2.0 * math.factorial(k + 1) * c / Y ** (k + 2)
+        poles = math.factorial(k + 1) * (inv_d ** (k + 2) + inv_e ** (k + 2))
+        slopes = nu * math.factorial(k) * (inv_d ** (k + 1)
+                                           - inv_e ** (k + 1))
+        g = float((w * (slopes - poles)).sum()) - pole_c
+        tail += (-1.0) ** (k // 2) * g / omega2 ** ((k + 1) // 2)
+    tail /= 2.0 * math.pi ** 2
+    r = pole_c + float((w * (slopes + poles)).sum())
+    one_q = -math.expm1(-nu)          # 1 - q
+    left_out = math.exp(-nu * (Nt + 1)) / one_q * (
+        1.0 + nu * (2.0 + 4.0 * (math.log(Nt + 1.0)
+                                 + 1.0 / (one_q * (Nt + 1.0))) / math.pi ** 2))
+    bound = r / (2.0 * math.pi ** 2 * omega2 ** 3) + left_out
     exp_tail = math.exp(-nu * Y) / nu
     if p.side == MAJORANT:
         return tail - exp_tail, bound

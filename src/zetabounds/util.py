@@ -9,10 +9,10 @@ estimate; the Perron check, the Fourier transform of phi, the Fejer mean
 and the integrals of `lehman_sum` run on it.  The caller places the first
 panels where its integrand needs them: the Perron check starts from
 panels as wide as its fastest oscillation allows, not from two halves.
-`kronrod_pair` is its K15/G7 arithmetic on a panel's node values; the L1
-gap applies it to all its unit panels at once, from values it takes on
-their common lattice of nodes, and sends only the panels that fail the
-first pass's test to `gauss_kronrod`.
+The L1 gap passes its unit panels with the integrand's values at their
+first-pass nodes (`first_pass`), which it takes on their common lattice,
+so that f is called only at the halves of the panels that fail.
+`kronrod_pair` is the K15/G7 arithmetic on a panel's node values.
 `adaptive_simpson` works the classical recursive rule breadth first, one
 integrand call per depth; the pieces that go one level deeper are gathered
 from one stacked array of their ends, values and estimates.  It stays for
@@ -27,7 +27,6 @@ from __future__ import annotations
 import functools
 import math
 import os
-import tempfile
 from dataclasses import dataclass
 
 import numpy as np
@@ -195,7 +194,7 @@ _GK_MAX_PASSES = 40
 _GK_MAX_PANELS = 1 << 15
 
 
-def gauss_kronrod(f, edges, tol: float):
+def gauss_kronrod(f, edges, tol: float, first_pass=None):
     """(integral of f over [edges[0], edges[-1]], error estimate).
 
     f maps a 1-d array of points to an array of real or complex values of
@@ -219,9 +218,14 @@ def gauss_kronrod(f, edges, tol: float):
     f is called on blocks of at most 400 points (26 panels), so that its
     per-call cost is paid once per block; an integrand that broadcasts
     over a series works in matrices of at most `BLOCK_BYTES`.  K15 and G7
-    come from `kronrod_pair`.  The L1 gap (`extremal._l1_window`) calls
-    this with one unit panel at a time, only for a panel its lattice
-    values do not pass, and the panel's share of the window's tolerance.
+    come from `kronrod_pair`.
+
+    first_pass, if given, holds f at the first pass's nodes: one row per
+    panel between consecutive edges, with the nodes of `kronrod_rule` in
+    its order.  f is then called only at the halves of the panels that
+    fail, and the result has the bits it would have without first_pass.
+    The L1 gap (`extremal._l1_window`) gives the values it takes on the
+    lattice of its unit panels' nodes; the other callers give none.
     """
     edges = np.asarray(edges, dtype=np.float64)
     if edges.ndim != 1 or edges.size < 2 or not np.all(np.diff(edges) > 0):
@@ -230,6 +234,9 @@ def gauss_kronrod(f, edges, tol: float):
     block = max(1, _GK_BLOCK_POINTS // nodes.size)
     per_length = tol / (edges[-1] - edges[0])
     a, b, parent = edges[:-1], edges[1:], None
+    if first_pass is not None and np.shape(first_pass) != (a.size,
+                                                           nodes.size):
+        raise ValueError("first_pass must hold one row of nodes per panel")
     value = error = 0.0
     for _ in range(_GK_MAX_PASSES):
         half = 0.5 * (b - a)
@@ -237,8 +244,9 @@ def gauss_kronrod(f, edges, tol: float):
         q_k, q_g = [], []
         for i in range(0, len(a), block):
             h = half[i:i + block]
-            v = np.asarray(f((mid[i:i + block, None] + h[:, None] * nodes)
-                             .ravel())).reshape(-1, nodes.size)
+            v = (first_pass[i:i + block] if first_pass is not None else
+                 np.asarray(f((mid[i:i + block, None] + h[:, None] * nodes)
+                              .ravel())).reshape(-1, nodes.size))
             k15, g7 = kronrod_pair(v, h)
             q_k.append(k15)
             q_g.append(g7)
@@ -254,7 +262,7 @@ def gauss_kronrod(f, edges, tol: float):
         error += float(est[ok].sum())
         if ok.all():
             return value.item(), error
-        a, b, parent = a[~ok], b[~ok], q[~ok]
+        a, b, parent, first_pass = a[~ok], b[~ok], q[~ok], None
         cut = 0.5 * (a + b)
         a = np.column_stack([a, cut]).ravel()
         b = np.column_stack([cut, b]).ravel()
@@ -271,12 +279,20 @@ def format_float17(x: float) -> str:
 
 
 def atomic_write_text(path: str, text: str) -> None:
-    """Write via a temp file in the target directory, then rename."""
-    d = os.path.dirname(os.path.abspath(path)) or "."
-    fd, tmp = tempfile.mkstemp(dir=d, prefix=".tmp-", text=True)
+    """Write via a temp file in the target directory, then rename.  The
+    file gets the permissions open(path, "w") would leave: an existing
+    file's own, and for a new one 0666 less the umask (mkstemp's 0600
+    would keep the output from other users)."""
+    d = os.path.dirname(os.path.abspath(path))
+    tmp = os.path.join(d, f".tmp-{os.urandom(8).hex()}")
+    fd = os.open(tmp, os.O_WRONLY | os.O_CREAT | os.O_EXCL, 0o666)
     try:
         with os.fdopen(fd, "w") as fh:
             fh.write(text)
+            try:
+                os.fchmod(fh.fileno(), os.stat(path).st_mode & 0o777)
+            except FileNotFoundError:
+                pass
         os.replace(tmp, path)
     except BaseException:
         if os.path.exists(tmp):

@@ -242,10 +242,11 @@ def check_domination():
 
 def check_gap_identity():
     """The L1 gap by quadrature is within 1e-12 of its closed form (the
-    tails' stated remainder), from nu = 0.1, the widest window (Y = 629),
-    to nu = 8, where a panel beside 0 is redone off the lattice; the
-    largest difference here is 4.4e-15 (nu = 0.1)."""
-    for lam in (0.1, -0.1, 0.25, 1.0, 4.0, -0.5, 8.0, -8.0):
+    tails' stated remainder), from nu = 0.1, the widest window (Y = 379),
+    to nu = 40, at the window's floor Y = 21, where the panel beside 0 is
+    halved in three passes; the largest difference here is 5.8e-15
+    (nu = 0.1)."""
+    for lam in (0.1, -0.1, 0.25, 1.0, 4.0, -0.5, 8.0, -8.0, 40.0, -40.0):
         for side in (ex.MAJORANT, ex.MINORANT):
             p = ex.ApproximantParams.make(lam, side)
             if abs(ex.l1_gap_quadrature(p) - ex.l1_gap(p)) > 1e-12:

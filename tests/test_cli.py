@@ -1,5 +1,7 @@
 import json
 import math
+import os
+import stat
 
 import pytest
 
@@ -37,6 +39,27 @@ def test_zeros_roundtrip(tmp_path, capsys):
     assert stats["count"] == 29
     zl = zr.load_zeros(str(zfile))
     assert len(zl) == 29
+
+
+def test_out_files_get_the_mode_open_gives(tmp_path):
+    """Under umask 022 every new output file is 0644, as open(path, "w")
+    would make it, an existing one keeps its own mode, and no temp file
+    is left beside them."""
+    out, stats, kept = (tmp_path / name for name in ("cp.csv", "s.json", "z"))
+    kept.write_text("")
+    kept.chmod(0o600)
+    old = os.umask(0o022)
+    try:
+        assert run(["sieve", "--x-max", "100", "--checkpoints", "10,100",
+                    "--out", str(out)]) == 0
+        assert run(["zeros", "--t-max", "30", "--out", str(kept),
+                    "--stats-out", str(stats)]) == 0
+    finally:
+        os.umask(old)
+    for path, mode in ((out, 0o644), (stats, 0o644), (kept, 0o600)):
+        assert stat.S_IMODE(os.stat(path).st_mode) == mode, path
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["cp.csv", "s.json",
+                                                          "z"]
 
 
 def test_zeros_empty_valid_file(tmp_path):

@@ -165,7 +165,7 @@ GAP_NUS = (0.1, 0.25, 0.5, 0.9, 1.0, 1.1, 2.0, 4.0, 8.0)
 @pytest.mark.parametrize("nu", GAP_NUS)
 def test_l1_gap_quadrature_against_the_closed_form(nu):
     """Within the tails' stated remainder 1e-12, the threshold of
-    `verify.check_gap_identity`; the largest difference here is 4.4e-15
+    `verify.check_gap_identity`; the largest difference here is 5.8e-15
     (nu = 0.1)."""
     for lam in (nu, -nu):
         for side in (MAJORANT, MINORANT):
@@ -212,57 +212,83 @@ def test_l1_lattice_matches_the_direct_integrand(monkeypatch, nu):
 @pytest.mark.parametrize("side", [MAJORANT, MINORANT])
 def test_l1_window_redoes_the_panels_over_their_share(
         monkeypatch, lam, side, redone):
-    """A panel whose lattice K15 and G7 differ by more than its share
-    1e-8/(2Y) is not accepted from the lattice: it goes to gauss_kronrod
-    alone, with that share as its tolerance, and no other panel does.  At
-    nu = 8 that is the panel on the side of 0 where I_lambda lives, at
-    nu = 1 none."""
+    """The window is one gauss_kronrod call over the unit panels of
+    [-Y, Y], tolerance 1e-8, with the lattice as its first pass.  A panel
+    whose lattice K15 and G7 differ by more than its share 1e-8/(2Y) is
+    halved there, and phi_hat is taken only at the nodes of its halves:
+    at nu = 8 the panel on the side of 0 where I_lambda lives, at nu = 1
+    none."""
     p = ApproximantParams.make(lam, side)
     Y = _window(monkeypatch, p)
-    share = 1e-8 / (2 * Y)
-    k15, g7 = kronrod_pair(ex._l1_lattice(p, Y), 0.5)
-    over = np.flatnonzero(np.abs(k15 - g7) > share) - Y
+    lattice = ex._l1_lattice(p, Y)
+    k15, g7 = kronrod_pair(lattice, 0.5)
+    over = np.flatnonzero(np.abs(k15 - g7) > 1e-8 / (2 * Y)) - Y
     assert [(float(m), m + 1.0) for m in over] == redone
-    calls = []
-    gauss_kronrod = ex.gauss_kronrod
+    nodes = kronrod_rule()[0]
+    halves = [np.arange(m, m + 1.0, 0.5) + 0.25 + 0.25 * nodes[:, None]
+              for m, _ in redone]
+    calls, evaluated = [], []
+    gauss_kronrod, phi_hat = ex.gauss_kronrod, ex.phi_hat
 
-    def recorded(f, edges, tol):
-        calls.append((tuple(float(e) for e in edges), tol))
-        return gauss_kronrod(f, edges, tol)
+    def recorded(f, edges, tol, first_pass=None):
+        calls.append((edges, tol, first_pass))
+        return gauss_kronrod(f, edges, tol, first_pass)
+
+    def counted(p, x):
+        evaluated.extend(np.ravel(x).tolist())
+        return phi_hat(p, x)
 
     monkeypatch.setattr(ex, "gauss_kronrod", recorded)
+    monkeypatch.setattr(ex, "phi_hat", counted)
     ex._l1_window(p, Y)
-    assert calls == [(panel, share) for panel in redone]
+    [(edges, tol, first_pass)] = calls
+    assert np.array_equal(edges, np.arange(-Y, Y + 1.0)) and tol == 1e-8
+    assert np.array_equal(first_pass, lattice)
+    assert sorted(evaluated) == sorted(np.ravel(halves).tolist())
 
 
-@pytest.mark.parametrize("nu", GAP_NUS)
+def _left_out(nu, Y):
+    """The series weight the tail leaves out at window Y."""
+    return math.exp(-nu * (Y - 10)) / -math.expm1(-nu)
+
+
+# a geometric sweep over [0.05, 60] beside the test grid
+SWEEP_NUS = tuple(round(0.05 * 1200.0 ** (i / 12), 4) for i in range(13))
+
+
+@pytest.mark.parametrize("nu", GAP_NUS + SWEEP_NUS)
 @pytest.mark.parametrize("side", [MAJORANT, MINORANT])
 def test_l1_window_is_the_smallest_that_meets_both_conditions(
         monkeypatch, nu, side):
-    """The window keeps the nodes that matter inside it and the tails'
-    stated remainder at most 1e-12, and Y - 1 fails one of the two."""
-    p = ApproximantParams.make(nu, side)
-    windows = []
+    """For both signs of lambda the window is the smallest integer Y that
+    meets both conditions of the closed rule, Y >= 21 and a left-out
+    series weight e^(-nu (Y - 10))/(1 - e^-nu) of at most 1e-15; it takes
+    one _l1_tail call, whose stated remainder is at most 1e-12, and the
+    quadrature is within 1e-12 of the closed form.  The largest remainder
+    here is 7.3e-13 (nu = 4 majorant) and the largest difference 6.6e-15
+    (nu = 0.05)."""
     tail = ex._l1_tail
+    for lam in (nu, -nu):
+        p = ApproximantParams.make(lam, side)
+        calls = []
 
-    def recorded(p, Y):
-        windows.append(Y)
-        return tail(p, Y)
+        def recorded(p, Y):
+            out = tail(p, Y)
+            calls.append((Y, out[1]))
+            return out
 
-    monkeypatch.setattr(ex, "_l1_tail", recorded)
-    monkeypatch.setattr(ex, "_l1_window", lambda p, Y: 0.0)
-    ex.l1_gap_quadrature(p)
-    Y = windows[-1]
-
-    def meets(Y):
-        return (nu * (Y - 20.0) >= 48.0 + 2.0 * math.log(Y + 2.0)
-                and tail(p, Y)[1] <= 1e-12)
-
-    assert meets(Y) and not meets(Y - 1.0)
+        with monkeypatch.context() as m:
+            m.setattr(ex, "_l1_tail", recorded)
+            gap = ex.l1_gap_quadrature(p)
+        [(Y, remainder)] = calls
+        assert Y >= 21 and _left_out(nu, Y) <= 1e-15
+        assert Y == 21 or _left_out(nu, Y - 1) > 1e-15
+        assert remainder <= 1e-12
+        assert abs(gap - ex.l1_gap(p)) <= 1e-12
 
 
-# (lambda, windows): each window is below the one l1_gap_quadrature takes,
-# so that the tails carry more, and wide enough for the series decay
+# (lambda, windows): windows below, at and above the one l1_gap_quadrature
+# takes (155, 81, 45, 21 and 21 at nu = 0.25, 0.5, 1, 4 and 8)
 TAIL_CASES = [(lam, Y) for lam, windows in (
     (0.25, (150,)), (0.5, (80, 100)), (1.0, (45, 60)), (-1.0, (45,)),
     (4.0, (20, 30)), (-8.0, (15, 20))) for Y in windows]
@@ -272,49 +298,51 @@ TAIL_CASES = [(lam, Y) for lam, windows in (
 @pytest.mark.parametrize("side", [MAJORANT, MINORANT])
 def test_l1_tail_against_a_window_twice_as_wide(lam, Y, side):
     """Panels on [-Y, Y] plus the tail match panels on [-2Y, 2Y] plus the
-    tail, and the closed form, within the stated remainders (1.6e-13 to
-    2.1e-9).  Without its oscillating part the tail is off by 7e-10 to
-    1.5e-6 here, 740 to 4 400 times the remainder.
+    tail to 1/100 of the stated remainder at Y plus the one at 2Y, and the
+    closed form to the remainder at Y, with 4 ulps of the gap besides for
+    each window: its own rounding, which the remainders (4.3e-17 to
+    7.0e-12 here) do not cover.  The largest use of that allowance is 6.2
+    of 8 ulps against the wide window (nu = 0.25 minorant, Y = 150) and
+    0.5 of 4 against the closed form.
 
-    The stated remainder is the integral of |G''''|/w^4, about the size of
-    the G''' term.  R itself is about G^(5)(Y)/w^6, which at a node
-    d = Y - n >= 11 from the edge is 30/(w d)^2 < 1/150 of its share of
-    the bound: the tails must match to 1/100 of the bound, which they do
-    not without the G''' term."""
+    The stated remainder is the integral of |G^(6)|/w^6, about the size of
+    the G^(5) term.  R itself is about G^(7)(Y)/w^8, for the 1/y^2 term
+    56/(w Y)^2 = 0.0063 of that at Y = 15, and the largest error here is
+    0.0062 of the bound (nu = 8 majorant, Y = 15).  Without the G^(5) term
+    the tails are off by up to 0.98 of the bound, and miss the 1/100."""
     p = ApproximantParams.make(lam, side)
     tail, bound = ex._l1_tail(p, float(Y))
     wide, wide_bound = ex._l1_tail(p, 2.0 * Y)
     gap = ex._l1_window(p, Y) + tail
-    err = abs(gap - (ex._l1_window(p, 2 * Y) + wide))
-    assert err <= bound / 100 + wide_bound
-    assert abs(gap - ex.l1_gap(p)) <= bound
+    rounding = 4.0 * math.ulp(gap)
+    assert abs(gap - (ex._l1_window(p, 2 * Y) + wide)) <= (
+        bound / 100 + wide_bound + 2.0 * rounding)
+    assert abs(gap - ex.l1_gap(p)) <= bound + rounding
 
 
 @pytest.mark.parametrize("lam, nodes", [
-    (1.0, 0), (-1.0, 0), (8.0, 45), (-8.0, 45)])
+    (1.0, 0), (-1.0, 0), (8.0, 30), (-8.0, 30), (0.1, 90), (-0.1, 90)])
 @pytest.mark.parametrize("side", [MAJORANT, MINORANT])
 def test_l1_gap_quadrature_node_count(monkeypatch, lam, side, nodes):
-    """The direct work left in one call: the start panel's series, 15
-    nodes of 50 terms (`_series_length` at the window's edge, Y = 77 or
-    83 at nu = 1 and 27 or 70 at nu = 8, is its floor of 50), and phi_hat
-    at the nodes of the panels redone: none at nu = 1, and at nu = 8 one
-    panel beside 0 that fails once and passes as two halves, 15 + 30
-    nodes."""
-    terms, evaluated = [], []
-    shift_series, phi_hat = ex._shift_series, ex.phi_hat
+    """The work of one call: one lattice of 2Y rows, Y = 45, 21 and 379 at
+    nu = 1, 8 and 0.1, and phi_hat at the nodes of the halves of the
+    panels over their share: none at nu = 1, one panel beside 0 at
+    nu = 8 (30 nodes) and three of (-2, 2) at nu = 0.1 (90)."""
+    rows, evaluated = [], []
+    lattice, phi_hat = ex._l1_lattice, ex.phi_hat
 
-    def counted_series(nu, x, n):
-        terms.append(np.size(x) * n)
-        return shift_series(nu, x, n)
+    def counted_lattice(p, Y):
+        rows.append(len(lattice(p, Y)))
+        return lattice(p, Y)
 
     def counted(p, x):
         evaluated.append(np.size(x))
         return phi_hat(p, x)
 
-    monkeypatch.setattr(ex, "_shift_series", counted_series)
+    monkeypatch.setattr(ex, "_l1_lattice", counted_lattice)
     monkeypatch.setattr(ex, "phi_hat", counted)
     ex.l1_gap_quadrature(ApproximantParams.make(lam, side))
-    assert terms == [15 * 50]
+    assert rows == [2 * {1.0: 45, 8.0: 21, 0.1: 379}[abs(lam)]]
     assert sum(evaluated) == nodes
 
 

@@ -163,6 +163,33 @@ def test_oscillatory_integrand_against_mpmath(f, mf, edges):
     assert est <= tol
 
 
+@pytest.mark.parametrize("f, edges, halved", [
+    (np.exp, (0.0, 0.5, 1.0), False),
+    (lambda t: np.cos(40.0 * t) * np.exp(-t * t), (0.0, 1.5, 3.0), True),
+], ids=["smooth", "halving"])
+def test_first_pass_values_give_the_same_bits(f, edges, halved):
+    """Given f at its first pass's nodes, gauss_kronrod returns the same
+    (value, estimate) bits as without them, and calls f only at the
+    halves of the panels that fail: not at all where every panel passes."""
+    x = kronrod_rule()[0]
+    a, b = np.array(edges[:-1]), np.array(edges[1:])
+    half = 0.5 * (b - a)
+    first = f((a + half)[:, None] + half[:, None] * x)
+    calls = []
+
+    def traced(t):
+        calls.append(t.size)
+        return f(t)
+
+    want = gauss_kronrod(f, edges, 1e-10)
+    got = gauss_kronrod(traced, edges, 1e-10, first_pass=first)
+    assert got == want
+    assert bool(calls) == halved
+    assert all(n % 30 == 0 for n in calls)
+    with pytest.raises(ValueError):
+        gauss_kronrod(f, edges, 1e-10, first_pass=first[:1])
+
+
 @pytest.mark.parametrize("c", [1.0 / math.sqrt(2.0), math.pi / 4.0],
                          ids=["1/sqrt2", "pi/4"])
 def test_jump_inside_a_panel_raises(c):
