@@ -93,7 +93,10 @@ def cmd_psi_bound(ns: argparse.Namespace) -> int:
     if any(b <= a for a, b in zip(ns.x, ns.x[1:])):
         raise ValueError("x grid must be ascending")
     sv._check_threads(ns.threads)    # whether or not this sigma sieves
-    zl = _get_zeros(ns)
+    # from VIHUELA_T_FLOOR on the radius takes the closed form, which reads
+    # no zero: without a zero file the rows give no zero_sum_exact
+    zl = (None if ns.zero_file is None and ns.t_max >= fm.VIHUELA_T_FLOOR
+          else _get_zeros(ns))
     T, sigma = ns.t_max, ns.sigma
     cps = {}
     # the sieve measures the sum only for sigma = 0 (psi) and 1 (delta)
@@ -212,6 +215,11 @@ PINNED_CONSTANTS = (
     ("epsilon_21808", "psi error level at T=21808, x=e^60",
      1.44071e-4, 1e-7),
 )
+
+
+def pinned(name: str) -> tuple[float, float]:
+    """(value, tolerance) of the PINNED_CONSTANTS row called name."""
+    return next((v, t) for n, _, v, t in PINNED_CONSTANTS if n == name)
 
 
 def print_constants() -> None:

@@ -18,6 +18,7 @@ from . import formula as fm
 from . import special as sp
 from . import weights as wt
 from . import zeros as zr
+from .cli import pinned
 from .util import TWO_PI, EULER_GAMMA, gauss_kronrod
 
 
@@ -196,8 +197,8 @@ def check_local_log_deriv(zl):
 # ----------------------------------------------------------------------
 
 def check_constants_C():
-    return (abs(wt.constants_C(1) - 0.168938) < 1.5e-6
-            and abs(wt.constants_C(2) - 0.164184) < 1.5e-6)
+    return all(abs(wt.constants_C(k) - value) <= tol
+               for k, (value, tol) in ((1, pinned("C1")), (2, pinned("C2"))))
 
 
 def check_tremic():

@@ -596,7 +596,9 @@ def save_zeros(zl: ZeroList, path: str) -> None:
 
 
 def load_zeros(path: str) -> ZeroList:
-    """Parse a zero file; enforces the ZeroList invariants on load."""
+    """Parse a zero file; enforces the ZeroList invariants on load.  A
+    header token t_max= that is not a number, or rh= other than 0 or 1, is
+    a ZeroFileError naming its line."""
     ords = []
     t_max = None
     rh = True
@@ -608,8 +610,17 @@ def load_zeros(path: str) -> ZeroList:
             if line.startswith("#"):
                 for tok in line[1:].split():
                     if tok.startswith("t_max="):
-                        t_max = float(tok[6:])
+                        try:
+                            t_max = float(tok[6:])
+                        except ValueError as e:
+                            raise ZeroFileError(
+                                f"{path}:{lineno}: t_max is not a number: "
+                                f"{tok!r}") from e
                     elif tok.startswith("rh="):
+                        if tok[3:] not in ("0", "1"):
+                            raise ZeroFileError(
+                                f"{path}:{lineno}: rh must be 0 or 1: "
+                                f"{tok!r}")
                         rh = tok[3:] == "1"
                 continue
             try:

@@ -156,14 +156,18 @@ def test_psi_bound_no_sieve_off_sigma_0_and_1(tmp_path, zl_med,
     assert sieved.read_bytes() == plain.read_bytes()
 
 
-@pytest.mark.parametrize("head, tail, error", [
+@pytest.mark.parametrize("head, tail, error, line", [
     # the first 100 zeros reach t = 237; 4520 zeros lie below 5000
-    ("# t_max=5000 rh=1\n", "", "MissedZeroError"),
-    ("", "inf\n", "ZeroFileError"),
-    ("# t_max=nan rh=1\n", "", "ZeroFileError"),
-], ids=["stops-below-t_max", "inf-ordinate", "nan-t_max"])
+    ("# t_max=5000 rh=1\n", "", "MissedZeroError", None),
+    ("", "inf\n", "ZeroFileError", None),
+    ("# t_max=nan rh=1\n", "", "ZeroFileError", None),
+    # a header token that does not parse is reported at its line
+    ("# t_max=abc rh=1\n", "", "ZeroFileError", 1),
+    ("# t_max=237 rh=yes\n", "", "ZeroFileError", 1),
+], ids=["stops-below-t_max", "inf-ordinate", "nan-t_max",
+        "t_max-not-a-number", "rh-not-0-or-1"])
 def test_psi_bound_rejects_an_unsound_zero_file(tmp_path, capsys, zeros_237,
-                                                head, tail, error):
+                                                head, tail, error, line):
     with open(zeros_237, encoding="ascii") as fh:
         body = "".join(l for l in fh if not l.startswith("#"))
     zfile = tmp_path / "z.txt"
@@ -171,7 +175,10 @@ def test_psi_bound_rejects_an_unsound_zero_file(tmp_path, capsys, zeros_237,
     rc = run(["psi-bound", "--t-max", "5000", "--zero-file", str(zfile),
               "--x", "1e6", "--sigma", "0.5"])
     assert rc == cli.EXIT_ERROR
-    assert json.loads(capsys.readouterr().out)["error"] == error
+    reported = json.loads(capsys.readouterr().out)
+    assert reported["error"] == error
+    if line is not None:
+        assert reported["message"].startswith(f"{zfile}:{line}: ")
 
 
 def test_counterexample_table(tmp_path):
@@ -205,6 +212,25 @@ def test_psi_bound_at_a_huge_x(tmp_path, zeros_237):
     numbers = [float(v) for k, v in row.items() if not k.endswith("_path")]
     assert all(math.isfinite(v) for v in numbers)
     assert float(row["total_lower"]) < float(row["total_upper"])
+
+
+def test_psi_bound_from_the_closed_form_floor_needs_no_zero_file(tmp_path,
+                                                                  capsys):
+    # from T = VIHUELA_T_FLOOR the radius reads no zero; x just above T
+    # keeps the sieve small
+    out = tmp_path / "rep.json"
+    assert run(["psi-bound", "--t-max", "1e7", "--x", "1.1e7",
+                "--out", str(out)]) == 0
+    row, = json.loads(out.read_text())
+    assert row["zero_sum_path"] == "closed-form"
+    assert row["zero_sum_exact"] is None
+    assert row["sieve_inside"] is True
+    # between the computable ceiling and the floor the zeros are needed
+    assert run(["psi-bound", "--t-max", "5e6", "--x", "1.1e7"]) \
+        == cli.EXIT_ERROR
+    assert json.loads(capsys.readouterr().out) == {
+        "error": "ValueError",
+        "message": "t_max above the computable ceiling needs a zero file"}
 
 
 @pytest.mark.parametrize("tol", ["0.5", "1e300"])

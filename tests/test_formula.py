@@ -117,8 +117,7 @@ def test_zero_sum_bound_paths(zl_med):
     ("direct_sum_1468", lambda zl: fm.zero_sum_bound(zl, 1468.0, 0.0)[0]),
 ], ids=["epsilon_1468", "direct_sum_1468"])
 def test_pinned_constant_at_1468(zl_med, name, compute):
-    value, tol = next((v, t) for n, _, v, t in cli.PINNED_CONSTANTS
-                      if n == name)
+    value, tol = cli.pinned(name)
     assert abs(compute(zl_med) - value) <= tol
 
 
@@ -127,7 +126,8 @@ def test_pinned_constant_at_1468(zl_med, name, compute):
 # ----------------------------------------------------------------------
 
 def test_arles_constant_value():
-    assert abs(fm.arles_constant() - 3.86102) < 1e-4
+    value, tol = cli.pinned("arles_c")
+    assert abs(fm.arles_constant() - value) < tol
 
 
 # ----------------------------------------------------------------------

@@ -8,6 +8,7 @@ from hypothesis import example, given
 from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
+from zetabounds import cli
 from zetabounds import sieve as sv
 from zetabounds.util import EULER_GAMMA
 
@@ -465,7 +466,8 @@ def test_extrema_left_limit_at_two():
 def test_extrema_lambda_statistic_small():
     res = sv.extrema_scan(10 ** 6, sv.STAT_LAMBDA_OVER_N)
     mx, mn = res[1]
-    assert abs(mn.value - (-0.7585825520)) < 1e-7
+    value, tol = cli.pinned("lambda_stat_min")
+    assert abs(mn.value - value) < tol
     assert mn.x_at == 1423 and mn.left_limit
     # the start point x = 1 gives the maximum sqrt(1) * gamma
     assert mx.value >= EULER_GAMMA - 1e-15

@@ -7,6 +7,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from zetabounds import cli
 from zetabounds import special as sp
 from zetabounds.util import EULER_GAMMA, PoleError, PrecisionError
 
@@ -20,9 +21,9 @@ def test_zeta_at_two_is_pi_squared_over_six():
 
 
 def test_zeta_log_derivative_at_three_halves():
-    # reference value -1.50523... for zeta'/zeta(3/2)
+    value, tol = cli.pinned("zeta'/zeta(3/2)")
     ld = sp.log_deriv_zeta(1.5)
-    assert abs(ld.value.real - (-1.50523535578826)) < 1e-5
+    assert abs(ld.value.real - value) < tol
     assert abs(ld.value.imag) < 1e-12
 
 
@@ -122,8 +123,9 @@ def test_log_deriv_near_zero_raises():
 
 
 def test_atilde_at_minus_one():
+    value, tol = cli.pinned("Atilde(-1)")
     atilde = -sp.log_deriv_zeta(-1.0).value.real + 0.5
-    assert abs(atilde - (-1.48505372440541)) < 1e-4
+    assert abs(atilde - value) < tol
 
 
 # ----------------------------------------------------------------------
@@ -162,7 +164,8 @@ def test_cot_at_half():
 
 
 def test_coth_reference_value():
-    assert abs(sp.coth_stable(math.pi / 2.0).real - 1.09033141072737) < 1e-9
+    value, tol = cli.pinned("coth(pi/2)")
+    assert abs(sp.coth_stable(math.pi / 2.0).real - value) < tol
 
 
 def test_coth_elementary_upper_bound():
@@ -377,4 +380,6 @@ def test_laurent_depth_guard():
 # ----------------------------------------------------------------------
 
 def test_badabook_value_matches_atilde():
-    assert abs(sp.badabook_f(2.0) + 0.5 - (-1.48505372440541)) < 1e-9
+    # tighter than the pinned tolerance of Atilde(-1): only its value
+    value, _ = cli.pinned("Atilde(-1)")
+    assert abs(sp.badabook_f(2.0) + 0.5 - value) < 1e-9

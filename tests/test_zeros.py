@@ -4,6 +4,7 @@ import mpmath as mp
 import numpy as np
 import pytest
 
+from zetabounds import cli
 from zetabounds import special as sp
 from zetabounds import zeros as zr
 from zetabounds.special import log_deriv_zeta, zeta_batch_critical
@@ -16,8 +17,9 @@ from zetabounds.zeros import MissedZeroError, ZeroFileError, ZeroList
 # ----------------------------------------------------------------------
 
 def test_first_two_ordinates(zl_small):
-    assert abs(zl_small.ordinates[0] - 14.134725) < 1e-6
-    assert abs(zl_small.ordinates[1] - 21.022) < 1e-3
+    for gamma, name in zip(zl_small.ordinates, ("gamma0", "gamma1")):
+        value, tol = cli.pinned(name)
+        assert abs(gamma - value) < tol
 
 
 def test_count_to_100(zl_small):

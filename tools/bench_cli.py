@@ -11,7 +11,8 @@ ones), as `python3 -m zetabounds.cli ...` in a fresh process writing its
 output to a scratch directory, so start-up is part of every time.  The
 record gives each side's median and quartiles of the wall time, the
 median peak RSS of the process, every run, and the machine, Python and
-numpy it ran on.
+numpy it ran on.  The byte identity of the outputs is the other tool's:
+python3 tools/byte_identity.py --base PARENT --head .
 """
 
 import argparse
