@@ -20,7 +20,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .special import log_deriv_zeta, zeta_batch_critical
+from .special import half_angle_trig, log_deriv_zeta, zeta_batch_critical
 from .util import TWO_PI, gauss_kronrod
 
 __all__ = [
@@ -214,7 +214,8 @@ def _riemann_siegel_z(ts: np.ndarray) -> np.ndarray:
             hi = min(lo + rows, stop)
             phase = np.multiply.outer(t_sorted[lo:hi], logn[:k])
             phase += th_sorted[lo:hi, None]
-            np.matmul(np.cos(phase, out=phase), amp[:k], out=main[lo:hi])
+            np.matmul(half_angle_trig(phase, sin=False), amp[:k],
+                      out=main[lo:hi])
     out = np.empty_like(ts)
     out[order] = 2.0 * main
     corr = _rs_correction(a, a - n_terms - 0.5)
@@ -259,7 +260,12 @@ def hardy_z_batch(ts: np.ndarray) -> np.ndarray:
         0.017 t^(-11/4) + 10 * 2^-52 * t log t,
     the bound this function is tested to (1.2e-9 at 400, 5.6e-10 at 2.5e4),
     also above the finder's ceiling: at 8 seeded heights in [2.5e4, 1e5]
-    the error was at most 5.4e-10, 4.2 times below it.
+    the error was at most 5.4e-10, 4.2 times below it.  The cosines come
+    from special.half_angle_trig, each within TRIG_ERROR = 2 ulps of 1 of
+    the cosine of its rounded phase: 2 sum_{n <= N} n^(-1/2) TRIG_ERROR
+    <= 8 N^(1/2) 2^-52 in all, 21 * 2^-52 at T_RS (N = 7), which is
+    9e-4 of the 10 * 2^-52 t log t there, and a smaller share above, as
+    N^(1/2) grows like t^(1/4).
     Below T_RS, Z is e^(i theta) zeta_batch_critical(t), the Euler-Maclaurin
     sum of about 2.2 t/2pi terms, within _EM_Z_ERROR = 1e-10; its terms
     n^(-1/2 - it) take a cosine and a sine for the primes n only, and one
@@ -293,11 +299,15 @@ def hardy_z_batch(ts: np.ndarray) -> np.ndarray:
 # Bound on |computed Z - Z| below T_RS, where hardy_z_batch rotates
 # zeta_batch_critical.  Just below t = 400 (N = 161 main terms) the
 # Euler-Maclaurin remainder and rounding floor that special._zeta_em_all
-# bounds come to 3.4e-11; the main sum's terms, each within
-# 2 n^(-1/2) 2^-52 (t log n + 1) of n^(-1/2 - it) (special._dirichlet_table),
-# add at most 1.5e-11, and their summation 4.3e-13.  At 150 seeded heights
-# in [10, 400) the error against mpmath.siegelz was below 2.4e-12 (2.7e-12
-# at a second seed).
+# bounds come to 3.4e-11.  The main sum's terms are each within
+# n^(-1/2) 2^-52 (t log n + 6 Omega(n)) of n^(-1/2 - it)
+# (special._dirichlet_table): t log n from the two roundings of each
+# prime phase t log p, and per prime factor 2 sqrt 2 from its cosine and
+# sine (special.half_angle_trig, TRIG_ERROR = 2 ulps of 1 each) plus the
+# amplitude and the complex product.  They add at most 7.4e-12 (the
+# Omega(n) part 7.1e-14), and their summation 4.3e-13.  At 150
+# seeded heights in [10, 400) the error against mpmath.siegelz was below
+# 2.4e-12 (2.7e-12 at a second seed).
 _EM_Z_ERROR = 1e-10
 TURING_T_MIN = 168.0 * math.pi  # Turing's integral bound holds above it
 _TURING_MARGIN = 32     # Gram intervals scanned above the one past t_top
@@ -595,33 +605,51 @@ def save_zeros(zl: ZeroList, path: str) -> None:
     atomic_write_text(path, "".join(lines))
 
 
+def _header_tokens(line: str, where: str):
+    """(t_max, rh) from a zero file's header line, None where a token is
+    absent; a token that does not parse, or comes twice, is a
+    ZeroFileError at `where` (path:line)."""
+    t_max = rh = None
+    seen = set()
+    for tok in line[1:].split():
+        key, eq, value = tok.partition("=")
+        if not eq or key not in ("t_max", "rh"):
+            continue
+        if key in seen:
+            raise ZeroFileError(f"{where}: {key}= given twice in the header")
+        seen.add(key)
+        if key == "t_max":
+            try:
+                t_max = float(value)
+            except ValueError as e:
+                raise ZeroFileError(
+                    f"{where}: t_max is not a number: {tok!r}") from e
+        elif value in ("0", "1"):
+            rh = value == "1"
+        else:
+            raise ZeroFileError(f"{where}: rh must be 0 or 1: {tok!r}")
+    return t_max, rh
+
+
 def load_zeros(path: str) -> ZeroList:
-    """Parse a zero file; enforces the ZeroList invariants on load.  A
-    header token t_max= that is not a number, or rh= other than 0 or 1, is
-    a ZeroFileError naming its line."""
+    """Parse a zero file; enforces the ZeroList invariants on load.  The
+    tokens t_max= and rh= are read from the header, the first non-blank
+    line when it is a comment; every other comment is free text.  In the
+    header, t_max= that is not a number, rh= other than 0 or 1 and a
+    token given twice are ZeroFileErrors naming the line.  Without a
+    header token, t_max is the last ordinate and rh is assumed."""
     ords = []
-    t_max = None
-    rh = True
+    t_max = rh = None
+    first = True
     with open(path, "r", encoding="ascii") as fh:
         for lineno, raw in enumerate(fh, start=1):
             line = raw.strip()
             if not line:
                 continue
+            header, first = first, False
             if line.startswith("#"):
-                for tok in line[1:].split():
-                    if tok.startswith("t_max="):
-                        try:
-                            t_max = float(tok[6:])
-                        except ValueError as e:
-                            raise ZeroFileError(
-                                f"{path}:{lineno}: t_max is not a number: "
-                                f"{tok!r}") from e
-                    elif tok.startswith("rh="):
-                        if tok[3:] not in ("0", "1"):
-                            raise ZeroFileError(
-                                f"{path}:{lineno}: rh must be 0 or 1: "
-                                f"{tok!r}")
-                        rh = tok[3:] == "1"
+                if header:
+                    t_max, rh = _header_tokens(line, f"{path}:{lineno}")
                 continue
             try:
                 v = float(line)
@@ -638,7 +666,7 @@ def load_zeros(path: str) -> ZeroList:
         raise ZeroFileError(f"{path}:{bad}: ordinates not ascending")
     if t_max is None:
         t_max = float(arr[-1]) if arr.size else 0.0
-    return ZeroList(arr, t_max, source=path, rh_assumed=rh)
+    return ZeroList(arr, t_max, source=path, rh_assumed=rh is not False)
 
 
 # ----------------------------------------------------------------------

@@ -164,8 +164,9 @@ def test_psi_bound_no_sieve_off_sigma_0_and_1(tmp_path, zl_med,
     # a header token that does not parse is reported at its line
     ("# t_max=abc rh=1\n", "", "ZeroFileError", 1),
     ("# t_max=237 rh=yes\n", "", "ZeroFileError", 1),
+    ("\n# t_max=237 rh=1 t_max=300\n", "", "ZeroFileError", 2),
 ], ids=["stops-below-t_max", "inf-ordinate", "nan-t_max",
-        "t_max-not-a-number", "rh-not-0-or-1"])
+        "t_max-not-a-number", "rh-not-0-or-1", "t_max-repeated"])
 def test_psi_bound_rejects_an_unsound_zero_file(tmp_path, capsys, zeros_237,
                                                 head, tail, error, line):
     with open(zeros_237, encoding="ascii") as fh:

@@ -87,30 +87,66 @@ def test_factor_plan_builds_each_n_once_from_earlier_rows(N):
     assert filled == N
 
 
+def _dirichlet_table_errors(rng, lo, hi, m, N):
+    """(n, t, |table - n^(-1/2 - i t)|) of a _dirichlet_table at m seeded
+    heights in [lo, hi] and N rows (the N of their block if None), one
+    column per height, against mpmath."""
+    tt = np.sort(rng.uniform(lo, hi, m))
+    N = N or sp._em_length(complex(0.5, tt[-1]))
+    plan = sp._factor_plan(N)
+    table = sp._dirichlet_table(tt, plan)
+    assert table.shape == (N, m)
+    logs = [mp.log(int(k)) for k in plan[0]]
+    want = np.array([[complex(mp.exp(-(0.5 + 1j * mp.mpf(t)) * lg))
+                      for t in tt] for lg in logs])
+    return plan[0][:, None], tt, np.abs(table - want)
+
+
+# seeded heights and the N of their block, and N = 1, 2, 5, 8 and 9
+DIRICHLET_CASES = ((10.0, 400.0, 12, None), (390.0, 400.0, 8, None),
+                   (10.0, 60.0, 8, None), (-40.0, 400.0, 6, 1),
+                   (-40.0, 400.0, 6, 2), (-40.0, 400.0, 6, 5),
+                   (-40.0, 400.0, 6, 8), (-40.0, 400.0, 6, 9))
+
+
 @mp.workdps(30)
 def test_dirichlet_table_against_mpmath():
     """Every entry is n^(-1/2 - i t) to within 2 units of
     n^(-1/2) 2^-52 (t log n + 1), the rounding of the phase t log n (the
-    largest seen was 0.80), at seeded heights and the N of their block,
-    and at N = 1, 2, 5, 8 and 9, where the phases cannot sit in the
-    composite rows (N < 9) or just can."""
+    largest seen was 0.79), on DIRICHLET_CASES."""
     rng = np.random.default_rng(1901)
-    for lo, hi, m, N in ((10.0, 400.0, 12, None), (390.0, 400.0, 8, None),
-                         (10.0, 60.0, 8, None), (-40.0, 400.0, 6, 1),
-                         (-40.0, 400.0, 6, 2), (-40.0, 400.0, 6, 5),
-                         (-40.0, 400.0, 6, 8), (-40.0, 400.0, 6, 9)):
-        tt = np.sort(rng.uniform(lo, hi, m))
-        N = N or sp._em_length(complex(0.5, tt[-1]))
-        plan = sp._factor_plan(N)
-        table = sp._dirichlet_table(tt, plan)
-        assert table.shape == (N, m)
-        logs = [mp.log(int(k)) for k in plan[0]]
-        for j, t in enumerate(tt):
-            want = np.array([complex(mp.exp(-(0.5 + 1j * mp.mpf(t)) * lg))
-                             for lg in logs])
-            unit = (plan[0] ** -0.5 * 2.0 ** -52
-                    * (abs(t) * np.log(plan[0]) + 1.0))
-            assert np.all(np.abs(table[:, j] - want) <= 2.0 * unit)
+    for case in DIRICHLET_CASES:
+        n, tt, err = _dirichlet_table_errors(rng, *case)
+        unit = n ** -0.5 * 2.0 ** -52 * (np.abs(tt) * np.log(n) + 1.0)
+        assert np.all(err <= 2.0 * unit)
+
+
+@mp.workdps(30)
+def test_dirichlet_table_within_its_stated_budget():
+    """Every entry is within n^(-1/2) 2^-52 (|t| log n + 6 Omega(n)), the
+    budget _dirichlet_table states, also at |t| <= 1, where the roundings
+    of the cosines and sines (special.TRIG_ERROR a prime factor) and of
+    the products outweigh the phase's: on DIRICHLET_CASES and at 12
+    heights in [-1, 1] with N = 512 (up to nine prime factors).  The
+    largest use of the budget was 0.78, and 0.33 at |t| <= 1."""
+    rng = np.random.default_rng(1901)
+    for case in DIRICHLET_CASES + ((-1.0, 1.0, 12, 512),):
+        n, tt, err = _dirichlet_table_errors(rng, *case)
+        omega = np.array([_big_omega(int(k)) for k in n[:, 0]])[:, None]
+        budget = n ** -0.5 * 2.0 ** -52 * (np.abs(tt) * np.log(n)
+                                           + 6.0 * omega)
+        assert np.all(err <= budget)
+
+
+def _big_omega(n):
+    """Omega(n), the number of prime factors of n counted with
+    multiplicity, by trial division."""
+    count, p = 0, 2
+    while p * p <= n:
+        while n % p == 0:
+            n, count = n // p, count + 1
+        p += 1
+    return count + (n > 1)
 
 
 def test_log_deriv_tends_to_zero_on_the_right():
@@ -260,6 +296,78 @@ def test_coth_array_with_an_exact_pole_raises():
         sp.coth_stable(np.array([0.5, 0.0, 3.0 + 1j]))
     with pytest.raises(PoleError):
         sp.x_coth_x(np.array([0.2, 0.0]))
+
+
+# ----------------------------------------------------------------------
+# Cosines and sines from the tangent of the half angle
+# ----------------------------------------------------------------------
+
+def _trig_points(rng, per_decade):
+    """Seeded x in every decade from 1e-3 to 1e7, both signs, then +-0 and
+    odd multiples of pi, where tan(x/2) is large (about 1.6e16 at pi)."""
+    x = np.concatenate([10.0 ** rng.uniform(e, e + 1, per_decade)
+                        for e in range(-3, 7)])
+    odd = math.pi * np.array([1.0, 3.0, 41.0, 2.0 * 1e5 + 1, 2.0 * 3e6 - 1])
+    return np.concatenate([x, -x, [0.0, -0.0], odd, -odd])
+
+
+def _both(x):
+    s, c = x.copy(), np.empty_like(x)
+    sp.half_angle_trig(s, c)
+    return c, s
+
+
+@mp.workdps(30)
+def test_half_angle_trig_against_mpmath():
+    """cos and sin within TRIG_ERROR = 2 ulps of 1, and finite, at 60
+    seeded x a decade and at 0 and odd multiples of pi.  The largest
+    errors were 1.42 ulps of 1 for cos (near x = 0 mod 2 pi, where
+    1 + tan^2(x/2) rounds near 1) and 0.79 for sin; on 400 a decade,
+    1.48 and 0.87 (libm's cos and sin: 0.25)."""
+    x = _trig_points(np.random.default_rng(35), 60)
+    c, s = _both(x)
+    assert np.all(np.isfinite(c)) and np.all(np.isfinite(s))
+    for v, cv, sv in zip(x.tolist(), c.tolist(), s.tolist()):
+        assert abs(mp.mpf(cv) - mp.cos(v)) <= sp.TRIG_ERROR
+        assert abs(mp.mpf(sv) - mp.sin(v)) <= sp.TRIG_ERROR
+    # the tangent's pole is no special case
+    assert c[-10:].tolist() == [-1.0] * 10
+
+
+def test_half_angle_trig_against_libm_to_1e9():
+    # libm's cos and sin are within a quarter ulp of 1 here; the largest
+    # differences were 1.5 ulps of 1 (cos) and 1.0 (sin)
+    rng = np.random.default_rng(36)
+    x = 10.0 ** rng.uniform(-3.0, 9.0, 100_000) * rng.choice([-1.0, 1.0],
+                                                              100_000)
+    c, s = _both(x)
+    assert np.max(np.abs(c - np.cos(x))) <= sp.TRIG_ERROR
+    assert np.max(np.abs(s - np.sin(x))) <= sp.TRIG_ERROR
+
+
+def test_half_angle_trig_bits_are_a_function_of_x_alone():
+    """A value has the same bits alone, in a batch of 3 012, from a strided
+    view, as a 2-D block and in every mode: cos alone, sin alone (through
+    the chunked scratch, over more than one chunk) and both at once."""
+    x = _trig_points(np.random.default_rng(37), 150)
+    c, s = _both(x)
+    for i in range(x.size):
+        ci, si = _both(x[i:i + 1])
+        assert ci.tobytes() == c[i:i + 1].tobytes()
+        assert si.tobytes() == s[i:i + 1].tobytes()
+    table = np.zeros((3, x.size), dtype=np.complex128)
+    table[1].imag = x
+    sp.half_angle_trig(table[1].imag, table[1].real)
+    assert table[1].real.tobytes() == c.tobytes()
+    assert table[1].imag.tobytes() == s.tobytes()
+    block = x.reshape(12, 251).copy()
+    assert sp.half_angle_trig(block, sin=False).tobytes() == c.tobytes()
+    assert sp.half_angle_trig(x.copy(), sin=False).tobytes() == c.tobytes()
+    long = np.tile(x, 3)                    # 9 036 values: three chunks
+    assert long.size > 2 * sp._TRIG_CHUNK
+    assert sp.half_angle_trig(long).tobytes() == np.tile(s, 3).tobytes()
+    with pytest.raises(ValueError, match="one-dimensional"):
+        sp.half_angle_trig(block)
 
 
 # ----------------------------------------------------------------------

@@ -611,6 +611,30 @@ def test_load_reports_line_numbers(tmp_path):
         zr.load_zeros(str(p))
 
 
+def test_load_reads_tokens_from_the_header_only(tmp_path, zl_100):
+    """t_max= and rh= count only in the header line: a comment below it
+    is free text, whatever it says."""
+    body = "".join(f"{g:.9f}\n" for g in zl_100.ordinates)
+    p = tmp_path / "z.txt"
+    p.write_text("# t_max=237 rh=1\n# note: rh=0 was the old default\n"
+                 "# t_max=5000 is where the next list stops\n" + body)
+    zl = zr.load_zeros(str(p))
+    assert zl.rh_assumed is True and zl.t_max == 237.0 and len(zl) == 100
+    # without a header the tokens of a later comment do not count either
+    p.write_text(body[:13] + "# t_max=5000 rh=0\n" + body[13:])
+    zl = zr.load_zeros(str(p))
+    assert zl.rh_assumed is True and zl.t_max == zl.ordinates[-1]
+
+
+@pytest.mark.parametrize("header", ["# t_max=237 rh=1 t_max=237",
+                                    "# rh=1 t_max=237 rh=1"])
+def test_load_rejects_a_token_repeated_in_the_header(tmp_path, header):
+    p = tmp_path / "z.txt"
+    p.write_text(f"{header}\n14.134725142\n")
+    with pytest.raises(ZeroFileError, match=r"z\.txt:1: .* given twice"):
+        zr.load_zeros(str(p))
+
+
 def test_load_rejects_unsorted(tmp_path):
     p = tmp_path / "bad.txt"
     p.write_text("14.134725142\n25.010857580\n21.022039639\n")

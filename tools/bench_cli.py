@@ -10,8 +10,9 @@ whose order alternates (base first in even pairs, head first in odd
 ones), as `python3 -m zetabounds.cli ...` in a fresh process writing its
 output to a scratch directory, so start-up is part of every time.  The
 record gives each side's median and quartiles of the wall time, the
-median peak RSS of the process, every run, and the machine, Python and
-numpy it ran on.  The byte identity of the outputs is the other tool's:
+median peak RSS of the process, every run, and the machine (with
+numpy's dispatch targets for float64 tan, cos and sin), Python and numpy
+it ran on.  The byte identity of the outputs is the other tool's:
 python3 tools/byte_identity.py --base PARENT --head .
 """
 
@@ -82,6 +83,24 @@ def cpu_model():
     return platform.processor()
 
 
+def trig_dispatch():
+    """The CPU target of the loops numpy dispatches float64 tan, cos and
+    sin to on this machine (numpy.lib.introspect.opt_func_info), or None
+    where numpy cannot say.  special.half_angle_trig's gain rests on a
+    vectorised tan.  A target is not proof of vectorisation: with numpy
+    2.4 on X86_V4 all three report X86_V4, and cos and sin still take
+    about 20 ns a value against 3-7 ns for tan."""
+    try:
+        from numpy.lib.introspect import opt_func_info
+        info = opt_func_info(func_name="^(tan|cos|sin)$",
+                             signature="float64")
+    except ImportError:
+        return None
+    return {name: {sig: targets["current"]
+                   for sig, targets in loops.items()}
+            for name, loops in sorted(info.items())}
+
+
 def main():
     ap = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     ap.add_argument("--base", required=True)
@@ -108,7 +127,8 @@ def main():
         "order": "alternated: base first in even pairs, head first in odd",
         "commits": {"base": ns.base_id, "head": ns.head_id},
         "machine": {"cpu": cpu_model(), "cores": os.cpu_count(),
-                    "system": platform.platform()},
+                    "system": platform.platform(),
+                    "numpy_float64_dispatch": trig_dispatch()},
         "python": platform.python_version(),
         "numpy": np.__version__,
         "workloads": {name: {side: summary(r) for side, r in sides.items()}
