@@ -11,17 +11,19 @@ Perron identity numerically.
 
 Most of a report does not depend on x.  A BoundContext holds that part for
 one (zero list, T, sigma): the main term, -zeta'/zeta(sigma), the zero-sum
-bound and, for each zero rho = 1/2 + i gamma through T, gamma with the
-amplitude |omega^+(rho)| and phase arg omega^+(rho).  Since
+bound and, for each zero rho = 1/2 + i gamma through T, gamma/2 with half
+the phase arg omega^+(rho) and twice the amplitude |omega^+(rho)|.  Since
 Im(omega x^(rho-1)) = x^(-1/2) |omega| sin(gamma log x + arg omega), the
-signed zero sum at x then costs one sine per zero and one dot product.
+signed zero sum at x then costs one tangent per zero and one dot product.
 explicit_formula_bound keeps the last context in a one-slot memo, keyed on
 the zero list's identity and on T and sigma by value, so a grid of x at one
-(T, sigma) builds it once.
+(T, sigma) builds it once; -zeta'/zeta(sigma) is memoised on sigma alone,
+so a grid of T at one sigma evaluates it once.
 """
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass, field, fields
 from operator import attrgetter
@@ -29,7 +31,7 @@ from operator import attrgetter
 import numpy as np
 
 from .special import (_dirichlet_table, _factor_plan, fejer_batch,
-                      half_angle_trig, log_deriv_zeta)
+                      half_angle_half_sine, log_deriv_zeta)
 # adaptive_simpson stays bound: perfbench/workloads.instrument wraps it here
 from .util import (EULER_GAMMA, TWO_PI,  # noqa: F401
                    KahanSum, adaptive_simpson, format_float17, gauss_kronrod)
@@ -44,7 +46,8 @@ __all__ = [
     "XI_GRID",
 ]
 
-XI_GRID = (-1.0, -0.5, 0.0, 0.5, 1.0)
+# the ends of [-1, 1], where a convex sum takes its max (nontrivial_zero_sum)
+XI_GRID = (-1.0, 1.0)
 VIHUELA_T_FLOOR = 1e7
 # phase, in radians, of the Perron integrand's fastest term across one
 # starting panel, +-2 about its middle: K15 is exact to degree 22, so the
@@ -101,26 +104,35 @@ def _zeros_through(zl: ZeroList, T: float) -> np.ndarray:
     return zl.ordinates[zl.ordinates <= T]
 
 
-def _phase_sum(amp: np.ndarray, gamma: np.ndarray, phase: np.ndarray,
-               L: float) -> float:
-    """sum amp sin(gamma L + phase): with amp and phase the modulus and
+def _phase_sum(amp2: np.ndarray, half_gamma: np.ndarray,
+               half_phase: np.ndarray, L: float) -> float:
+    """sum amp sin(gamma L + phase) from amp2 = 2 amp, half_gamma =
+    gamma/2 and half_phase = phase/2: with amp and phase the modulus and
     argument of a weight w, and L = log x, this is x^(1/2) Im of
     sum w x^(rho-1) over rho = 1/2 + i gamma.
 
-    The sines come from special.half_angle_trig, each within
-    TRIG_ERROR = 2 ulps of 1 of the sine of its rounded argument: the
-    sum moves by at most TRIG_ERROR sum amp for it.  The rounding of the
-    argument, about 2^-52 (gamma L + |phase|) a zero, is the larger part
-    once gamma L > 2: at every zero (gamma > 14) from x = 1.16 up."""
-    arg = gamma * L
-    arg += phase
-    return float(half_angle_trig(arg) @ amp)
+    Halving and doubling are exact, so the half angle
+    half_gamma L + half_phase is (gamma L + phase)/2 as rounded, and each
+    product sin(x)/2 amp2 is sin(x) amp as rounded: the same bits as a
+    sine of the whole angle times amp, in the same order.  The half sines
+    come from special.half_angle_half_sine, each within TRIG_ERROR/2 of
+    sin(x)/2 at its rounded argument: the sum moves by at most
+    TRIG_ERROR sum amp for it.  The rounding of the argument, about
+    2^-52 (gamma L + |phase|) a zero, is the larger part once
+    gamma L > 2: at every zero (gamma > 14) from x = 1.16 up."""
+    arg = half_gamma * L
+    arg += half_phase
+    return float(half_angle_half_sine(arg) @ amp2)
 
 
 def nontrivial_zero_sum(zl: ZeroList, ctx: WeightContext, *, omega=None):
     """Bound on the contribution of the zeros rho = 1/2 + i gamma,
-    gamma <= T: returns (2pi/T) max over the xi grid of
+    gamma <= T: returns (2pi/T) max over xi in [-1, 1] of
     sum |omega^+(rho) + xi theta_{T,1}(rho) i| and the attaining xi.
+
+    Each |omega^+ + xi theta i| is the norm of an affine function of xi,
+    so the sum is convex in xi and its max over [-1, 1] is at an end:
+    XI_GRID holds the two ends, and the first one wins a tie.
 
     The bound holds at every x, with no x factor (callers divide by
     sqrt(x)); the signed sum at x is BoundContext.report's zero_sum_exact.
@@ -151,7 +163,8 @@ def zero_sum_bound(zl: ZeroList | None, T: float, sigma: float,
 
     For T >= 1e7 the closed form applies; below that the sum is computed
     directly from the supplied zeros ("just literally compute the sum"),
-    from omega^+ at the zeros through T if the caller passes it.
+    from omega^+ at the zeros through T if the caller passes it: the max
+    over xi in [-1, 1] of nontrivial_zero_sum, at an end by convexity.
     Returns (value, path) with path in {"closed-form", "direct"}.
     """
     if T >= VIHUELA_T_FLOOR:
@@ -282,6 +295,14 @@ def _report_template(types) -> str:
         f' "{k}": {_json_slot(t)}' for k, t in zip(_REPORT_KEYS, types))
 
 
+@functools.lru_cache(maxsize=32)
+def _neg_log_deriv(sigma: float) -> float:
+    """-zeta'/zeta(sigma), memoised on sigma alone: it does not depend on
+    T, and log_deriv_zeta is pure.  0.0 and -0.0 share an entry; both
+    give the same bits."""
+    return float(-log_deriv_zeta(complex(sigma)).value.real)
+
+
 def _main_coeffs(T: float, sigma: float):
     """The x-free part of the first residue sum: (main term, -zeta'/zeta
     at sigma).  At sigma = 1 the main term log x - gamma depends on x, so
@@ -291,7 +312,7 @@ def _main_coeffs(T: float, sigma: float):
     y = math.pi * (1.0 - sigma) / T
     main = math.pi / T * (1.0 / math.tanh(y)) if abs(y) > 1e-8 \
         else 1.0 / (1.0 - sigma)
-    return main, float(-log_deriv_zeta(complex(sigma)).value.real)
+    return main, _neg_log_deriv(sigma)
 
 
 def _main_at(coeffs, sigma: float, x: float):
@@ -307,12 +328,14 @@ class BoundContext:
     """The x-independent part of explicit_formula_bound at one (zero list,
     T, sigma), computed once: the _main_coeffs pair (main term for
     sigma != 1, -zeta'/zeta(sigma)), the zero-sum bound and its path, and
-    per zero rho = 1/2 + i gamma with gamma <= T the ordinate gamma, the
-    amplitude |omega^+(rho)| and the phase arg omega^+(rho) (all None when
-    zl is None or stops below T).  report(T, sigma, x) does the per-x rest:
-    the signed zero sum -(2pi/T) sum |omega| sin(gamma log x + arg omega),
-    one sine per zero, the trivial-zero and contour terms and the
-    radius."""
+    per zero rho = 1/2 + i gamma with gamma <= T the half ordinate
+    half_gamma = gamma/2, the half phase half_phase = arg omega^+(rho)/2
+    and the doubled amplitude amp2 = 2 |omega^+(rho)| (all None when zl is
+    None or stops below T).  report(T, sigma, x) does the per-x rest:
+    the signed zero sum -(2pi/T) sum |omega| sin(gamma log x + arg omega)
+    from _phase_sum's seven passes over the zeros (multiply, add, tan,
+    square, +1, divide and one dot product), the trivial-zero and contour
+    terms and the radius."""
 
     zl: ZeroList | None
     T: float
@@ -320,24 +343,25 @@ class BoundContext:
     main_coeffs: tuple = field(init=False)
     zero_sum: float = field(init=False)
     zero_sum_path: str = field(init=False)
-    gamma: np.ndarray | None = field(init=False)
-    amp: np.ndarray | None = field(init=False)
-    phase: np.ndarray | None = field(init=False)
+    half_gamma: np.ndarray | None = field(init=False)
+    half_phase: np.ndarray | None = field(init=False)
+    amp2: np.ndarray | None = field(init=False)
 
     def __post_init__(self):
         zl, T, sigma = self.zl, self.T, self.sigma
         if not (-1.999 <= sigma <= 100.0):
             raise ValueError("sigma out of the supported range")
         coeffs = _main_coeffs(T, sigma)
-        g = w = amp = phase = None
+        w = half_gamma = half_phase = amp2 = None
         if zl is not None and T <= zl.t_max:
             g = _zeros_through(zl, T)
             w = omega_plus_batch(WeightContext(T, sigma), 0.5 + 1j * g)
-            amp, phase = np.abs(w), np.angle(w)
+            half_gamma, half_phase = 0.5 * g, 0.5 * np.angle(w)
+            amp2 = 2.0 * np.abs(w)
         zs, zs_path = zero_sum_bound(zl, T, sigma, omega=w)
         for k, v in (("main_coeffs", coeffs), ("zero_sum", zs),
-                     ("zero_sum_path", zs_path), ("gamma", g), ("amp", amp),
-                     ("phase", phase)):
+                     ("zero_sum_path", zs_path), ("half_gamma", half_gamma),
+                     ("half_phase", half_phase), ("amp2", amp2)):
             object.__setattr__(self, k, v)
 
     def report(self, T: float, sigma: float, x: float) -> BoundReport:
@@ -349,8 +373,8 @@ class BoundContext:
         if not x > T:
             raise ValueError("the formula needs x > T")
         main, pole = _main_at(self.main_coeffs, sigma, x)
-        zs_exact = (None if self.amp is None else -TWO_PI / T * _phase_sum(
-            self.amp, self.gamma, self.phase, math.log(x)))
+        zs_exact = (None if self.amp2 is None else -TWO_PI / T * _phase_sum(
+            self.amp2, self.half_gamma, self.half_phase, math.log(x)))
         coth_triv, plain_triv, triv_rhs = trivial_zero_terms(T, sigma, x)
         ipc = hardin_rhs(T, x)
         explicit = (math.pi / T * (1.0 + plain_triv + coth_triv)

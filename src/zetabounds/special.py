@@ -13,11 +13,12 @@ theta = 0 and theta = 1, A near z = 0 and the constants C1, C2 in
 `weights`.
 
 The long trigonometric sums take their cosines and sines from one place,
-half_angle_trig: in place, from one vectorised tangent of the half angle,
-within TRIG_ERROR = 2 ulps of 1.  Its callers are the Riemann-Siegel main
-sum of Hardy Z, the prime rows of the Dirichlet table (Euler-Maclaurin Z
-below zeros.T_RS and the Perron check's A(s)) and the signed zero sum of
-every psi-bound row.
+half_angle_trig and its sine on the half angle, half_angle_half_sine: in
+place, from one vectorised tangent of the half angle, within TRIG_ERROR =
+2 ulps of 1.  Their callers are the Riemann-Siegel main sum of Hardy Z,
+the prime rows of the Dirichlet table (Euler-Maclaurin Z below zeros.T_RS
+and the Perron check's A(s)) and the signed zero sum of every psi-bound
+row.
 """
 
 from __future__ import annotations
@@ -37,6 +38,7 @@ __all__ = [
     "coth_stable", "fejer_batch", "lerch", "ei_and_bound",
     "ei_upper_bound", "laurent_coeffs_A", "LaurentCoeffs", "badabook_f",
     "zeta_reflection_rhs", "one_minus_x_cot_x", "half_angle_trig",
+    "half_angle_half_sine",
 ]
 
 IM_CEILING = 1e5          # documented validity ceiling for zeta_em
@@ -624,7 +626,6 @@ def x_coth_x(x):
 # Stated bound on |computed - exact| of each value half_angle_trig gives:
 # 2 ulps of 1 (see its docstring).
 TRIG_ERROR = 2.0 ** -51
-_TRIG_CHUNK = 4096        # denominators held at once when only sin is kept
 
 
 def half_angle_trig(x: np.ndarray, cos_out: np.ndarray | None = None, *,
@@ -634,21 +635,21 @@ def half_angle_trig(x: np.ndarray, cos_out: np.ndarray | None = None, *,
         cos x = 2/(1 + h^2) - 1,   sin x = 2h/(1 + h^2).
     Returns x.
 
-    sin=False: x becomes cos x.  Otherwise x becomes sin x, and cos_out
-    (an array of x's shape that shares no memory with it), when given,
-    becomes cos x; without it, x must be one-dimensional and the
-    denominators 1 + h^2 go through a scratch of at most _TRIG_CHUNK
-    values.  No array of x's size is allocated.
+    Two modes.  sin=False: x becomes cos x (the Riemann-Siegel main sum,
+    zeros._riemann_siegel_z).  Otherwise x becomes sin x and cos_out (an
+    array of x's shape that shares no memory with it, required) becomes
+    cos x (the prime rows of _dirichlet_table).  A sine alone is
+    half_angle_half_sine's, on the half angle.  No array of x's size is
+    allocated.
 
     numpy's float64 tan is vectorised where its cos and sin may run
     through scalar libm (numpy.lib.introspect.opt_func_info names the
-    targets), so this is the one home of the identities: the Riemann-
-    Siegel main sum (zeros._riemann_siegel_z), the prime rows of
-    _dirichlet_table and the signed zero sum (formula._phase_sum).
+    targets), so this and half_angle_half_sine are the one home of the
+    identities.
 
     x/2 is exact (above the subnormals), and each value is a function of
     its own x: it has the same bits alone, in a batch or from a strided
-    view, and in every mode.  h^2 overflows only where x/2 lies within
+    view, and in either mode.  h^2 overflows only where x/2 lies within
     about 1e-154 of an odd multiple of pi/2; at the double nearest pi, h
     is about 1.6e16, and cos is -1 and sin finite there.
 
@@ -672,22 +673,38 @@ def half_angle_trig(x: np.ndarray, cos_out: np.ndarray | None = None, *,
         x -= 1.0
         return x
     if cos_out is None:
-        if x.ndim != 1:
-            raise ValueError("without cos_out, x must be one-dimensional")
-        scratch = np.empty(min(x.size, _TRIG_CHUNK))
-        for lo in range(0, x.size, _TRIG_CHUNK):
-            part = x[lo:lo + _TRIG_CHUNK]
-            half_angle_trig(part, scratch[:part.size])
-        return x
+        raise ValueError("sin x needs cos_out; half_angle_half_sine gives "
+                         "a sine alone")
     x *= 0.5
-    np.tan(x, out=x)                    # h
-    np.multiply(x, x, out=cos_out)
-    cos_out += 1.0                      # 1 + h^2
-    x /= cos_out
+    half_angle_half_sine(x, cos_out)    # h/(1 + h^2), cos_out = 1 + h^2
     x *= 2.0                            # 2h/(1 + h^2), exactly as 2 (h/..)
     np.divide(2.0, cos_out, out=cos_out)
     cos_out -= 1.0
     return x
+
+
+def half_angle_half_sine(y: np.ndarray,
+                         denom: np.ndarray | None = None) -> np.ndarray:
+    """sin(x)/2 from the half angle y = x/2 of a float64 array, in place:
+    with h = tan y, sin(x)/2 = h/(1 + h^2).  Returns y.
+
+    This is half_angle_trig's sine without its halving and doubling, both
+    exact, so 2 half_angle_half_sine(x/2) has the bits of its sin x.  A
+    caller that keeps its phases halved and its weights doubled
+    (formula.BoundContext) gets the same products from four passes: tan,
+    square, +1 and divide.  denom, when given (an array of y's shape that
+    shares no memory with it), receives 1 + h^2; otherwise one temporary
+    of y's size holds it.  Each value is a function of its own y.
+
+    Error, absolute: half of the 2u (u = 2^-53) that bounds
+    half_angle_trig's sine, so within u of sin(x)/2 at tan's h; the
+    stated bound is TRIG_ERROR/2.
+    """
+    np.tan(y, out=y)
+    denom = np.multiply(y, y, out=denom)
+    denom += 1.0
+    y /= denom
+    return y
 
 
 # ----------------------------------------------------------------------

@@ -31,6 +31,13 @@ def test_each_output_is_named_once():
     assert {kind for _, kind, _, _ in bi.OUTPUTS} == {"text", *bi.REPORTS}
 
 
+def test_every_snippet_compiles():
+    snippets = [args[1] for _, _, args, _ in bi.OUTPUTS if args[0] == "-c"]
+    assert {bi.QUADRATURE, bi.KERNELS, bi.BOUND_ROWS} <= set(snippets)
+    for code in snippets:
+        compile(code, "<snippet>", "exec")
+
+
 def _row(lines, start):
     return next(line for line in lines if line.startswith(start))
 

@@ -7,6 +7,7 @@ from zetabounds import cli
 from zetabounds import extremal as ex
 from zetabounds import formula as fm
 from zetabounds import sieve as sv
+from zetabounds import special as sp
 from zetabounds import zeros as zr
 from zetabounds.util import EULER_GAMMA, TWO_PI
 from zetabounds.weights import WeightContext
@@ -50,6 +51,59 @@ def test_abs_bound_dominates_signed(zl_med):
     for x in (1500.5, 5e4, 1e6, 1e12):
         exact = bc.report(1500.0, 0.0, x).zero_sum_exact
         assert abs(exact) <= bound + 1e-12
+
+
+def test_xi_ends_hold_the_max_by_convexity(zl_med):
+    """(2pi/T) sum |omega^+ + xi theta i| at 201 xi in [-1, 1] stays within
+    1e-15 (relative) of its value at the ends, at seeded (T, sigma): the
+    two ends of XI_GRID set the bound."""
+    from zetabounds.weights import omega_plus_batch
+    rng = np.random.default_rng(3601)
+    xis = np.linspace(-1.0, 1.0, 201)
+    for T, sigma in zip(rng.uniform(100.0, 2000.0, 8),
+                        rng.uniform(-1.5, 3.0, 8)):
+        T, sigma = float(T), float(sigma)
+        ctx = WeightContext(T, sigma)
+        rho = 0.5 + 1j * zl_med.ordinates[zl_med.ordinates <= T]
+        w = omega_plus_batch(ctx, rho)
+        th = 1.0 - (rho - 1.0) / (1j * T)
+        vals = [TWO_PI / T * float(np.sum(np.abs(w + xi * th * 1j)))
+                for xi in xis]
+        ends = max(vals[0], vals[-1])
+        assert max(vals) <= ends * (1.0 + 1e-15)
+        assert fm.nontrivial_zero_sum(zl_med, ctx)[0] == ends
+
+
+def _phase_sum_whole_angle(gamma, amp, phase, L):
+    """The zero sum as half_angle_trig gives it, on the whole angle."""
+    arg = gamma * L
+    arg += phase
+    return float(sp.half_angle_trig(arg, np.empty_like(arg)) @ amp)
+
+
+def test_phase_sum_on_half_angles_matches_the_whole_angle(zl_med):
+    """_phase_sum on a context's halved phases and doubled amplitudes has
+    the bits of the sine of the whole angle times |omega^+|, at seeded
+    (T <= 1468, sigma, L <= 60) and on 25 000 seeded zeros."""
+    from zetabounds.weights import omega_plus_batch
+    rng = np.random.default_rng(3602)
+    for T, sigma in zip(rng.uniform(100.0, 1468.0, 10),
+                        [-0.5, 0.0, 0.5, 1.0, 2.0] * 2):
+        T = float(T)
+        g = zl_med.ordinates[zl_med.ordinates <= T]
+        w = omega_plus_batch(WeightContext(T, sigma), 0.5 + 1j * g)
+        ctx = fm.BoundContext(zl_med, T, sigma)
+        for L in [*rng.uniform(math.log(T), 60.0, 20), 60.0]:
+            want = _phase_sum_whole_angle(g, np.abs(w), np.angle(w), L)
+            got = fm._phase_sum(ctx.amp2, ctx.half_gamma, ctx.half_phase, L)
+            assert got.hex() == want.hex()
+    g = np.sort(rng.uniform(14.0, 25_000.0, 25_000))
+    amp = rng.uniform(0.0, 3.0, g.size)
+    phase = rng.uniform(-math.pi, math.pi, g.size)
+    for L in rng.uniform(math.log(25_000.0), 60.0, 10):
+        want = _phase_sum_whole_angle(g, amp, phase, L)
+        got = fm._phase_sum(2.0 * amp, 0.5 * g, 0.5 * phase, L)
+        assert got.hex() == want.hex()
 
 
 def test_zero_sum_exact_against_mpmath(zl_med):
@@ -262,6 +316,7 @@ def test_memo_builds_one_context_per_grid(zl_med, monkeypatch):
     monkeypatch.setattr(fm, "nontrivial_zero_sum",
                         counted("zero_sum", fm.nontrivial_zero_sum))
     fm._last_context = None
+    fm._neg_log_deriv.cache_clear()
     for x in np.geomspace(2e3, 1e30, 50):
         fm.explicit_formula_bound(zl_med, 1500.0, 0.5, float(x))
     assert {k: len(v) for k, v in calls.items()} == {
@@ -269,6 +324,21 @@ def test_memo_builds_one_context_per_grid(zl_med, monkeypatch):
     # the positional arguments a zero-sum hook reads: the list and its T
     (args,) = calls["zero_sum"]
     assert args[0] is zl_med and args[1].T == 1500.0
+    # a second grid at the same sigma and another T: -zeta'/zeta(sigma)
+    # comes from the sigma memo
+    for x in np.geomspace(2e3, 1e30, 50):
+        fm.explicit_formula_bound(zl_med, 1000.0, 0.5, float(x))
+    assert {k: len(v) for k, v in calls.items()} == {
+        "log_deriv": 1, "omega": 2, "zero_sum": 2}
+
+
+def test_sigma_memo_gives_zero_and_minus_zero_the_same_bits():
+    # 0.0 == -0.0 share one entry, so whichever comes first serves both
+    values = []
+    for sigma in (0.0, -0.0):
+        fm._neg_log_deriv.cache_clear()
+        values.append(fm._neg_log_deriv(sigma).hex())
+    assert values == [(-1.837877066409377).hex()] * 2
 
 
 # ----------------------------------------------------------------------

@@ -347,8 +347,8 @@ def test_half_angle_trig_against_libm_to_1e9():
 
 def test_half_angle_trig_bits_are_a_function_of_x_alone():
     """A value has the same bits alone, in a batch of 3 012, from a strided
-    view, as a 2-D block and in every mode: cos alone, sin alone (through
-    the chunked scratch, over more than one chunk) and both at once."""
+    view, as a 2-D block and in either mode: cos alone and both at once.
+    A sine alone takes half_angle_half_sine, not a third mode."""
     x = _trig_points(np.random.default_rng(37), 150)
     c, s = _both(x)
     for i in range(x.size):
@@ -363,11 +363,29 @@ def test_half_angle_trig_bits_are_a_function_of_x_alone():
     block = x.reshape(12, 251).copy()
     assert sp.half_angle_trig(block, sin=False).tobytes() == c.tobytes()
     assert sp.half_angle_trig(x.copy(), sin=False).tobytes() == c.tobytes()
-    long = np.tile(x, 3)                    # 9 036 values: three chunks
-    assert long.size > 2 * sp._TRIG_CHUNK
-    assert sp.half_angle_trig(long).tobytes() == np.tile(s, 3).tobytes()
-    with pytest.raises(ValueError, match="one-dimensional"):
-        sp.half_angle_trig(block)
+    with pytest.raises(ValueError, match="cos_out"):
+        sp.half_angle_trig(x.copy())
+
+
+def test_half_angle_half_sine_is_half_the_sine_bit_for_bit():
+    """2 half_angle_half_sine(x/2) has the bits of half_angle_trig's sin x
+    at every x of _trig_points: alone, in a batch of 9 036, from a strided
+    view and with its denominators in a caller's buffer."""
+    x = _trig_points(np.random.default_rng(37), 150)
+    _, s = _both(x)
+    for i in range(x.size):
+        got = 2.0 * sp.half_angle_half_sine(0.5 * x[i:i + 1])
+        assert got.tobytes() == s[i:i + 1].tobytes()
+    long = np.tile(x, 3)
+    got = 2.0 * sp.half_angle_half_sine(0.5 * long)
+    assert got.tobytes() == np.tile(s, 3).tobytes()
+    table = np.zeros((2, long.size))
+    table[0] = 0.5 * long
+    denom = np.empty(long.size)
+    sp.half_angle_half_sine(table[:, ::2][0], denom[::2])
+    assert (2.0 * table[0, ::2]).tobytes() == np.tile(s, 3)[::2].tobytes()
+    h = np.tan(0.5 * long[::2])
+    assert denom[::2].tobytes() == (h * h + 1.0).tobytes()
 
 
 # ----------------------------------------------------------------------

@@ -72,6 +72,20 @@ for z in (1e-9, -3e-5, 0.05 + 0.02j, math.pi + 1e-7, -math.pi + 0.09,
         print(f"{f.__name__} {w!r} {f(w)!r}")
 '''
 
+# report rows at every sigma the bound benchmark asks for, and -0.0, from
+# one zero list in one process: each (T, sigma) over a grid of x up to
+# e^60, then sigma = 0.5 again at a second T, which reads -zeta'/zeta
+# from its sigma memo
+BOUND_ROWS = '''
+import math
+from zetabounds import formula as fm, zeros as zr
+zl = zr.find_zeros(1468.0)
+for T, sigma in ((1468.0, -0.5), (1468.0, -0.0), (1468.0, 0.0),
+                 (1468.0, 0.5), (1468.0, 1.0), (1468.0, 2.0), (700.0, 0.5)):
+    for x in (1.01 * T, 1e4, 3.7e6, 1e12, 2.5e20, math.exp(60.0)):
+        print(fm.explicit_formula_bound(zl, T, sigma, x).to_json())
+'''
+
 
 def cli(args):
     return ("-m", "zetabounds.cli", *args.split())
@@ -112,6 +126,7 @@ OUTPUTS = (
       for t in ("2000", "400", "21900")),
     ("quadrature.txt", "quadrature", ("-c", QUADRATURE), STDOUT),
     ("kernels.txt", "text", ("-c", KERNELS), STDOUT),
+    ("bound-rows.txt", "text", ("-c", BOUND_ROWS), STDOUT),
     # help and usage text: the parser reads some choices lazily
     ("help.txt", "text", cli("--help"), STDOUT),
     *((f"help-{cmd}.txt", "text", cli(cmd + " --help"), STDOUT) for cmd in
