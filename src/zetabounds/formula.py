@@ -35,7 +35,7 @@ from .special import (_dirichlet_table, _factor_plan, fejer_batch,
 # adaptive_simpson stays bound: perfbench/workloads.instrument wraps it here
 from .util import (EULER_GAMMA, TWO_PI,  # noqa: F401
                    KahanSum, adaptive_simpson, format_float17, gauss_kronrod)
-from .weights import WeightContext, omega_plus_batch
+from .weights import WeightContext, omega_plus_batch, theta_T1
 from .zeros import ZeroList
 
 __all__ = [
@@ -43,11 +43,8 @@ __all__ = [
     "nontrivial_zero_sum", "zero_sum_bound", "vihuela_rhs", "hardin_rhs",
     "arles_constant", "explicit_formula_bound",
     "counterexample_mean", "fandango_allowance", "perron_identity_check",
-    "XI_GRID",
 ]
 
-# the ends of [-1, 1], where a convex sum takes its max (nontrivial_zero_sum)
-XI_GRID = (-1.0, 1.0)
 VIHUELA_T_FLOOR = 1e7
 # phase, in radians, of the Perron integrand's fastest term across one
 # starting panel, +-2 about its middle: K15 is exact to degree 22, so the
@@ -127,12 +124,12 @@ def _phase_sum(amp2: np.ndarray, half_gamma: np.ndarray,
 
 def nontrivial_zero_sum(zl: ZeroList, ctx: WeightContext, *, omega=None):
     """Bound on the contribution of the zeros rho = 1/2 + i gamma,
-    gamma <= T: returns (2pi/T) max over xi in [-1, 1] of
-    sum |omega^+(rho) + xi theta_{T,1}(rho) i| and the attaining xi.
+    gamma <= T: (2pi/T) max over xi in [-1, 1] of
+    sum |omega^+(rho) + xi theta_{T,1}(rho) i|.
 
     Each |omega^+ + xi theta i| is the norm of an affine function of xi,
     so the sum is convex in xi and its max over [-1, 1] is at an end:
-    XI_GRID holds the two ends, and the first one wins a tie.
+    the larger of the sums at xi = -1 and xi = 1.
 
     The bound holds at every x, with no x factor (callers divide by
     sqrt(x)); the signed sum at x is BoundContext.report's zero_sum_exact.
@@ -141,14 +138,9 @@ def nontrivial_zero_sum(zl: ZeroList, ctx: WeightContext, *, omega=None):
     g = _zeros_through(zl, ctx.T)
     rho = 0.5 + 1j * g
     w = omega_plus_batch(ctx, rho) if omega is None else omega
-    th = 1.0 - (rho - 1.0) / (1j * ctx.T)
-    best = -1.0
-    best_xi = None
-    for xi in XI_GRID:
-        val = TWO_PI / ctx.T * float(np.sum(np.abs(w + xi * th * 1j)))
-        if val > best:
-            best, best_xi = val, xi
-    return best, best_xi
+    th_i = theta_T1(ctx.T, rho) * 1j
+    return TWO_PI / ctx.T * max(float(np.sum(np.abs(w - th_i))),
+                                float(np.sum(np.abs(w + th_i))))
 
 
 def vihuela_rhs(T: float) -> float:
@@ -173,9 +165,8 @@ def zero_sum_bound(zl: ZeroList | None, T: float, sigma: float,
         return vihuela_rhs(T), "closed-form"
     if zl is None:
         raise ValueError("desk-scale T needs an explicit zero list")
-    ctx = WeightContext(T, sigma)
-    val, _ = nontrivial_zero_sum(zl, ctx, omega=omega)
-    return val, "direct"
+    return (nontrivial_zero_sum(zl, WeightContext(T, sigma), omega=omega),
+            "direct")
 
 
 # ----------------------------------------------------------------------
@@ -406,9 +397,9 @@ def explicit_formula_bound(zl: ZeroList | None, T: float, sigma: float,
 
     The x-independent work lives in a BoundContext.  A one-slot memo keeps
     the last context built and reuses it when zl is the same object (`is`)
-    and T and sigma compare equal, as along a psi-bound grid of x or an
-    epsilon_at scan; any other call replaces it.  ZeroList ordinates are
-    read-only, so a reused context cannot go stale.
+    and T and sigma compare equal, as along a psi-bound grid of x; any
+    other call replaces it.  ZeroList ordinates are read-only, so a reused
+    context cannot go stale.
     """
     global _last_context
     if not x > T:
@@ -418,13 +409,6 @@ def explicit_formula_bound(zl: ZeroList | None, T: float, sigma: float,
                            and ctx.sigma == sigma):
         ctx = _last_context = BoundContext(zl, T, sigma)
     return ctx.report(T, sigma, x)
-
-
-def epsilon_at(zl: ZeroList | None, T: float, x: float) -> float:
-    """The |psi(x) - x| <= epsilon x level implied by the report at
-    sigma = 0: max deviation of the sandwich from 1."""
-    rep = explicit_formula_bound(zl, T, 0.0, x)
-    return max(abs(rep.total_upper - 1.0), abs(rep.total_lower - 1.0))
 
 
 # ----------------------------------------------------------------------

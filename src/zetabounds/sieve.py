@@ -423,11 +423,10 @@ def psi_checkpoints(xs, threads: int = 1, long_run: bool = False):
     xs = [int(x) for x in xs]
     if any(b <= a for a, b in zip(xs, xs[1:])):
         raise ValueError("checkpoints must be strictly ascending")
-    if xs and xs[-1] > (HARD_CEILING if long_run else DESK_CEILING):
-        raise ValueError("checkpoint beyond ceiling (pass long_run=True "
-                         "for up to 1e10)")
     if xs and xs[0] < 1:
         raise ValueError("checkpoints must be >= 1")
+    if xs:
+        check_x_max(xs[-1], long_run)
     threads = _check_threads(threads)
     out = []
     if not xs:

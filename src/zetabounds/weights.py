@@ -57,9 +57,11 @@ class WeightContext:
         object.__setattr__(self, "sigma_one_branch", one)
 
 
-def theta_T1(T: float, s: complex) -> complex:
-    """theta_{T,1}(s), the sigma = 1 instance used by the error sum."""
-    return 1.0 - (complex(s) - 1.0) / (1j * T)
+def theta_T1(T: float, s):
+    """theta_{T,1}(s), the sigma = 1 instance used by the error sum, at a
+    Python number or a numpy array s.  A Python number stays in Python's
+    complex arithmetic, whose division rounds differently from numpy's."""
+    return 1.0 - (s - 1.0) / (1j * T)
 
 
 def _neg_theta_cot(w: np.ndarray) -> np.ndarray:
@@ -204,7 +206,7 @@ def weight_split_error(ctx: WeightContext, t: float, xi: float,
     if abs(sigma - 0.5) > T / 2.0:
         raise ValueError("|sigma - 1/2| must be at most T/2")
     s = 0.5 + 1j * t
-    exact = omega_plus(ctx, s) + xi * theta_T1(T, s) * 1j
+    exact = omega_plus(ctx, s) + xi * theta_T1(T, complex(s)) * 1j
     ds = 2.78 * abs(sigma - 0.5) + 1.0
     if branch == "profile":
         if not 0 < t <= T:
@@ -251,6 +253,16 @@ def _simpson_tol(length: float, g_max: float) -> float:
     return max(1e-9, 2.0 ** -52 * length * g_max)
 
 
+def _log_t_integral(g, T: float, t0: float, g_max) -> float:
+    """int g(s) ds over s = log t in [log t0, log T], T >= t0 >= 2 pi, by
+    adaptive Simpson to `_simpson_tol` of that length and of g_max(), a
+    bound on g, called once the range is checked."""
+    if not (T >= t0 >= TWO_PI):
+        raise ValueError("need T >= t0 >= 2 pi")
+    lo, hi = math.log(t0), math.log(T)
+    return adaptive_simpson(g, lo, hi, _simpson_tol(hi - lo, g_max()))
+
+
 def weighted_log_integral(T: float, t0: float):
     """(quadrature of (2pi/T) int sqrt(F^2 + (1-t/T)^2) log(t/2pi) dt,
     the log^2 difference bound, and the sharpened bound when applicable).
@@ -261,16 +273,12 @@ def weighted_log_integral(T: float, t0: float):
     u |F(u) + (1 - u) i| <= 1/3 on (0, 1], g stays below (T/3) log(T/2pi),
     which sets the tolerance (`_simpson_tol`).
     """
-    if not (T >= t0 >= TWO_PI):
-        raise ValueError("need T >= t0 >= 2 pi")
-
     def g(s):
         t = np.exp(s)
         return _weight_norm(t, T) * t * (s - _LOG_TWO_PI)
 
-    lo, hi = math.log(t0), math.log(T)
-    tol = _simpson_tol(hi - lo, T / 3.0 * math.log(T / TWO_PI))
-    quad = adaptive_simpson(g, lo, hi, tol) * (TWO_PI / T)
+    quad = _log_t_integral(
+        g, T, t0, lambda: T / 3.0 * math.log(T / TWO_PI)) * (TWO_PI / T)
     simplon = math.log(T / TWO_PI) ** 2 - math.log(t0 / TWO_PI) ** 2
     adago = None
     if t0 >= TWO_PI * math.e and T >= 3.0 * t0:
@@ -286,16 +294,19 @@ def weighted_inv_integral(T: float, t0: float):
     It runs in s = log t, where dt/t = ds and the integrand is the weight
     |F(t/T) + (1 - t/T) i| itself; the weight decreases in t, so its value
     at t0 sets the tolerance (`_simpson_tol`)."""
-    if not (T >= t0 >= TWO_PI):
-        raise ValueError("need T >= t0 >= 2 pi")
-
     def g(s):
         return _weight_norm(np.exp(s), T)
 
-    lo, hi = math.log(t0), math.log(T)
-    tol = _simpson_tol(hi - lo, float(_weight_norm(t0, T)))
-    quad = adaptive_simpson(g, lo, hi, tol) * TWO_PI / T
+    quad = _log_t_integral(
+        g, T, t0, lambda: float(_weight_norm(t0, T))) * TWO_PI / T
     return quad, 2.0 / t0 - 2.0 / T
+
+
+def _zeta_bracket(n, t, k: int):
+    """1/(2n)^k - 2t/(2n+1)^k + t^2/(2n+2)^k, the bracket that multiplies
+    zeta(2n) in C_k (t = 1) and in tremic_check's a_n and b_n."""
+    return 1.0 / (2 * n) ** k - 2.0 * t / (2 * n + 1) ** k \
+        + t ** 2 / (2 * n + 2) ** k
 
 
 def constants_C(k: int) -> float:
@@ -311,8 +322,7 @@ def constants_C(k: int) -> float:
     else:
         raise ValueError("k must be 1 or 2")
     ze = np.array(ZETA_EVEN[:50])
-    n = np.arange(1.0, 51.0)
-    w = 1.0 / (2 * n) ** k - 2.0 / (2 * n + 1) ** k + 1.0 / (2 * n + 2) ** k
+    w = _zeta_bracket(np.arange(1.0, 51.0), 1.0, k)
     return float(((ze - 1.0) * w).sum()) + closed
 
 
@@ -332,13 +342,9 @@ def tremic_check(n_max: int) -> bool:
     ta = np.linspace(0.0, 0.5, 1000)
     tb = np.linspace(0.0, 1.0 / 3.0, 1000)
     for n in ns:
-        bra_a = 1.0 / (2 * n) - 2.0 * ta / (2 * n + 1) + ta ** 2 / (2 * n + 2)
-        a = (1.0 - ta) ** 2 - bra_a
-        bra_b1 = (1.0 / (2 * n) - 2.0 * tb / (2 * n + 1)
-                  + tb ** 2 / (2 * n + 2))
-        bra_b2 = (1.0 / (2 * n) ** 2 - 2.0 * tb / (2 * n + 1) ** 2
-                  + tb ** 2 / (2 * n + 2) ** 2)
-        b = (1.0 - tb) ** 2 - 2.0 * bra_b1 + bra_b2
+        a = (1.0 - ta) ** 2 - _zeta_bracket(n, ta, 1)
+        b = ((1.0 - tb) ** 2 - 2.0 * _zeta_bracket(n, tb, 1)
+             + _zeta_bracket(n, tb, 2))
         if a.min() < -1e-15 or b.min() < -1e-15:
             return False
     return True

@@ -44,8 +44,8 @@ def test_trivial_domain_guard():
 
 def test_abs_bound_dominates_signed(zl_med):
     ctx = WeightContext(1500.0, 0.0)
-    bound, xi = fm.nontrivial_zero_sum(zl_med, ctx)
-    assert xi in fm.XI_GRID and abs(xi) == 1.0
+    bound = fm.nontrivial_zero_sum(zl_med, ctx)
+    assert type(bound) is float
     bc = fm.BoundContext(zl_med, 1500.0, 0.0)
     assert bc.zero_sum == bound
     for x in (1500.5, 5e4, 1e6, 1e12):
@@ -56,7 +56,7 @@ def test_abs_bound_dominates_signed(zl_med):
 def test_xi_ends_hold_the_max_by_convexity(zl_med):
     """(2pi/T) sum |omega^+ + xi theta i| at 201 xi in [-1, 1] stays within
     1e-15 (relative) of its value at the ends, at seeded (T, sigma): the
-    two ends of XI_GRID set the bound."""
+    two ends set the bound."""
     from zetabounds.weights import omega_plus_batch
     rng = np.random.default_rng(3601)
     xis = np.linspace(-1.0, 1.0, 201)
@@ -71,7 +71,44 @@ def test_xi_ends_hold_the_max_by_convexity(zl_med):
                 for xi in xis]
         ends = max(vals[0], vals[-1])
         assert max(vals) <= ends * (1.0 + 1e-15)
-        assert fm.nontrivial_zero_sum(zl_med, ctx)[0] == ends
+        assert fm.nontrivial_zero_sum(zl_med, ctx) == ends
+
+
+def _xi_loop(zl, ctx):
+    """The zero-sum bound as a loop over xi = -1, 1 that keeps the first
+    of equal values: the reference for nontrivial_zero_sum's bits."""
+    from zetabounds.weights import omega_plus_batch
+    rho = 0.5 + 1j * zl.ordinates[zl.ordinates <= ctx.T]
+    w = omega_plus_batch(ctx, rho)
+    th = 1.0 - (rho - 1.0) / (1j * ctx.T)
+    best = -1.0
+    for xi in (-1.0, 1.0):
+        val = TWO_PI / ctx.T * float(np.sum(np.abs(w + xi * th * 1j)))
+        if val > best:
+            best = val
+    return best
+
+
+def test_zero_sum_has_the_bits_of_the_xi_loop(zl_med):
+    """225 (T, sigma): 25 seeded T up to 2000, the ceiling of zl_med,
+    each at nine sigma from -1.5 to 50 with -0.0, 0 and 1; with omega
+    computed inside and passed in, and through BoundContext."""
+    from zetabounds.weights import omega_plus_batch
+    rng = np.random.default_rng(3701)
+    Ts = [14.0, 14.2, 1468.0, 2000.0, *rng.uniform(15.0, 2000.0, 21)]
+    n = 0
+    for T in map(float, Ts):
+        for sigma in (-1.5, -0.5, -0.0, 0.0, 0.5, 1.0, 2.0, 3.0, 50.0):
+            ctx = WeightContext(T, sigma)
+            want = _xi_loop(zl_med, ctx)
+            got = fm.nontrivial_zero_sum(zl_med, ctx)
+            assert got.hex() == want.hex(), (T, sigma)
+            rho = 0.5 + 1j * zl_med.ordinates[zl_med.ordinates <= T]
+            assert fm.nontrivial_zero_sum(
+                zl_med, ctx, omega=omega_plus_batch(ctx, rho)) == want
+            assert fm.BoundContext(zl_med, T, sigma).zero_sum == want
+            n += 1
+    assert n >= 200
 
 
 def _phase_sum_whole_angle(gamma, amp, phase, L):
@@ -166,8 +203,15 @@ def test_zero_sum_bound_paths(zl_med):
         fm.zero_sum_bound(None, 1500.0, 0.0)
 
 
+def _epsilon(rep):
+    """The |psi(x) - x| <= epsilon x level of a sigma = 0 report: the
+    sandwich's largest distance from 1."""
+    return max(abs(rep.total_upper - 1.0), abs(rep.total_lower - 1.0))
+
+
 @pytest.mark.parametrize("name, compute", [
-    ("epsilon_1468", lambda zl: fm.epsilon_at(zl, 1468.0, math.exp(60.0))),
+    ("epsilon_1468", lambda zl: _epsilon(
+        fm.explicit_formula_bound(zl, 1468.0, 0.0, math.exp(60.0)))),
     ("direct_sum_1468", lambda zl: fm.zero_sum_bound(zl, 1468.0, 0.0)[0]),
 ], ids=["epsilon_1468", "direct_sum_1468"])
 def test_pinned_constant_at_1468(zl_med, name, compute):

@@ -161,3 +161,29 @@ def test_every_exported_name_is_read_by_the_program():
         exported |= set(getattr(importlib.import_module(
             f"zetabounds.{module.name}"), "__all__", ()))
     assert exported - _names_loaded("src", "perfbench") == set()
+
+
+# imports bound only so that perfbench/workloads.instrument can wrap
+# adaptive_simpson where each module would call it: the module's own name
+UNREAD_IMPORTS = {("formula", "adaptive_simpson"),
+                  ("extremal", "adaptive_simpson")}
+
+
+def test_every_module_level_import_is_read_in_its_module():
+    src = pathlib.Path(zetabounds.__file__).parent
+    unread = set()
+    for path in sorted(src.glob("*.py")):
+        tree = ast.parse(path.read_text(encoding="utf-8"), str(path))
+        bound = set()
+        for node in tree.body:
+            if isinstance(node, ast.Import):
+                bound |= {(a.asname or a.name).partition(".")[0]
+                          for a in node.names}
+            elif isinstance(node, ast.ImportFrom) \
+                    and node.module != "__future__":
+                bound |= {a.asname or a.name for a in node.names}
+        read = {node.id for node in ast.walk(tree)
+                if isinstance(node, ast.Name)
+                and isinstance(node.ctx, ast.Load)}
+        unread |= {(path.stem, name) for name in bound - read}
+    assert unread == UNREAD_IMPORTS

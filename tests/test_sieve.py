@@ -486,6 +486,15 @@ def test_ceiling_guards():
         sv.extrema_scan(2 * 10 ** 9, sv.STAT_PSI)
     with pytest.raises(ValueError):
         sv.psi_checkpoints([2 * 10 ** 9])
+    # the checkpoints' ceiling is check_x_max's, after their own checks
+    with pytest.raises(ValueError, match="x_max beyond ceiling"):
+        sv.psi_checkpoints([10, sv.DESK_CEILING + 1])
+    with pytest.raises(ValueError, match="x_max beyond ceiling"):
+        sv.psi_checkpoints([sv.HARD_CEILING + 1], long_run=True)
+    with pytest.raises(ValueError, match="strictly ascending"):
+        sv.psi_checkpoints([10, 10])
+    with pytest.raises(ValueError, match="checkpoints must be >= 1"):
+        sv.psi_checkpoints([0, 10])
     with pytest.raises(ValueError):
         sv.extrema_scan(10 ** 6, "nope")
 

@@ -40,6 +40,22 @@ def test_theta_trivials():
     assert abs(wt.theta_T1(77.0, 1.0 + 77.0j)) == 0.0
 
 
+def test_theta_on_an_array_has_the_bits_of_the_inline_expression():
+    # the array form of the zero sum, and a Python scalar in Python's own
+    # complex arithmetic: numpy's division rounds some quotients otherwise
+    rng = np.random.default_rng(3702)
+    for T in (14.5, 1468.0, 2000.0, 21808.0):
+        rho = 0.5 + 1j * np.sort(rng.uniform(14.0, T, 1000))
+        got = wt.theta_T1(T, rho)
+        want = 1.0 - (rho - 1.0) / (1j * T)
+        assert got.dtype == np.complex128
+        assert (got.view(np.int64) == want.view(np.int64)).all()
+        for r in rho[:50].tolist():
+            one = wt.theta_T1(T, r)
+            assert type(one) is complex
+            assert one == 1.0 - (complex(r) - 1.0) / (1j * T)
+
+
 # ----------------------------------------------------------------------
 # omega^+
 # ----------------------------------------------------------------------
@@ -392,6 +408,11 @@ def test_constants_closed_parts():
     c2 = float(np.sum(1.0 / (2 * n) ** 2 - 2.0 / (2 * n + 1) ** 2
                       + 1.0 / (2 * n + 2) ** 2))
     assert abs(c2 - (1.75 - math.pi ** 2 / 6.0)) < 1e-5
+
+
+def test_constants_keep_their_bits():
+    assert wt.constants_C(1).hex() == "0x1.59fc72192fad4p-3"
+    assert wt.constants_C(2).hex() == "0x1.503fe72b1d4fbp-3"
 
 
 def test_tremic_small_and_large():
