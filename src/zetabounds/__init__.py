@@ -28,9 +28,9 @@ _EXPORTS = {
         ("ExtremaRecord", "SieveCheckpoint", "extrema_scan",
          "psi_checkpoints"), "sieve"),
     **dict.fromkeys(
-        ("EvalWithError", "LaurentCoeffs", "badabook_f", "cot_stable",
-         "coth_stable", "digamma", "ei_and_bound",
-         "laurent_coeffs_A", "lerch", "log_deriv_zeta", "zeta_em"),
+        ("EvalWithError", "badabook_f", "cot_stable", "coth_stable",
+         "digamma", "ei_and_bound", "laurent_coeffs_A", "lerch",
+         "log_deriv_zeta", "zeta_em"),
         "special"),
     **dict.fromkeys(("PoleError", "PrecisionError"), "util"),
     **dict.fromkeys(

@@ -129,13 +129,11 @@ def cmd_psi_bound(ns: argparse.Namespace) -> int:
 
 def cmd_counterexample(ns: argparse.Namespace) -> int:
     from . import formula as fm
-    from .util import TWO_PI, format_float17
+    from .util import format_float17
     spec = fm.CounterexampleSpec(K=ns.K, T=ns.T, delta=ns.delta)
     lines = ["N,x,empirical_mean,predicted,allowance\n"]
     for N in ns.N:
-        mean, pred = fm.counterexample_mean(spec, N, ns.sign)
-        s = 1.0 if ns.sign == "+" else -1.0
-        x = math.exp((TWO_PI * N + s * spec.delta) / spec.T)
+        x, mean, pred = fm.counterexample_mean(spec, N, ns.sign)
         allow = fm.fandango_allowance(spec, x)
         lines.append(f"{N},{format_float17(x)},{format_float17(mean)},"
                      f"{format_float17(pred)},{format_float17(allow)}\n")

@@ -40,25 +40,24 @@ MINORANT = "minorant"
 
 @dataclass(frozen=True)
 class ApproximantParams:
-    """Parameters of a one-sided approximant: nu = |lambda| and the side."""
+    """Parameters of a one-sided approximant: lambda and the side."""
 
-    nu: float
-    side: str
     lam: float
+    side: str
 
     def __post_init__(self):
         if self.side not in (MAJORANT, MINORANT):
             raise ValueError("side must be 'majorant' or 'minorant'")
-        if self.lam == 0:
-            raise ValueError("lambda must be non-zero")
-        if not math.isclose(self.nu, abs(self.lam), rel_tol=0, abs_tol=0):
-            raise ValueError("nu must equal |lambda|")
-        if not self.nu > 0:
-            raise ValueError("nu must be positive")
+        if not abs(self.lam) > 0:
+            raise ValueError("lambda must be non-zero and not NaN")
 
     @classmethod
     def make(cls, lam: float, side: str) -> "ApproximantParams":
-        return cls(nu=abs(lam), side=side, lam=lam)
+        return cls(lam, side)
+
+    @property
+    def nu(self) -> float:
+        return abs(self.lam)
 
     @property
     def sign(self) -> float:

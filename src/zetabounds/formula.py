@@ -34,7 +34,7 @@ from .special import (_dirichlet_table, _factor_plan, fejer_batch,
                       half_angle_half_sine, log_deriv_zeta)
 # adaptive_simpson stays bound: perfbench/workloads.instrument wraps it here
 from .util import (EULER_GAMMA, TWO_PI,  # noqa: F401
-                   KahanSum, adaptive_simpson, format_float17, gauss_kronrod)
+                   adaptive_simpson, format_float17, gauss_kronrod)
 from .weights import WeightContext, omega_plus_batch, theta_T1
 from .zeros import ZeroList
 
@@ -75,18 +75,14 @@ def trivial_zero_terms(T: float, sigma: float, x: float):
     except OverflowError:     # x above about 5.6e102: every term is 0
         cube = math.inf
     denom = cube * (1.0 - x ** -2)
-    # a Kahan sum, kept in locals: this runs once per bound row
-    coth_sum = carry = 0.0
+    terms = []
     for n in range(1, 10_001):
         term = x ** (-2 * n - 1) / math.tanh(math.pi * (2 * n + sigma) / T)
-        y = term - carry
-        total = coth_sum + y
-        carry = (total - coth_sum) - y
-        coth_sum = total
+        terms.append(term)
         if term < 1e-30:
             break
     rhs = (1.0 / (2.0 + sigma) + TWO_PI / T) / denom
-    return coth_sum, 1.0 / denom, rhs
+    return math.fsum(terms), 1.0 / denom, rhs
 
 
 # ----------------------------------------------------------------------
@@ -431,8 +427,8 @@ class CounterexampleSpec:
 
 
 def counterexample_mean(spec: CounterexampleSpec, N: int, sign: str):
-    """((1/x) sum_{n<=x} F_K(T log n) at x = exp((2 pi N +- delta)/T),
-    the predicted limit value for that branch).
+    """(x = exp((2 pi N +- delta)/T), (1/x) sum_{n<=x} F_K(T log n), the
+    predicted limit value for that branch).
 
     sign "+": prediction (pi/T)(coth(pi/T) + 1) e^(-delta/T);
     sign "-": prediction (pi/T)(coth(pi/T) - 1) e^(+delta/T).
@@ -448,17 +444,17 @@ def counterexample_mean(spec: CounterexampleSpec, N: int, sign: str):
     if x > 1e9:
         raise ValueError("x exceeds the direct-summation ceiling 1e9")
     m = int(x)
-    total = KahanSum()
+    chunks = []
     step = 4_000_000
     for lo in range(1, m + 1, step):
         hi = min(lo + step - 1, m)
         n = np.arange(lo, hi + 1, dtype=np.float64)
-        total.add(float(np.sum(fejer_batch(spec.K, spec.T * np.log(n)),
-                               dtype=np.longdouble)))
-    mean = total.value() / x
+        chunks.append(float(np.sum(fejer_batch(spec.K, spec.T * np.log(n)),
+                                   dtype=np.longdouble)))
+    mean = math.fsum(chunks) / x
     y = math.pi / spec.T
     pred = y * (1.0 / math.tanh(y) + s) * math.exp(-s * spec.delta / spec.T)
-    return mean, pred
+    return x, mean, pred
 
 
 def fandango_allowance(spec: CounterexampleSpec, x: float) -> float:

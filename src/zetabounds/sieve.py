@@ -107,7 +107,6 @@ class ExtremaRecord:
     left_limit: bool
     value: float
     kind: str       # "max" or "min"
-    statistic: str
 
 
 def _base_primes(limit: int) -> np.ndarray:
@@ -577,9 +576,9 @@ def extrema_scan(x_max: int, statistic: str, x_mins=(1,), threads: int = 1,
     def consider(v, x_at, left, val):
         mx, mn = best[v]
         if mx is None or val > mx.value:
-            best[v][0] = ExtremaRecord(x_at, left, val, "max", statistic)
+            best[v][0] = ExtremaRecord(x_at, left, val, "max")
         if mn is None or val < best[v][1].value:
-            best[v][1] = ExtremaRecord(x_at, left, val, "min", statistic)
+            best[v][1] = ExtremaRecord(x_at, left, val, "min")
 
     run = _SegmentSum()   # psi or sum Lambda/n, depending on the statistic
     scratch = _Scratch()

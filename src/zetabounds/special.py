@@ -30,13 +30,13 @@ import math
 import numpy as np
 
 from .util import (BERNOULLI_2K, EULER_GAMMA, TWO_PI, EvalWithError,
-                   KahanSum, PoleError, PrecisionError)
+                   PoleError, PrecisionError)
 
 __all__ = [
     "zeta_em", "zeta_em_deriv", "zeta_batch_critical", "log_deriv_zeta",
     "digamma", "trigamma", "log_gamma", "gamma_abs", "cot_stable",
     "coth_stable", "fejer_batch", "lerch", "ei_and_bound",
-    "ei_upper_bound", "laurent_coeffs_A", "LaurentCoeffs", "badabook_f",
+    "ei_upper_bound", "laurent_coeffs_A", "badabook_f",
     "zeta_reflection_rhs", "one_minus_x_cot_x", "half_angle_trig",
     "half_angle_half_sine",
 ]
@@ -327,8 +327,9 @@ def _dirichlet_table(tt: np.ndarray, plan) -> np.ndarray:
 
 
 def zeta_batch_critical(ts: np.ndarray) -> np.ndarray:
-    """Vectorised zeta(1/2 + i t) for an array of heights t, best in
-    ascending order.
+    """Vectorised zeta(1/2 + i t) for an array of heights t, in any order:
+    each column of the Dirichlet table and each step of the tail is
+    elementwise, so the order of the heights does not change their bits.
 
     The heights share one main sum, of the length _em_length of the
     largest |t|, so every height gets at least the terms of its own
@@ -350,13 +351,9 @@ def zeta_batch_critical(ts: np.ndarray) -> np.ndarray:
     if tmax > IM_CEILING:
         raise ValueError("height above validity ceiling")
     N = _em_length(complex(0.5, tmax))
-    order = np.argsort(ts, kind="stable")
-    tt = ts[order]
-    core = _dirichlet_table(tt, _factor_plan(N)).sum(axis=0)[:tt.size]
-    (core, _, _), _, _, _ = _em_tail(0.5 + 1j * tt, N, core)
-    out = np.empty(ts.shape, dtype=np.complex128)
-    out[order] = core
-    return out
+    core = _dirichlet_table(ts, _factor_plan(N)).sum(axis=0)[:ts.size]
+    (core, _, _), _, _, _ = _em_tail(0.5 + 1j * ts, N, core)
+    return core
 
 
 def log_deriv_zeta(s: complex) -> EvalWithError:
@@ -744,8 +741,9 @@ def lerch(z: complex, s: int, alpha: complex) -> EvalWithError:
     az = abs(z)
     if az >= 1.0:
         raise ValueError("Lerch series diverges for |z| >= 1")
-    total = KahanSum()
-    total_im = KahanSum()
+    # the value is fsum's; the running sum serves the stopping test only
+    re_terms, im_terms = [], []
+    total = 0j
     zn = 1.0 + 0.0j
     n = 0
     while True:
@@ -755,20 +753,20 @@ def lerch(z: complex, s: int, alpha: complex) -> EvalWithError:
             raise PoleError("Lerch pole guard: alpha too close to a "
                             "non-positive integer")
         term = zn / d ** s
-        total.add(term.real)
-        total_im.add(term.imag)
+        re_terms.append(term.real)
+        im_terms.append(term.imag)
+        total += term
         n += 1
         zn *= z
         if n >= 8 and n > abs(alpha) + 2:
             # |m + alpha| is increasing for m >= n here, so the geometric
             # factor alone bounds the tail
             tail = az ** n / (1.0 - az) / abs(n + alpha) ** s
-            partial = math.hypot(total.value(), total_im.value())
-            if tail < 1e-14 * max(partial, 1e-300) or tail < 1e-30:
+            if tail < 1e-14 * max(abs(total), 1e-300) or tail < 1e-30:
                 break
         if n > 10_000_000:
             raise PrecisionError("Lerch series did not converge")
-    val = complex(total.value(), total_im.value())
+    val = complex(math.fsum(re_terms), math.fsum(im_terms))
     return EvalWithError(val, tail + 1e-15 * abs(val))
 
 
@@ -789,17 +787,20 @@ def ei_and_bound(x: float) -> tuple[EvalWithError, float]:
     if x <= 0:
         raise ValueError("x must be positive")
     if x <= 30.0:
-        total = KahanSum(EULER_GAMMA + math.log(x))
+        # the value is fsum's; the running sum serves the stopping test only
+        total = EULER_GAMMA + math.log(x)
+        terms = [total]
         term = 1.0
         k = 0
         while True:
             k += 1
             term *= x / k
             piece = term / k
-            total.add(piece)
-            if piece < 1e-17 * abs(total.value()) and k > 4:
+            terms.append(piece)
+            total += piece
+            if piece < 1e-17 * abs(total) and k > 4:
                 break
-        val = total.value()
+        val = math.fsum(terms)
         err = piece + 1e-15 * abs(val)
     else:
         coef = 1.0
@@ -817,26 +818,11 @@ def ei_and_bound(x: float) -> tuple[EvalWithError, float]:
 # Laurent coefficients of -zeta'/zeta at s = 1
 # ----------------------------------------------------------------------
 
-class LaurentCoeffs:
-    """Signed coefficients c_n of (s-1)^n in the regular part of -zeta'/zeta
-    at s = 1; the magnitudes a_n = (-1)^(n+1) c_n are all positive."""
-
-    def __init__(self, coeffs):
-        self.coeffs = tuple(float(c) for c in coeffs)
-        for n, c in enumerate(self.coeffs):
-            if not (-1.0) ** (n + 1) * c > 0.0:
-                raise ValueError(f"sign pattern violated at n={n}")
-
-    def a(self, n: int) -> float:
-        return (-1.0) ** (n + 1) * self.coeffs[n]
-
-    def magnitudes(self):
-        return tuple(self.a(n) for n in range(len(self.coeffs)))
-
-
-def laurent_coeffs_A(n_max: int) -> LaurentCoeffs:
-    """Coefficients of -zeta'/zeta(s) = 1/(s-1) + sum c_n (s-1)^n, computed
-    by series division of the Stieltjes expansion of zeta at s = 1."""
+def laurent_coeffs_A(n_max: int) -> tuple[float, ...]:
+    """(c_0, ..., c_n_max) of -zeta'/zeta(s) = 1/(s-1) + sum c_n (s-1)^n,
+    computed by series division of the Stieltjes expansion of zeta at
+    s = 1.  The magnitudes (-1)^(n+1) c_n are all positive;
+    verify.check_laurent_alternating tests that."""
     if n_max < 0:
         raise ValueError("n_max must be non-negative")
     if n_max > 12:
@@ -868,7 +854,7 @@ def laurent_coeffs_A(n_max: int) -> LaurentCoeffs:
             acc -= p[j] * r[n - j]
         r[n] = acc
     # -zeta'/zeta = 1/u + sum_{n>=0} r_(n+1) u^n
-    return LaurentCoeffs(r[1:n_max + 2])
+    return tuple(r[1:n_max + 2])
 
 
 # ----------------------------------------------------------------------

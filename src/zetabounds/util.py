@@ -1,5 +1,5 @@
-"""Shared numerical plumbing: error-tagged values, compensated summation,
-quadrature, Bernoulli numbers, and output formatting.
+"""Shared numerical plumbing: error-tagged values, quadrature, Bernoulli
+numbers, and output formatting.
 
 Two quadratures live here; both call a vectorised integrand on arrays.
 `gauss_kronrod` integrates over given panels with the nested 7-point
@@ -66,25 +66,6 @@ class EvalWithError:
         if (math.isfinite(abs(self.value))
                 and not math.isfinite(self.abs_error)):
             raise ValueError("abs_error must be finite for finite values")
-
-
-class KahanSum:
-    """Compensated running sum; cheap insurance against cancellation."""
-
-    __slots__ = ("total", "carry")
-
-    def __init__(self, start: float = 0.0):
-        self.total = float(start)
-        self.carry = 0.0
-
-    def add(self, term: float) -> None:
-        y = term - self.carry
-        t = self.total + y
-        self.carry = (t - self.total) - y
-        self.total = t
-
-    def value(self) -> float:
-        return self.total
 
 
 def adaptive_simpson(f, a: float, b: float, tol: float = 1e-8):

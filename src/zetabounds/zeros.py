@@ -68,7 +68,6 @@ class ZeroList:
 
     ordinates: np.ndarray
     t_max: float
-    source: str = "computed"
     rh_assumed: bool = True
 
     def __post_init__(self):
@@ -521,7 +520,7 @@ def find_zeros(t_max: float, tol: float = 1e-9) -> ZeroList:
     if not 1e-9 <= tol <= FIRST_ZERO_TOL:
         raise ValueError("tol must be finite and in [1e-9, 1e-4]")
     if t_max < FIRST_ZERO - 0.5:
-        return ZeroList(np.array([]), t_max, source="computed")
+        return ZeroList(np.array([]), t_max)
 
     # Gram indices -1 (t = 10) .. n_top, well past the first Gram point
     # above t_top, so that K Rosser blocks start above t_top
@@ -589,7 +588,7 @@ def find_zeros(t_max: float, tol: float = 1e-9) -> ZeroList:
             rounds += 1
         brackets.step(zz[mid.size:])
     roots = brackets.roots()
-    return ZeroList(roots[roots <= t_max], t_max, source="computed")
+    return ZeroList(roots[roots <= t_max], t_max)
 
 
 # ----------------------------------------------------------------------
@@ -666,7 +665,7 @@ def load_zeros(path: str) -> ZeroList:
         raise ZeroFileError(f"{path}:{bad}: ordinates not ascending")
     if t_max is None:
         t_max = float(arr[-1]) if arr.size else 0.0
-    return ZeroList(arr, t_max, source=path, rh_assumed=rh is not False)
+    return ZeroList(arr, t_max, rh_assumed=rh is not False)
 
 
 # ----------------------------------------------------------------------
@@ -717,7 +716,7 @@ def lehman_sum(zl: ZeroList, phi, t0: float, t1: float, direction: str):
 
     g = zl.ordinates
     inwin = g[(g > t0) & (g <= t1)]
-    exact = float(sum(phi(float(x)) for x in inwin))
+    exact = math.fsum(phi(float(x)) for x in inwin)
 
     main = invt = 0.0
     if t1 > t0:

@@ -424,10 +424,15 @@ def test_beurling_majorizes_indicator():
 
 
 def test_params_validation():
-    with pytest.raises(ValueError):
-        ApproximantParams(nu=1.0, side="nope", lam=1.0)
-    with pytest.raises(ValueError):
-        ApproximantParams(nu=2.0, side=MAJORANT, lam=1.0)
+    with pytest.raises(ValueError, match="side"):
+        ApproximantParams.make(1.0, "nope")
+    for lam in (0.0, -0.0, math.nan):
+        with pytest.raises(ValueError, match="lambda"):
+            ApproximantParams.make(lam, MAJORANT)
+    for lam in (1e-3, 0.7, -0.7, -40.0):
+        p = ApproximantParams.make(lam, MINORANT)
+        assert p == ApproximantParams(lam, MINORANT)
+        assert p.lam == lam and p.nu == abs(lam)
 
 
 @pytest.mark.parametrize("lam", [0.25, 1.0, 4.0, -0.5])

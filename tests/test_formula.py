@@ -38,6 +38,38 @@ def test_trivial_domain_guard():
         fm.trivial_zero_terms(10.0, -2.5, 100.0)
 
 
+def _kahan_coth_sum(T, sigma, x):
+    """The coth-weighted sum as a Kahan loop over the same terms, with the
+    same stop and cap: the reference for trivial_zero_terms' fsum."""
+    coth_sum = carry = 0.0
+    for n in range(1, 10_001):
+        term = x ** (-2 * n - 1) / math.tanh(math.pi * (2 * n + sigma) / T)
+        y = term - carry
+        total = coth_sum + y
+        carry = (total - coth_sum) - y
+        coth_sum = total
+        if term < 1e-30:
+            break
+    return coth_sum
+
+
+def test_trivial_sum_has_the_bits_of_a_kahan_loop():
+    """10 000 seeded (T, sigma, x) with T in [0.5, 25000] and log x in
+    [0.03, 60], both log-uniform, then x down to 1.0001 at small T, where
+    the 10 000-term cap is reached."""
+    rng = np.random.default_rng(3801)
+    sigmas = (-0.5, -0.0, 0.0, 0.5, 1.0, 2.0)
+    rows = [(float(T), sigmas[int(k)], math.exp(float(u))) for T, k, u in zip(
+        np.exp(rng.uniform(math.log(0.5), math.log(25_000.0), 10_000)),
+        rng.integers(0, len(sigmas), 10_000),
+        np.exp(rng.uniform(math.log(0.03), math.log(60.0), 10_000)))]
+    rows += [(T, sigma, x) for T in (0.5, 1.0, 2.0)
+             for x in (1.0001, 1.001, 1.01) for sigma in sigmas]
+    for T, sigma, x in rows:
+        got = fm.trivial_zero_terms(T, sigma, x)[0]
+        assert got.hex() == _kahan_coth_sum(T, sigma, x).hex(), (T, sigma, x)
+
+
 # ----------------------------------------------------------------------
 # zero sums
 # ----------------------------------------------------------------------
@@ -392,9 +424,40 @@ def test_sigma_memo_gives_zero_and_minus_zero_the_same_bits():
 def test_counterexample_tiny_x():
     # K = 1, x < 2: only n = 1 contributes F_K(0) = K + 1
     spec = fm.CounterexampleSpec(K=1, T=15.0, delta=0.5)
-    mean, _ = fm.counterexample_mean(spec, 1, "+")
-    x = math.exp((TWO_PI + 0.5) / 15.0)
+    x, mean, _ = fm.counterexample_mean(spec, 1, "+")
+    assert x == math.exp((TWO_PI + 0.5) / 15.0)
     assert abs(mean - 2.0 / x) < 1e-14
+
+
+def _kahan_counterexample_mean(spec, x):
+    """The mean as a Kahan sum of the same 4e6-term longdouble chunks."""
+    total = carry = 0.0
+    m = int(x)
+    for lo in range(1, m + 1, 4_000_000):
+        n = np.arange(lo, min(lo + 3_999_999, m) + 1, dtype=np.float64)
+        term = float(np.sum(sp.fejer_batch(spec.K, spec.T * np.log(n)),
+                            dtype=np.longdouble))
+        y = term - carry
+        t = total + y
+        carry = (t - total) - y
+        total = t
+    return total / x
+
+
+@pytest.mark.parametrize("K, T, delta, N, sign", [
+    (60, 1.0, 0.1, 1, "+"), (60, 1.0, 0.1, 2, "+"),   # the CI rows' spec
+    (60, 1.0, 0.1, 2, "-"),
+    (60, 1.18, 0.1, 3, "+"),    # x = 9.4e6: three chunks
+])
+def test_counterexample_mean_has_the_bits_of_a_kahan_sum(K, T, delta, N,
+                                                         sign):
+    """x is the CLI's exp((2 pi N +- delta)/T) to the bit, and the mean
+    the Kahan sum of the chunk sums."""
+    spec = fm.CounterexampleSpec(K=K, T=T, delta=delta)
+    x, mean, _ = fm.counterexample_mean(spec, N, sign)
+    s = 1.0 if sign == "+" else -1.0
+    assert x == math.exp((TWO_PI * N + s * delta) / T)
+    assert mean.hex() == _kahan_counterexample_mean(spec, x).hex()
 
 
 def test_counterexample_residue_structure():
@@ -409,12 +472,11 @@ def test_counterexample_residue_structure():
 
 def test_counterexample_brackets():
     spec = fm.CounterexampleSpec(K=200, T=1.0, delta=0.1)
-    mean, pred_plus = fm.counterexample_mean(spec, 2, "+")
-    x = math.exp(TWO_PI * 2 + 0.1)
+    x, mean, pred_plus = fm.counterexample_mean(spec, 2, "+")
     allow = fm.fandango_allowance(spec, x)
     assert mean > pred_plus - allow
     assert mean < pred_plus + allow
-    mean_m, pred_minus = fm.counterexample_mean(spec, 2, "-")
+    _, mean_m, pred_minus = fm.counterexample_mean(spec, 2, "-")
     assert mean > pred_minus
 
 

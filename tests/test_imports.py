@@ -24,9 +24,9 @@ PUBLIC = {
                 "nontrivial_zero_sum perron_identity_check "
                 "trivial_zero_terms zero_sum_bound"),
     "sieve": "ExtremaRecord SieveCheckpoint extrema_scan psi_checkpoints",
-    "special": ("EvalWithError LaurentCoeffs badabook_f cot_stable "
-                "coth_stable digamma ei_and_bound laurent_coeffs_A "
-                "lerch log_deriv_zeta zeta_em"),
+    "special": ("EvalWithError badabook_f cot_stable coth_stable "
+                "digamma ei_and_bound laurent_coeffs_A lerch "
+                "log_deriv_zeta zeta_em"),
     "util": "PoleError PrecisionError",
     "weights": ("WeightContext F_and_A constants_C omega_plus "
                 "tremic_check weight_split_error weighted_inv_integral "

@@ -1,5 +1,6 @@
 import pytest
 
+from zetabounds import special as sp
 from zetabounds import verify as vf
 
 
@@ -12,3 +13,13 @@ def test_invariant(suite, check, request):
     args = ((request.getfixturevalue("zl_deep"),)
             if suite == vf.ZERO_SUITE else ())
     assert check(*args) is True
+
+
+@pytest.mark.parametrize("n", [0, 3, 4])
+def test_laurent_check_fails_on_a_broken_sign_pattern(monkeypatch, n):
+    """A Stieltjes constant of the wrong sign breaks the alternation of
+    the c_n (at c_0, c_6 and c_7), and the check returns False."""
+    flipped = list(sp._STIELTJES)
+    flipped[n] = -flipped[n]
+    monkeypatch.setattr(sp, "_STIELTJES", flipped)
+    assert vf.check_laurent_alternating() is False

@@ -282,6 +282,18 @@ def test_zeta_batch_critical_bits_do_not_depend_on_the_batch(lo):
         assert b"".join(p.tobytes() for p in parts) == whole
 
 
+@pytest.mark.parametrize("seed", [71, 72, 73])
+def test_zeta_batch_critical_bits_do_not_depend_on_the_order(seed):
+    """A shuffled batch, and a reversed view of the sorted one, give each
+    height the bits it gets in the sorted batch."""
+    rng = np.random.default_rng(seed)
+    ts = np.sort(rng.uniform(10.0, zr.T_RS, 1000))
+    want = zeta_batch_critical(ts)
+    perm = rng.permutation(ts.size)
+    assert zeta_batch_critical(ts[perm]).tobytes() == want[perm].tobytes()
+    assert zeta_batch_critical(ts[::-1]).tobytes() == want[::-1].tobytes()
+
+
 def test_hardy_z_mixed_heights_match_each_path():
     # heights on both sides of T_RS, unsorted, come back in input order
     ts = np.array([2000.0, 150.0, zr.T_RS, 390.0, 20000.0])

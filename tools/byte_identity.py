@@ -57,7 +57,10 @@ print_l1_gaps((0.1, -8.0, 40.0, -40.0))
 '''
 
 # the cot and coth kernels' bits: near the poles k pi, with |Im z| > 20
-# and on the real axis; digamma and F_and_A at z/pi, where they take cot
+# and on the real axis; digamma and F_and_A at z/pi, where they take cot.
+# Then the trivial-zero sums' bits near x = 1, where they run to many
+# terms (the report rows have x > T and use at most 4).  New lines go at
+# the end, so that the others keep their positions
 KERNELS = '''
 import math
 from zetabounds import special as sp, weights as wt
@@ -70,6 +73,13 @@ for z in (1e-9, -3e-5, 0.05 + 0.02j, math.pi + 1e-7, -math.pi + 0.09,
     for f, w in ((sp.cot_stable, z), (sp.coth_stable, z),
                  (sp.digamma, z / math.pi), (wt.F_and_A, z / math.pi)):
         print(f"{f.__name__} {w!r} {f(w)!r}")
+from zetabounds import formula as fm
+for T in (0.5, 2.0, 1468.0):
+    for x in (1.0001, 1.01, 1.5, 1e6):
+        for sigma in (0.0, 2.0):
+            terms = fm.trivial_zero_terms(T, sigma, x)
+            print(f"trivial_zero_terms {T} {sigma} {x}",
+                  *(v.hex() for v in terms))
 '''
 
 # report rows at every sigma the bound benchmark asks for, and -0.0, from
