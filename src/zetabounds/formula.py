@@ -31,7 +31,7 @@ from operator import attrgetter
 import numpy as np
 
 from .special import (_dirichlet_table, _factor_plan, fejer_batch,
-                      half_angle_half_sine, log_deriv_zeta)
+                      half_angle_half_sine, log_deriv_zeta, zeta_em_deriv)
 # adaptive_simpson stays bound: perfbench/workloads.instrument wraps it here
 from .util import (EULER_GAMMA, TWO_PI,  # noqa: F401
                    adaptive_simpson, format_float17, gauss_kronrod)
@@ -169,22 +169,16 @@ def zero_sum_bound(zl: ZeroList | None, T: float, sigma: float,
 # Archimedean integral bound
 # ----------------------------------------------------------------------
 
-_ARLES_C = None
-
-
+@functools.cache
 def arles_constant() -> float:
     """c = zeta'/zeta(-1) - 2 (zeta'/zeta)'(-1), recomputed from the zeta
-    machinery (about 3.86102)."""
-    global _ARLES_C
-    if _ARLES_C is None:
-        from .special import zeta_em_deriv
-        z0 = zeta_em_deriv(-1.0 + 0j, 0, 1e-10).value
-        z1 = zeta_em_deriv(-1.0 + 0j, 1, 1e-10).value
-        z2 = zeta_em_deriv(-1.0 + 0j, 2, 1e-9).value
-        ld = z1 / z0
-        ldp = z2 / z0 - ld * ld
-        _ARLES_C = float((ld - 2.0 * ldp).real)
-    return _ARLES_C
+    machinery (about 3.86102) once per process."""
+    z0 = zeta_em_deriv(-1.0 + 0j, 0, 1e-10).value
+    z1 = zeta_em_deriv(-1.0 + 0j, 1, 1e-10).value
+    z2 = zeta_em_deriv(-1.0 + 0j, 2, 1e-9).value
+    ld = z1 / z0
+    ldp = z2 / z0 - ld * ld
+    return float((ld - 2.0 * ldp).real)
 
 
 def hardin_rhs(T: float, x: float) -> float:

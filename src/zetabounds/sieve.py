@@ -63,7 +63,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .util import EULER_GAMMA
+from .util import EULER_GAMMA, format_float17
 
 __all__ = [
     "SieveCheckpoint", "ExtremaRecord", "psi_checkpoints",
@@ -165,12 +165,8 @@ class _Scratch(threading.local):
         return a[:n]
 
 
-_NO_POWERS = np.zeros(0, dtype=np.int64)
-
-
 def _segment_primes(lo: int, hi: int, base: np.ndarray, wheel: np.ndarray,
-                    powers: np.ndarray = _NO_POWERS,
-                    scratch: _Scratch | None = None) -> np.ndarray:
+                    powers: np.ndarray, scratch: _Scratch) -> np.ndarray:
     """Primes in [lo, hi] for 2 <= lo <= hi, via the ascending base primes,
     which must hold every prime up to sqrt(hi), and the _wheel_pattern(),
     merged in order with powers, the proper prime powers in [lo, hi].
@@ -182,13 +178,12 @@ def _segment_primes(lo: int, hi: int, base: np.ndarray, wheel: np.ndarray,
     one >= max(p^2, lo), a stride of p entries.  The wheel primes
     themselves are put back when they lie in [lo, hi], and so are the odd
     powers, struck composites at known entries.  2 and the even powers
-    are not in the mask and are inserted.  The mask is scratch's, when
-    given, so a pass sieves every segment in one array.
+    are not in the mask and are inserted.  The mask is scratch's, so a
+    pass sieves every segment in one array.
     """
     odd = lo | 1
     size = (hi - odd) // 2 + 1
-    mask = (np.empty(size, dtype=bool) if scratch is None
-            else scratch.take("mask", size, bool))
+    mask = scratch.take("mask", size, bool)
     done = min(_WHEEL_PERIOD, size)
     phase = (odd >> 1) % _WHEEL_PERIOD
     mask[:done] = wheel[phase:phase + done]
@@ -283,10 +278,9 @@ class _SieveStream:
                 yield futs.pop(0).result()
 
 
-def _split(terms: np.ndarray, total: float, out=None):
+def _split(terms: np.ndarray, total: float, out):
     """(hi, lo) with hi + lo == [total, *terms] exactly, for a non-negative
-    total and terms; in out, a pair of arrays of len(terms) + 1, when
-    given.
+    total and terms; in out, a pair of arrays of len(terms) + 1.
 
     hi = (t + c) - c with c = 2^e, where total + max(terms) * len(terms)
     < 2^e, rounds each entry to the grid 2^(e - 52), the ulp of t + c in
@@ -299,8 +293,7 @@ def _split(terms: np.ndarray, total: float, out=None):
     """
     top = total + float(terms.max(initial=0.0)) * terms.size
     c = math.ldexp(1.0, math.frexp(top)[1])
-    n = terms.size + 1
-    hi, lo = (np.empty(n), np.empty(n)) if out is None else out
+    hi, lo = out
     lo[0] = total
     lo[1:] = terms
     np.add(lo, c, out=hi)
@@ -342,9 +335,9 @@ class _SegmentSum:
 
     __slots__ = ("_high", "_low", "_parts", "_starts", "_scratch")
 
-    def __init__(self, scratch: _Scratch | None = None):
+    def __init__(self, scratch: _Scratch):
         self._high, self._low = 0.0, 0.0
-        self._scratch = _Scratch() if scratch is None else scratch
+        self._scratch = scratch
 
     def segment(self, terms) -> None:
         """Start the next segment, then add its terms to the running sum."""
@@ -381,14 +374,9 @@ class _SegmentSum:
         shape = (blocks.size, _BLOCK)
         hi, lo = (self._scratch.take(name, blocks.size * _BLOCK)
                   .reshape(shape) for name in ("run_hi", "run_lo"))
-        b0 = int(blocks[0]) if blocks.size else 0
-        adjacent = blocks.size and int(blocks[-1]) - b0 + 1 == blocks.size
         for run, part, start in zip((hi, lo), self._parts, starts):
-            terms = part[1:].reshape(-1, _BLOCK)
-            if adjacent:                        # a plain copy
-                np.copyto(run, terms[b0:b0 + blocks.size])
-            else:
-                np.take(terms, blocks, axis=0, out=run, mode="clip")
+            np.take(part[1:].reshape(-1, _BLOCK), blocks, axis=0, out=run,
+                    mode="clip")
             run[:, 0] += start[blocks]
             np.cumsum(run, axis=1, out=run)
         lo[:, -1] = starts[1][blocks + 1]   # as the next block starts
@@ -580,8 +568,9 @@ def extrema_scan(x_max: int, statistic: str, x_mins=(1,), threads: int = 1,
         if mn is None or val < best[v][1].value:
             best[v][1] = ExtremaRecord(x_at, left, val, "min")
 
-    run = _SegmentSum()   # psi or sum Lambda/n, depending on the statistic
+    # one scratch: the sum's buffers and _candidate_values' have other names
     scratch = _Scratch()
+    run = _SegmentSum(scratch)   # psi or sum Lambda/n, by the statistic
     for v in x_mins:
         if v < 2:      # segments start at 2; cover the x = 1 start point
             consider(v, v, False, _statistic_at(statistic, 0.0, v))
@@ -669,7 +658,6 @@ def extrema_scan(x_max: int, statistic: str, x_mins=(1,), threads: int = 1,
 
 def checkpoints_to_csv(cps) -> str:
     """Checkpoint CSV: header x,psi,delta; decimal; LF line endings."""
-    from .util import format_float17
     lines = ["x,psi,delta\n"]
     for c in cps:
         lines.append(f"{c.x},{format_float17(c.psi)},"

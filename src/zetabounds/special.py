@@ -2,7 +2,7 @@
 
 Everything here is double precision with explicit absolute-error budgets
 carried in EvalWithError.  The zeta machinery is Euler-Maclaurin based and
-is valid for |Im s| <= 1e5; the rest (digamma, trigamma, log-gamma, cot,
+is valid for |Im s| <= 1e5; the rest (digamma, trigamma, |Gamma|, cot,
 coth, Fejer kernel, Lerch transcendent, exponential integral) follows the
 usual asymptotic-plus-recurrence or series playbook.
 
@@ -34,11 +34,10 @@ from .util import (BERNOULLI_2K, EULER_GAMMA, TWO_PI, EvalWithError,
 
 __all__ = [
     "zeta_em", "zeta_em_deriv", "zeta_batch_critical", "log_deriv_zeta",
-    "digamma", "trigamma", "log_gamma", "gamma_abs", "cot_stable",
-    "coth_stable", "fejer_batch", "lerch", "ei_and_bound",
-    "ei_upper_bound", "laurent_coeffs_A", "badabook_f",
-    "zeta_reflection_rhs", "one_minus_x_cot_x", "half_angle_trig",
-    "half_angle_half_sine",
+    "digamma", "trigamma", "gamma_abs", "cot_stable", "coth_stable",
+    "fejer_batch", "lerch", "ei_and_bound", "laurent_coeffs_A",
+    "badabook_f", "zeta_reflection_rhs", "one_minus_x_cot_x",
+    "half_angle_trig", "half_angle_half_sine",
 ]
 
 IM_CEILING = 1e5          # documented validity ceiling for zeta_em
@@ -62,20 +61,6 @@ _STIELTJES = [
     0.0002701844395439035266729021,
     0.0001672729121051401933535015,
     -0.00002746380660376015886000760,
-]
-
-# Lanczos coefficients (g = 7, n = 9).
-_LANCZOS_G = 7.0
-_LANCZOS_C = [
-    0.99999999999980993,
-    676.5203681218851,
-    -1259.1392167224028,
-    771.32342877765313,
-    -176.61502916214059,
-    12.507343278686905,
-    -0.13857109526572012,
-    9.9843695780195716e-6,
-    1.5056327351493116e-7,
 ]
 
 
@@ -178,9 +163,13 @@ def _zeta_em_all(s: complex, N: int):
     r1 = 4.0 * factor * base * (abs(pn1) + lN * abs(pn))
     r2 = 4.0 * factor * base * (abs(pn2) + 2 * lN * abs(pn1)
                                 + lN * lN * abs(pn))
-    # Rounding floor: pairwise summation plus phase rounding of n^(-i Im s).
-    round0 = 1.1e-16 * (math.log2(N + 1) * float(np.abs(pw).sum())
-                        + (abs(s.imag) + 1.0) * lN ** 1.5)
+    # Rounding floor: pairwise summation plus phase rounding of n^(-i Im s),
+    # whose error |Im s| log n 2^-52 counts with the weight |n^-s| of its
+    # term (0 on the real axis, where the floor keeps its bits)
+    apw = np.abs(pw)
+    round0 = (1.1e-16 * (math.log2(N + 1) * float(apw.sum())
+                         + (abs(s.imag) + 1.0) * lN ** 1.5)
+              + 2.0 ** -52 * abs(s.imag) * float((apw * logn).sum()))
     return (f0, f1, f2), (r0 + round0, r1 + round0 * lN,
                           r2 + round0 * lN * lN)
 
@@ -205,8 +194,6 @@ def zeta_em_deriv(s: complex, order: int,
     if abs(s.imag) > IM_CEILING:
         raise ValueError(f"|Im s| > {IM_CEILING:g} is outside the validity "
                          "ceiling")
-    if s == 1.0:
-        raise PoleError("zeta has a pole at s = 1")
     N = _em_length(s)
     best = None
     for _ in range(24):
@@ -297,12 +284,13 @@ def _dirichlet_table(tt: np.ndarray, plan) -> np.ndarray:
 
     Another abscissa sigma goes through the coefficients: a_n n^(-sigma -
     i t) is a_n n^(1/2 - sigma) times the table's entry.  Two callers,
-    each with one table for all the heights of a call:
-    zeta_batch_critical adds the rows as they stand, and
-    formula.perron_identity_check weights them by the coefficients of its
-    Dirichlet polynomial A(s).  Both add the rows of a table of at least
-    two columns, which numpy does row by row; it adds a lone column
-    pairwise, in another order.
+    each with one table for all the heights of a call, reduce it two
+    ways.  zeta_batch_critical sums the rows as they stand with numpy,
+    which adds a table of at least two columns row by row (a lone column
+    it would add pairwise, in another order).
+    formula.perron_identity_check weights the rows by the coefficients of
+    its Dirichlet polynomial A(s) and adds them by halving the rows
+    (formula._dirichlet_polynomial), the same additions at every width.
     """
     rows_n, log_p, amp_p, levels = plan
     # numpy multiplies a lone complex number in place without the fused
@@ -381,7 +369,7 @@ def log_deriv_zeta(s: complex) -> EvalWithError:
 
 
 # ----------------------------------------------------------------------
-# Digamma / trigamma / log-gamma
+# Digamma, trigamma and |Gamma|
 # ----------------------------------------------------------------------
 
 def _is_nonpositive_int(z: complex, tol: float = 1e-14) -> bool:
@@ -440,32 +428,56 @@ def trigamma(z: complex) -> EvalWithError:
     return EvalWithError(val, err)
 
 
-def log_gamma(z: complex) -> EvalWithError:
-    """Principal log-gamma via the Lanczos approximation (g = 7, n = 9)."""
+def gamma_abs(z: complex) -> EvalWithError:
+    """|Gamma(z)| from log |Gamma|.  From Re z = 1/2 up: digamma's shift
+    to |w| >= 16, w = z + n, then log |Gamma(w)| by the Stirling series
+    (DLMF 5.11.1) through B_12, less sum_{j<n} log |z + j|.  Below: the
+    reflection |Gamma(z)| = pi / (|sin pi w| |Gamma(1 - z)|), w = z - k
+    exact for k = round(Re z).
+
+    Error (u = 2^-53): the series' remainder is at most
+    sec^14(ph(w)/2) <= 2^7 times its first omitted term, as Re w > 0
+    (DLMF 5.11(ii)).  Rounding z + j or 1 - z, by u |v| at most, moves
+    log |Gamma(v)| by at most u (|v| |log v| + 1), since
+    |v psi(v)| <= |v| |log v| + 1 for Re v > 0, |v| >= 1/2 (5.11.2 with
+    its 5.11(ii) bound).  The summands are within 2u |log |z + j|| + 3u,
+    8u |w - 1/2| |log w| and 4u, fsum and exp add u |sum| and 4u, and the
+    sine is within 1.35u |pi w cot pi w| + 5u <= 2u (pi |w| + 4),
+    relatively, for |Re w| <= 1/2.
+    """
+    u = 2.0 ** -53
     z = complex(z)
     if _is_nonpositive_int(z):
         raise PoleError("gamma pole at non-positive integer")
     if z.real < 0.5:
-        # log Gamma(z) = log(pi / sin(pi z)) - log Gamma(1 - z)
-        ref = log_gamma(1.0 - z)
-        val = cmath.log(math.pi / cmath.sin(math.pi * z)) - ref.value
-        return EvalWithError(val, ref.abs_error + 1e-13 * (1 + abs(val)))
-    w = z - 1.0
-    x = _LANCZOS_C[0]
-    for i in range(1, len(_LANCZOS_C)):
-        x += _LANCZOS_C[i] / (w + i)
-    t = w + _LANCZOS_G + 0.5
-    val = 0.5 * math.log(2 * math.pi) + (w + 0.5) * cmath.log(t) - t \
-        + cmath.log(x)
-    return EvalWithError(val, 1e-13 * (1.0 + abs(val)))
-
-
-def gamma_abs(z: complex) -> EvalWithError:
-    """|Gamma(z)| with a relative error budget around 1e-12."""
-    lg = log_gamma(z)
-    v = math.exp(lg.value.real)
-    return EvalWithError(v, v * (math.expm1(lg.abs_error)
-                                 if lg.abs_error < 1 else 2.0 * lg.abs_error))
+        v = 1.0 - z
+        ref = gamma_abs(v)
+        w = z - round(z.real)
+        val = math.pi / (abs(cmath.sin(math.pi * w)) * ref.value)
+        rel = (ref.abs_error / ref.value
+               + u * (abs(v) * abs(cmath.log(v)) + 1.0)
+               + 2.0 * u * (math.pi * abs(w) + 4.0) + 4.0 * u)
+        return EvalWithError(val, val * rel / (1.0 - rel))
+    logs, w = [], z
+    while abs(w) < 16.0:
+        logs.append(-math.log(abs(w)))
+        w = z + len(logs)
+    lw = cmath.log(w)
+    inv2 = 1.0 / (w * w)
+    term = 1.0 / w
+    tail = 0j
+    for k in range(1, 7):
+        tail += BERNOULLI_2K[k - 1] / (2 * k * (2 * k - 1)) * term
+        term *= inv2
+    rounding = u * (sum(2.0 * abs(t) + 3.0 for t in logs)
+                    + (abs(w) + 8.0 * abs(w - 0.5)) * abs(lw) + 5.0)
+    logs += [((w - 0.5) * lw).real, -w.real, 0.5 * math.log(TWO_PI),
+             tail.real]
+    log_g = math.fsum(logs)
+    trunc = 2.0 ** 7 * abs(BERNOULLI_2K[6] / 182.0 * term)
+    g = math.exp(log_g)
+    return EvalWithError(g, g * (math.expm1(trunc + rounding
+                                            + u * abs(log_g)) + 4.0 * u))
 
 
 def zeta_reflection_rhs(s: complex) -> float:
@@ -774,16 +786,9 @@ def lerch(z: complex, s: int, alpha: complex) -> EvalWithError:
 # Exponential integral
 # ----------------------------------------------------------------------
 
-def ei_upper_bound(x: float) -> float:
-    """(e^x/x)(1 + 1/x + 2/x^2 + (40/3)/x^3), an upper bound for Ei(x)."""
-    if x <= 0:
-        raise ValueError("x must be positive")
-    return math.exp(x) / x * (1.0 + 1.0 / x + 2.0 / x ** 2
-                              + (40.0 / 3.0) / x ** 3)
-
-
 def ei_and_bound(x: float) -> tuple[EvalWithError, float]:
-    """Exponential integral Ei(x) plus its closed-form upper bound."""
+    """Exponential integral Ei(x) plus its closed-form upper bound
+    (e^x/x)(1 + 1/x + 2/x^2 + (40/3)/x^3)."""
     if x <= 0:
         raise ValueError("x must be positive")
     if x <= 30.0:
@@ -811,7 +816,8 @@ def ei_and_bound(x: float) -> tuple[EvalWithError, float]:
         val = math.exp(x) / x * acc
         err = math.exp(x) / x * coef * 11.0 / x / (1.0 - 12.0 / x) \
             + 1e-15 * val
-    return EvalWithError(val, err), ei_upper_bound(x)
+    return EvalWithError(val, err), math.exp(x) / x * (
+        1.0 + 1.0 / x + 2.0 / x ** 2 + (40.0 / 3.0) / x ** 3)
 
 
 # ----------------------------------------------------------------------

@@ -254,8 +254,6 @@ def gauss_kronrod(f, edges, tol: float, first_pass=None):
 
 def format_float17(x: float) -> str:
     """Decimal string with 17 significant digits (round-trips a double)."""
-    if isinstance(x, (int,)):
-        return str(x)
     return f"{x:.16e}"
 
 

@@ -22,18 +22,15 @@ from .cli import pinned
 from .util import TWO_PI, EULER_GAMMA, gauss_kronrod
 
 
-def _grid_complex(rng, n, re_lo, re_hi, im_lo, im_hi):
-    return [complex(rng.uniform(re_lo, re_hi), rng.uniform(im_lo, im_hi))
-            for _ in range(n)]
-
-
 # ----------------------------------------------------------------------
 # appendix-a: special-function inequalities
 # ----------------------------------------------------------------------
 
 def check_digamma_log_bound():
     rng = np.random.default_rng(11)
-    for z in [0.5 + 10.0j] + _grid_complex(rng, 200, 0.5, 8.0, -10.0, 10.0):
+    for z in [0.5 + 10.0j] + [complex(rng.uniform(0.5, 8.0),
+                                      rng.uniform(-10.0, 10.0))
+                              for _ in range(200)]:
         d = sp.digamma(z)
         if d.value.real > math.log(abs(z)) + d.abs_error + 1e-12:
             return False
@@ -54,13 +51,15 @@ def check_gamma_modulus_bound():
 
 
 def check_zeta_reflection_bound():
+    """|zeta(s)|, with its stated error, below the reflection bound; at
+    1e-8, since some of these s cannot reach 1e-10 by Euler-Maclaurin."""
     rng = np.random.default_rng(13)
     for _ in range(60):
         s = complex(rng.uniform(-3.0, 0.5), rng.uniform(-30.0, 30.0))
         if abs(s - 1.0) < 0.2 or abs(s) < 0.2:
             continue
-        lhs = abs(sp.zeta_em(s, 1e-10).value)
-        if lhs > sp.zeta_reflection_rhs(s) + 1e-9:
+        z = sp.zeta_em(s, 1e-8)
+        if abs(z.value) + z.abs_error > sp.zeta_reflection_rhs(s) + 1e-9:
             return False
     return True
 
@@ -83,10 +82,25 @@ def check_coth_derivative_bounds():
 
 
 def check_laurent_alternating():
+    """The c_n of laurent_coeffs_A(10) alternate in sign, c_0 = -gamma,
+    and each c_n is, within the largest abs_error of log_deriv_zeta and
+    2^-44 max |f| of rounding, the mean of f(1 + w) w^-n over the 64th
+    roots of unity w: the trapezoid rule for the Cauchy integral of
+    f(s) = -zeta'/zeta(s) - 1/(s - 1) on |s - 1| = 1.  f is analytic for
+    |s - 1| < 3, so the rule's aliasing error is far below 3^-64."""
     c = sp.laurent_coeffs_A(10)
     if not all((-1.0) ** (n + 1) * cn > 0.0 for n, cn in enumerate(c)):
         return False
-    return abs(c[0] + EULER_GAMMA) < 1e-12
+    if not abs(c[0] + EULER_GAMMA) < 1e-12:
+        return False
+    k = np.arange(64)
+    w = np.exp(2j * math.pi * k / 64)
+    lds = [sp.log_deriv_zeta(1.0 + wj) for wj in w.tolist()]
+    f = -np.array([ld.value for ld in lds]) - 1.0 / w
+    tol = (max(ld.abs_error for ld in lds)
+           + 2.0 ** -44 * float(np.abs(f).max()))
+    return all(abs((f * w[-n * k % 64]).mean() - cn) <= tol
+               for n, cn in enumerate(c))
 
 
 def check_em_matches_dirichlet():

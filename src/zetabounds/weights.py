@@ -44,17 +44,15 @@ class WeightContext:
     sigma: float
     lam: float = field(init=False)
     c: float = field(init=False)
-    sigma_one_branch: bool = field(init=False)
 
     def __post_init__(self):
         if not self.T > 0:
             raise ValueError("T must be positive")
         lam = TWO_PI * (self.sigma - 1.0) / self.T
-        one = self.sigma == 1.0
-        c = 1.0 / math.pi if one else x_coth_x(0.5 * lam).real / math.pi
+        c = (1.0 / math.pi if self.sigma == 1.0
+             else x_coth_x(0.5 * lam).real / math.pi)
         object.__setattr__(self, "lam", lam)
         object.__setattr__(self, "c", c)
-        object.__setattr__(self, "sigma_one_branch", one)
 
 
 def theta_T1(T: float, s):
@@ -119,7 +117,7 @@ def omega_plus_from_contour(ctx: WeightContext, s: complex) -> complex:
     """omega^+ recovered from the glued contour weight (cross-check oracle,
     valid for Im s > 0 and sigma != 1)."""
     from .extremal import glued_contour_weight
-    if ctx.sigma_one_branch:
+    if ctx.sigma == 1.0:
         raise ValueError("contour route needs sigma != 1")
     if complex(s).imag <= 0:
         raise ValueError("contour route needs Im s > 0")

@@ -21,7 +21,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .special import half_angle_trig, log_deriv_zeta, zeta_batch_critical
-from .util import TWO_PI, gauss_kronrod
+from .util import TWO_PI, atomic_write_text, gauss_kronrod
 
 __all__ = [
     "ZeroList", "ZeroCountStats", "MissedZeroError", "ZeroFileError",
@@ -600,7 +600,6 @@ def save_zeros(zl: ZeroList, path: str) -> None:
     per line with nine decimals, ASCII, LF line endings."""
     lines = [f"# t_max={zl.t_max:.9f} rh={1 if zl.rh_assumed else 0}\n"]
     lines += [f"{g:.9f}\n" for g in zl.ordinates]
-    from .util import atomic_write_text
     atomic_write_text(path, "".join(lines))
 
 

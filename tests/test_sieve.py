@@ -73,6 +73,8 @@ def _edge_windows():
 
 
 _THREE_SEGMENTS = (2 ** 24 - sv.SEGMENT - 777, 2 ** 24 + 2 * sv.SEGMENT - 778)
+# no proper prime powers: _segment_primes then lists the primes alone
+_NO_POWERS = np.zeros(0, dtype=np.int64)
 
 
 def test_segment_primes_edge_windows(prime_powers):
@@ -83,7 +85,8 @@ def test_segment_primes_edge_windows(prime_powers):
     for lo, hi in wins:
         want_p = primes[np.searchsorted(primes, lo):
                         np.searchsorted(primes, hi, side="right")]
-        assert np.array_equal(sv._segment_primes(lo, hi, base, wheel),
+        assert np.array_equal(sv._segment_primes(lo, hi, base, wheel,
+                                                 _NO_POWERS, sv._Scratch()),
                               want_p), (lo, hi)
         ns, ls = _stream_window(lo, hi)
         want_n, want_l = prime_powers.window(lo, hi)
@@ -99,7 +102,8 @@ def test_segment_primes_near_1e9_against_a_plain_sieve(prime_powers):
     wheel = sv._wheel_pattern()
     for lo in (10 ** 9 - sv.SEGMENT + 1, 10 ** 9 - 3 * sv.SEGMENT // 2):
         hi = lo + sv.SEGMENT - 1
-        assert np.array_equal(sv._segment_primes(lo, hi, base, wheel),
+        assert np.array_equal(sv._segment_primes(lo, hi, base, wheel,
+                                                 _NO_POWERS, sv._Scratch()),
                               prime_powers.primes_in(lo, hi)), lo
 
 
@@ -185,7 +189,8 @@ _SPLIT_TERMS = hnp.arrays(
 @example(np.array([1.0, 0.25]), 2.0 ** 52 - 1)  # total just below 2^e
 @example(np.array([1.0, 3.0]), 0.1)             # total off the terms' grid
 def test_split_is_exact(terms, total):
-    hi, lo = sv._split(terms, total)
+    hi, lo = sv._split(terms, total,
+                       (np.empty(terms.size + 1), np.empty(terms.size + 1)))
     assert np.array_equal(hi + lo, np.append(total, terms))
     # hi lies on the grid 2^(e - 52), total + max(terms) len(terms) < 2^e,
     # and lo within half a step of 0; so any partial sum of hi is exact
@@ -236,7 +241,7 @@ def test_scan_prefix_sums_correctly_rounded(prime_powers):
     refs = {sv.STAT_PSI: _rounded_prefix_sums(ls, 2 ** 53),
             sv.STAT_LAMBDA_OVER_N: _rounded_prefix_sums(ls / ns, 2 ** 77)}
     for stat, ref in refs.items():
-        run, k = sv._SegmentSum(), 0
+        run, k = sv._SegmentSum(sv._Scratch()), 0
         for lo, hi, pos, lam in sv._SieveStream(x_max):
             run.segment(lam if stat == sv.STAT_PSI else lam / pos)
             sums = run.prefix_at(np.arange(pos.size + 1))

@@ -43,6 +43,23 @@ def test_zeta_error_claims_hold_against_mpmath():
 
 
 @mp.workdps(30)
+def test_zeta_error_claims_hold_off_the_real_axis():
+    """At seeded s with Re s in [-1.9, 3] and 0.5 <= |Im s| <= 60, zeta_em
+    at 1e-10 (or, where that is unattainable, at 1e-8) is within its
+    abs_error of mpmath: the rounding term counts the phase rounding of
+    each n^(-i Im s) with the weight |n^-s| of its term."""
+    rng = np.random.default_rng(39)
+    for _ in range(300):
+        s = complex(rng.uniform(-1.9, 3.0),
+                    rng.choice([-1.0, 1.0]) * rng.uniform(0.5, 60.0))
+        try:
+            got = sp.zeta_em(s, 1e-10)
+        except PrecisionError:
+            got = sp.zeta_em(s, 1e-8)
+        assert abs(got.value - complex(mp.zeta(s))) <= got.abs_error, s
+
+
+@mp.workdps(30)
 def test_zeta_derivatives_against_mpmath():
     for s in (1.5 + 0j, -1.0 + 0j, 2.0 + 3j):
         for order in (1, 2):
@@ -189,6 +206,24 @@ def test_gamma_and_trigamma_against_mpmath():
                    - abs(complex(mp.gamma(z)))) < 1e-10
         assert abs(sp.trigamma(z).value
                    - complex(mp.polygamma(1, z))) < 1e-10
+
+
+@mp.workdps(30)
+def test_gamma_abs_within_its_budget_against_mpmath():
+    """|Gamma| at 2 000 seeded z with Re z in [-8, 10] and |Im z| <= 12,
+    half of them through the reflection, and beside the poles 0 ... -7."""
+    rng = np.random.default_rng(40)
+    zs = [complex(x, y) for x, y in zip(rng.uniform(-8.0, 10.0, 2000),
+                                        rng.uniform(-12.0, 12.0, 2000))]
+    zs += [complex(-k + d, y) for k in range(8)
+           for d in (1e-9, -1e-7, 1e-4, -0.3) for y in (0.0, 1e-8, 1e-3)]
+    assert sum(z.real < 0.5 for z in zs) >= 1000
+    for z in zs:
+        got = sp.gamma_abs(z)
+        ref = float(abs(mp.gamma(mp.mpc(z.real, z.imag))))
+        assert abs(got.value - ref) <= got.abs_error, z
+    with pytest.raises(PoleError):
+        sp.gamma_abs(-3.0)
 
 
 # ----------------------------------------------------------------------

@@ -15,10 +15,12 @@ def test_invariant(suite, check, request):
     assert check(*args) is True
 
 
-@pytest.mark.parametrize("n", [0, 3, 4])
+@pytest.mark.parametrize("n", range(11))
 def test_laurent_check_fails_on_a_broken_sign_pattern(monkeypatch, n):
     """A Stieltjes constant of the wrong sign breaks the alternation of
-    the c_n (at c_0, c_6 and c_7), and the check returns False."""
+    the c_n (gamma_0, gamma_3 and gamma_4) or moves a c_n away from the
+    Cauchy integral of -zeta'/zeta (each of gamma_0 ... gamma_10), and the
+    check returns False."""
     flipped = list(sp._STIELTJES)
     flipped[n] = -flipped[n]
     monkeypatch.setattr(sp, "_STIELTJES", flipped)

@@ -16,12 +16,10 @@ from zetabounds.weights import WeightContext
 def test_context_lambda_relation():
     ctx = WeightContext(100.0, 0.0)
     assert abs(ctx.lam * ctx.T - TWO_PI * (ctx.sigma - 1.0)) < 1e-15
-    assert not ctx.sigma_one_branch
 
 
 def test_sigma_one_branch_constant():
     ctx = WeightContext(50.0, 1.0)
-    assert ctx.sigma_one_branch
     assert ctx.c == 1.0 / math.pi
 
 
